@@ -185,43 +185,40 @@ def _error_sum(kind, model, market):
 
 
 class SurfaceCost:
-    """Precomputed market targets for repeated cost evaluation on a surface."""
+    """Precomputed market targets for repeated cost evaluation on a surface.
+
+    The strikes, maturities and rates are stacked once, one row per tenor, so
+    each model evaluation prices the whole surface in one kernel call.
+    """
 
     def __init__(self, surface, spec=CostSpec(), grid=DEFAULT_GRID):
         self.surface = surface
         self.spec = spec
         self.grid = grid
-        self.market_vols = np.array([v for sl in surface.slices for v in sl.vols.vols])
-        calls, vegas = [], []
-        for sl in surface.slices:
-            for vol, strike in zip(sl.vols.vols, sl.strikes):
-                op = OptionSpec(surface.spot, strike, sl.tau, sl.r_d, sl.r_f, "call")
-                calls.append(gk_price(op, vol))
-                vegas.append(max(bs_vega(op, vol), spec.vega_floor))
-        self.market_calls = np.asarray(calls)
-        self.vegas = np.asarray(vegas)
+        slices = surface.slices
+        self.market_vols = np.array([v for sl in slices for v in sl.vols.vols])
+        self.strikes = np.array([sl.strikes for sl in slices], dtype=float)
+        self.taus = np.array([sl.tau for sl in slices], dtype=float)
+        self.r_ds = np.array([sl.r_d for sl in slices], dtype=float)
+        self.r_fs = np.array([sl.r_f for sl in slices], dtype=float)
+        self.cells = [OptionSpec(surface.spot, strike, sl.tau, sl.r_d, sl.r_f, "call")
+                      for sl in slices for strike in sl.strikes]
+        self.market_calls = np.array([gk_price(op, vol)
+                                      for op, vol in zip(self.cells, self.market_vols)])
+        self.vegas = np.array([max(bs_vega(op, vol), spec.vega_floor)
+                               for op, vol in zip(self.cells, self.market_vols)])
 
     def model_calls(self, kind, params):
         cf = cf_factory(kind, params)
-        out = []
-        for sl in self.surface.slices:
-            out.append(attari_strip(cf, self.surface.spot, sl.strikes, sl.tau,
-                                    sl.r_d, sl.r_f, grid=self.grid))
-        return np.concatenate(out)
+        return attari_strip(cf, self.surface.spot, self.strikes, self.taus,
+                            self.r_ds, self.r_fs, grid=self.grid).ravel()
 
     def model_vols(self, kind, params):
         calls = self.model_calls(kind, params)
-        vols = np.empty_like(calls)
-        i = 0
-        for sl in self.surface.slices:
-            for strike in sl.strikes:
-                op = OptionSpec(self.surface.spot, strike, sl.tau, sl.r_d, sl.r_f, "call")
-                vols[i] = implied_vol(op, float(calls[i]))
-                i += 1
-        return vols
+        return np.array([implied_vol(op, float(c)) for op, c in zip(self.cells, calls)])
 
     def __call__(self, kind, params, feller=False):
-        if feller and not _feller_ok(kind, params):
+        if feller and not params.feller_satisfied():
             return FELLER_PENALTY
         if self.spec.target == "vega_weighted_price":
             model = self.model_calls(kind, params) / self.vegas
@@ -230,14 +227,6 @@ class SurfaceCost:
             model = self.model_vols(kind, params)
             market = self.market_vols
         return _error_sum(self.spec.kind, model, market)
-
-
-def _feller_ok(kind, params):
-    if kind in ("heston",):
-        return 2.0 * params.kappa * params.theta - params.omega ** 2 > 0.0
-    if kind == "bates2f":
-        return all(2.0 * f.kappa * f.theta - f.omega ** 2 > 0.0 for f in params.factors)
-    return True  # OU-volatility models have no positivity constraint
 
 
 def cost(kind, params, surface, spec=CostSpec(), feller=False, grid=DEFAULT_GRID):
@@ -430,7 +419,7 @@ def calibrate_full(kind, surface, start_params, cost_spec=CostSpec(), feller=Fal
     return CalibrationResult(
         model=kind, params=params, start=start_params, cost_value=res.fx,
         iterations=res.iterations, converged=res.converged,
-        feller_satisfied=_feller_ok(kind, params), residual_vols=residuals,
+        feller_satisfied=params.feller_satisfied(), residual_vols=residuals,
         rmse_vol=rmse_vol, rmse_vega=rmse_vega,
         flags=("pinned_rho",) if pinned_rho is not None else (),
     )

@@ -5,10 +5,15 @@ G-form of Albrecher et al., which keeps the complex log away from its branch
 cut for all maturities.  Schobel-Zhu and OUOU use the volatility-process (OU)
 solution whose exponent is affine in (1, nu0, nu0^2).
 
-All functions accept complex u (scalars or numpy arrays).  The difference
-beta - d is always evaluated as omega^2 * X / (beta + d) (X the Riccati
-constant term), which is exact and avoids the catastrophic cancellation of
-the literal subtraction in the vol-of-vol -> 0 limit.
+All functions accept complex u (scalars or numpy arrays).  tau, r_d and r_f
+may be scalars or (T, 1) column arrays, one row per maturity; the result
+then has shape (T, len(u)), and each row equals a scalar-tau call bit for
+bit.  Every CF built by cf_factory has the signature
+cf(u, x0, tau, r_d, r_f, j), and the pricers call nothing else.
+
+The difference beta - d is always evaluated as omega^2 * X / (beta + d) (X
+the Riccati constant term), which is exact and avoids the catastrophic
+cancellation of the literal subtraction in the vol-of-vol -> 0 limit.
 """
 
 from __future__ import annotations
@@ -62,6 +67,9 @@ class SchobelZhuParams:
         if abs(self.rho) >= 1.0:
             raise InvariantViolation(f"|rho| must be < 1: {self.rho}")
 
+    def feller_satisfied(self):
+        return True  # an OU volatility has no positivity constraint
+
 
 @dataclass(frozen=True)
 class Factor:
@@ -96,6 +104,8 @@ class TwoFactorParams:
         return (self.f1, self.f2)
 
     def feller_satisfied(self):
+        if self.kind == "ouou":
+            return True  # OU volatility factors have no positivity constraint
         return all(2.0 * f.kappa * f.theta - f.omega ** 2 > 0.0 for f in self.factors)
 
 

@@ -147,6 +147,17 @@ def historical_context(surfaces):
     }
 
 
+def hist_omega_rho(hist, model, date):
+    """(omega, rho) from the historical context, for "heston" or "sz".
+
+    A date outside the context falls back to the 1M index level (half of it
+    for the vol model) and rho = -0.1, as in the warm-up window.
+    """
+    scale = 0.5 if model == "sz" else 1.0
+    fallback = (scale * hist["vix1m"].get(date, 0.1), HIST_RHO_FALLBACK)
+    return hist[model].get(date, fallback)
+
+
 def variance_pipeline(surface, hist_heston):
     """VIX strip -> corrected variance -> CIR curve fit for one date."""
     om_h, rho_h = hist_heston
@@ -169,9 +180,8 @@ def sz_ts_pipeline(surface, ts, heston_ts_params, hist_heston):
 
 def build_start(model, method, surface, hist):
     """Starting parameter set for a calibration, per estimator route."""
-    date = surface.date
-    hh = hist["heston"].get(date, (hist["vix1m"].get(date, 0.1), HIST_RHO_FALLBACK))
-    hs = hist["sz"].get(date, (0.5 * hist["vix1m"].get(date, 0.1), HIST_RHO_FALLBACK))
+    hh = hist_omega_rho(hist, "heston", surface.date)
+    hs = hist_omega_rho(hist, "sz", surface.date)
     ts, hts = variance_pipeline(surface, hh)
     flags = []
 
@@ -245,13 +255,11 @@ def cmd_pipeline_one_date(manifest, surface, hist):
     kind = "bates2f" if model == "bates2f-feller" else model
     feller = manifest.feller or model == "bates2f-feller"
     if manifest.start_method == "twostage":
-        date = surface.date
-        hh = hist["heston"].get(date, (hist["vix1m"].get(date, 0.1), HIST_RHO_FALLBACK))
+        hh = hist_omega_rho(hist, "heston", surface.date)
         ts, hts = variance_pipeline(surface, hh)
         if kind == "ouou":
             # OU-volatility factors live on the vol scale
-            hs = hist["sz"].get(date, (0.5 * hist["vix1m"].get(date, 0.1),
-                                       HIST_RHO_FALLBACK))
+            hs = hist_omega_rho(hist, "sz", surface.date)
             _, sts = sz_ts_pipeline(surface, ts, hts, hh)
             root2 = math.sqrt(2.0)
             sym = (sts[0] / root2, sts[1] / root2, sts[2],
@@ -359,7 +367,7 @@ def _estimate_one(manifest, surface, hist):
     method, model = manifest.start_method, manifest.model
     base = {"date": date, "method": method, "model": model, "per_tenor": [],
             "flags": []}
-    hh = hist["heston"].get(date, (hist["vix1m"].get(date, 0.1), HIST_RHO_FALLBACK))
+    hh = hist_omega_rho(hist, "heston", date)
     ts, hts = variance_pipeline(surface, hh)
     if method == "gs":
         dates = sorted(hist["vix1m"])
@@ -456,24 +464,31 @@ def cmd_risk(manifest):
     surfaces = load_surfaces(manifest)
     hist = historical_context(surfaces)
     os.makedirs(manifest.output_dir, exist_ok=True)
+    failures = 0
     for date in selected_dates(manifest, surfaces):
-        surf = surfaces[date]
-        params, _, _ = build_start(manifest.model, manifest.start_method, surf, hist)
-        risk = calibration_risk(manifest.model, surf, params,
-                                grid=manifest.grid())
-        payload = {
-            "date": date,
-            "model": manifest.model,
-            "method": manifest.start_method,
-            "risk": dict(risk.per_parameter),
-            "per_cost": {
-                ck: params_to_dict(manifest.model, p)
-                for ck, p, _ in risk.results
-            },
-        }
+        try:
+            payload = _risk_one(manifest, surfaces[date], hist)
+        except FxsvolError as exc:
+            payload = {"date": date, "error": str(exc)}
+            failures += 1
         name = f"risk_{date}_{manifest.model}_{manifest.start_method}.json"
         write_json(os.path.join(manifest.output_dir, name), payload)
-    return EXIT_OK
+    return EXIT_PARTIAL if failures else EXIT_OK
+
+
+def _risk_one(manifest, surface, hist):
+    params, _, _ = build_start(manifest.model, manifest.start_method, surface, hist)
+    risk = calibration_risk(manifest.model, surface, params, grid=manifest.grid())
+    return {
+        "date": surface.date,
+        "model": manifest.model,
+        "method": manifest.start_method,
+        "risk": dict(risk.per_parameter),
+        "per_cost": {
+            ck: params_to_dict(manifest.model, p)
+            for ck, p, _ in risk.results
+        },
+    }
 
 
 def cmd_report(manifest):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from inspect import signature as _signature
 
 import numpy as np
 from scipy.special import ndtr
@@ -142,16 +141,8 @@ def implied_vol(spec, price, tol=1e-12, max_iter=200):
 def _centered_cf(cf, spec, u, j=2):
     """Model CF with spot level and deterministic drift factored out."""
     x0 = math.log(spec.S)
-    raw = cf(u, x0, spec.tau, spec.r_d, spec.r_f, j=j) if _takes_j(cf) \
-        else cf(u, x0, spec.tau, spec.r_d, spec.r_f)
+    raw = cf(u, x0, spec.tau, spec.r_d, spec.r_f, j=j)
     return raw * np.exp(-1j * u * (x0 + (spec.r_d - spec.r_f) * spec.tau))
-
-
-def _takes_j(cf):
-    try:
-        return "j" in _signature(cf).parameters
-    except (TypeError, ValueError):
-        return False
 
 
 def attari_price(cf, spec, grid=DEFAULT_GRID):
@@ -173,26 +164,35 @@ def attari_price(cf, spec, grid=DEFAULT_GRID):
 
 
 def attari_strip(cf, S, strikes, tau, r_d, r_f, grid=DEFAULT_GRID):
-    """Vectorized single-integral call prices for many strikes, one maturity.
+    """Vectorized single-integral call prices for many strikes and maturities.
 
-    Evaluates the CF once on the grid and reuses it across strikes.
+    With scalar tau, r_d, r_f the strikes are one maturity's (P,) strip and
+    the result has shape (P,).  With length-T arrays the strikes are (T, P),
+    one row per maturity, and so is the result.  The CF is called once, with
+    (T, 1) columns against the grid nodes, and reused across strikes; each
+    row matches a scalar call on that maturity bit for bit.
     """
     w, u, weights = grid.nodes()
     uc = u.astype(complex)
     x0 = math.log(S)
-    phi = cf(uc, x0, tau, r_d, r_f, j=2) if _takes_j(cf) else cf(uc, x0, tau, r_d, r_f)
-    phi = phi * np.exp(-1j * u * (x0 + (r_d - r_f) * tau))
-    strikes = np.asarray(strikes, dtype=float)
-    ell = np.log(strikes / S) - (r_d - r_f) * tau
+    scalar = np.ndim(tau) == 0
+    tau, r_d, r_f = (np.asarray(v, dtype=float).reshape(-1, 1) for v in (tau, r_d, r_f))
+    strikes = np.asarray(strikes, dtype=float).reshape(len(tau), -1)
+    carry = (r_d - r_f) * tau
+    phi = cf(uc, x0, tau, r_d, r_f, j=2) * np.exp(-1j * u * (x0 + carry))
+    ell = np.log(strikes / S) - carry
     kernel = phi * (1.0 - 1j / u) / (1.0 + u * u) * u * weights
-    osc = np.exp(-1j * np.outer(ell, u))
-    integrals = (osc * kernel).real.sum(axis=1)
-    return (S * math.exp(-r_f * tau)
-            - strikes * math.exp(-r_d * tau) * (0.5 + integrals / math.pi))
+    osc = np.exp(-1j * (ell[:, :, None] * u))
+    integrals = (osc * kernel[:, None, :]).real.sum(axis=2)
+    # math.exp, not np.exp: the discount factors must match the scalar route
+    df_f = np.array([[math.exp(x)] for x in (-r_f * tau).ravel()])
+    df_d = np.array([[math.exp(x)] for x in (-r_d * tau).ravel()])
+    calls = S * df_f - strikes * df_d * (0.5 + integrals / math.pi)
+    return calls[0] if scalar else calls
 
 
-def gil_pelaez_price(cf, spec, grid=CROSSCHECK_GRID):
-    """Two-probability inversion C = S e^{-r_f} P1 - K e^{-r_d} P2.
+def gil_pelaez_probabilities(cf, spec, grid=CROSSCHECK_GRID):
+    """(P1, P2) of the two-integral method.
 
     P2 from phi2 directly; P1 from the single-CF variant
     phi1(u) = phi2(u - i)/phi2(-i).  Same u = e^w substitution as the
@@ -203,37 +203,22 @@ def gil_pelaez_price(cf, spec, grid=CROSSCHECK_GRID):
     x0 = math.log(spec.S)
     k = math.log(spec.K)
 
-    def call_cf(uu):
-        return cf(uu, x0, spec.tau, spec.r_d, spec.r_f, j=2) if _takes_j(cf) \
-            else cf(uu, x0, spec.tau, spec.r_d, spec.r_f)
+    def phi2(uu):
+        return cf(uu, x0, spec.tau, spec.r_d, spec.r_f, j=2)
 
-    phi2 = call_cf(uc)
-    phi2_mi = call_cf(np.asarray(-1j, dtype=complex))
-    phi1 = call_cf(uc - 1j) / phi2_mi
+    phi1 = phi2(uc - 1j) / phi2(np.asarray(-1j, dtype=complex))
     osc = np.exp(-1j * u * k)
     p1 = 0.5 + float(np.dot((osc * phi1 / 1j).real, weights)) / math.pi
-    p2 = 0.5 + float(np.dot((osc * phi2 / 1j).real, weights)) / math.pi
+    p2 = 0.5 + float(np.dot((osc * phi2(uc) / 1j).real, weights)) / math.pi
+    return p1, p2
+
+
+def gil_pelaez_price(cf, spec, grid=CROSSCHECK_GRID):
+    """Two-probability inversion C = S e^{-r_f tau} P1 - K e^{-r_d tau} P2."""
+    p1, p2 = gil_pelaez_probabilities(cf, spec, grid)
     call = (spec.S * math.exp(-spec.r_f * spec.tau) * p1
             - spec.K * math.exp(-spec.r_d * spec.tau) * p2)
-    if spec.side == "call":
-        return call
-    return _put_from_call(call, spec)
-
-
-def gil_pelaez_probabilities(cf, spec, grid=CROSSCHECK_GRID):
-    """(P1, P2) of the two-integral method, for bound checks."""
-    w, u, weights = grid.nodes()
-    uc = u.astype(complex)
-    x0 = math.log(spec.S)
-    k = math.log(spec.K)
-    call_cf = (lambda uu: cf(uu, x0, spec.tau, spec.r_d, spec.r_f, j=2)) if _takes_j(cf) \
-        else (lambda uu: cf(uu, x0, spec.tau, spec.r_d, spec.r_f))
-    phi2 = call_cf(uc)
-    phi1 = call_cf(uc - 1j) / call_cf(np.asarray(-1j, dtype=complex))
-    osc = np.exp(-1j * u * k)
-    p1 = 0.5 + float(np.dot((osc * phi1 / 1j).real, weights)) / math.pi
-    p2 = 0.5 + float(np.dot((osc * phi2 / 1j).real, weights)) / math.pi
-    return p1, p2
+    return call if spec.side == "call" else _put_from_call(call, spec)
 
 
 CARR_MADAN_N = 4001
@@ -252,8 +237,7 @@ def carr_madan_price(cf, spec, alpha=1.5, n=CARR_MADAN_N, v_max=CARR_MADAN_V_MAX
     x0 = math.log(spec.S)
     k = math.log(spec.K)
     probe = np.asarray(-(alpha + 1.0) * 1j, dtype=complex)
-    moment = cf(probe, x0, spec.tau, spec.r_d, spec.r_f, j=2) if _takes_j(cf) \
-        else cf(probe, x0, spec.tau, spec.r_d, spec.r_f)
+    moment = cf(probe, x0, spec.tau, spec.r_d, spec.r_f, j=2)
     if not np.all(np.isfinite(moment)):
         raise AlphaInvalid(f"phi(-(alpha+1)i) not finite for alpha={alpha}")
     v = np.linspace(0.0, v_max, n)
@@ -261,8 +245,7 @@ def carr_madan_price(cf, spec, alpha=1.5, n=CARR_MADAN_N, v_max=CARR_MADAN_V_MAX
     weights[0] *= 0.5
     weights[-1] *= 0.5
     uu = v - (alpha + 1.0) * 1j
-    phi = cf(uu, x0, spec.tau, spec.r_d, spec.r_f, j=2) if _takes_j(cf) \
-        else cf(uu, x0, spec.tau, spec.r_d, spec.r_f)
+    phi = cf(uu, x0, spec.tau, spec.r_d, spec.r_f, j=2)
     denom = alpha * alpha + alpha - v * v + 1j * (2.0 * alpha + 1.0) * v
     psi = math.exp(-spec.r_d * spec.tau) * phi / denom
     integral = float(np.dot((np.exp(-1j * v * k) * psi).real, weights))
@@ -275,13 +258,16 @@ def surface_prices(cf, surface, grid=DEFAULT_GRID):
 
     Returns {tenor: (prices array, vols array)} in pillar order.
     """
+    slices = surface.slices
+    if not slices:
+        return {}
+    calls = attari_strip(cf, surface.spot, [sl.strikes for sl in slices],
+                         [sl.tau for sl in slices], [sl.r_d for sl in slices],
+                         [sl.r_f for sl in slices], grid=grid)
     out = {}
-    for sl in surface.slices:
-        calls = attari_strip(cf, surface.spot, sl.strikes, sl.tau, sl.r_d, sl.r_f,
-                             grid=grid)
-        vols = []
-        for K, c in zip(sl.strikes, calls):
-            spec = OptionSpec(surface.spot, K, sl.tau, sl.r_d, sl.r_f, "call")
-            vols.append(implied_vol(spec, float(c)))
-        out[sl.tenor] = (np.asarray(calls), np.asarray(vols))
+    for sl, row in zip(slices, calls):
+        vols = [implied_vol(OptionSpec(surface.spot, K, sl.tau, sl.r_d, sl.r_f, "call"),
+                            float(c))
+                for K, c in zip(sl.strikes, row)]
+        out[sl.tenor] = (row, np.asarray(vols))
     return out

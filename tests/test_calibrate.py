@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fxsvol.calibrate import (
+    FELLER_PENALTY,
     CostSpec,
     NelderMeadConfig,
     SurfaceCost,
@@ -24,9 +25,16 @@ from fxsvol.calibrate import (
     untransform_params,
     vector_to_params,
 )
-from fxsvol.charfn import Factor, HestonParams, SchobelZhuParams, TwoFactorParams
+from fxsvol.charfn import (
+    Factor,
+    HestonParams,
+    SchobelZhuParams,
+    TwoFactorParams,
+    cf_factory,
+)
 from fxsvol.errors import InvariantViolation, NonFiniteObjective
 from fxsvol.moments import heston_total_variance
+from fxsvol.pricer import OptionSpec, attari_strip, implied_vol, surface_prices
 
 from synthutil import synth_surface
 
@@ -158,10 +166,65 @@ class TestCost:
         c = cost("heston", ok, heston_surface, feller=True)
         assert c != 999.0
 
+    def test_no_feller_penalty_on_ou_volatility_factors(self, heston_surface):
+        # 2 kappa theta < omega^2 on the first factor: only a CIR variance fails
+        tight = Factor(0.06, 0.02, 0.8, 0.3, -0.5)  # 2*0.8*0.02 = 0.032 < 0.09
+        other = Factor(0.07, 0.05, 1.2, 0.2, -0.3)
+        assert cost("bates2f", TwoFactorParams("bates2f", tight, other),
+                    heston_surface, feller=True) == FELLER_PENALTY
+        ouou = TwoFactorParams("ouou", tight, other)
+        assert cost("ouou", ouou, heston_surface, feller=True) != FELLER_PENALTY
+        res = calibrate_full("ouou", heston_surface, ouou, feller=True, max_iter=2)
+        assert res.feller_satisfied is True
+
     def test_implied_vol_target(self, heston_surface, heston_median_params):
         spec = CostSpec(kind="mse", target="implied_vol")
         c = cost("heston", heston_median_params, heston_surface, spec=spec)
         assert c < 1e-15
+
+
+BATES2F = TwoFactorParams("bates2f",
+                          Factor(0.0041, 0.00715, 2.07, 0.30, -0.38),
+                          Factor(0.0050, 0.00600, 1.10, 0.22, 0.10))
+
+
+class TestWholeSurfaceKernel:
+    """One kernel call per surface gives the per-tenor results bit for bit."""
+
+    @pytest.fixture(params=["heston", "bates2f"])
+    def model(self, request, heston_median_params):
+        if request.param == "heston":
+            return "heston", heston_median_params
+        return "bates2f", BATES2F
+
+    @staticmethod
+    def per_tenor_calls(cf, surface):
+        return [attari_strip(cf, surface.spot, sl.strikes, sl.tau, sl.r_d, sl.r_f)
+                for sl in surface.slices]
+
+    def test_model_calls_and_vols(self, model, heston_surface):
+        kind, params = model
+        ctx = SurfaceCost(heston_surface)
+        calls = np.concatenate(self.per_tenor_calls(cf_factory(kind, params),
+                                                    heston_surface))
+        assert np.array_equal(ctx.model_calls(kind, params), calls)
+        cells = [(sl, k) for sl in heston_surface.slices for k in sl.strikes]
+        vols = [implied_vol(OptionSpec(heston_surface.spot, k, sl.tau, sl.r_d,
+                                       sl.r_f, "call"), float(c))
+                for (sl, k), c in zip(cells, calls)]
+        assert np.array_equal(ctx.model_vols(kind, params), np.array(vols))
+
+    def test_surface_prices(self, model, heston_surface):
+        cf = cf_factory(*model)
+        out = surface_prices(cf, heston_surface)
+        for sl, calls in zip(heston_surface.slices,
+                             self.per_tenor_calls(cf, heston_surface)):
+            prices, vols = out[sl.tenor]
+            assert np.array_equal(prices, calls)
+            assert np.array_equal(vols, [
+                implied_vol(OptionSpec(heston_surface.spot, k, sl.tau, sl.r_d,
+                                       sl.r_f, "call"), float(c))
+                for k, c in zip(sl.strikes, calls)])
 
 
 class TestTermStructure:

@@ -227,6 +227,30 @@ class TestOdeOracle:
         assert abs(complex(ct.A) - complex(ot.A)) < 1e-8
 
 
+class TestTenorColumns:
+    """(T, 1) tau and rate columns give, row by row, the scalar calls' bits."""
+    TAUS = [1 / 12, 2 / 12, 0.25, 0.5, 1.0, 2.0]
+    R_DS = [0.010, 0.011, 0.012, 0.0125, 0.013, 0.015]
+    R_FS = [0.004, 0.005, 0.006, 0.0065, 0.007, 0.009]
+
+    @pytest.mark.parametrize("kind,params", [(n, p) for n, _, p in ALL_MODELS],
+                             ids=[n for n, _, _ in ALL_MODELS])
+    @pytest.mark.parametrize("jump", [None, JumpParams(lam=0.8, khat=-0.05, delta=0.15)],
+                             ids=["diffusion", "jumps"])
+    def test_column_equals_scalar_calls(self, kind, params, jump):
+        from fxsvol.pricer import DEFAULT_GRID
+        cf = cf_factory(kind, params, jump=jump)
+        u = DEFAULT_GRID.nodes()[1].astype(complex)
+        tau, r_d, r_f = (np.asarray(v).reshape(-1, 1)
+                         for v in (self.TAUS, self.R_DS, self.R_FS))
+        for j in (1, 2):
+            column = cf(u, X0, tau, r_d, r_f, j=j)
+            rows = [cf(u, X0, t, rd, rf, j=j)
+                    for t, rd, rf in zip(self.TAUS, self.R_DS, self.R_FS)]
+            assert column.shape == (len(self.TAUS), u.size)
+            assert np.array_equal(column, np.array(rows))
+
+
 class TestOverflowPolicy:
     def test_jump_multiplier_overflow_raises(self):
         # deep-imaginary moment probe explodes the jump exponent
@@ -250,3 +274,10 @@ class TestValidation:
     def test_feller_flag(self):
         assert not HP.feller_satisfied()  # 2*2.07*0.0143 = 0.0592 < 0.09
         assert HestonParams(0.01, 0.02, 3.0, 0.3, -0.4).feller_satisfied()
+
+    def test_feller_flag_ou_volatility_models(self):
+        # the bound is for CIR variances; OU volatilities never violate it
+        assert SP.feller_satisfied()
+        tight = Factor(0.06, 0.02, 0.8, 0.3, -0.5)  # 2*0.8*0.02 = 0.032 < 0.09
+        assert TwoFactorParams("ouou", tight, OP.f2).feller_satisfied()
+        assert not TwoFactorParams("bates2f", tight, BP.f2).feller_satisfied()

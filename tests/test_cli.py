@@ -133,6 +133,32 @@ class TestPartialFailure:
             payload = json.load(fh)
         assert payload["omega"] > 0.0  # the good date still produced output
 
+    def test_risk_partial_failure_exit_1(self, tmp_path):
+        # the frown-smile date fails in the smile-shape estimator; the good
+        # date still gets its risk record and the run reports a partial result
+        good = synth_surface("heston",
+                             HestonParams(0.0082, 0.0143, 2.07, 0.30, -0.38),
+                             date="2014-06-02")
+        path = tmp_path / "mix.csv"
+        write_quote_csv(path, [good], vols_decimal=True)
+        with open(path, "a") as fh:
+            for tenor in ("1M", "2M"):
+                fh.write(f"2014-06-03,{tenor},1.3,0.006,0.0007,"
+                         f"0.10,0.0,-0.02,0.0,-0.028\n")
+        rc = main(["risk", "--input", str(path), "--method", "durrleman",
+                   "--model", "heston", "--output-dir", str(tmp_path / "o"),
+                   "--vols-decimal"])
+        assert rc == 1
+        payloads = {}
+        for date in ("2014-06-02", "2014-06-03"):
+            with open(tmp_path / "o" / f"risk_{date}_heston_durrleman.json") as fh:
+                payloads[date] = json.load(fh)
+        assert set(payloads["2014-06-03"]) == {"date", "error"}
+        assert set(payloads["2014-06-02"]["risk"]) == {"nu0", "theta", "kappa"}
+        if HAVE_JSONSCHEMA:
+            for payload in payloads.values():
+                jsonschema.validate(payload, load_schema("risk.schema.json"))
+
     def test_vols_decimal_flag(self, tmp_path):
         surf = synth_surface("heston",
                              HestonParams(0.0082, 0.0143, 2.07, 0.30, -0.38),

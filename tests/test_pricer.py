@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fxsvol.charfn import HestonParams, cf_factory
+from fxsvol.charfn import Factor, HestonParams, JumpParams, TwoFactorParams, cf_factory
 from fxsvol.errors import AlphaInvalid, InvariantViolation, OutOfBounds
 from fxsvol.market_data import PILLAR_DELTAS, strike_from_delta
 from fxsvol.pricer import (
@@ -31,6 +31,19 @@ CF = cf_factory("heston", HP)
 
 def spec(K, tau=0.5, side="call"):
     return OptionSpec(S, K, tau, RD, RF, side)
+
+
+def one_tenor_strip(cf, S, strikes, tau, r_d, r_f, grid=DEFAULT_GRID):
+    """The one-maturity kernel, operation for operation, as a bit-level oracle."""
+    w, u, weights = grid.nodes()
+    x0 = math.log(S)
+    phi = cf(u.astype(complex), x0, tau, r_d, r_f, j=2)
+    phi = phi * np.exp(-1j * u * (x0 + (r_d - r_f) * tau))
+    ell = np.log(np.asarray(strikes) / S) - (r_d - r_f) * tau
+    kernel = phi * (1.0 - 1j / u) / (1.0 + u * u) * u * weights
+    integrals = (np.exp(-1j * np.outer(ell, u)) * kernel).real.sum(axis=1)
+    return (S * math.exp(-r_f * tau)
+            - strikes * math.exp(-r_d * tau) * (0.5 + integrals / math.pi))
 
 
 class TestGrid:
@@ -145,6 +158,28 @@ class TestCfPricers:
         calls = attari_strip(CF, S, strikes, 0.5, RD, RF)
         for k, c in zip(strikes, calls):
             assert c == pytest.approx(attari_price(CF, spec(k)), abs=1e-14)
+
+    @pytest.mark.parametrize("cf", [
+        CF,
+        cf_factory("bates2f", TwoFactorParams("bates2f",
+                                              Factor(0.0041, 0.00715, 2.07, 0.30, -0.38),
+                                              Factor(0.0050, 0.00600, 1.10, 0.22, 0.10)),
+                   jump=JumpParams(lam=0.8, khat=-0.05, delta=0.15)),
+    ], ids=["heston", "bates2f-jumps"])
+    def test_attari_strip_tenor_axis_equals_per_tenor_calls(self, cf):
+        taus = [1 / 12, 0.25, 0.5, 1.0, 2.0]
+        r_ds = [0.010, 0.011, 0.012, 0.013, 0.015]
+        r_fs = [0.004, 0.005, 0.006, 0.007, 0.009]
+        strikes = np.array([S * np.exp(np.linspace(-0.15, 0.15, 5) * math.sqrt(t))
+                            for t in taus])
+        calls = attari_strip(cf, S, strikes, taus, r_ds, r_fs)
+        per_tenor = [attari_strip(cf, S, list(k), t, rd, rf)
+                     for k, t, rd, rf in zip(strikes, taus, r_ds, r_fs)]
+        assert calls.shape == strikes.shape
+        assert np.array_equal(calls, np.array(per_tenor))
+        reference = [one_tenor_strip(cf, S, k, t, rd, rf)
+                     for k, t, rd, rf in zip(strikes, taus, r_ds, r_fs)]
+        assert np.array_equal(calls, np.array(reference))
 
     def test_gil_pelaez_probabilities_in_unit_interval(self):
         for k in (1.1, 1.3, 1.5):
