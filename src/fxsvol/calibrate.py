@@ -18,7 +18,7 @@ import numpy as np
 from .charfn import Factor, HestonParams, SchobelZhuParams, TwoFactorParams, cf_factory
 from .errors import InvariantViolation, NonFiniteObjective
 from .moments import heston_total_variance
-from .pricer import DEFAULT_GRID, OptionSpec, attari_strip, bs_vega, gk_price, implied_vol
+from .pricer import DEFAULT_GRID, GKCells, OptionSpec, attari_strip, bs_vega, implied_vol
 
 FELLER_PENALTY = 999.0
 VEGA_FLOOR = 1e-8
@@ -188,7 +188,9 @@ class SurfaceCost:
     """Precomputed market targets for repeated cost evaluation on a surface.
 
     The strikes, maturities and rates are stacked once, one row per tenor, so
-    each model evaluation prices the whole surface in one kernel call.
+    each model evaluation prices the whole surface in one kernel call; the
+    cells' Garman-Kohlhagen constants are built once too, so the model vols
+    come from one lockstep bisection over all cells.
     """
 
     def __init__(self, surface, spec=CostSpec(), grid=DEFAULT_GRID):
@@ -201,12 +203,12 @@ class SurfaceCost:
         self.taus = np.array([sl.tau for sl in slices], dtype=float)
         self.r_ds = np.array([sl.r_d for sl in slices], dtype=float)
         self.r_fs = np.array([sl.r_f for sl in slices], dtype=float)
-        self.cells = [OptionSpec(surface.spot, strike, sl.tau, sl.r_d, sl.r_f, "call")
-                      for sl in slices for strike in sl.strikes]
-        self.market_calls = np.array([gk_price(op, vol)
-                                      for op, vol in zip(self.cells, self.market_vols)])
+        specs = [OptionSpec(surface.spot, strike, sl.tau, sl.r_d, sl.r_f, "call")
+                 for sl in slices for strike in sl.strikes]
+        self.cells = GKCells(specs)
+        self.market_calls = self.cells.price(self.market_vols)
         self.vegas = np.array([max(bs_vega(op, vol), spec.vega_floor)
-                               for op, vol in zip(self.cells, self.market_vols)])
+                               for op, vol in zip(specs, self.market_vols)])
 
     def model_calls(self, kind, params):
         cf = cf_factory(kind, params)
@@ -214,8 +216,7 @@ class SurfaceCost:
                             self.r_ds, self.r_fs, grid=self.grid).ravel()
 
     def model_vols(self, kind, params):
-        calls = self.model_calls(kind, params)
-        return np.array([implied_vol(op, float(c)) for op, c in zip(self.cells, calls)])
+        return implied_vol(self.cells, self.model_calls(kind, params))
 
     def __call__(self, kind, params, feller=False):
         if feller and not params.feller_satisfied():
@@ -261,7 +262,6 @@ class CalibrationRisk:
 
 def rmse_report(ctx, kind, params):
     """(vol RMSE, vega-weighted price RMSE) over the surface cells."""
-    n = ctx.market_vols.size
     vols = ctx.model_vols(kind, params)
     calls = ctx.model_calls(kind, params)
     rmse_vol = float(np.sqrt(np.mean((vols - ctx.market_vols) ** 2)))

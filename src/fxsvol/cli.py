@@ -330,19 +330,31 @@ def cmd_vix(manifest):
     hist = historical_context(surfaces)
     os.makedirs(manifest.output_dir, exist_ok=True)
     path = os.path.join(manifest.output_dir, "vix.csv")
+    failures = 0
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["date", "tenor", "tau", "v2", "v2_corrected",
                          "skew", "kurtosis"])
         for date in selected_dates(manifest, surfaces):
-            surf = surfaces[date]
-            om_h, rho_h = hist["heston"][date]
-            ts = moments.surface_variance_ts(surf, rho_h=rho_h, omega_h=om_h)
-            sets = moments.surface_moment_sets(surf)
-            for sl, v2, v2c, m in zip(surf.slices, ts.v2, ts.v2_corrected, sets):
-                writer.writerow([date, sl.tenor] + [f"{x:.12g}" for x in
-                                                    (sl.tau, v2, v2c, m.skew, m.kurt)])
-    return EXIT_OK
+            try:
+                rows = _vix_rows(surfaces[date], hist)
+            except FxsvolError as exc:
+                # a failed date writes no rows, only its error record
+                write_json(os.path.join(manifest.output_dir, f"vix_{date}.json"),
+                           {"date": date, "error": str(exc)})
+                failures += 1
+                continue
+            writer.writerows(rows)
+    return EXIT_PARTIAL if failures else EXIT_OK
+
+
+def _vix_rows(surface, hist):
+    date = surface.date
+    om_h, rho_h = hist["heston"][date]
+    ts = moments.surface_variance_ts(surface, rho_h=rho_h, omega_h=om_h)
+    sets = moments.surface_moment_sets(surface)
+    return [[date, sl.tenor] + [f"{x:.12g}" for x in (sl.tau, v2, v2c, m.skew, m.kurt)]
+            for sl, v2, v2c, m in zip(surface.slices, ts.v2, ts.v2_corrected, sets)]
 
 
 def cmd_estimate(manifest):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr
@@ -44,11 +45,19 @@ class IntegrationGrid:
         return int(math.floor((self.w_max - self.w_min) / self.dw + 1e-12)) + 1
 
     def nodes(self):
+        """(w, u = e^w, trapezoid weights), built once per grid and read-only."""
+        return self._nodes
+
+    @cached_property
+    def _nodes(self):
         w = self.w_min + self.dw * np.arange(self.n_nodes)
         weights = np.full(self.n_nodes, self.dw)
         weights[0] *= 0.5
         weights[-1] *= 0.5
-        return w, np.exp(w), weights
+        arrays = (w, np.exp(w), weights)
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
 
 DEFAULT_GRID = IntegrationGrid()
@@ -105,23 +114,70 @@ def bs_vega(spec, sigma):
 VOL_BRACKET = (1e-6, 5.0)
 
 
-def implied_vol(spec, price, tol=1e-12, max_iter=200):
-    """Invert gk_price by bisection on [1e-6, 5]."""
+def _no_arbitrage_bounds(spec):
     df_d = math.exp(-spec.r_d * spec.tau)
     df_f = math.exp(-spec.r_f * spec.tau)
     if spec.side == "call":
-        lo_bound = max(df_d * (spec.forward - spec.K), 0.0)
-        hi_bound = spec.S * df_f
-    else:
-        lo_bound = max(df_d * (spec.K - spec.forward), 0.0)
-        hi_bound = spec.K * df_d
+        return max(df_d * (spec.forward - spec.K), 0.0), spec.S * df_f
+    return max(df_d * (spec.K - spec.forward), 0.0), spec.K * df_d
+
+
+def _outside_bounds(price, lo_bound, hi_bound):
+    return OutOfBounds(f"price {price} outside no-arbitrage [{lo_bound}, {hi_bound}]")
+
+
+def _outside_bracket(price):
+    lo, hi = VOL_BRACKET
+    return OutOfBounds(f"no vol in [{lo}, {hi}] reproduces price {price}")
+
+
+class GKCells:
+    """Garman-Kohlhagen constants of many call cells, for whole-surface implied vols.
+
+    Built once per surface from the same math.* expressions gk_price and
+    implied_vol evaluate per call (numpy's SIMD log/exp need not match libm),
+    so every lane of price() and of the lockstep bisection in implied_vol
+    does the IEEE operations of the scalar code, bit for bit.
+    """
+
+    def __init__(self, specs):
+        specs = tuple(specs)
+        if any(sp.side != "call" for sp in specs):
+            raise InvariantViolation("GKCells holds call cells only")
+        self.sqrt_tau = np.array([math.sqrt(sp.tau) for sp in specs])
+        self.log_moneyness = np.array([math.log(sp.S / sp.K) + (sp.r_d - sp.r_f) * sp.tau
+                                       for sp in specs])
+        self.s_df = np.array([sp.S * math.exp(-sp.r_f * sp.tau) for sp in specs])
+        self.k_df = np.array([sp.K * math.exp(-sp.r_d * sp.tau) for sp in specs])
+        self.lo_bound, self.hi_bound = np.array([_no_arbitrage_bounds(sp)
+                                                 for sp in specs]).reshape(-1, 2).T
+
+    def price(self, sigma):
+        """gk_price of every cell at sigma (a scalar or one vol per cell)."""
+        st = sigma * self.sqrt_tau
+        d1 = self.log_moneyness / st + 0.5 * st
+        d2 = d1 - st
+        return self.s_df * ndtr(d1) - self.k_df * ndtr(d2)
+
+
+def implied_vol(spec, price, tol=1e-12, max_iter=200):
+    """Invert gk_price by bisection on [1e-6, 5].
+
+    spec is one OptionSpec with a float price, or GKCells with one price per
+    cell: then all cells are bisected in lockstep and the result is an array,
+    bit for bit the scalar loop's per cell.  A failing cell raises the scalar
+    OutOfBounds, the first in cell order.
+    """
+    if isinstance(spec, GKCells):
+        return _implied_vols(spec, np.asarray(price, dtype=float), tol, max_iter)
+    lo_bound, hi_bound = _no_arbitrage_bounds(spec)
     if not lo_bound <= price <= hi_bound:
-        raise OutOfBounds(f"price {price} outside no-arbitrage [{lo_bound}, {hi_bound}]")
+        raise _outside_bounds(price, lo_bound, hi_bound)
     lo, hi = VOL_BRACKET
     f_lo = gk_price(spec, lo) - price
     f_hi = gk_price(spec, hi) - price
     if f_lo > 0.0 or f_hi < 0.0:
-        raise OutOfBounds(f"no vol in [{lo}, {hi}] reproduces price {price}")
+        raise _outside_bracket(price)
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         f_mid = gk_price(spec, mid) - price
@@ -131,6 +187,32 @@ def implied_vol(spec, price, tol=1e-12, max_iter=200):
             hi = mid
         else:
             lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _implied_vols(cells, prices, tol, max_iter):
+    lo, hi = VOL_BRACKET
+    outside = ~((cells.lo_bound <= prices) & (prices <= cells.hi_bound))
+    miss = outside | (cells.price(lo) - prices > 0.0) | (cells.price(hi) - prices < 0.0)
+    if miss.any():
+        i = int(np.argmax(miss))
+        if outside[i]:
+            raise _outside_bounds(float(prices[i]), float(cells.lo_bound[i]),
+                                  float(cells.hi_bound[i]))
+        raise _outside_bracket(float(prices[i]))
+    lo = np.full(prices.shape, lo)
+    hi = np.full(prices.shape, hi)
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        f_mid = cells.price(mid) - prices
+        done = (np.abs(f_mid) < tol) | ((hi - lo) < 1e-16)
+        if np.count_nonzero(done) == done.size:  # done.all(), in a third of the time
+            return mid
+        # a stopped lane collapses its bracket onto its midpoint, which every
+        # later iteration reproduces exactly and keeps stopped
+        up = f_mid > 0.0
+        np.copyto(hi, mid, where=done | up)
+        np.copyto(lo, mid, where=done | ~up)
     return 0.5 * (lo + hi)
 
 
@@ -264,10 +346,7 @@ def surface_prices(cf, surface, grid=DEFAULT_GRID):
     calls = attari_strip(cf, surface.spot, [sl.strikes for sl in slices],
                          [sl.tau for sl in slices], [sl.r_d for sl in slices],
                          [sl.r_f for sl in slices], grid=grid)
-    out = {}
-    for sl, row in zip(slices, calls):
-        vols = [implied_vol(OptionSpec(surface.spot, K, sl.tau, sl.r_d, sl.r_f, "call"),
-                            float(c))
-                for K, c in zip(sl.strikes, row)]
-        out[sl.tenor] = (row, np.asarray(vols))
-    return out
+    cells = GKCells(OptionSpec(surface.spot, K, sl.tau, sl.r_d, sl.r_f, "call")
+                    for sl in slices for K in sl.strikes)
+    vols = implied_vol(cells, calls.ravel()).reshape(calls.shape)
+    return {sl.tenor: (row, v) for sl, row, v in zip(slices, calls, vols)}

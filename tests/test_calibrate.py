@@ -34,7 +34,9 @@ from fxsvol.charfn import (
 )
 from fxsvol.errors import InvariantViolation, NonFiniteObjective
 from fxsvol.moments import heston_total_variance
-from fxsvol.pricer import OptionSpec, attari_strip, implied_vol, surface_prices
+from fxsvol.pricer import OptionSpec, attari_strip, gk_price, implied_vol, surface_prices
+
+from conftest import draw_heston
 
 from synthutil import synth_surface
 
@@ -213,6 +215,28 @@ class TestWholeSurfaceKernel:
                                        sl.r_f, "call"), float(c))
                 for (sl, k), c in zip(cells, calls)]
         assert np.array_equal(ctx.model_vols(kind, params), np.array(vols))
+
+    @staticmethod
+    def scalar_cells(surface):
+        return [OptionSpec(surface.spot, k, sl.tau, sl.r_d, sl.r_f, "call")
+                for sl in surface.slices for k in sl.strikes]
+
+    def test_market_calls(self, heston_surface):
+        ctx = SurfaceCost(heston_surface)
+        assert np.array_equal(ctx.market_calls, [
+            gk_price(op, v) for op, v in zip(self.scalar_cells(heston_surface),
+                                             ctx.market_vols)])
+
+    def test_model_vols_and_rmse_report_on_draws(self, heston_surface, rng):
+        ctx = SurfaceCost(heston_surface, CostSpec(target="implied_vol"))
+        cells = self.scalar_cells(heston_surface)
+        for _ in range(6):
+            params = draw_heston(rng)
+            calls = ctx.model_calls("heston", params)
+            vols = np.array([implied_vol(op, float(c)) for op, c in zip(cells, calls)])
+            assert np.array_equal(ctx.model_vols("heston", params), vols)
+            assert ctx("heston", params) == float(np.sum((vols - ctx.market_vols) ** 2))
+            assert rmse_report(ctx, "heston", params)[2] == tuple(vols - ctx.market_vols)
 
     def test_surface_prices(self, model, heston_surface):
         cf = cf_factory(*model)

@@ -159,6 +159,31 @@ class TestPartialFailure:
             for payload in payloads.values():
                 jsonschema.validate(payload, load_schema("risk.schema.json"))
 
+    def test_vix_partial_failure_exit_1(self, tmp_path):
+        # the frown smile of the other partial-failure tests passes the strip
+        # moments; a near-zero vol under a steep forward makes mu2 negative
+        good = synth_surface("heston",
+                             HestonParams(0.0082, 0.0143, 2.07, 0.30, -0.38),
+                             date="2014-06-02")
+        path = tmp_path / "mix.csv"
+        write_quote_csv(path, [good], vols_decimal=True)
+        with open(path, "a") as fh:
+            for tenor in ("1M", "2M"):
+                fh.write(f"2014-06-03,{tenor},1.3,0.006,0.05,0.001,0.0,0.0,0.0,0.0\n")
+        out = tmp_path / "o"
+        rc = main(["vix", "--input", str(path), "--output-dir", str(out),
+                   "--vols-decimal"])
+        assert rc == 1
+        lines = (out / "vix.csv").read_text().strip().splitlines()
+        assert lines[0] == "date,tenor,tau,v2,v2_corrected,skew,kurtosis"
+        assert [ln.split(",")[0] for ln in lines[1:]] == ["2014-06-02"] * 6
+        with open(out / "vix_2014-06-03.json") as fh:
+            payload = json.load(fh)
+        assert set(payload) == {"date", "error"}
+        assert payload["date"] == "2014-06-03"
+        assert "mu2" in payload["error"]
+        assert sorted(os.listdir(out)) == ["vix.csv", "vix_2014-06-03.json"]
+
     def test_vols_decimal_flag(self, tmp_path):
         surf = synth_surface("heston",
                              HestonParams(0.0082, 0.0143, 2.07, 0.30, -0.38),

@@ -9,6 +9,7 @@ from fxsvol.market_data import PILLAR_DELTAS, strike_from_delta
 from fxsvol.pricer import (
     CROSSCHECK_GRID,
     DEFAULT_GRID,
+    GKCells,
     IntegrationGrid,
     OptionSpec,
     attari_price,
@@ -58,6 +59,19 @@ class TestGrid:
         with pytest.raises(InvariantViolation):
             IntegrationGrid(5.0, -17.0, 0.4)
 
+    def test_nodes_built_once_read_only(self):
+        grid = IntegrationGrid(-10.0, 3.0, 0.25)
+        nodes = grid.nodes()
+        assert all(a is b for a, b in zip(nodes, grid.nodes()))
+        assert not any(a.flags.writeable for a in nodes)
+        w = -10.0 + 0.25 * np.arange(grid.n_nodes)
+        weights = np.full(grid.n_nodes, 0.25)
+        weights[0] *= 0.5
+        weights[-1] *= 0.5
+        for got, want in zip(nodes, (w, np.exp(w), weights)):
+            assert np.array_equal(got, want)
+        assert grid == IntegrationGrid(-10.0, 3.0, 0.25)
+
 
 class TestGarmanKohlhagen:
     def test_discounted_intrinsic_at_zero_vol(self):
@@ -104,6 +118,109 @@ class TestImpliedVol:
         sigma = 0.1
         vol = implied_vol(sp, 0.4 * sigma)
         assert vol == pytest.approx(sigma, rel=0.01)
+
+
+def scalar_vols(specs, prices, **kw):
+    """The scalar oracle, cell by cell in order."""
+    return np.array([implied_vol(sp, float(p), **kw) for sp, p in zip(specs, prices)])
+
+
+def scalar_error(specs, prices):
+    with pytest.raises(OutOfBounds) as err:
+        scalar_vols(specs, prices)
+    return str(err.value)
+
+
+def model_surface_cells(rng):
+    """Pillar cells of a draw_heston surface, 1M to 2Y, priced by another draw.
+
+    (1W wings can price below zero on the production grid; see criterion 3.)
+    """
+    gen, model = draw_heston(rng), draw_heston(rng)
+    specs, taus = [], (1 / 12, 2 / 12, 0.25, 0.5, 1.0, 2.0)
+    for tau in taus:
+        vol = term_vol(gen, tau)
+        specs += [OptionSpec(S, strike_from_delta(S, RD, RF, tau, vol, d), tau, RD, RF)
+                  for d in PILLAR_DELTAS.values()]
+    strikes = np.array([sp.K for sp in specs]).reshape(len(taus), -1)
+    calls = attari_strip(cf_factory("heston", model), S, strikes, list(taus),
+                         [RD] * len(taus), [RF] * len(taus))
+    return specs, calls.ravel()
+
+
+class TestWholeSurfaceImpliedVol:
+    """GKCells lanes against the scalar gk_price and implied_vol, bit for bit."""
+
+    def test_model_surfaces(self, rng):
+        for _ in range(8):
+            specs, calls = model_surface_cells(rng)
+            cells = GKCells(specs)
+            vols = implied_vol(cells, calls)
+            assert np.array_equal(vols, scalar_vols(specs, calls))
+            assert np.array_equal(cells.price(vols),
+                                  [gk_price(sp, v) for sp, v in zip(specs, vols)])
+
+    def test_edge_cells(self):
+        # deep ITM/OTM strikes, 1D to 5Y; a deep ITM price at a tiny vol can
+        # round below intrinsic, and then both paths must fail the same way
+        specs = [OptionSpec(S, S * math.exp(m), tau, RD, RF)
+                 for tau in (1 / 365, 7 / 365, 0.5, 5.0)
+                 for m in (-1.5, -0.4, -0.05, 0.0, 0.05, 0.4, 1.5)]
+        solved = 0
+        for vol in (1e-4, 0.03, 0.3, 1.5, 4.9):
+            prices = [gk_price(sp, vol) for sp in specs]
+            good = []
+            for sp, p in zip(specs, prices):
+                try:
+                    implied_vol(sp, p)
+                    good.append((sp, p))
+                except OutOfBounds:
+                    pass
+            if len(good) < len(specs):
+                with pytest.raises(OutOfBounds) as err:
+                    implied_vol(GKCells(specs), prices)
+                assert str(err.value) == scalar_error(specs, prices)
+            good_specs, good_prices = zip(*good)
+            assert np.array_equal(implied_vol(GKCells(good_specs), good_prices),
+                                  scalar_vols(good_specs, good_prices))
+            solved += len(good)
+        assert solved > 0.9 * 5 * len(specs)
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 5, 30])
+    def test_iteration_cutoff(self, rng, max_iter):
+        specs, calls = model_surface_cells(rng)
+        got = implied_vol(GKCells(specs), calls, max_iter=max_iter)
+        assert np.array_equal(got, scalar_vols(specs, calls, max_iter=max_iter))
+
+    @pytest.mark.parametrize("tol", [1e-6, 0.0])  # 0: only the bracket width stops
+    def test_tolerance(self, rng, tol):
+        specs, calls = model_surface_cells(rng)
+        got = implied_vol(GKCells(specs), calls, tol=tol)
+        assert np.array_equal(got, scalar_vols(specs, calls, tol=tol))
+
+    @pytest.mark.parametrize("bad", ["below_intrinsic", "above_bracket", "nan"])
+    def test_first_failing_cell_raises_scalar_message(self, rng, bad):
+        specs, calls = model_surface_cells(rng)
+        itm = specs[5]  # 2M 10P strike: an in-the-money call
+        intrinsic = math.exp(-RD * itm.tau) * (itm.forward - itm.K)
+        prices = calls.copy()
+        prices[5] = {"below_intrinsic": 0.5 * intrinsic,
+                     "above_bracket": 0.5 * (gk_price(itm, 5.0) + S * math.exp(-RF * itm.tau)),
+                     "nan": float("nan")}[bad]
+        prices[20] = -1.0  # a later no-arbitrage miss
+        message = scalar_error(specs, prices)
+        with pytest.raises(OutOfBounds) as err:
+            implied_vol(GKCells(specs), prices)
+        assert str(err.value) == message
+        assert f"price {float(prices[5])}" in message  # cell 5, not cell 20
+        assert ("no vol in" in message) == (bad == "above_bracket")
+
+    def test_calls_only(self):
+        with pytest.raises(InvariantViolation):
+            GKCells([spec(1.3), spec(1.3, side="put")])
+
+    def test_empty(self):
+        assert implied_vol(GKCells([]), []).shape == (0,)
 
 
 class TestVega:
