@@ -262,8 +262,8 @@ class CalibrationRisk:
 
 def rmse_report(ctx, kind, params):
     """(vol RMSE, vega-weighted price RMSE) over the surface cells."""
-    vols = ctx.model_vols(kind, params)
     calls = ctx.model_calls(kind, params)
+    vols = implied_vol(ctx.cells, calls)
     rmse_vol = float(np.sqrt(np.mean((vols - ctx.market_vols) ** 2)))
     rmse_vega = float(np.sqrt(np.mean(((calls - ctx.market_calls) / ctx.vegas) ** 2)))
     return rmse_vol, rmse_vega, tuple(vols - ctx.market_vols)

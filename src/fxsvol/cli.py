@@ -9,7 +9,6 @@ byte-identical: no clocks, no randomness.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import math
@@ -412,6 +411,28 @@ def _estimate_one(manifest, surface, hist):
     return base
 
 
+# (manifest, surfaces, hist) of the calibrate run, set in each forked worker
+_WORKER_RUN = None
+
+
+def _init_worker(*run):
+    global _WORKER_RUN
+    _WORKER_RUN = run
+
+
+def calibrate_date(date, run=None):
+    """One date's calibration payload, or {"date", "error"} when it fails.
+
+    ``run`` is (manifest, surfaces, hist); a pool worker takes the one its
+    initializer stored.
+    """
+    manifest, surfaces, hist = run or _WORKER_RUN
+    try:
+        return cmd_pipeline_one_date(manifest, surfaces[date], hist)
+    except FxsvolError as exc:
+        return {"date": date, "error": str(exc)}
+
+
 def cmd_calibrate(manifest):
     surfaces = load_surfaces(manifest)
     hist = historical_context(surfaces)
@@ -419,38 +440,25 @@ def cmd_calibrate(manifest):
     write_json(os.path.join(manifest.output_dir, "manifest.json"),
                asdict(manifest))
     dates = selected_dates(manifest, surfaces)
-    failures = 0
-
-    def run(date):
-        return cmd_pipeline_one_date(manifest, surfaces[date], hist)
-
-    results = {}
-    if manifest.jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(manifest.jobs) as pool:
-            futs = {pool.submit(run, d): d for d in dates}
-            for fut in concurrent.futures.as_completed(futs):
-                d = futs[fut]
-                try:
-                    results[d] = fut.result()
-                except FxsvolError as exc:
-                    results[d] = {"date": d, "error": str(exc)}
+    run = (manifest, surfaces, hist)
+    workers = min(manifest.jobs, len(dates))
+    if workers <= 1:
+        rows = [calibrate_date(d, run) for d in dates]
     else:
-        for d in dates:
-            try:
-                results[d] = run(d)
-            except FxsvolError as exc:
-                results[d] = {"date": d, "error": str(exc)}
-    rows = []
-    for d in dates:
-        payload = results[d]
-        if "error" in payload:
-            failures += 1
+        # imported here, off the cold start; fork hands the run to each
+        # worker once, and a task sends only its date
+        import concurrent.futures
+        import multiprocessing
+        with concurrent.futures.ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_init_worker, initargs=run) as pool:
+            rows = list(pool.map(calibrate_date, dates))
+    for d, payload in zip(dates, rows):
         name = (f"calibration_{d}_{manifest.model}_{manifest.start_method}_"
                 f"{manifest.cost_kind}.json")
         write_json(os.path.join(manifest.output_dir, name), payload)
-        rows.append(payload)
     _write_summary_csv(os.path.join(manifest.output_dir, "summary.csv"), rows)
-    return EXIT_PARTIAL if failures else EXIT_OK
+    return EXIT_PARTIAL if any("error" in r for r in rows) else EXIT_OK
 
 
 def _write_summary_csv(path, rows):
@@ -539,6 +547,13 @@ def cmd_report(manifest):
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(p):
     p.add_argument("--input", required=True, help="quote CSV (or JSON dir for report)")
     p.add_argument("--output-dir", default="out")
@@ -547,7 +562,8 @@ def _add_common(p):
     p.add_argument("--grid-min", type=float, default=DEFAULT_GRID.w_min)
     p.add_argument("--grid-max", type=float, default=DEFAULT_GRID.w_max)
     p.add_argument("--grid-step", type=float, default=DEFAULT_GRID.dw)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="calibrate: dates in up to N forked worker processes")
     p.add_argument("--date-from", default="")
     p.add_argument("--date-to", default="")
 

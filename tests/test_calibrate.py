@@ -376,6 +376,24 @@ class TestFullCalibration:
         assert rmse_vega < 1e-9
         assert len(resid) == 30
 
+    def test_rmse_report_prices_the_surface_once(self, heston_surface,
+                                                 heston_median_params, monkeypatch):
+        import fxsvol.calibrate as calibrate_mod
+        ctx = SurfaceCost(heston_surface)
+        expected = rmse_report(ctx, "heston", heston_median_params)
+        calls = []
+
+        def counting_strip(*args, **kwargs):
+            calls.append(1)
+            return attari_strip(*args, **kwargs)
+
+        monkeypatch.setattr(calibrate_mod, "attari_strip", counting_strip)
+        assert rmse_report(ctx, "heston", heston_median_params) == expected
+        assert len(calls) == 1
+        # the vols are those of model_vols, bit for bit
+        vols = ctx.model_vols("heston", heston_median_params)
+        assert expected[2] == tuple(vols - ctx.market_vols)
+
     def test_single_cell_rmse_denominator(self):
         # rmse of one non-zero residual e among N cells is |e|/sqrt(N)
         errs = np.zeros(30)

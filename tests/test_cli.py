@@ -1,10 +1,12 @@
+import concurrent.futures
 import json
 import os
 
 import pytest
 
+from fxsvol import cli
 from fxsvol.charfn import HestonParams
-from fxsvol.cli import main
+from fxsvol.cli import EXIT_INVALID, EXIT_PARTIAL, main
 
 from synthutil import synth_surface, write_quote_csv
 
@@ -32,6 +34,30 @@ def quotes_csv(tmp_path_factory):
                            date=day)
              for i, day in enumerate(["2014-06-02", "2014-06-03", "2014-06-04"])]
     return write_quote_csv(d / "quotes.csv", surfs, vols_decimal=False)
+
+
+def frown_history(tmp_path):
+    """A good date, 2014-06-02, and a frown-smile date, 2014-06-03, on which
+    the smile-shape (durrleman) estimator fails."""
+    good = synth_surface("heston",
+                         HestonParams(0.0082, 0.0143, 2.07, 0.30, -0.38),
+                         date="2014-06-02")
+    path = tmp_path / "mix.csv"
+    write_quote_csv(path, [good], vols_decimal=True)
+    with open(path, "a") as fh:
+        for tenor in ("1M", "2M"):
+            fh.write(f"2014-06-03,{tenor},1.3,0.006,0.0007,"
+                     f"0.10,0.0,-0.02,0.0,-0.028\n")
+    return path
+
+
+def assert_same_outputs(dir1, dir2):
+    """Every output but the manifest (it holds the output path) byte-identical."""
+    names = sorted(os.listdir(dir1))
+    assert names == sorted(os.listdir(dir2))
+    for name in names:
+        if name != "manifest.json":
+            assert (dir1 / name).read_bytes() == (dir2 / name).read_bytes(), name
 
 
 class TestIngest:
@@ -113,15 +139,7 @@ class TestVixEstimate:
 class TestPartialFailure:
     def test_estimate_partial_failure_exit_1(self, tmp_path):
         # a frown smile pushes the smile-shape radicand negative on one date
-        good = synth_surface("heston",
-                             HestonParams(0.0082, 0.0143, 2.07, 0.30, -0.38),
-                             date="2014-06-02")
-        path = tmp_path / "mix.csv"
-        write_quote_csv(path, [good], vols_decimal=True)
-        with open(path, "a") as fh:
-            for tenor, tau_days in (("1M", 30), ("2M", 61)):
-                fh.write(f"2014-06-03,{tenor},1.3,0.006,0.0007,"
-                         f"0.10,0.0,-0.02,0.0,-0.028\n")
+        path = frown_history(tmp_path)
         rc = main(["estimate", "--input", str(path), "--method", "durrleman",
                    "--model", "heston", "--output-dir", str(tmp_path / "o"),
                    "--vols-decimal"])
@@ -136,15 +154,7 @@ class TestPartialFailure:
     def test_risk_partial_failure_exit_1(self, tmp_path):
         # the frown-smile date fails in the smile-shape estimator; the good
         # date still gets its risk record and the run reports a partial result
-        good = synth_surface("heston",
-                             HestonParams(0.0082, 0.0143, 2.07, 0.30, -0.38),
-                             date="2014-06-02")
-        path = tmp_path / "mix.csv"
-        write_quote_csv(path, [good], vols_decimal=True)
-        with open(path, "a") as fh:
-            for tenor in ("1M", "2M"):
-                fh.write(f"2014-06-03,{tenor},1.3,0.006,0.0007,"
-                         f"0.10,0.0,-0.02,0.0,-0.028\n")
+        path = frown_history(tmp_path)
         rc = main(["risk", "--input", str(path), "--method", "durrleman",
                    "--model", "heston", "--output-dir", str(tmp_path / "o"),
                    "--vols-decimal"])
@@ -255,6 +265,69 @@ class TestCalibrate:
             if name == "manifest.json":
                 continue
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_jobs_two_factor_same_results(self, quotes_csv, tmp_path):
+        out1, out2 = tmp_path / "j1", tmp_path / "j2"
+        base = ["calibrate", "--input", str(quotes_csv), "--model", "bates2f",
+                "--start", "evp", "--max-iter", "30"]
+        assert main(base + ["--output-dir", str(out1), "--jobs", "1"]) == 0
+        assert main(base + ["--output-dir", str(out2), "--jobs", "2"]) == 0
+        assert len(os.listdir(out1)) == 5  # 3 dates, the summary, the manifest
+        assert_same_outputs(out1, out2)
+
+    def test_jobs_pool_partial_failure(self, tmp_path):
+        path = frown_history(tmp_path)
+        base = ["calibrate", "--input", str(path), "--model", "heston",
+                "--start", "durrleman", "--max-iter", "40", "--vols-decimal"]
+        out1, out2 = tmp_path / "j1", tmp_path / "j2"
+        assert main(base + ["--output-dir", str(out1), "--jobs", "1"]) == EXIT_PARTIAL
+        assert main(base + ["--output-dir", str(out2), "--jobs", "2"]) == EXIT_PARTIAL
+        with open(out2 / "calibration_2014-06-03_heston_durrleman_mse.json") as fh:
+            assert set(json.load(fh)) == {"date", "error"}
+        with open(out2 / "calibration_2014-06-02_heston_durrleman_mse.json") as fh:
+            assert "error" not in json.load(fh)
+        assert_same_outputs(out1, out2)
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_invalid(self, quotes_csv, tmp_path, jobs):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["calibrate", "--input", str(quotes_csv), "--model", "heston",
+                  "--start", "icm", "--output-dir", str(out), "--jobs", jobs])
+        assert exc.value.code == EXIT_INVALID
+        assert not out.exists()
+
+    def test_jobs_capped_at_dates(self, quotes_csv, tmp_path, monkeypatch):
+        # a stand-in executor records the pool it is asked for and runs the
+        # dates in this process, so no worker is started
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, mp_context, initializer, initargs):
+                pools.append((max_workers, mp_context.get_start_method()))
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, dates):
+                return map(fn, dates)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "_WORKER_RUN", None)
+        base = ["calibrate", "--input", str(quotes_csv), "--model", "heston",
+                "--start", "icm", "--max-iter", "20"]
+        assert main(base + ["--output-dir", str(tmp_path / "a"), "--jobs", "64"]) == 0
+        assert pools == [(3, "fork")]
+        # one worker (--jobs 1, or a single date) runs in-process, no pool
+        assert main(base + ["--output-dir", str(tmp_path / "b"), "--jobs", "1"]) == 0
+        assert main(base + ["--output-dir", str(tmp_path / "c"), "--jobs", "8",
+                            "--date-to", "2014-06-02"]) == 0
+        assert pools == [(3, "fork")]
+        assert_same_outputs(tmp_path / "a", tmp_path / "b")
 
 
 class TestTwoStage:
