@@ -6,6 +6,9 @@ vega-weighted price or implied-vol cost functions over exp/tanh-transformed
 parameters.  Pipelines cover variance/vol term-structure fits, full-surface
 calibration for one- and two-factor models, two-stage starts, outlier
 recalibration and the cross-cost-function calibration-risk protocol.
+Full-surface and two-stage calibrations of many surfaces can run as the
+lanes of one lockstep Nelder-Mead (run_lanes), each lane bit for bit its
+own run.
 """
 
 from __future__ import annotations
@@ -15,10 +18,25 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .charfn import Factor, HestonParams, SchobelZhuParams, TwoFactorParams, cf_factory
-from .errors import InvariantViolation, NonFiniteObjective
+from .charfn import (
+    Factor,
+    HestonParams,
+    ParamLanes,
+    SchobelZhuParams,
+    TwoFactorParams,
+    cf_factory,
+)
+from .errors import FxsvolError, InvariantViolation, NonFiniteObjective
 from .moments import heston_total_variance
-from .pricer import DEFAULT_GRID, GKCells, OptionSpec, attari_strip, bs_vega, implied_vol
+from .pricer import (
+    DEFAULT_GRID,
+    AttariLanes,
+    GKCells,
+    OptionSpec,
+    attari_strip,
+    bs_vega,
+    implied_vol,
+)
 
 FELLER_PENALTY = 999.0
 VEGA_FLOOR = 1e-8
@@ -44,7 +62,8 @@ class NelderMeadConfig:
 
     def __post_init__(self):
         ok = (self.alpha > 0.0 and self.gamma > 1.0
-              and 0.0 < self.rho_c <= 0.5 and 0.0 < self.sigma_s < 1.0)
+              and 0.0 < self.rho_c <= 0.5 and 0.0 < self.sigma_s < 1.0
+              and self.max_iter >= 0)
         if not ok:
             raise InvariantViolation(f"bad Nelder-Mead constants {self}")
 
@@ -63,24 +82,27 @@ def _simplex_volume(points):
     return abs(np.linalg.det(edges)) / math.factorial(n)
 
 
-def nelder_mead(f, x_start, config=NelderMeadConfig()):
-    """Minimize f from x_start with the fixed-constant simplex scheme.
+def nelder_mead_steps(x_start, config=NelderMeadConfig()):
+    """The Nelder-Mead body as a generator; returns the NMResult.
 
     The initial simplex is x_start plus per-coordinate offsets of 0.05
     (0.00025 where the start coordinate is zero), with x_start itself kept
-    as the (n+1)-th vertex.
+    as the (n+1)-th vertex.  Each step yields the list of points it needs
+    and is sent an iterable of their objective values in point order; a
+    value is read only when the step needs it, so an iterable that
+    evaluates, or raises, as it goes gives the errors of a plain loop.
     """
     x0 = np.asarray(x_start, dtype=float)
     n = x0.size
-    f0 = float(f(x0))
-    if not math.isfinite(f0):
-        raise NonFiniteObjective(f"objective not finite at start: {f0}")
-
     points = [x0 + (0.05 if x0[i] != 0.0 else 0.00025) * _unit(n, i) for i in range(n)]
     points.append(x0.copy())
     points = np.asarray(points)
+    got = iter((yield [x0, *points[:n]]))
+    f0 = float(next(got))
+    if not math.isfinite(f0):
+        raise NonFiniteObjective(f"objective not finite at start: {f0}")
     values = np.empty(n + 1)
-    values[:n] = [_eval(f, p) for p in points[:n]]
+    values[:n] = [_checked(v, p) for v, p in zip(got, points[:n])]
     values[n] = f0
 
     iterations = 0
@@ -100,29 +122,41 @@ def nelder_mead(f, x_start, config=NelderMeadConfig()):
             break
         centroid = points[:-1].mean(axis=0)
         xr = centroid + config.alpha * (centroid - points[-1])
-        fr = _eval(f, xr)
+        fr = _checked(*(yield [xr]), xr)
         if values[0] <= fr <= values[-2]:
             points[-1], values[-1] = xr, fr
             continue
         if fr <= values[0]:
             xe = centroid + config.gamma * (xr - centroid)
-            fe = _eval(f, xe)
+            fe = _checked(*(yield [xe]), xe)
             if fe <= fr:
                 points[-1], values[-1] = xe, fe
             else:
                 points[-1], values[-1] = xr, fr
             continue
         xc = centroid + config.rho_c * (points[-1] - centroid)
-        fc = _eval(f, xc)
+        fc = _checked(*(yield [xc]), xc)
         if fc <= values[-1]:
             points[-1], values[-1] = xc, fc
             continue
         points[1:] = points[0] + config.sigma_s * (points[1:] - points[0])
-        values[1:] = [_eval(f, p) for p in points[1:]]
+        values[1:] = [_checked(v, p) for v, p in zip((yield list(points[1:])), points[1:])]
 
     order = np.argsort(values, kind="stable")
     return NMResult(x=points[order[0]].copy(), fx=float(values[order[0]]),
                     iterations=iterations, converged=converged)
+
+
+def nelder_mead(f, x_start, config=NelderMeadConfig()):
+    """Minimize f from x_start with the fixed-constant simplex scheme
+    (nelder_mead_steps, evaluating one point at a time)."""
+    steps = nelder_mead_steps(x_start, config)
+    try:
+        points = next(steps)
+        while True:
+            points = steps.send(f(x) for x in points)
+    except StopIteration as stop:
+        return stop.value
 
 
 def _unit(n, i):
@@ -131,8 +165,8 @@ def _unit(n, i):
     return e
 
 
-def _eval(f, x):
-    v = float(f(x))
+def _checked(v, x):
+    v = float(v)
     if math.isnan(v):
         raise NonFiniteObjective(f"objective NaN at {x}")
     return v
@@ -209,6 +243,7 @@ class SurfaceCost:
         self.market_calls = self.cells.price(self.market_vols)
         self.vegas = np.array([max(bs_vega(op, vol), spec.vega_floor)
                                for op, vol in zip(specs, self.market_vols)])
+        self.market_scaled = self.market_calls / self.vegas
 
     def model_calls(self, kind, params):
         cf = cf_factory(kind, params)
@@ -221,13 +256,17 @@ class SurfaceCost:
     def __call__(self, kind, params, feller=False):
         if feller and not params.feller_satisfied():
             return FELLER_PENALTY
-        if self.spec.target == "vega_weighted_price":
-            model = self.model_calls(kind, params) / self.vegas
-            market = self.market_calls / self.vegas
-        else:
-            model = self.model_vols(kind, params)
-            market = self.market_vols
-        return _error_sum(self.spec.kind, model, market)
+        if self.spec.target == "implied_vol":
+            return _error_sum(self.spec.kind, self.model_vols(kind, params),
+                              self.market_vols)
+        return self.cost_of_calls(self.model_calls(kind, params))
+
+    def cost_of_calls(self, calls):
+        """The cost of model call prices of every cell (row-major by tenor)."""
+        if self.spec.target == "implied_vol":
+            return _error_sum(self.spec.kind, implied_vol(self.cells, calls),
+                              self.market_vols)
+        return _error_sum(self.spec.kind, calls / self.vegas, self.market_scaled)
 
 
 def cost(kind, params, surface, spec=CostSpec(), feller=False, grid=DEFAULT_GRID):
@@ -385,16 +424,209 @@ def _decay(kappa, tau):
 FULL_MAX_ITER_1F = 1600
 FULL_MAX_ITER_2F = 800
 
+# Lockstep runs (run_lanes): at most LANE_ROWS points per kernel call and
+# LANES_PER_BLOCK surfaces per block.  A call's CF temporaries are
+# (rows, T, 56) and its oscillation product (rows, T, P, 56), so 16 rows keep
+# it to a few MB; a lane's own kernel constants take about 33 kB.
+LANE_ROWS = 16
+LANES_PER_BLOCK = 64
 
-def calibrate_full(kind, surface, start_params, cost_spec=CostSpec(), feller=False,
-                   max_iter=None, pinned_rho=None, grid=DEFAULT_GRID,
-                   stop_any=False):
-    """Nelder-Mead calibration of a model to a surface.
 
-    pinned_rho = (rho1, rho2) freezes the factor correlations of a two-factor
-    model (8 free parameters); feller=True swaps the cost for the 999 penalty
-    whenever a variance factor violates 2 kappa theta > omega^2.
+# A calibration is written as a job: a generator that yields a Fit for every
+# Nelder-Mead run it needs, is sent that run's NMResult, and returns its
+# result.  run_job drives one job with nelder_mead; run_lanes drives many as
+# lanes of lockstep runs whose points are priced together.
+
+@dataclass(frozen=True, eq=False)
+class Fit:
+    """One Nelder-Mead run: minimize ctx(kind, to_params(x), feller) from x0."""
+    ctx: SurfaceCost
+    kind: str
+    to_params: object
+    feller: bool
+    x0: np.ndarray
+    config: NelderMeadConfig
+
+    def objective(self, x):
+        return self.ctx(self.kind, self.to_params(x), feller=self.feller)
+
+
+def run_job(job):
+    """A calibration job's result, its fits run one after another."""
+    try:
+        fit = next(job)
+        while True:
+            fit = job.send(nelder_mead(fit.objective, fit.x0, fit.config))
+    except StopIteration as stop:
+        return stop.value
+
+
+def run_lanes(jobs):
+    """Run calibration jobs as the lanes of lockstep Nelder-Mead runs.
+
+    The jobs go in blocks of up to LANES_PER_BLOCK lanes.  Each round, the
+    pending points of every live lane of a block are priced in kernel calls
+    of up to LANE_ROWS rows, so the lanes share the CF and Attari dispatch.
+    All fits of a job must price one surface with one model and grid.
+    Returns, per job, its result or the FxsvolError that ended it, bit for
+    bit what run_job gives that job alone.
     """
+    blocks = even_split(jobs, -(-len(jobs) // LANES_PER_BLOCK) or 1)
+    return [r for block in blocks for r in lockstep(block, _kernel_evaluator)]
+
+
+def lockstep(jobs, evaluator):
+    """Drive jobs as lanes, one Nelder-Mead step of every live lane a round.
+
+    Once every job has yielded its first fit, evaluator({lane: fit}) is
+    called once and returns evaluate(rows): rows are (lane, fit, x) for
+    every pending point of every live lane, and evaluate returns one
+    outcome per row, the objective value or the FxsvolError computing it
+    raised.  A lane fails with the first failing outcome in its own point
+    order, the error its job raises on its own; the other lanes go on.
+    Returns, per job, its result or the FxsvolError that ended it.
+    """
+    out = [None] * len(jobs)
+    live = []
+    for i, job in enumerate(jobs):
+        lane = _Lane(job)
+        try:
+            live.append((i, lane, lane.start()))
+        except StopIteration as stop:
+            out[i] = stop.value
+        except FxsvolError as exc:
+            out[i] = exc
+    evaluate = evaluator({i: lane.fit for i, lane, _ in live})
+    while live:
+        rows = [(i, lane.fit, x) for i, lane, points in live for x in points]
+        outcomes = iter(evaluate(rows))
+        still = []
+        for i, lane, points in live:
+            got = [next(outcomes) for _ in points]
+            try:
+                still.append((i, lane, lane.send(_replay(got))))
+            except StopIteration as stop:
+                out[i] = stop.value
+            except FxsvolError as exc:
+                out[i] = exc
+        live = still
+    return out
+
+
+def even_split(items, n):
+    """items cut into n contiguous runs whose lengths differ by at most 1."""
+    q, r = divmod(len(items), n)
+    bounds = [k * q + min(k, r) for k in range(n + 1)]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+class _Lane:
+    """A job and the Nelder-Mead run of its current fit."""
+
+    def __init__(self, job):
+        self.job = job
+        self.fit = None
+        self.steps = None
+
+    def start(self):
+        return self._begin(next(self.job))
+
+    def send(self, values):
+        """The points the lane needs next; StopIteration carries its result."""
+        try:
+            return self.steps.send(values)
+        except StopIteration as stop:
+            return self._begin(self.job.send(stop.value))
+
+    def _begin(self, fit):
+        if self.fit is not None and _kernel_key(fit) != _kernel_key(self.fit):
+            raise InvariantViolation("the fits of a lane must price one surface, "
+                                     "model and grid")
+        self.fit = fit
+        self.steps = nelder_mead_steps(fit.x0, fit.config)
+        return next(self.steps)
+
+
+def _kernel_key(fit):
+    """What a lane's kernel constants and CF depend on."""
+    return fit.kind, fit.ctx.grid, id(fit.ctx.surface)
+
+
+def _replay(outcomes):
+    """The values of a lane's points in order, raising where one failed."""
+    for o in outcomes:
+        if isinstance(o, FxsvolError):
+            raise o
+        yield o
+
+
+def _kernel_evaluator(fits):
+    """evaluate(rows) for lockstep that prices the lanes' surfaces together.
+
+    Lanes whose fits share the model, the grid and the surface shape get one
+    AttariLanes, built here once; each round their rows go to it LANE_ROWS
+    at a time.  A call that raises (a CF overflow, an implied-vol miss) is
+    priced again row by row, so each row gets its own one-row outcome.
+    """
+    groups = {}
+    for i, fit in fits.items():
+        kind, grid, _ = _kernel_key(fit)
+        groups.setdefault((kind, grid, fit.ctx.strikes.shape), []).append(i)
+    where = {}
+    for lanes in groups.values():
+        ctxs = [fits[i].ctx for i in lanes]
+        kernel = AttariLanes([c.surface.spot for c in ctxs], [c.strikes for c in ctxs],
+                             [c.taus for c in ctxs], [c.r_ds for c in ctxs],
+                             [c.r_fs for c in ctxs], grid=ctxs[0].grid)
+        where.update((i, (kernel, k)) for k, i in enumerate(lanes))
+
+    def evaluate(rows):
+        out = [None] * len(rows)
+        priced = {}
+        for r, (i, fit, x) in enumerate(rows):
+            try:
+                params = fit.to_params(x)
+            except FxsvolError as exc:
+                out[r] = exc
+                continue
+            if fit.feller and not params.feller_satisfied():
+                out[r] = FELLER_PENALTY
+                continue
+            kernel, k = where[i]
+            priced.setdefault(kernel, []).append((r, k, fit, params))
+        for kernel, todo in priced.items():
+            for c in range(0, len(todo), LANE_ROWS):
+                chunk = todo[c:c + LANE_ROWS]
+                try:
+                    costs = _chunk_costs(kernel, chunk)
+                except FxsvolError:
+                    costs = [_row_cost(kernel, row) for row in chunk]
+                for (r, _, _, _), cost_value in zip(chunk, costs):
+                    out[r] = cost_value
+        return out
+
+    return evaluate
+
+
+def _chunk_costs(kernel, chunk):
+    """The costs of rows (r, kernel lane, fit, params) in one kernel call."""
+    kind = chunk[0][2].kind
+    lanes = np.array([k for _, k, _, _ in chunk])
+    cf = cf_factory(kind, ParamLanes.stack(kind, [p for _, _, _, p in chunk]))
+    calls = kernel.calls(cf, lanes)
+    return [fit.ctx.cost_of_calls(c.ravel()) for (_, _, fit, _), c in zip(chunk, calls)]
+
+
+def _row_cost(kernel, row):
+    try:
+        return _chunk_costs(kernel, [row])[0]
+    except FxsvolError as exc:
+        return exc
+
+
+def full_job(kind, surface, start_params, cost_spec=CostSpec(), feller=False,
+             max_iter=None, pinned_rho=None, grid=DEFAULT_GRID, stop_any=False):
+    """calibrate_full as a job (see run_job)."""
     if kind not in MODEL_KINDS:
         raise InvariantViolation(f"unknown model kind {kind!r}")
     two_factor = kind in ("bates2f", "ouou")
@@ -408,13 +640,12 @@ def calibrate_full(kind, surface, start_params, cost_spec=CostSpec(), feller=Fal
             raise InvariantViolation("pinned rho applies to two-factor models only")
         x0 = _strip_rho(x0)
 
-    def objective(x):
-        params = vector_to_params(kind, x, pinned_rho=pinned_rho)
-        return ctx(kind, params, feller=feller)
+    def to_params(x):
+        return vector_to_params(kind, x, pinned_rho=pinned_rho)
 
-    res = nelder_mead(objective, x0,
-                      NelderMeadConfig(max_iter=max_iter, stop_any=stop_any))
-    params = vector_to_params(kind, res.x, pinned_rho=pinned_rho)
+    res = yield Fit(ctx, kind, to_params, feller, x0,
+                    NelderMeadConfig(max_iter=max_iter, stop_any=stop_any))
+    params = to_params(res.x)
     rmse_vol, rmse_vega, residuals = rmse_report(ctx, kind, params)
     return CalibrationResult(
         model=kind, params=params, start=start_params, cost_value=res.fx,
@@ -425,9 +656,50 @@ def calibrate_full(kind, surface, start_params, cost_spec=CostSpec(), feller=Fal
     )
 
 
+def calibrate_full(kind, surface, start_params, cost_spec=CostSpec(), feller=False,
+                   max_iter=None, pinned_rho=None, grid=DEFAULT_GRID,
+                   stop_any=False):
+    """Nelder-Mead calibration of a model to a surface.
+
+    pinned_rho = (rho1, rho2) freezes the factor correlations of a two-factor
+    model (8 free parameters); feller=True swaps the cost for the 999 penalty
+    whenever a variance factor violates 2 kappa theta > omega^2.
+    """
+    return run_job(full_job(kind, surface, start_params, cost_spec=cost_spec,
+                            feller=feller, max_iter=max_iter, pinned_rho=pinned_rho,
+                            grid=grid, stop_any=stop_any))
+
+
 def feller_truncate_omega(omega, theta_k, kappa_k):
     """min(omega, sqrt(1.99 theta kappa)): keep a split factor inside Feller."""
     return min(omega, math.sqrt(1.99 * theta_k * kappa_k))
+
+
+def two_stage_job(kind, surface, symmetric_start, cost_spec=CostSpec(), feller=False,
+                  stage1_max_iter=FULL_MAX_ITER_1F, stage2_max_iter=FULL_MAX_ITER_2F,
+                  grid=DEFAULT_GRID):
+    """two_stage_calibration as a job (see run_job)."""
+    if kind not in ("bates2f", "ouou"):
+        raise InvariantViolation("two-stage calibration is for two-factor models")
+    ctx = SurfaceCost(surface, cost_spec, grid)
+    nu0, theta, kappa, omega, rho = symmetric_start
+
+    def tied_params(x):
+        n, t, om, ka, rh = untransform_params(x)
+        f = Factor(n, t, ka, om, rh)
+        return TwoFactorParams(kind, f, f)
+
+    x0 = transform_params(nu0, theta, omega, kappa, rho)
+    stage1 = yield Fit(ctx, kind, tied_params, feller, x0,
+                       NelderMeadConfig(max_iter=stage1_max_iter))
+    n, t, om, ka, rh = untransform_params(stage1.x)
+    if feller and kind == "bates2f":
+        om = feller_truncate_omega(om, t, ka)
+    f = Factor(n, t, ka, om, rh)
+    stage1_params = TwoFactorParams(kind, f, f)
+    result = yield from full_job(kind, surface, stage1_params, cost_spec=cost_spec,
+                                 feller=feller, max_iter=stage2_max_iter, grid=grid)
+    return replace(result, flags=result.flags + ("two_stage",)), stage1
 
 
 def two_stage_calibration(kind, surface, symmetric_start, cost_spec=CostSpec(),
@@ -438,30 +710,11 @@ def two_stage_calibration(kind, surface, symmetric_start, cost_spec=CostSpec(),
     symmetric_start is (nu0, theta, kappa, omega, rho) for one factor of the
     tied model (both factors equal).  For the Feller-constrained variance
     model the stage-1 factor omegas are truncated to sqrt(1.99 theta kappa)
-    before stage 2.
+    before stage 2.  Returns (result, stage-1 NMResult).
     """
-    if kind not in ("bates2f", "ouou"):
-        raise InvariantViolation("two-stage calibration is for two-factor models")
-    ctx = SurfaceCost(surface, cost_spec, grid)
-    nu0, theta, kappa, omega, rho = symmetric_start
-
-    def tied_objective(x):
-        n, t, om, ka, rh = untransform_params(x)
-        f = Factor(n, t, ka, om, rh)
-        params = TwoFactorParams(kind, f, f)
-        return ctx(kind, params, feller=feller)
-
-    x0 = transform_params(nu0, theta, omega, kappa, rho)
-    stage1 = nelder_mead(tied_objective, x0,
-                         NelderMeadConfig(max_iter=stage1_max_iter))
-    n, t, om, ka, rh = untransform_params(stage1.x)
-    if feller and kind == "bates2f":
-        om = feller_truncate_omega(om, t, ka)
-    f = Factor(n, t, ka, om, rh)
-    stage1_params = TwoFactorParams(kind, f, f)
-    result = calibrate_full(kind, surface, stage1_params, cost_spec=cost_spec,
-                            feller=feller, max_iter=stage2_max_iter, grid=grid)
-    return replace(result, flags=result.flags + ("two_stage",)), stage1
+    return run_job(two_stage_job(kind, surface, symmetric_start, cost_spec=cost_spec,
+                                 feller=feller, stage1_max_iter=stage1_max_iter,
+                                 stage2_max_iter=stage2_max_iter, grid=grid))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,15 @@ then has shape (T, len(u)), and each row equals a scalar-tau call bit for
 bit.  Every CF built by cf_factory has the signature
 cf(u, x0, tau, r_d, r_f, j), and the pricers call nothing else.
 
+Lanes: ParamLanes.stack(kind, [p_1, ..., p_L]) stacks L parameter sets of
+one model into one Factor per model factor whose fields are (L, 1, 1)
+arrays, and cf_factory accepts it in place of one parameter set.  With x0
+an (L, 1, 1) array and tau, r_d, r_f (L, T, 1) arrays (lane l holding the
+surface p_l is priced on), the CF returns (L, T, len(u)) and lane l equals
+the scalar-parameter call on that surface bit for bit: every lane does the
+scalar's IEEE operations in the scalar's order, and squares of parameters
+go through _sq, the C pow that Python's float ** uses.
+
 The difference beta - d is always evaluated as omega^2 * X / (beta + d) (X
 the Riccati constant term), which is exact and avoids the catastrophic
 cancellation of the literal subtraction in the vol-of-vol -> 0 limit.
@@ -109,6 +118,30 @@ class TwoFactorParams:
         return all(2.0 * f.kappa * f.theta - f.omega ** 2 > 0.0 for f in self.factors)
 
 
+_FACTOR_FIELDS = ("nu0", "theta", "kappa", "omega", "rho", "eta")
+
+
+@dataclass(frozen=True)
+class ParamLanes:
+    """L parameter sets of one model stacked as lanes of one CF call.
+
+    factors holds one Factor per model factor (one for heston and sz, two
+    for bates2f and ouou) whose fields are (L, 1, 1) arrays, lane l holding
+    the l-th set.  The sets were validated when they were built.
+    """
+    kind: str
+    factors: tuple
+
+    @classmethod
+    def stack(cls, kind, params):
+        sets = [p.factors if kind in ("bates2f", "ouou") else (p,) for p in params]
+        factors = tuple(
+            Factor(*(np.array([getattr(fs[k], name) for fs in sets]).reshape(-1, 1, 1)
+                     for name in _FACTOR_FIELDS))
+            for k in range(len(sets[0])))
+        return cls(kind, factors)
+
+
 @dataclass(frozen=True)
 class JumpParams:
     lam: float      # jump intensity per year
@@ -151,6 +184,15 @@ def _principal_sqrt(z):
     return np.where(d.real < 0.0, -d, d)
 
 
+def _sq(v):
+    """v ** 2 as Python evaluates it for a float (C pow), lane by lane for an
+    array: numpy's array ** 2 is v * v, which differs from pow in the last
+    bit for about one value in a thousand."""
+    if isinstance(v, np.ndarray):
+        return np.array([x ** 2 for x in v.ravel().tolist()]).reshape(v.shape)
+    return v ** 2
+
+
 def _log1p_over(w):
     """log(1 + w) / w for complex w, stable as w -> 0 (value 1)."""
     w = np.asarray(w, dtype=complex)
@@ -179,7 +221,7 @@ def heston_terms(u, tau, p, j=2, r_d=0.0, r_f=0.0, drift_weight=1.0):
     u = np.asarray(u, dtype=complex)
     iu = 1j * u
     a, b = _aj_bj(j, p.kappa, p.omega, p.rho, p.eta)
-    om2 = p.omega ** 2
+    om2 = _sq(p.omega)
     X = 2.0 * a * iu - u * u
     beta = b - p.rho * p.omega * iu
     d = _principal_sqrt(beta * beta - om2 * X)
@@ -216,7 +258,7 @@ def sz_terms(u, tau, p, j=2, r_d=0.0, r_f=0.0, drift_weight=1.0, ahat_form="comp
     u = np.asarray(u, dtype=complex)
     iu = 1j * u
     a, b = _aj_bj(j, p.kappa, p.omega, p.rho, p.eta)
-    om2 = p.omega ** 2
+    om2 = _sq(p.omega)
     X = 2.0 * a * iu - u * u
     beta = 2.0 * (b - 1j * p.omega * p.rho * u)
     d = _principal_sqrt(beta * beta - 4.0 * om2 * X)
@@ -232,7 +274,7 @@ def sz_terms(u, tau, p, j=2, r_d=0.0, r_f=0.0, drift_weight=1.0, ahat_form="comp
     log_ratio = w * _log1p_over(w)       # log((1 - G E)/(1 - G))
     A_tilde = (drift_weight * (r_d - r_f) * iu * tau
                + 0.25 * bmd * tau - 0.5 * log_ratio)
-    k2t2 = (p.kappa * p.theta) ** 2
+    k2t2 = _sq(p.kappa * p.theta)
     if ahat_form == "compact":
         inner = (0.5 * tau * bpd
                  + (4.0 * beta * Eh - (2.0 * beta - d) * E - 2.0 * beta - d)
@@ -252,7 +294,7 @@ def sz_cf(u, x0, tau, r_d, r_f, p, j=2, ahat_form="compact"):
     """phi_j(u) = exp(i u x0 + A + B nu0 + C nu0^2) for the OU-vol model."""
     t = sz_terms(u, tau, p, j=j, r_d=r_d, r_f=r_f, ahat_form=ahat_form)
     return _exp_checked(1j * np.asarray(u, dtype=complex) * x0
-                        + t.A + t.B * p.nu0 + t.C * p.nu0 ** 2)
+                        + t.A + t.B * p.nu0 + t.C * _sq(p.nu0))
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +307,7 @@ def bates2f_cf(u, x0, tau, r_d, r_f, p, j=2):
         raise InvariantViolation(f"expected bates2f params, got {p.kind}")
     expo = 1j * np.asarray(u, dtype=complex) * x0
     for f in p.factors:
-        hp = HestonParams(f.nu0, f.theta, f.kappa, f.omega, f.rho, f.eta)
-        t = heston_terms(u, tau, hp, j=j, r_d=r_d, r_f=r_f, drift_weight=0.5)
+        t = heston_terms(u, tau, f, j=j, r_d=r_d, r_f=r_f, drift_weight=0.5)
         expo = expo + t.A + t.B * f.nu0
     return _exp_checked(expo)
 
@@ -277,9 +318,8 @@ def ouou_cf(u, x0, tau, r_d, r_f, p, j=2):
         raise InvariantViolation(f"expected ouou params, got {p.kind}")
     expo = 1j * np.asarray(u, dtype=complex) * x0
     for f in p.factors:
-        sp = SchobelZhuParams(f.nu0, f.theta, f.kappa, f.omega, f.rho, f.eta)
-        t = sz_terms(u, tau, sp, j=j, r_d=r_d, r_f=r_f, drift_weight=0.5)
-        expo = expo + t.A + t.B * f.nu0 + t.C * f.nu0 ** 2
+        t = sz_terms(u, tau, f, j=j, r_d=r_d, r_f=r_f, drift_weight=0.5)
+        expo = expo + t.A + t.B * f.nu0 + t.C * _sq(f.nu0)
     return _exp_checked(expo)
 
 
@@ -301,7 +341,13 @@ def bates_jump_multiplier(u, tau, jp, j=2):
 
 
 def cf_factory(kind, params, jump=None):
-    """Bind a model to a closure cf(u, x0, tau, r_d, r_f, j=2)."""
+    """Bind a model to a closure cf(u, x0, tau, r_d, r_f, j=2).
+
+    params is one parameter set, or ParamLanes of the model (then x0, tau,
+    r_d and r_f carry the leading lane axis); jump applies to every lane.
+    """
+    if isinstance(params, ParamLanes) and kind in ("heston", "sz"):
+        params = params.factors[0]
     base = {
         "heston": heston_cf,
         "sz": sz_cf,

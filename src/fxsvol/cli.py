@@ -19,16 +19,20 @@ from dataclasses import asdict, dataclass, replace
 from . import estimators, moments
 from .calibrate import (
     CostSpec,
-    calibrate_full,
+    calibrate_full,  # noqa: F401  (perfbench/tracer.py patches cli.calibrate_full)
     calibrate_variance_ts,
     calibrate_vol_ts_sz,
     calibration_risk,
+    even_split,
     feller_truncate_omega,
+    full_job,
+    run_job,
+    run_lanes,
     start_to_params,
-    two_stage_calibration,
+    two_stage_job,
 )
 from .charfn import HestonParams, SchobelZhuParams
-from .errors import FxsvolError, ParseError
+from .errors import FxsvolError, InvariantViolation, ParseError
 from .market_data import build_surface, group_rows_by_date, ingest_csv
 from .pricer import DEFAULT_GRID, IntegrationGrid
 
@@ -248,8 +252,9 @@ def build_start(model, method, surface, hist):
     raise FxsvolError(f"unknown model {model!r}")
 
 
-def cmd_pipeline_one_date(manifest, surface, hist):
-    """VIX -> estimates -> ts fits -> estimator start -> full calibration."""
+def pipeline_job(manifest, surface, hist):
+    """One date's calibration as a job (calibrate.run_job): estimator start,
+    full (or two-stage) Nelder-Mead calibration, payload."""
     model = manifest.model
     kind = "bates2f" if model == "bates2f-feller" else model
     feller = manifest.feller or model == "bates2f-feller"
@@ -265,20 +270,19 @@ def cmd_pipeline_one_date(manifest, surface, hist):
                    max(hs[0], 1e-4), hs[1])
         else:
             sym = (hts[0] / 2.0, hts[1] / 2.0, hts[2], max(hh[0], 1e-4), hh[1])
-        result, _ = two_stage_calibration(
+        result, _ = yield from two_stage_job(
             kind, surface, sym, cost_spec=CostSpec(kind=manifest.cost_kind),
             feller=feller, grid=manifest.grid(),
             stage2_max_iter=manifest.max_iter or 800)
-        pinned = None
     else:
         start, pinned, start_flags = build_start(model, manifest.start_method,
                                                  surface, hist)
         max_iter = manifest.max_iter or None
-        result = calibrate_full(kind, surface, start,
-                                cost_spec=CostSpec(kind=manifest.cost_kind),
-                                feller=feller, max_iter=max_iter,
-                                pinned_rho=pinned, grid=manifest.grid(),
-                                stop_any=manifest.stop_any)
+        result = yield from full_job(kind, surface, start,
+                                     cost_spec=CostSpec(kind=manifest.cost_kind),
+                                     feller=feller, max_iter=max_iter,
+                                     pinned_rho=pinned, grid=manifest.grid(),
+                                     stop_any=manifest.stop_any)
         result = replace(result, flags=result.flags + tuple(start_flags))
     return {
         "date": surface.date,
@@ -296,6 +300,12 @@ def cmd_pipeline_one_date(manifest, surface, hist):
         "rmse_vega": result.rmse_vega,
         "flags": list(result.flags),
     }
+
+
+def cmd_pipeline_one_date(manifest, surface, hist):
+    """VIX -> estimates -> ts fits -> estimator start -> full calibration,
+    for one date on its own; raises the date's FxsvolError."""
+    return run_job(pipeline_job(manifest, surface, hist))
 
 
 # ---------------------------------------------------------------------------
@@ -420,17 +430,17 @@ def _init_worker(*run):
     _WORKER_RUN = run
 
 
-def calibrate_date(date, run=None):
-    """One date's calibration payload, or {"date", "error"} when it fails.
+def calibrate_block(dates, run=None):
+    """The calibration payloads of a block of dates, fitted as the lanes of
+    lockstep Nelder-Mead runs; a date that fails gets {"date", "error"}.
 
     ``run`` is (manifest, surfaces, hist); a pool worker takes the one its
-    initializer stored.
+    initializer stored.  Each payload is bit for bit the date's one-date run.
     """
     manifest, surfaces, hist = run or _WORKER_RUN
-    try:
-        return cmd_pipeline_one_date(manifest, surfaces[date], hist)
-    except FxsvolError as exc:
-        return {"date": date, "error": str(exc)}
+    results = run_lanes([pipeline_job(manifest, surfaces[d], hist) for d in dates])
+    return [{"date": d, "error": str(r)} if isinstance(r, FxsvolError) else r
+            for d, r in zip(dates, results)]
 
 
 def cmd_calibrate(manifest):
@@ -443,16 +453,17 @@ def cmd_calibrate(manifest):
     run = (manifest, surfaces, hist)
     workers = min(manifest.jobs, len(dates))
     if workers <= 1:
-        rows = [calibrate_date(d, run) for d in dates]
+        rows = calibrate_block(dates, run)
     else:
         # imported here, off the cold start; fork hands the run to each
-        # worker once, and a task sends only its date
+        # worker once, and a task sends only its block of dates
         import concurrent.futures
         import multiprocessing
+        blocks = even_split(dates, workers)
         with concurrent.futures.ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context("fork"),
                 initializer=_init_worker, initargs=run) as pool:
-            rows = list(pool.map(calibrate_date, dates))
+            rows = [p for block in pool.map(calibrate_block, blocks) for p in block]
     for d, payload in zip(dates, rows):
         name = (f"calibration_{d}_{manifest.model}_{manifest.start_method}_"
                 f"{manifest.cost_kind}.json")
@@ -547,11 +558,14 @@ def cmd_report(manifest):
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low):
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _add_common(p):
@@ -562,8 +576,9 @@ def _add_common(p):
     p.add_argument("--grid-min", type=float, default=DEFAULT_GRID.w_min)
     p.add_argument("--grid-max", type=float, default=DEFAULT_GRID.w_max)
     p.add_argument("--grid-step", type=float, default=DEFAULT_GRID.dw)
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="calibrate: dates in up to N forked worker processes")
+    p.add_argument("--jobs", type=_int_at_least(1), default=1,
+                   help="calibrate: fit the dates as lockstep lanes in N contiguous "
+                        "blocks, one per forked worker process (1: in this process)")
     p.add_argument("--date-from", default="")
     p.add_argument("--date-to", default="")
 
@@ -591,7 +606,8 @@ def build_parser():
                    choices=["icm", "durrleman", "hist", "twostage", "evp", "mevp"])
     p.add_argument("--cost", default="mse", choices=["mse", "mae", "mape"])
     p.add_argument("--feller", action="store_true")
-    p.add_argument("--max-iter", type=int, default=0)
+    p.add_argument("--max-iter", type=_int_at_least(0), default=0,
+                   help="Nelder-Mead iteration cap (0: the model's default)")
     p.add_argument("--stop-any", action="store_true",
                    help="stop when either tolerance is met instead of both")
 
@@ -627,8 +643,13 @@ def manifest_from_args(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     manifest = manifest_from_args(args)
+    try:
+        manifest.grid()
+    except InvariantViolation as exc:
+        parser.error(str(exc))
     handlers = {
         "ingest": cmd_ingest,
         "surface": cmd_surface,

@@ -37,7 +37,8 @@ class IntegrationGrid:
     dw: float = 0.4
 
     def __post_init__(self):
-        if not (self.w_min < self.w_max and self.dw > 0.0):
+        finite = all(map(math.isfinite, (self.w_min, self.w_max, self.dw)))
+        if not (finite and self.w_min < self.w_max and self.dw > 0.0):
             raise InvariantViolation(f"bad grid {self}")
 
     @property
@@ -47,6 +48,15 @@ class IntegrationGrid:
     def nodes(self):
         """(w, u = e^w, trapezoid weights), built once per grid and read-only."""
         return self._nodes
+
+    @cached_property
+    def attari_factors(self):
+        """(u as complex, 1 - 1j/u, 1 + u*u) of the single-integral kernel."""
+        _, u, _ = self.nodes()
+        arrays = (u.astype(complex), 1.0 - 1j / u, 1.0 + u * u)
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
     @cached_property
     def _nodes(self):
@@ -245,31 +255,68 @@ def attari_price(cf, spec, grid=DEFAULT_GRID):
     return call if spec.side == "call" else _put_from_call(call, spec)
 
 
+class AttariLanes:
+    """Single-integral kernel constants of L surfaces, built once per block.
+
+    spots is (L,), strikes (L, T, P) and taus, r_ds, r_fs (L, T): lane l is
+    one surface of T maturities and P strikes each.  Everything that does
+    not depend on the model parameters is computed here, once: the log
+    spot, the drift shift exp(-i u (x0 + carry)), the oscillation tensor
+    exp(-i u ell), the grid factors and the math.exp discount factors.
+    calls() then prices any rows of lanes with one CF call, each row bit
+    for bit the scalar attari_strip on its surface.
+    """
+
+    def __init__(self, spots, strikes, taus, r_ds, r_fs, grid=DEFAULT_GRID):
+        _, u, weights = grid.nodes()
+        self.u, self.weights = u, weights
+        self.uc, self.grid_num, self.grid_den = grid.attari_factors
+        S = np.asarray(spots, dtype=float).reshape(-1, 1, 1)
+        # math.log, not np.log: x0 must be the scalar route's float
+        self.x0 = np.array([math.log(s) for s in S.ravel().tolist()]).reshape(S.shape)
+        self.tau, self.r_d, self.r_f = (np.asarray(v, dtype=float)[:, :, None]
+                                        for v in (taus, r_ds, r_fs))
+        strikes = np.asarray(strikes, dtype=float)
+        carry = (self.r_d - self.r_f) * self.tau
+        self.shift = np.exp(-1j * u * (self.x0 + carry))
+        ell = np.log(strikes / S) - carry
+        self.osc = np.exp(-1j * (ell[..., None] * u))
+        # math.exp, not np.exp: the discount factors must match the scalar route
+        df_f = [math.exp(x) for x in (-self.r_f * self.tau).ravel().tolist()]
+        df_d = [math.exp(x) for x in (-self.r_d * self.tau).ravel().tolist()]
+        self.s_df = S * np.reshape(df_f, self.tau.shape)
+        self.k_df = strikes * np.reshape(df_d, self.tau.shape)
+
+    def calls(self, cf, lanes=None):
+        """(R, T, P) call prices of the lanes indexed by lanes (default all).
+
+        cf takes the lanes' (R, 1, 1) x0 and (R, T, 1) tau and rates; row r
+        of its parameters must belong to lanes[r].
+        """
+        x0, tau, r_d, r_f, shift, osc, s_df, k_df = (
+            (self.x0, self.tau, self.r_d, self.r_f, self.shift, self.osc, self.s_df,
+             self.k_df) if lanes is None else
+            (a[lanes] for a in (self.x0, self.tau, self.r_d, self.r_f, self.shift,
+                                self.osc, self.s_df, self.k_df)))
+        phi = cf(self.uc, x0, tau, r_d, r_f, j=2) * shift
+        kernel = phi * self.grid_num / self.grid_den * self.u * self.weights
+        integrals = (osc * kernel[:, :, None, :]).real.sum(axis=3)
+        return s_df - k_df * (0.5 + integrals / math.pi)
+
+
 def attari_strip(cf, S, strikes, tau, r_d, r_f, grid=DEFAULT_GRID):
     """Vectorized single-integral call prices for many strikes and maturities.
 
     With scalar tau, r_d, r_f the strikes are one maturity's (P,) strip and
     the result has shape (P,).  With length-T arrays the strikes are (T, P),
     one row per maturity, and so is the result.  The CF is called once, with
-    (T, 1) columns against the grid nodes, and reused across strikes; each
+    (1, T, 1) columns against the grid nodes, and reused across strikes; each
     row matches a scalar call on that maturity bit for bit.
     """
-    w, u, weights = grid.nodes()
-    uc = u.astype(complex)
-    x0 = math.log(S)
     scalar = np.ndim(tau) == 0
-    tau, r_d, r_f = (np.asarray(v, dtype=float).reshape(-1, 1) for v in (tau, r_d, r_f))
-    strikes = np.asarray(strikes, dtype=float).reshape(len(tau), -1)
-    carry = (r_d - r_f) * tau
-    phi = cf(uc, x0, tau, r_d, r_f, j=2) * np.exp(-1j * u * (x0 + carry))
-    ell = np.log(strikes / S) - carry
-    kernel = phi * (1.0 - 1j / u) / (1.0 + u * u) * u * weights
-    osc = np.exp(-1j * (ell[:, :, None] * u))
-    integrals = (osc * kernel[:, None, :]).real.sum(axis=2)
-    # math.exp, not np.exp: the discount factors must match the scalar route
-    df_f = np.array([[math.exp(x)] for x in (-r_f * tau).ravel()])
-    df_d = np.array([[math.exp(x)] for x in (-r_d * tau).ravel()])
-    calls = S * df_f - strikes * df_d * (0.5 + integrals / math.pi)
+    tau, r_d, r_f = (np.asarray(v, dtype=float).reshape(1, -1) for v in (tau, r_d, r_f))
+    strikes = np.asarray(strikes, dtype=float).reshape(1, tau.shape[1], -1)
+    calls = AttariLanes([S], strikes, tau, r_d, r_f, grid).calls(cf)[0]
     return calls[0] if scalar else calls
 
 

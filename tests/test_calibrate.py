@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fxsvol.calibrate as calibrate_mod
 from fxsvol.calibrate import (
     FELLER_PENALTY,
     CostSpec,
+    Fit,
     NelderMeadConfig,
     SurfaceCost,
     calibrate_full,
@@ -16,12 +18,17 @@ from fxsvol.calibrate import (
     cost,
     detect_outliers,
     feller_truncate_omega,
+    full_job,
+    lockstep,
     nelder_mead,
     outlier_recalibration,
     params_to_vector,
     rmse_report,
+    run_job,
+    run_lanes,
     transform_params,
     two_stage_calibration,
+    two_stage_job,
     untransform_params,
     vector_to_params,
 )
@@ -32,11 +39,12 @@ from fxsvol.charfn import (
     TwoFactorParams,
     cf_factory,
 )
-from fxsvol.errors import InvariantViolation, NonFiniteObjective
+from fxsvol.errors import FxsvolError, InvariantViolation, NonFiniteObjective, NumericOverflow
 from fxsvol.moments import heston_total_variance
 from fxsvol.pricer import OptionSpec, attari_strip, gk_price, implied_vol, surface_prices
 
 from conftest import draw_heston
+from nm_reference import reference_nelder_mead
 
 from synthutil import synth_surface
 
@@ -451,3 +459,261 @@ class TestCalibrationRisk:
         r2 = calibration_risk("heston", surf, heston_median_params, max_iter=250)
         assert max(r1.per_parameter.values()) > 0.0
         assert r1.per_parameter == r2.per_parameter  # bit-reproducible
+
+
+def _ripple(x):
+    return float(np.sum(x * x) + 0.1 * np.sum(np.sin(1000.0 * x)))
+
+
+def _rosen(x):
+    return float((1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2)
+
+
+def _overflow_right(x):
+    if x[0] > 1.04:  # the first simplex point moves x[0] from 1.0 to 1.05
+        raise NumericOverflow("characteristic function overflowed")
+    return float(np.sum(x * x))
+
+
+def _nan_late(x):
+    return float("nan") if x[1] < 0.5 else _rosen(x)
+
+
+def _nm_job(x0, config):
+    return (yield Fit(None, "test", None, False, np.asarray(x0, dtype=float), config))
+
+
+def _outcome(f, x):
+    try:
+        return f(x)
+    except FxsvolError as exc:
+        return exc
+
+
+def _reference_or_error(f, x0, config):
+    try:
+        return reference_nelder_mead(f, np.asarray(x0, dtype=float), config)
+    except FxsvolError as exc:
+        return exc
+
+
+class TestLockstepNelderMead:
+    """Lockstep lanes against the literal pre-generator Nelder-Mead loop."""
+
+    LANES = [  # (objective, start, config): how each lane ends
+        (lambda x: float(np.sum(x * x)), [1.0, 1.0], NelderMeadConfig()),  # tolerance
+        (_rosen, [-1.2, 1.0], NelderMeadConfig(max_iter=30)),  # max_iter cap
+        (_rosen, [-1.2, 1.0], NelderMeadConfig(eps1=1e-4, eps2=1e-30,
+                                               stop_any=True)),  # stop_any
+        (_ripple, [1.0, 1.0], NelderMeadConfig()),  # 6 shrinks
+        (_ripple, [2.0, 0.5, -1.0], NelderMeadConfig()),  # 3-d, 7 shrinks
+        (lambda x: float(np.sum(np.sqrt(np.abs(x)))), [0.0, 0.0],
+         NelderMeadConfig()),  # zero start offsets, 55 shrinks
+        (_overflow_right, [1.0, 1.0], NelderMeadConfig()),  # raises in the simplex
+        (_nan_late, [-1.2, 1.0], NelderMeadConfig()),  # NaN after some iterations
+        (lambda x: float("inf"), [0.0], NelderMeadConfig()),  # not finite at start
+    ]
+
+    @staticmethod
+    def assert_same(got, want):
+        if isinstance(want, FxsvolError):
+            assert type(got) is type(want) and str(got) == str(want)
+            return
+        assert np.array_equal(got.x, want.x)
+        assert (got.fx, got.iterations, got.converged) == (
+            want.fx, want.iterations, want.converged)
+
+    def test_lanes_match_reference(self):
+        want = [_reference_or_error(f, x0, cfg) for f, x0, cfg in self.LANES]
+        assert sum(isinstance(w, FxsvolError) for w in want) == 3
+        assert [w.converged for w in want[:6]] == [True, False, True, True, True, True]
+        funcs = [f for f, _, _ in self.LANES]
+        rounds = []
+
+        def evaluator(fits):
+            assert sorted(fits) == list(range(len(self.LANES)))
+
+            def evaluate(rows):
+                rounds.append(len(rows))
+                return [_outcome(funcs[i], x) for i, _, x in rows]
+            return evaluate
+
+        got = lockstep([_nm_job(x0, cfg) for _, x0, cfg in self.LANES], evaluator)
+        for g, w in zip(got, want):
+            self.assert_same(g, w)
+        # the first round prices every lane's start and initial simplex together
+        assert rounds[0] == sum(len(x0) + 1 for _, x0, _ in self.LANES)
+
+    def test_one_point_at_a_time_matches_reference(self):
+        for f, x0, cfg in self.LANES:
+            try:
+                got = nelder_mead(f, np.asarray(x0, dtype=float), cfg)
+            except FxsvolError as exc:
+                got = exc
+            self.assert_same(got, _reference_or_error(f, x0, cfg))
+
+    def test_one_point_at_a_time_stops_at_the_first_failing_point(self):
+        # a NaN at the first simplex point wins over an overflow at the second
+        seen = []
+
+        def f(x):
+            seen.append(x.copy())
+            if len(seen) == 2:
+                return float("nan")
+            if len(seen) == 3:
+                raise NumericOverflow("overflow")
+            return 1.0
+
+        with pytest.raises(NonFiniteObjective, match="objective NaN"):
+            nelder_mead(f, np.array([1.0, 1.0]))
+        assert len(seen) == 2
+
+    def test_negative_max_iter_rejected(self):
+        with pytest.raises(InvariantViolation):
+            NelderMeadConfig(max_iter=-1)
+        assert NelderMeadConfig(max_iter=0).max_iter == 0
+
+
+def _surfaces():
+    """Four Heston-draw surfaces on different dates, spots and rates, and one
+    with four tenors (its own kernel group)."""
+    rng = np.random.default_rng(77)
+    out = [synth_surface("heston", draw_heston(rng), date=f"2014-06-0{2 + i}",
+                         spot=1.30 + 0.02 * i, r_d=0.012 + 0.001 * i)
+           for i in range(4)]
+    out.append(synth_surface("heston", draw_heston(rng), date="2014-06-06",
+                             tenors=("1M", "2M", "3M", "6M")))
+    return out
+
+
+@pytest.fixture(scope="module")
+def lane_surfaces():
+    return _surfaces()
+
+
+def _result_or_error(job):
+    try:
+        return run_job(job)
+    except FxsvolError as exc:
+        return exc
+
+
+def _assert_same_results(got, want):
+    for g, w in zip(got, want):
+        if isinstance(w, FxsvolError):
+            assert type(g) is type(w) and str(g) == str(w)
+        elif isinstance(w, tuple):  # two-stage: (result, stage-1 NMResult)
+            assert g[0] == w[0]
+            assert np.array_equal(g[1].x, w[1].x) and g[1].fx == w[1].fx
+        else:
+            assert g == w
+
+
+class TestRunLanes:
+    """run_lanes gives every job run_job's result bit for bit."""
+
+    def heston_starts(self, surfaces):
+        return [HestonParams(0.01, 0.015, 2.0, 0.3 + 0.02 * i, -0.4)
+                for i in range(len(surfaces))]
+
+    @pytest.mark.parametrize("target,feller", [("vega_weighted_price", False),
+                                               ("implied_vol", False),
+                                               ("vega_weighted_price", True)])
+    def test_heston_full_fits(self, lane_surfaces, target, feller):
+        starts = self.heston_starts(lane_surfaces)
+
+        def jobs():
+            return [full_job("heston", s, st, cost_spec=CostSpec(kind="mae", target=target),
+                             feller=feller, max_iter=40)
+                    for s, st in zip(lane_surfaces, starts)]
+
+        want = [_result_or_error(j) for j in jobs()]
+        assert want[0] == calibrate_full("heston", lane_surfaces[0], starts[0],
+                                         cost_spec=CostSpec(kind="mae", target=target),
+                                         feller=feller, max_iter=40)
+        _assert_same_results(run_lanes(jobs()), want)
+
+    @pytest.mark.parametrize("kind", ["sz", "bates2f", "ouou"])
+    def test_other_models(self, lane_surfaces, kind):
+        surfaces = lane_surfaces[:3] + lane_surfaces[4:]
+        if kind == "sz":
+            starts = [SchobelZhuParams(0.09, 0.11, 1.4, 0.15 + 0.01 * i, -0.38)
+                      for i in range(len(surfaces))]
+            pinned = [None] * len(surfaces)
+        else:
+            f1 = Factor(0.0041, 0.00715, 2.07, 0.30, -0.38)
+            f2 = Factor(0.0050, 0.00600, 1.10, 0.22, 0.10)
+            starts = [TwoFactorParams(kind, f1, f2)] * len(surfaces)
+            pinned = [None, (-0.38, 0.10), None, (-0.5, 0.2)]
+
+        def jobs():
+            return [full_job(kind, s, st, max_iter=15, pinned_rho=p,
+                             feller=(kind == "bates2f"))
+                    for s, st, p in zip(surfaces, starts, pinned)]
+
+        _assert_same_results(run_lanes(jobs()), [_result_or_error(j) for j in jobs()])
+
+    def test_two_stage_and_small_blocks(self, lane_surfaces, monkeypatch):
+        sym = (0.0041, 0.00715, 2.07, 0.30, -0.38)
+
+        def jobs():
+            return [two_stage_job("bates2f", s, sym, feller=True, stage1_max_iter=25,
+                                  stage2_max_iter=10) for s in lane_surfaces]
+
+        want = [_result_or_error(j) for j in jobs()]
+        assert want[0][0] == two_stage_calibration(
+            "bates2f", lane_surfaces[0], sym, feller=True, stage1_max_iter=25,
+            stage2_max_iter=10)[0]
+        # blocks of two lanes and kernel calls of three rows change nothing
+        monkeypatch.setattr(calibrate_mod, "LANES_PER_BLOCK", 2)
+        monkeypatch.setattr(calibrate_mod, "LANE_ROWS", 3)
+        _assert_same_results(run_lanes(jobs()), want)
+
+    def test_overflow_in_one_lane(self, lane_surfaces, monkeypatch):
+        """A CF that overflows on one surface fails that lane only, with the
+        error of its one-surface run; the chunks it shared are priced again
+        row by row."""
+        bad_x0 = math.log(lane_surfaces[1].spot)
+        calls = []
+
+        def overflowing_factory(kind, params, jump=None):
+            cf = cf_factory(kind, params, jump=jump)
+
+            def wrapped(u, x0, tau, r_d, r_f, j=2):
+                calls.append(np.size(x0))
+                if np.any(np.asarray(x0) == bad_x0):
+                    raise NumericOverflow("characteristic function overflowed; "
+                                          "reduce |u|*tau")
+                return cf(u, x0, tau, r_d, r_f, j=j)
+            return wrapped
+
+        monkeypatch.setattr(calibrate_mod, "cf_factory", overflowing_factory)
+        starts = self.heston_starts(lane_surfaces)
+
+        def jobs():
+            return [full_job("heston", s, st, max_iter=30)
+                    for s, st in zip(lane_surfaces, starts)]
+
+        want = [_result_or_error(j) for j in jobs()]
+        assert isinstance(want[1], NumericOverflow)
+        assert not any(isinstance(w, FxsvolError) for i, w in enumerate(want) if i != 1)
+        calls.clear()
+        got = run_lanes(jobs())
+        _assert_same_results(got, want)
+        assert max(calls) > 1 and 1 in calls  # batched, then row by row
+
+    def test_lane_surfaces_must_stay_fixed(self, lane_surfaces):
+        def job():
+            ctx = SurfaceCost(lane_surfaces[0])
+            res = yield Fit(ctx, "heston", None, False, np.zeros(1), NelderMeadConfig())
+            # a new SurfaceCost of the same surface may follow, another surface not
+            res = yield Fit(SurfaceCost(lane_surfaces[0], CostSpec(kind="mae")), "heston",
+                            None, False, res.x, NelderMeadConfig())
+            yield Fit(SurfaceCost(lane_surfaces[1]), "heston", None, False, res.x,
+                      NelderMeadConfig())
+
+        def evaluator(fits):
+            return lambda rows: [float(np.sum(x * x)) for _, _, x in rows]
+
+        (out,) = lockstep([job()], evaluator)
+        assert isinstance(out, InvariantViolation)

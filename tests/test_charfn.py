@@ -8,8 +8,11 @@ from fxsvol.charfn import (
     Factor,
     HestonParams,
     JumpParams,
+    ParamLanes,
     SchobelZhuParams,
     TwoFactorParams,
+    _exp_checked,
+    _sq,
     bates2f_cf,
     bates_jump_multiplier,
     cf_factory,
@@ -281,3 +284,90 @@ class TestValidation:
         tight = Factor(0.06, 0.02, 0.8, 0.3, -0.5)  # 2*0.8*0.02 = 0.032 < 0.09
         assert TwoFactorParams("ouou", tight, OP.f2).feller_satisfied()
         assert not TwoFactorParams("bates2f", tight, BP.f2).feller_satisfied()
+
+
+def _old_bates2f_cf(u, x0, tau, r_d, r_f, p, j=2):
+    """bates2f_cf as it was: a validated HestonParams per factor and call."""
+    expo = 1j * np.asarray(u, dtype=complex) * x0
+    for f in p.factors:
+        hp = HestonParams(f.nu0, f.theta, f.kappa, f.omega, f.rho, f.eta)
+        t = heston_terms(u, tau, hp, j=j, r_d=r_d, r_f=r_f, drift_weight=0.5)
+        expo = expo + t.A + t.B * f.nu0
+    return _exp_checked(expo)
+
+
+def _old_ouou_cf(u, x0, tau, r_d, r_f, p, j=2):
+    """ouou_cf as it was: a validated SchobelZhuParams per factor and call."""
+    expo = 1j * np.asarray(u, dtype=complex) * x0
+    for f in p.factors:
+        sp = SchobelZhuParams(f.nu0, f.theta, f.kappa, f.omega, f.rho, f.eta)
+        t = sz_terms(u, tau, sp, j=j, r_d=r_d, r_f=r_f, drift_weight=0.5)
+        expo = expo + t.A + t.B * f.nu0 + t.C * f.nu0 ** 2
+    return _exp_checked(expo)
+
+
+JUMP = JumpParams(lam=0.8, khat=-0.05, delta=0.15)
+
+
+class TestTwoFactorFactors:
+    """Each Factor goes straight to the one-factor terms, bit for bit the old
+    per-call HestonParams/SchobelZhuParams route."""
+
+    @pytest.mark.parametrize("kind,old,params", [("bates2f", _old_bates2f_cf, BP),
+                                                 ("ouou", _old_ouou_cf, OP)],
+                             ids=["bates2f", "ouou"])
+    @pytest.mark.parametrize("jump", [None, JUMP], ids=["diffusion", "jumps"])
+    def test_same_bits(self, kind, old, params, jump):
+        u = np.linspace(-30.0, 30.0, 61) + 0.0j
+        tau = np.asarray(TestTenorColumns.TAUS).reshape(-1, 1)
+        cf = cf_factory(kind, params, jump=jump)
+        for j in (1, 2):
+            want = old(u, X0, tau, RD, RF, params, j=j)
+            if jump is not None:
+                want = want * bates_jump_multiplier(u, tau, jump, j=j)
+            assert np.array_equal(cf(u, X0, tau, RD, RF, j=j), want)
+
+
+def _scaled(kind, params, s):
+    """params with every factor's positive fields scaled by s (rho kept)."""
+    def f(x):
+        return Factor(x.nu0 * s, x.theta * s, x.kappa * s, x.omega * s, x.rho)
+    if kind in ("bates2f", "ouou"):
+        return TwoFactorParams(kind, f(params.f1), f(params.f2))
+    return type(params)(params.nu0 * s, params.theta * s, params.kappa * s,
+                        params.omega * s, params.rho)
+
+
+class TestParamLanes:
+    """Lane-stacked parameters: lane l of one CF call is the scalar call of
+    parameter set l on surface l, bit for bit."""
+
+    @pytest.mark.parametrize("kind,params", [(n, p) for n, _, p in ALL_MODELS],
+                             ids=[n for n, _, _ in ALL_MODELS])
+    @pytest.mark.parametrize("jump", [None, JUMP], ids=["diffusion", "jumps"])
+    def test_lanes_equal_scalar_calls(self, kind, params, jump):
+        from fxsvol.pricer import DEFAULT_GRID
+        u = DEFAULT_GRID.nodes()[1].astype(complex)
+        sets = [_scaled(kind, params, s) for s in (0.8, 1.0, 1.13, 1.27, 0.91)]
+        x0s = [X0 + 0.01 * k for k in range(len(sets))]
+        taus = np.array([[t * (1 + 0.01 * k) for t in TestTenorColumns.TAUS]
+                         for k in range(len(sets))])
+        r_ds = np.array([TestTenorColumns.R_DS] * len(sets)) + 0.001
+        r_fs = np.array([TestTenorColumns.R_FS] * len(sets))
+        cf = cf_factory(kind, ParamLanes.stack(kind, sets), jump=jump)
+        for j in (1, 2):
+            lanes = cf(u, np.array(x0s).reshape(-1, 1, 1), taus[:, :, None],
+                       r_ds[:, :, None], r_fs[:, :, None], j=j)
+            assert lanes.shape == (len(sets), taus.shape[1], u.size)
+            for k, p in enumerate(sets):
+                one = cf_factory(kind, p, jump=jump)(u, x0s[k], taus[k][:, None],
+                                                     r_ds[k][:, None], r_fs[k][:, None], j=j)
+                assert np.array_equal(lanes[k], one)
+
+    def test_squares_are_pythons_pow(self):
+        # numpy's array ** 2 is x * x, which misses C pow's bits now and then
+        x = np.random.default_rng(3).random(20000) * 0.5
+        want = [v ** 2 for v in x.tolist()]
+        assert not np.array_equal(x * x, want)
+        assert np.array_equal(_sq(x.reshape(-1, 1, 1)).ravel(), want)
+        assert _sq(0.3) == 0.3 ** 2

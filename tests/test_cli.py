@@ -103,6 +103,10 @@ class TestIngest:
                    "--date-from", "2030-01-01"])
         assert rc == 0
         assert sorted(os.listdir(out)) == ["validation.json"]
+        rc = main(["calibrate", "--input", str(quotes_csv), "--output-dir", str(out),
+                   "--model", "heston", "--start", "icm", "--date-from", "2030-01-01"])
+        assert rc == 0
+        assert sorted(os.listdir(out)) == ["manifest.json", "summary.csv", "validation.json"]
 
 
 class TestVixEstimate:
@@ -297,10 +301,40 @@ class TestCalibrate:
         assert exc.value.code == EXIT_INVALID
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra", [["--max-iter", "-3"], ["--grid-step", "0"],
+                                       ["--grid-min", "5", "--grid-max", "1"]],
+                             ids=["max-iter", "grid-step", "grid-range"])
+    def test_invalid_invocation_writes_nothing(self, quotes_csv, tmp_path, extra):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["calibrate", "--input", str(quotes_csv), "--model", "heston",
+                  "--start", "icm", "--output-dir", str(out)] + extra)
+        assert exc.value.code == EXIT_INVALID
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["--model", "heston", "--start", "icm", "--max-iter", "40"],
+        ["--model", "sz", "--start", "icm", "--cost", "mae", "--max-iter", "40"],
+        ["--model", "bates2f", "--start", "evp", "--max-iter", "25", "--feller"],
+        ["--model", "bates2f", "--start", "twostage", "--max-iter", "20"],
+    ], ids=["heston-icm", "sz-icm", "bates2f-evp", "twostage"])
+    def test_lanes_match_one_date_runs(self, quotes_csv, tmp_path, args):
+        """A date's file from a 3-date run (one block of lanes) is the bytes
+        of its one-date run."""
+        base = ["calibrate", "--input", str(quotes_csv)] + args
+        assert main(base + ["--output-dir", str(tmp_path / "all")]) == 0
+        dates = ["2014-06-02", "2014-06-03", "2014-06-04"]
+        for d in dates:
+            one = tmp_path / d
+            assert main(base + ["--output-dir", str(one), "--date-from", d,
+                                "--date-to", d]) == 0
+            (name,) = [n for n in os.listdir(one) if n.startswith("calibration_")]
+            assert (one / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
+
     def test_jobs_capped_at_dates(self, quotes_csv, tmp_path, monkeypatch):
         # a stand-in executor records the pool it is asked for and runs the
         # dates in this process, so no worker is started
-        pools = []
+        pools, blocks = [], []
 
         class RecordingPool:
             def __init__(self, max_workers, mp_context, initializer, initargs):
@@ -313,8 +347,9 @@ class TestCalibrate:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, dates):
-                return map(fn, dates)
+            def map(self, fn, date_blocks):
+                blocks.append(list(date_blocks))
+                return map(fn, blocks[-1])
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli, "_WORKER_RUN", None)
@@ -322,12 +357,18 @@ class TestCalibrate:
                 "--start", "icm", "--max-iter", "20"]
         assert main(base + ["--output-dir", str(tmp_path / "a"), "--jobs", "64"]) == 0
         assert pools == [(3, "fork")]
+        assert blocks == [[["2014-06-02"], ["2014-06-03"], ["2014-06-04"]]]
         # one worker (--jobs 1, or a single date) runs in-process, no pool
         assert main(base + ["--output-dir", str(tmp_path / "b"), "--jobs", "1"]) == 0
         assert main(base + ["--output-dir", str(tmp_path / "c"), "--jobs", "8",
                             "--date-to", "2014-06-02"]) == 0
         assert pools == [(3, "fork")]
         assert_same_outputs(tmp_path / "a", tmp_path / "b")
+        # two workers: two contiguous blocks of dates
+        assert main(base + ["--output-dir", str(tmp_path / "d"), "--jobs", "2"]) == 0
+        assert pools == [(3, "fork"), (2, "fork")]
+        assert blocks[-1] == [["2014-06-02", "2014-06-03"], ["2014-06-04"]]
+        assert_same_outputs(tmp_path / "a", tmp_path / "d")
 
 
 class TestTwoStage:

@@ -3,11 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from fxsvol.charfn import Factor, HestonParams, JumpParams, TwoFactorParams, cf_factory
+from fxsvol.charfn import (
+    Factor,
+    HestonParams,
+    JumpParams,
+    ParamLanes,
+    SchobelZhuParams,
+    TwoFactorParams,
+    cf_factory,
+)
 from fxsvol.errors import AlphaInvalid, InvariantViolation, OutOfBounds
 from fxsvol.market_data import PILLAR_DELTAS, strike_from_delta
 from fxsvol.pricer import (
     CROSSCHECK_GRID,
+    AttariLanes,
     DEFAULT_GRID,
     GKCells,
     IntegrationGrid,
@@ -58,12 +67,18 @@ class TestGrid:
     def test_invalid_grid(self):
         with pytest.raises(InvariantViolation):
             IntegrationGrid(5.0, -17.0, 0.4)
+        for bad in [(-17.0, math.inf, 0.4), (-17.0, 5.0, math.nan), (-17.0, 5.0, 0.0)]:
+            with pytest.raises(InvariantViolation):
+                IntegrationGrid(*bad)
 
     def test_nodes_built_once_read_only(self):
         grid = IntegrationGrid(-10.0, 3.0, 0.25)
         nodes = grid.nodes()
         assert all(a is b for a, b in zip(nodes, grid.nodes()))
         assert not any(a.flags.writeable for a in nodes)
+        factors = grid.attari_factors
+        assert factors is grid.attari_factors
+        assert not any(a.flags.writeable for a in factors)
         w = -10.0 + 0.25 * np.arange(grid.n_nodes)
         weights = np.full(grid.n_nodes, 0.25)
         weights[0] *= 0.5
@@ -392,3 +407,49 @@ class TestSurfacePrices:
         out = surface_prices(cf_factory("heston", p), surf)
         for tenor, (prices, vols) in out.items():
             assert np.max(np.abs(vols - 0.1)) < 2e-4
+
+
+def _lane_params(kind, rng):
+    if kind == "heston":
+        return draw_heston(rng)
+    if kind == "sz":
+        return SchobelZhuParams(rng.uniform(0.07, 0.12), rng.uniform(0.08, 0.14),
+                                rng.uniform(0.8, 2.0), rng.uniform(0.1, 0.25),
+                                rng.uniform(-0.6, -0.2))
+
+    def factor():
+        return Factor(rng.uniform(0.003, 0.008), rng.uniform(0.004, 0.009),
+                      rng.uniform(0.8, 3.0), rng.uniform(0.15, 0.35),
+                      rng.uniform(-0.7, 0.5))
+    return TwoFactorParams(kind, factor(), factor())
+
+
+class TestAttariLanes:
+    """Row r of AttariLanes.calls is the scalar attari_strip of its parameter
+    set on the surface of lanes[r], bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["heston", "sz", "bates2f", "ouou"])
+    @pytest.mark.parametrize("jump", [None, JumpParams(lam=0.8, khat=-0.05, delta=0.15)],
+                             ids=["diffusion", "jumps"])
+    def test_rows_equal_scalar_strips(self, kind, jump):
+        rng = np.random.default_rng(11)
+        n_lanes, taus = 4, np.array([1 / 12, 2 / 12, 0.25, 0.5, 1.0, 2.0])
+        spots = S * np.exp(rng.normal(0.0, 0.05, n_lanes))
+        lane_taus = taus * rng.uniform(0.98, 1.02, (n_lanes, 1))
+        r_ds = rng.uniform(0.0, 0.03, (n_lanes, taus.size))
+        r_fs = rng.uniform(0.0, 0.03, (n_lanes, taus.size))
+        strikes = spots[:, None, None] * np.exp(
+            np.linspace(-0.2, 0.2, 5) * np.sqrt(lane_taus)[:, :, None])
+        kernel = AttariLanes(spots, strikes, lane_taus, r_ds, r_fs)
+        lanes = np.array([2, 0, 2, 3, 1, 3])  # any order, repeats allowed
+        sets = [_lane_params(kind, rng) for _ in lanes]
+        calls = kernel.calls(cf_factory(kind, ParamLanes.stack(kind, sets), jump=jump),
+                             lanes)
+        assert calls.shape == (lanes.size,) + strikes.shape[1:]
+        for row, (lane, params) in enumerate(zip(lanes, sets)):
+            want = attari_strip(cf_factory(kind, params, jump=jump), spots[lane],
+                                strikes[lane], lane_taus[lane], r_ds[lane], r_fs[lane])
+            assert np.array_equal(calls[row], want)
+        whole = AttariLanes(spots[:1], strikes[:1], lane_taus[:1], r_ds[:1], r_fs[:1])
+        assert np.array_equal(whole.calls(cf_factory(kind, sets[1], jump=jump))[0],
+                              calls[1])
