@@ -13,6 +13,7 @@ own run.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 
@@ -91,6 +92,12 @@ def nelder_mead_steps(x_start, config=NelderMeadConfig()):
     and is sent an iterable of their objective values in point order; a
     value is read only when the step needs it, so an iterable that
     evaluates, or raises, as it goes gives the errors of a plain loop.
+
+    The vertices are kept in the order a stable argsort of their values
+    gives.  They are sorted in full after the initial simplex and after a
+    shrink; any other step replaces only the worst vertex, and the new one
+    goes after the vertices of equal value (bisect_right).  The simplex
+    volume is computed only when the stop rule needs it.
     """
     x0 = np.asarray(x_start, dtype=float)
     n = x0.size
@@ -101,50 +108,65 @@ def nelder_mead_steps(x_start, config=NelderMeadConfig()):
     f0 = float(next(got))
     if not math.isfinite(f0):
         raise NonFiniteObjective(f"objective not finite at start: {f0}")
-    values = np.empty(n + 1)
-    values[:n] = [_checked(v, p) for v, p in zip(got, points[:n])]
-    values[n] = f0
+    values = [_checked(v, p) for v, p in zip(got, points[:n])]
+    values.append(f0)
+    points, values = _sorted(points, values)
 
     iterations = 0
     converged = False
     while True:
-        order = np.argsort(values, kind="stable")
-        points = points[order]
-        values = values[order]
         iterations += 1
-        spread = abs(values[-1] - values[0])
-        vol = _simplex_volume(points)
-        hit1, hit2 = spread < config.eps1, vol < config.eps2
-        if (hit1 or hit2) if config.stop_any else (hit1 and hit2):
+        hit1 = abs(values[-1] - values[0]) < config.eps1
+        if config.stop_any:
+            stop = hit1 or _simplex_volume(points) < config.eps2
+        else:
+            stop = hit1 and _simplex_volume(points) < config.eps2
+        if stop:
             converged = True
             break
         if iterations > config.max_iter:
             break
-        centroid = points[:-1].mean(axis=0)
+        centroid = np.add.reduce(points[:-1], axis=0) / n
         xr = centroid + config.alpha * (centroid - points[-1])
         fr = _checked(*(yield [xr]), xr)
         if values[0] <= fr <= values[-2]:
-            points[-1], values[-1] = xr, fr
+            _replace_worst(points, values, xr, fr)
             continue
         if fr <= values[0]:
             xe = centroid + config.gamma * (xr - centroid)
             fe = _checked(*(yield [xe]), xe)
             if fe <= fr:
-                points[-1], values[-1] = xe, fe
+                _replace_worst(points, values, xe, fe)
             else:
-                points[-1], values[-1] = xr, fr
+                _replace_worst(points, values, xr, fr)
             continue
         xc = centroid + config.rho_c * (points[-1] - centroid)
         fc = _checked(*(yield [xc]), xc)
         if fc <= values[-1]:
-            points[-1], values[-1] = xc, fc
+            _replace_worst(points, values, xc, fc)
             continue
         points[1:] = points[0] + config.sigma_s * (points[1:] - points[0])
         values[1:] = [_checked(v, p) for v, p in zip((yield list(points[1:])), points[1:])]
+        points, values = _sorted(points, values)
 
+    return NMResult(x=points[0].copy(), fx=values[0], iterations=iterations,
+                    converged=converged)
+
+
+def _sorted(points, values):
+    """The vertices and their values in stable-argsort order of the values."""
     order = np.argsort(values, kind="stable")
-    return NMResult(x=points[order[0]].copy(), fx=float(values[order[0]]),
-                    iterations=iterations, converged=converged)
+    return points[order], [values[i] for i in order.tolist()]
+
+
+def _replace_worst(points, values, x, fx):
+    """Drop the worst (last) vertex and put (x, fx) where a stable argsort
+    of the others plus it, appended last, would: after every equal value."""
+    k = bisect.bisect_right(values, fx, 0, len(values) - 1)
+    points[k + 1:] = points[k:-1]
+    points[k] = x
+    values.pop()
+    values.insert(k, fx)
 
 
 def nelder_mead(f, x_start, config=NelderMeadConfig()):
@@ -361,7 +383,7 @@ def start_to_params(kind, start):
 TS_MAX_ITER = 8000
 
 
-def _TS_NM_CONFIG_BASE(max_iter):
+def _ts_nm_config(max_iter):
     # the 3-parameter least-squares fits are cheap; run them to collapse so the
     # curve residual lands well under the strip-noise scale
     return NelderMeadConfig(eps1=1e-18, eps2=1e-24, max_iter=max_iter)
@@ -374,20 +396,8 @@ def calibrate_variance_ts(taus, targets_v2, kappa_start=2.0, max_iter=TS_MAX_ITE
     sum_{i>=2} (sqrt(curve(tau_i)) - sqrt(V~^2(tau_i)))^2; starts are the
     first/last curve points and kappa_start.
     """
-    taus = np.asarray(taus, dtype=float)
     v2 = np.asarray(targets_v2, dtype=float)
-    vols = np.sqrt(v2)
-
-    def objective(x):
-        nu0, theta, kappa = (math.exp(v) for v in x)
-        fit = [math.sqrt(max(heston_total_variance(nu0, theta, kappa, t), 1e-16))
-               for t in taus[1:]]
-        return float(np.sum((np.asarray(fit) - vols[1:]) ** 2))
-
-    x0 = np.array([math.log(v2[0]), math.log(v2[-1]), math.log(kappa_start)])
-    res = nelder_mead(objective, x0, _TS_NM_CONFIG_BASE(max_iter))
-    nu0, theta, kappa = (math.exp(v) for v in res.x)
-    return nu0, theta, kappa, res
+    return _fit_ts(_cir_vol, taus, np.sqrt(v2), (v2[0], v2[-1], kappa_start), max_iter)
 
 
 def calibrate_vol_ts_sz(taus, vol_targets, kappa_start=0.95, max_iter=TS_MAX_ITER):
@@ -396,18 +406,16 @@ def calibrate_vol_ts_sz(taus, vol_targets, kappa_start=0.95, max_iter=TS_MAX_ITE
     Same exponential-decay curve evaluated on vols; the first tenor is skipped
     and the starts are the first/last targets with kappa_start = 0.95.
     """
-    taus = np.asarray(taus, dtype=float)
     vols = np.asarray(vol_targets, dtype=float)
+    return _fit_ts(_ou_vol, taus, vols, (vols[0], vols[-1], kappa_start), max_iter)
 
-    def objective(x):
-        nu0, theta, kappa = (math.exp(v) for v in x)
-        fit = [theta + (nu0 - theta) * _decay(kappa, t) for t in taus[1:]]
-        return float(np.sum((np.asarray(fit) - vols[1:]) ** 2))
 
-    x0 = np.array([math.log(vols[0]), math.log(vols[-1]), math.log(kappa_start)])
-    res = nelder_mead(objective, x0, _TS_NM_CONFIG_BASE(max_iter))
-    nu0, theta, kappa = (math.exp(v) for v in res.x)
-    return nu0, theta, kappa, res
+def _cir_vol(nu0, theta, kappa, tau):
+    return math.sqrt(max(heston_total_variance(nu0, theta, kappa, tau), 1e-16))
+
+
+def _ou_vol(nu0, theta, kappa, tau):
+    return theta + (nu0 - theta) * _decay(kappa, tau)
 
 
 def _decay(kappa, tau):
@@ -415,6 +423,33 @@ def _decay(kappa, tau):
     if x < 1e-8:
         return 1.0 - x / 2.0
     return (1.0 - math.exp(-x)) / x
+
+
+def _fit_ts(curve, taus, targets, start, max_iter):
+    """(nu0, theta, kappa, NMResult) of the least-squares fit of
+    curve(nu0, theta, kappa, tau) to targets past the first tenor, over
+    log-parameters, from start = (nu0, theta, kappa).
+
+    The cost runs on Python floats, summing left to right from 0.0.  That is
+    numpy's np.sum((fit - target) ** 2) bit for bit below 8 terms, where
+    numpy also adds in order; from 8 terms on numpy's pairwise sum can
+    differ in the last bits.
+    """
+    pairs = list(zip(np.asarray(taus, dtype=float)[1:].tolist(),
+                     np.asarray(targets, dtype=float)[1:].tolist()))
+
+    def objective(x):
+        nu0, theta, kappa = map(math.exp, x.tolist())
+        total = 0.0
+        for tau, target in pairs:
+            d = curve(nu0, theta, kappa, tau) - target
+            total += d * d
+        return total
+
+    x0 = np.array([math.log(v) for v in start])
+    res = nelder_mead(objective, x0, _ts_nm_config(max_iter))
+    nu0, theta, kappa = (math.exp(v) for v in res.x)
+    return nu0, theta, kappa, res
 
 
 # ---------------------------------------------------------------------------
@@ -764,6 +799,9 @@ def detect_outliers(series):
     flagged = []
     run_max = None
     for t, x in enumerate(series):
+        if not x > 0.0:
+            raise InvariantViolation(f"outlier detection needs positive values, "
+                                     f"got {x!r} at index {t}")
         lx = math.log(x)
         if run_max is not None and lx - run_max > OUTLIER_LOG_JUMP:
             flagged.append(t)

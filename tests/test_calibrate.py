@@ -292,6 +292,118 @@ class TestTermStructure:
         assert np.max(np.abs(np.array(fit) - np.array(vols[1:]))) < 1e-6
 
 
+def _old_variance_objective(taus, targets_v2):
+    """The variance-curve cost as numpy evaluated it before the float rewrite."""
+    taus = np.asarray(taus, dtype=float)
+    vols = np.sqrt(np.asarray(targets_v2, dtype=float))
+
+    def objective(x):
+        nu0, theta, kappa = (math.exp(v) for v in x)
+        fit = [math.sqrt(max(heston_total_variance(nu0, theta, kappa, t), 1e-16))
+               for t in taus[1:]]
+        return float(np.sum((np.asarray(fit) - vols[1:]) ** 2))
+    return objective
+
+
+def _old_sz_objective(taus, vol_targets):
+    """The OU vol-curve cost as numpy evaluated it before the float rewrite."""
+    taus = np.asarray(taus, dtype=float)
+    vols = np.asarray(vol_targets, dtype=float)
+
+    def decay(kappa, tau):
+        x = kappa * tau
+        if x < 1e-8:
+            return 1.0 - x / 2.0
+        return (1.0 - math.exp(-x)) / x
+
+    def objective(x):
+        nu0, theta, kappa = (math.exp(v) for v in x)
+        fit = [theta + (nu0 - theta) * decay(kappa, t) for t in taus[1:]]
+        return float(np.sum((np.asarray(fit) - vols[1:]) ** 2))
+    return objective
+
+
+TS_FITS = [(calibrate_variance_ts, _old_variance_objective, 2.0),
+           (calibrate_vol_ts_sz, _old_sz_objective, 0.95)]
+
+
+def _ts_objective_of(monkeypatch, fit, taus, targets):
+    """The objective fit(taus, targets) hands to nelder_mead."""
+    seen = []
+
+    def capture(f, x0, config):
+        seen.append(f)
+        return calibrate_mod.NMResult(x0, 0.0, 0, True)
+
+    monkeypatch.setattr(calibrate_mod, "nelder_mead", capture)
+    fit(taus, targets)
+    monkeypatch.undo()
+    return seen[0]
+
+
+def _ts_points(rng, n):
+    """Log-parameter points over the curves' branches: the 1e-16 variance
+    floor (tiny nu0 and theta) and kappa tau < 1e-8 (tiny kappa)."""
+    x = np.column_stack([rng.uniform(-45.0, 1.0, n), rng.uniform(-45.0, 1.0, n),
+                         rng.uniform(-30.0, 3.0, n)])
+    return list(x) + [np.array([-40.0, -40.0, 0.0]), np.array([-3.0, -4.0, -25.0]),
+                      np.array([-40.0, -41.0, -25.0]), np.zeros(3)]
+
+
+class TestTermStructureObjective:
+    """The float term-structure costs against the numpy expressions they replace."""
+
+    TAUS12 = tuple(m / 12 for m in (0.25, 0.5, 1, 2, 3, 4, 6, 9, 12, 18, 24, 36))
+
+    def curve(self, rng, taus):
+        return [0.01 + 0.01 * rng.random() + 0.005 * t for t in taus]
+
+    @pytest.mark.parametrize("taus", [TestTermStructure.TAUS,
+                                      TestTermStructure.TAUS[:4]])
+    @pytest.mark.parametrize("fit,old,_", TS_FITS)
+    def test_bit_for_bit_below_8_terms(self, monkeypatch, taus, fit, old, _):
+        rng = np.random.default_rng(len(taus))
+        targets = self.curve(rng, taus)
+        new = _ts_objective_of(monkeypatch, fit, taus, targets)
+        was = old(taus, targets)
+        points = _ts_points(rng, 2000)
+        for x in points:
+            assert new(x) == was(x)
+        # the draws reach both guarded branches
+        floor = sum(heston_total_variance(*np.exp(x), taus[1]) < 1e-16 for x in points)
+        small = sum(math.exp(x[2]) * taus[-1] < 1e-8 for x in points)
+        assert floor > 10 and small > 10
+
+    @pytest.mark.parametrize("fit,old,_", TS_FITS)
+    def test_12_tenors_within_stated_tolerance(self, monkeypatch, fit, old, _):
+        # numpy sums 8 terms or more pairwise, so the float cost may differ
+        # in the last bits: each order of summing the terms is within
+        # (terms - 1) half-ulps of the exact sum
+        rng = np.random.default_rng(12)
+        targets = self.curve(rng, self.TAUS12)
+        new = _ts_objective_of(monkeypatch, fit, self.TAUS12, targets)
+        was = old(self.TAUS12, targets)
+        terms = len(self.TAUS12) - 1
+        tol = 2 * (terms - 1) * 2.0 ** -53
+        for x in _ts_points(rng, 2000):
+            assert abs(new(x) - was(x)) <= tol * was(x)
+
+    @pytest.mark.parametrize("taus", [TestTermStructure.TAUS,
+                                      TestTermStructure.TAUS[:4]])
+    @pytest.mark.parametrize("fit,old,kappa_start", TS_FITS)
+    def test_fits_match_the_numpy_objective_run(self, taus, fit, old, kappa_start):
+        rng = np.random.default_rng(3 + len(taus))
+        targets = self.curve(rng, taus)
+        x0 = np.array([math.log(v) for v in (targets[0], targets[-1], kappa_start)])
+        config = NelderMeadConfig(eps1=1e-18, eps2=1e-24, max_iter=8000)
+        want = reference_nelder_mead(old(taus, targets), x0, config)
+        nu0, theta, kappa, got = fit(taus, targets)
+        assert np.array_equal(got.x, want.x)
+        assert (got.fx, got.iterations, got.converged) == (
+            want.fx, want.iterations, want.converged)
+        assert (nu0, theta, kappa) == tuple(math.exp(v) for v in want.x)
+
+
 class TestOutliers:
     def test_monotone_stable_series_clean(self):
         assert detect_outliers([0.01, 0.0102, 0.0104, 0.0101]) == []
@@ -301,6 +413,21 @@ class TestOutliers:
 
     def test_fortyish_percent_not_flagged(self):
         assert detect_outliers([0.01, 0.0102, 0.014, 0.0101]) == []
+
+    @pytest.mark.parametrize("bad", [-0.35, 0.0, float("nan")])
+    def test_value_not_positive_is_an_invariant_violation(self, bad):
+        with pytest.raises(InvariantViolation, match=f"got {bad!r} at index 2"):
+            detect_outliers([0.01, 0.0102, bad, 0.0101])
+
+    def test_watching_a_negative_rho_raises_a_package_error(self):
+        class R:
+            def __init__(self, params):
+                self.params = params
+                self.start = params
+
+        days = [R(HestonParams(0.01, 0.02, 2.0, 0.3, -0.4))] * 2
+        with pytest.raises(FxsvolError, match="got -0.4 at index 0"):
+            outlier_recalibration(days, ("rho",), lambda t, start, name: None)
 
     def test_recalibration_hook(self):
         class R:
@@ -479,6 +606,14 @@ def _nan_late(x):
     return float("nan") if x[1] < 0.5 else _rosen(x)
 
 
+def _plateau(x):
+    # Feller-penalty-like plateau: equal values wherever x[0] > 1.05, and
+    # rounded elsewhere, so new vertices often tie with old ones
+    if x[0] > 1.05:
+        return FELLER_PENALTY
+    return round(float(np.sum(x * x)), 2)
+
+
 def _nm_job(x0, config):
     return (yield Fit(None, "test", None, False, np.asarray(x0, dtype=float), config))
 
@@ -512,6 +647,13 @@ class TestLockstepNelderMead:
         (_overflow_right, [1.0, 1.0], NelderMeadConfig()),  # raises in the simplex
         (_nan_late, [-1.2, 1.0], NelderMeadConfig()),  # NaN after some iterations
         (lambda x: float("inf"), [0.0], NelderMeadConfig()),  # not finite at start
+        (_plateau, [1.0, 1.0], NelderMeadConfig(max_iter=200)),  # ties with the worst
+        (_ripple, [0.4 + 0.1 * k for k in range(10)],
+         NelderMeadConfig(max_iter=150)),  # 10-d, the bates2f size
+        (lambda x: 1e-12 * float(np.sum(x * x)), [1.0, 1.0],
+         NelderMeadConfig()),  # AND: spread under eps1 from the start
+        (_rosen, [-1.2, 1.0], NelderMeadConfig(eps1=0.0, eps2=1e-6,
+                                               stop_any=True)),  # stop_any by volume
     ]
 
     @staticmethod
@@ -525,8 +667,10 @@ class TestLockstepNelderMead:
 
     def test_lanes_match_reference(self):
         want = [_reference_or_error(f, x0, cfg) for f, x0, cfg in self.LANES]
-        assert sum(isinstance(w, FxsvolError) for w in want) == 3
-        assert [w.converged for w in want[:6]] == [True, False, True, True, True, True]
+        assert [type(w) for w in want[6:9]] == [NumericOverflow, NonFiniteObjective,
+                                                NonFiniteObjective]
+        assert [w.converged for w in want[:6] + want[9:]] == [
+            True, False, True, True, True, True, False, False, True, True]
         funcs = [f for f, _, _ in self.LANES]
         rounds = []
 
