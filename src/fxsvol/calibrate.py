@@ -6,9 +6,9 @@ vega-weighted price or implied-vol cost functions over exp/tanh-transformed
 parameters.  Pipelines cover variance/vol term-structure fits, full-surface
 calibration for one- and two-factor models, two-stage starts, outlier
 recalibration and the cross-cost-function calibration-risk protocol.
-Full-surface and two-stage calibrations of many surfaces can run as the
-lanes of one lockstep Nelder-Mead (run_lanes), each lane bit for bit its
-own run.
+Full-surface, two-stage and risk calibrations of many surfaces can run as
+the lanes of one lockstep Nelder-Mead (run_lanes), each lane bit for bit
+its own run.
 """
 
 from __future__ import annotations
@@ -756,29 +756,25 @@ def two_stage_calibration(kind, surface, symmetric_start, cost_spec=CostSpec(),
 # calibration risk and outliers
 # ---------------------------------------------------------------------------
 
-def calibration_risk(kind, surface, base_params, cost_kinds=("mse", "mae", "mape"),
-                     max_iter=FULL_MAX_ITER_1F, grid=DEFAULT_GRID):
-    """Per-parameter max pairwise spread across cost-function choices.
-
-    omega and rho stay fixed at the base values; (nu0, theta, kappa) are
-    recalibrated once per cost kind.
-    """
+def risk_job(kind, surface, base_params, cost_kinds=("mse", "mae", "mape"),
+             max_iter=FULL_MAX_ITER_1F, grid=DEFAULT_GRID):
+    """calibration_risk as a job (see run_job): one fit per cost kind."""
     if kind not in ("heston", "sz"):
         raise InvariantViolation("risk protocol runs on one-factor models")
+    cls = HestonParams if kind == "heston" else SchobelZhuParams
+
+    def to_params(x):
+        nu0, theta, kappa = (math.exp(v) for v in x)
+        return cls(nu0=nu0, theta=theta, kappa=kappa, omega=base_params.omega,
+                   rho=base_params.rho)
+
+    x0 = np.array([math.log(base_params.nu0), math.log(base_params.theta),
+                   math.log(base_params.kappa)])
     results = []
     for ck in cost_kinds:
-        ctx = SurfaceCost(surface, CostSpec(kind=ck), grid)
-
-        def objective(x):
-            nu0, theta, kappa = (math.exp(v) for v in x)
-            params = _with_ts(kind, base_params, nu0, theta, kappa)
-            return ctx(kind, params)
-
-        x0 = np.array([math.log(base_params.nu0), math.log(base_params.theta),
-                       math.log(base_params.kappa)])
-        res = nelder_mead(objective, x0, NelderMeadConfig(max_iter=max_iter))
-        nu0, theta, kappa = (math.exp(v) for v in res.x)
-        results.append((ck, _with_ts(kind, base_params, nu0, theta, kappa), res))
+        res = yield Fit(SurfaceCost(surface, CostSpec(kind=ck), grid), kind, to_params,
+                        False, x0, NelderMeadConfig(max_iter=max_iter))
+        results.append((ck, to_params(res.x), res))
     spreads = {}
     for name in ("nu0", "theta", "kappa"):
         vals = [getattr(p, name) for _, p, _ in results]
@@ -786,9 +782,15 @@ def calibration_risk(kind, surface, base_params, cost_kinds=("mse", "mae", "mape
     return CalibrationRisk(per_parameter=spreads, results=tuple(results))
 
 
-def _with_ts(kind, base, nu0, theta, kappa):
-    cls = HestonParams if kind == "heston" else SchobelZhuParams
-    return cls(nu0=nu0, theta=theta, kappa=kappa, omega=base.omega, rho=base.rho)
+def calibration_risk(kind, surface, base_params, cost_kinds=("mse", "mae", "mape"),
+                     max_iter=FULL_MAX_ITER_1F, grid=DEFAULT_GRID):
+    """Per-parameter max pairwise spread across cost-function choices.
+
+    omega and rho stay fixed at the base values; (nu0, theta, kappa) are
+    recalibrated once per cost kind.
+    """
+    return run_job(risk_job(kind, surface, base_params, cost_kinds=cost_kinds,
+                            max_iter=max_iter, grid=grid))
 
 
 OUTLIER_LOG_JUMP = 0.4

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import datetime
 import json
 import math
 import os
@@ -22,10 +23,10 @@ from .calibrate import (
     calibrate_full,  # noqa: F401  (perfbench/tracer.py patches cli.calibrate_full)
     calibrate_variance_ts,
     calibrate_vol_ts_sz,
-    calibration_risk,
     even_split,
     feller_truncate_omega,
     full_job,
+    risk_job,
     run_job,
     run_lanes,
     start_to_params,
@@ -334,56 +335,89 @@ def cmd_surface(manifest):
     return EXIT_OK
 
 
-def cmd_vix(manifest):
+# (manifest, surfaces, hist, job_of) of the run, set in each forked worker
+_WORKER_RUN = None
+
+
+def _init_worker(*run):
+    global _WORKER_RUN
+    _WORKER_RUN = run
+
+
+def run_block(dates, run=None):
+    """The payloads of a block of dates, their jobs run as lanes (run_lanes),
+    each bit for bit the date's one-date run; a date that fails gets
+    {"date", "error"}.  A pool worker takes the run its initializer stored."""
+    manifest, surfaces, hist, job_of = run or _WORKER_RUN
+    results = run_lanes([job_of(manifest, surfaces[d], hist) for d in dates])
+    return [{"date": d, "error": str(r)} if isinstance(r, FxsvolError) else r
+            for d, r in zip(dates, results)]
+
+
+def run_dates(manifest, job_of):
+    """The payloads of the selected dates in date order, each date's job
+    built by job_of(manifest, surface, hist), run in this process or in
+    min(jobs, dates) contiguous blocks, one per forked worker process."""
     surfaces = load_surfaces(manifest)
     hist = historical_context(surfaces)
     os.makedirs(manifest.output_dir, exist_ok=True)
-    path = os.path.join(manifest.output_dir, "vix.csv")
-    failures = 0
-    with open(path, "w", newline="") as fh:
+    dates = selected_dates(manifest, surfaces)
+    run = (manifest, surfaces, hist, job_of)
+    workers = min(manifest.jobs, len(dates))
+    if workers <= 1:
+        return run_block(dates, run)
+    # imported here, off the cold start; fork hands the run to each worker
+    # once, and a task sends only its block of dates
+    import concurrent.futures
+    import multiprocessing
+    with concurrent.futures.ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_worker, initargs=run) as pool:
+        return [p for block in pool.map(run_block, even_split(dates, workers))
+                for p in block]
+
+
+def write_payloads(manifest, payloads, name_of):
+    """Each payload as JSON, named name_of(date), in the output directory;
+    returns the run's exit code."""
+    for p in payloads:
+        write_json(os.path.join(manifest.output_dir, name_of(p["date"])), p)
+    return EXIT_PARTIAL if any("error" in p for p in payloads) else EXIT_OK
+
+
+def cmd_vix(manifest):
+    payloads = run_dates(manifest, vix_job)
+    with open(os.path.join(manifest.output_dir, "vix.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["date", "tenor", "tau", "v2", "v2_corrected",
                          "skew", "kurtosis"])
-        for date in selected_dates(manifest, surfaces):
-            try:
-                rows = _vix_rows(surfaces[date], hist)
-            except FxsvolError as exc:
-                # a failed date writes no rows, only its error record
-                write_json(os.path.join(manifest.output_dir, f"vix_{date}.json"),
-                           {"date": date, "error": str(exc)})
-                failures += 1
-                continue
-            writer.writerows(rows)
-    return EXIT_PARTIAL if failures else EXIT_OK
+        for p in payloads:
+            writer.writerows(p.get("rows", ()))
+    # a failed date writes no rows, only its error record
+    return write_payloads(manifest, [p for p in payloads if "error" in p],
+                          lambda d: f"vix_{d}.json")
 
 
-def _vix_rows(surface, hist):
+def vix_job(manifest, surface, hist):
+    """One date's vix.csv rows as a job that runs no fit."""
     date = surface.date
     om_h, rho_h = hist["heston"][date]
     ts = moments.surface_variance_ts(surface, rho_h=rho_h, omega_h=om_h)
     sets = moments.surface_moment_sets(surface)
-    return [[date, sl.tenor] + [f"{x:.12g}" for x in (sl.tau, v2, v2c, m.skew, m.kurt)]
+    rows = [[date, sl.tenor] + [f"{x:.12g}" for x in (sl.tau, v2, v2c, m.skew, m.kurt)]
             for sl, v2, v2c, m in zip(surface.slices, ts.v2, ts.v2_corrected, sets)]
+    return {"date": date, "rows": rows}
+    yield  # a generator, so that run_lanes takes it as a job
 
 
 def cmd_estimate(manifest):
-    surfaces = load_surfaces(manifest)
-    hist = historical_context(surfaces)
-    os.makedirs(manifest.output_dir, exist_ok=True)
-    failures = 0
-    for date in selected_dates(manifest, surfaces):
-        surf = surfaces[date]
-        try:
-            payload = _estimate_one(manifest, surf, hist)
-        except FxsvolError as exc:
-            payload = {"date": date, "error": str(exc)}
-            failures += 1
-        name = f"estimate_{manifest.start_method}_{manifest.model}_{date}.json"
-        write_json(os.path.join(manifest.output_dir, name), payload)
-    return EXIT_PARTIAL if failures else EXIT_OK
+    method, model = manifest.start_method, manifest.model
+    return write_payloads(manifest, run_dates(manifest, estimate_job),
+                          lambda d: f"estimate_{method}_{model}_{d}.json")
 
 
-def _estimate_one(manifest, surface, hist):
+def estimate_job(manifest, surface, hist):
+    """One date's estimate as a job that runs no fit."""
     date = surface.date
     method, model = manifest.start_method, manifest.model
     base = {"date": date, "method": method, "model": model, "per_tenor": [],
@@ -419,57 +453,15 @@ def _estimate_one(manifest, surface, hist):
         base["per_tenor"] = [
             {"tau": t, "omega2": o, "rho_omega": r} for t, o, r in est.per_tenor]
     return base
-
-
-# (manifest, surfaces, hist) of the calibrate run, set in each forked worker
-_WORKER_RUN = None
-
-
-def _init_worker(*run):
-    global _WORKER_RUN
-    _WORKER_RUN = run
-
-
-def calibrate_block(dates, run=None):
-    """The calibration payloads of a block of dates, fitted as the lanes of
-    lockstep Nelder-Mead runs; a date that fails gets {"date", "error"}.
-
-    ``run`` is (manifest, surfaces, hist); a pool worker takes the one its
-    initializer stored.  Each payload is bit for bit the date's one-date run.
-    """
-    manifest, surfaces, hist = run or _WORKER_RUN
-    results = run_lanes([pipeline_job(manifest, surfaces[d], hist) for d in dates])
-    return [{"date": d, "error": str(r)} if isinstance(r, FxsvolError) else r
-            for d, r in zip(dates, results)]
+    yield  # a generator, so that run_lanes takes it as a job
 
 
 def cmd_calibrate(manifest):
-    surfaces = load_surfaces(manifest)
-    hist = historical_context(surfaces)
-    os.makedirs(manifest.output_dir, exist_ok=True)
-    write_json(os.path.join(manifest.output_dir, "manifest.json"),
-               asdict(manifest))
-    dates = selected_dates(manifest, surfaces)
-    run = (manifest, surfaces, hist)
-    workers = min(manifest.jobs, len(dates))
-    if workers <= 1:
-        rows = calibrate_block(dates, run)
-    else:
-        # imported here, off the cold start; fork hands the run to each
-        # worker once, and a task sends only its block of dates
-        import concurrent.futures
-        import multiprocessing
-        blocks = even_split(dates, workers)
-        with concurrent.futures.ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork"),
-                initializer=_init_worker, initargs=run) as pool:
-            rows = [p for block in pool.map(calibrate_block, blocks) for p in block]
-    for d, payload in zip(dates, rows):
-        name = (f"calibration_{d}_{manifest.model}_{manifest.start_method}_"
-                f"{manifest.cost_kind}.json")
-        write_json(os.path.join(manifest.output_dir, name), payload)
+    rows = run_dates(manifest, pipeline_job)
+    write_json(os.path.join(manifest.output_dir, "manifest.json"), asdict(manifest))
     _write_summary_csv(os.path.join(manifest.output_dir, "summary.csv"), rows)
-    return EXIT_PARTIAL if any("error" in r for r in rows) else EXIT_OK
+    tail = f"{manifest.model}_{manifest.start_method}_{manifest.cost_kind}.json"
+    return write_payloads(manifest, rows, lambda d: f"calibration_{d}_{tail}")
 
 
 def _write_summary_csv(path, rows):
@@ -492,33 +484,23 @@ def _write_summary_csv(path, rows):
 
 
 def cmd_risk(manifest):
-    surfaces = load_surfaces(manifest)
-    hist = historical_context(surfaces)
-    os.makedirs(manifest.output_dir, exist_ok=True)
-    failures = 0
-    for date in selected_dates(manifest, surfaces):
-        try:
-            payload = _risk_one(manifest, surfaces[date], hist)
-        except FxsvolError as exc:
-            payload = {"date": date, "error": str(exc)}
-            failures += 1
-        name = f"risk_{date}_{manifest.model}_{manifest.start_method}.json"
-        write_json(os.path.join(manifest.output_dir, name), payload)
-    return EXIT_PARTIAL if failures else EXIT_OK
+    model, method = manifest.model, manifest.start_method
+    return write_payloads(manifest, run_dates(manifest, risk_payload_job),
+                          lambda d: f"risk_{d}_{model}_{method}.json")
 
 
-def _risk_one(manifest, surface, hist):
+def risk_payload_job(manifest, surface, hist):
+    """One date's calibration-risk protocol as a job: estimator start, then
+    one fit per cost kind (calibrate.risk_job)."""
     params, _, _ = build_start(manifest.model, manifest.start_method, surface, hist)
-    risk = calibration_risk(manifest.model, surface, params, grid=manifest.grid())
+    risk = yield from risk_job(manifest.model, surface, params, grid=manifest.grid())
     return {
         "date": surface.date,
         "model": manifest.model,
         "method": manifest.start_method,
         "risk": dict(risk.per_parameter),
-        "per_cost": {
-            ck: params_to_dict(manifest.model, p)
-            for ck, p, _ in risk.results
-        },
+        "per_cost": {ck: params_to_dict(manifest.model, p)
+                     for ck, p, _ in risk.results},
     }
 
 
@@ -568,7 +550,19 @@ def _int_at_least(low):
     return parse
 
 
-def _add_common(p):
+def _iso_date(text):
+    """A YYYY-MM-DD date bound ("": none).  The round trip rejects the other
+    forms date.fromisoformat reads, such as 20140603."""
+    try:
+        ok = not text or datetime.date.fromisoformat(text).isoformat() == text
+    except ValueError:
+        ok = False
+    if not ok:
+        raise argparse.ArgumentTypeError(f"not a YYYY-MM-DD date: {text!r}")
+    return text
+
+
+def _add_common(p, jobs=False):
     p.add_argument("--input", required=True, help="quote CSV (or JSON dir for report)")
     p.add_argument("--output-dir", default="out")
     p.add_argument("--vols-decimal", action="store_true",
@@ -576,11 +570,12 @@ def _add_common(p):
     p.add_argument("--grid-min", type=float, default=DEFAULT_GRID.w_min)
     p.add_argument("--grid-max", type=float, default=DEFAULT_GRID.w_max)
     p.add_argument("--grid-step", type=float, default=DEFAULT_GRID.dw)
-    p.add_argument("--jobs", type=_int_at_least(1), default=1,
-                   help="calibrate: fit the dates as lockstep lanes in N contiguous "
-                        "blocks, one per forked worker process (1: in this process)")
-    p.add_argument("--date-from", default="")
-    p.add_argument("--date-to", default="")
+    if jobs:
+        p.add_argument("--jobs", type=_int_at_least(1), default=1,
+                       help="run the dates as lanes in N contiguous blocks, one per "
+                            "forked worker process (1: in this process)")
+    p.add_argument("--date-from", type=_iso_date, default="")
+    p.add_argument("--date-to", type=_iso_date, default="")
 
 
 def build_parser():
@@ -590,16 +585,16 @@ def build_parser():
 
     for name in ("ingest", "surface", "vix"):
         p = sub.add_parser(name)
-        _add_common(p)
+        _add_common(p, jobs=name == "vix")
 
     p = sub.add_parser("estimate")
-    _add_common(p)
+    _add_common(p, jobs=True)
     p.add_argument("--method", required=True,
                    choices=["icm", "durrleman", "gr", "gs", "hist"])
     p.add_argument("--model", default="heston", choices=["heston", "sz"])
 
     p = sub.add_parser("calibrate")
-    _add_common(p)
+    _add_common(p, jobs=True)
     p.add_argument("--model", required=True,
                    choices=["heston", "sz", "bates2f", "bates2f-feller", "ouou"])
     p.add_argument("--start", required=True,
@@ -612,7 +607,7 @@ def build_parser():
                    help="stop when either tolerance is met instead of both")
 
     p = sub.add_parser("risk")
-    _add_common(p)
+    _add_common(p, jobs=True)
     p.add_argument("--model", default="heston", choices=["heston", "sz"])
     p.add_argument("--method", default="icm", choices=["icm", "durrleman", "hist"])
 
@@ -636,7 +631,7 @@ def manifest_from_args(args):
         grid_min=args.grid_min,
         grid_max=args.grid_max,
         grid_step=args.grid_step,
-        jobs=args.jobs,
+        jobs=getattr(args, "jobs", 1),
         date_from=args.date_from,
         date_to=args.date_to,
     )

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import fxsvol.calibrate as calibrate_mod
 from fxsvol.calibrate import (
     FELLER_PENALTY,
+    CalibrationRisk,
     CostSpec,
     Fit,
     NelderMeadConfig,
@@ -23,6 +24,7 @@ from fxsvol.calibrate import (
     nelder_mead,
     outlier_recalibration,
     params_to_vector,
+    risk_job,
     rmse_report,
     run_job,
     run_lanes,
@@ -45,6 +47,7 @@ from fxsvol.pricer import OptionSpec, attari_strip, gk_price, implied_vol, surfa
 
 from conftest import draw_heston
 from nm_reference import reference_nelder_mead
+from risk_reference import reference_calibration_risk
 
 from synthutil import synth_surface
 
@@ -587,6 +590,19 @@ class TestCalibrationRisk:
         assert max(r1.per_parameter.values()) > 0.0
         assert r1.per_parameter == r2.per_parameter  # bit-reproducible
 
+    @pytest.mark.parametrize("kind", ["heston", "sz"])
+    def test_matches_reference_loop(self, kind, heston_surface, heston_median_params,
+                                    sz_params):
+        """calibration_risk, a job run fit by fit, is the old scalar loop bit
+        for bit, on an attainable surface (tolerance stops) and another."""
+        start = heston_median_params if kind == "heston" else sz_params
+        for surface, max_iter in [(heston_surface, 400), (_surfaces()[4], 80)]:
+            want = reference_calibration_risk(kind, surface, start, max_iter=max_iter)
+            got = calibration_risk(kind, surface, start, max_iter=max_iter)
+            _assert_same_results([got], [want])
+        with pytest.raises(InvariantViolation):
+            calibration_risk("bates2f", heston_surface, heston_median_params)
+
 
 def _ripple(x):
     return float(np.sum(x * x) + 0.1 * np.sum(np.sin(1000.0 * x)))
@@ -749,6 +765,13 @@ def _assert_same_results(got, want):
         elif isinstance(w, tuple):  # two-stage: (result, stage-1 NMResult)
             assert g[0] == w[0]
             assert np.array_equal(g[1].x, w[1].x) and g[1].fx == w[1].fx
+        elif isinstance(w, CalibrationRisk):
+            assert g.per_parameter == w.per_parameter
+            assert len(g.results) == len(w.results)
+            for (gk, gp, gr), (wk, wp, wr) in zip(g.results, w.results):
+                assert (gk, gp, gr.fx, gr.iterations, gr.converged) == \
+                    (wk, wp, wr.fx, wr.iterations, wr.converged)
+                assert np.array_equal(gr.x, wr.x)
         else:
             assert g == w
 
@@ -845,6 +868,28 @@ class TestRunLanes:
         got = run_lanes(jobs())
         _assert_same_results(got, want)
         assert max(calls) > 1 and 1 in calls  # batched, then row by row
+
+    @pytest.mark.parametrize("kind", ["heston", "sz"])
+    def test_risk_jobs(self, lane_surfaces, kind):
+        """Risk jobs run their three cost kinds as the fits of one lane, some
+        stopping on tolerance and some at the cap; a lane whose start raises
+        fails alone."""
+        if kind == "heston":
+            starts = self.heston_starts(lane_surfaces)
+        else:
+            starts = [SchobelZhuParams(0.09, 0.11, 1.4, 0.15 + 0.01 * i, -0.38)
+                      for i in range(len(lane_surfaces))]
+
+        def jobs():
+            out = [risk_job(kind, s, st, max_iter=150)
+                   for s, st in zip(lane_surfaces, starts)]
+            out[2] = risk_job("bates2f", lane_surfaces[2], starts[2])
+            return out
+
+        want = [_result_or_error(j) for j in jobs()]
+        assert isinstance(want[2], InvariantViolation)
+        assert all(isinstance(w, CalibrationRisk) for i, w in enumerate(want) if i != 2)
+        _assert_same_results(run_lanes(jobs()), want)
 
     def test_lane_surfaces_must_stay_fixed(self, lane_surfaces):
         def job():

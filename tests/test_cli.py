@@ -51,6 +51,20 @@ def frown_history(tmp_path):
     return path
 
 
+def mu2_history(tmp_path):
+    """A good date, 2014-06-02, and a date, 2014-06-03, whose near-zero vol
+    under a steep forward makes the strip's mu2 negative."""
+    good = synth_surface("heston",
+                         HestonParams(0.0082, 0.0143, 2.07, 0.30, -0.38),
+                         date="2014-06-02")
+    path = tmp_path / "mix.csv"
+    write_quote_csv(path, [good], vols_decimal=True)
+    with open(path, "a") as fh:
+        for tenor in ("1M", "2M"):
+            fh.write(f"2014-06-03,{tenor},1.3,0.006,0.05,0.001,0.0,0.0,0.0,0.0\n")
+    return path
+
+
 def assert_same_outputs(dir1, dir2):
     """Every output but the manifest (it holds the output path) byte-identical."""
     names = sorted(os.listdir(dir1))
@@ -151,9 +165,13 @@ class TestPartialFailure:
         with open(tmp_path / "o" / "estimate_durrleman_heston_2014-06-03.json") as fh:
             payload = json.load(fh)
         assert "error" in payload
+        failed = payload
         with open(tmp_path / "o" / "estimate_durrleman_heston_2014-06-02.json") as fh:
             payload = json.load(fh)
         assert payload["omega"] > 0.0  # the good date still produced output
+        if HAVE_JSONSCHEMA:
+            for p in (failed, payload):
+                jsonschema.validate(p, load_schema("estimate.schema.json"))
 
     def test_risk_partial_failure_exit_1(self, tmp_path):
         # the frown-smile date fails in the smile-shape estimator; the good
@@ -176,14 +194,7 @@ class TestPartialFailure:
     def test_vix_partial_failure_exit_1(self, tmp_path):
         # the frown smile of the other partial-failure tests passes the strip
         # moments; a near-zero vol under a steep forward makes mu2 negative
-        good = synth_surface("heston",
-                             HestonParams(0.0082, 0.0143, 2.07, 0.30, -0.38),
-                             date="2014-06-02")
-        path = tmp_path / "mix.csv"
-        write_quote_csv(path, [good], vols_decimal=True)
-        with open(path, "a") as fh:
-            for tenor in ("1M", "2M"):
-                fh.write(f"2014-06-03,{tenor},1.3,0.006,0.05,0.001,0.0,0.0,0.0,0.0\n")
+        path = mu2_history(tmp_path)
         out = tmp_path / "o"
         rc = main(["vix", "--input", str(path), "--output-dir", str(out),
                    "--vols-decimal"])
@@ -302,8 +313,10 @@ class TestCalibrate:
         assert not out.exists()
 
     @pytest.mark.parametrize("extra", [["--max-iter", "-3"], ["--grid-step", "0"],
-                                       ["--grid-min", "5", "--grid-max", "1"]],
-                             ids=["max-iter", "grid-step", "grid-range"])
+                                       ["--grid-min", "5", "--grid-max", "1"],
+                                       ["--date-from", "2014-6-3"], ["--date-to", "June"]],
+                             ids=["max-iter", "grid-step", "grid-range", "date-from",
+                                  "date-to"])
     def test_invalid_invocation_writes_nothing(self, quotes_csv, tmp_path, extra):
         out = tmp_path / "o"
         with pytest.raises(SystemExit) as exc:
@@ -369,6 +382,76 @@ class TestCalibrate:
         assert pools == [(3, "fork"), (2, "fork")]
         assert blocks[-1] == [["2014-06-02", "2014-06-03"], ["2014-06-04"]]
         assert_same_outputs(tmp_path / "a", tmp_path / "d")
+
+
+# what each subcommand needs besides --input and --output-dir
+SUBCOMMAND_ARGS = {
+    "ingest": [], "surface": [], "vix": [], "estimate": ["--method", "icm"],
+    "calibrate": ["--model", "heston", "--start", "icm"], "risk": [], "report": [],
+}
+
+
+class TestInvocation:
+    @pytest.mark.parametrize("bound", [["--date-from", "2014-6-3"], ["--date-to", "June"],
+                                       ["--date-from", "20140603"]],
+                             ids=["unpadded", "word", "basic-format"])
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGS))
+    def test_bad_date_bound_writes_nothing(self, quotes_csv, tmp_path, capsys,
+                                           command, bound):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--input", str(quotes_csv), "--output-dir", str(out)]
+                 + SUBCOMMAND_ARGS[command] + bound)
+        assert exc.value.code == EXIT_INVALID
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", ["ingest", "surface", "report"])
+    def test_jobs_only_on_per_date_commands(self, quotes_csv, tmp_path, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--input", str(quotes_csv), "--output-dir",
+                  str(tmp_path / "o"), "--jobs", "2"])
+        assert exc.value.code == EXIT_INVALID
+        assert not (tmp_path / "o").exists()
+
+
+class TestDateDriver:
+    """vix, estimate and risk run their dates through the driver that
+    calibrate uses: as lanes, in this process or in forked workers."""
+
+    @pytest.mark.parametrize("command,args,history", [
+        ("vix", [], None),
+        ("vix", [], mu2_history),
+        ("estimate", ["--method", "icm", "--model", "sz"], None),
+        ("estimate", ["--method", "durrleman"], frown_history),
+        ("risk", ["--method", "icm"], None),
+        ("risk", ["--method", "durrleman"], frown_history),
+    ], ids=["vix", "vix-partial", "estimate", "estimate-partial", "risk",
+            "risk-partial"])
+    def test_jobs_same_outputs(self, quotes_csv, tmp_path, command, args, history):
+        if history is None:
+            base, want = [command, "--input", str(quotes_csv)], 0
+        else:
+            base = [command, "--input", str(history(tmp_path)), "--vols-decimal"]
+            want = EXIT_PARTIAL
+        out1, out2 = tmp_path / "j1", tmp_path / "j2"
+        assert main(base + args + ["--output-dir", str(out1), "--jobs", "1"]) == want
+        assert main(base + args + ["--output-dir", str(out2), "--jobs", "2"]) == want
+        assert_same_outputs(out1, out2)
+
+    @pytest.mark.parametrize("model", ["heston", "sz"])
+    def test_risk_lanes_match_one_date_runs(self, quotes_csv, tmp_path, model):
+        """A date's file from a 3-date risk run (one block of lanes) is the
+        bytes of its one-date run."""
+        base = ["risk", "--input", str(quotes_csv), "--model", model]
+        assert main(base + ["--output-dir", str(tmp_path / "all")]) == 0
+        for d in ["2014-06-02", "2014-06-03", "2014-06-04"]:
+            one = tmp_path / d
+            assert main(base + ["--output-dir", str(one), "--date-from", d,
+                                "--date-to", d]) == 0
+            name = f"risk_{d}_{model}_icm.json"
+            assert os.listdir(one) == [name]
+            assert (one / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
 
 
 class TestTwoStage:
