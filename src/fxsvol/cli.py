@@ -184,6 +184,12 @@ def sz_ts_pipeline(surface, ts, heston_ts_params, hist_heston):
 
 def build_start(model, method, surface, hist):
     """Starting parameter set for a calibration, per estimator route."""
+    return start_with_icm(model, method, surface, hist)[:3]
+
+
+def start_with_icm(model, method, surface, hist):
+    """build_start's (params, pinned rho, flags), and the Heston ICM estimate
+    the route made on the way (None if it made none)."""
     hh = hist_omega_rho(hist, "heston", surface.date)
     hs = hist_omega_rho(hist, "sz", surface.date)
     ts, hts = variance_pipeline(surface, hh)
@@ -194,42 +200,45 @@ def build_start(model, method, surface, hist):
             sets = moments.surface_moment_sets(surface)
             if model_kind == "heston":
                 est = estimators.icm_heston(sets)
-                return HestonParams(hts[0], hts[1], hts[2], est.omega, est.rho), est.flags
+                return (HestonParams(hts[0], hts[1], hts[2], est.omega, est.rho), est.flags,
+                        est)
             _, sts = sz_ts_pipeline(surface, ts, hts, hh)
             esth = estimators.icm_heston(sets)
             est = estimators.icm_sz(None, sts[0], from_heston=(esth.omega, esth.rho))
             return (SchobelZhuParams(sts[0], sts[1], sts[2], est.omega, est.rho),
-                    est.flags)
+                    est.flags, esth)
         if method == "durrleman":
             est = estimators.durrleman(surface, ts.v2_corrected[0])
             if model_kind == "heston":
                 return (HestonParams(hts[0], hts[1], hts[2],
-                                     max(est.omega, 1e-4), est.rho), est.flags)
+                                     max(est.omega, 1e-4), est.rho), est.flags, None)
             _, sts = sz_ts_pipeline(surface, ts, hts, hh)
             return (SchobelZhuParams(sts[0], sts[1], sts[2],
                                      max(0.5 * est.omega, 1e-4), est.rho),
-                    est.flags + ("half-relation applied for the OU-vol model",))
+                    est.flags + ("half-relation applied for the OU-vol model",), None)
         if method == "hist":
             if model_kind == "heston":
-                return HestonParams(hts[0], hts[1], hts[2], max(hh[0], 1e-4), hh[1]), ()
+                return (HestonParams(hts[0], hts[1], hts[2], max(hh[0], 1e-4), hh[1]), (),
+                        None)
             _, sts = sz_ts_pipeline(surface, ts, hts, hh)
-            return SchobelZhuParams(sts[0], sts[1], sts[2], max(hs[0], 1e-4), hs[1]), ()
+            return (SchobelZhuParams(sts[0], sts[1], sts[2], max(hs[0], 1e-4), hs[1]), (),
+                    None)
         raise FxsvolError(f"start method {method!r} not supported for {model_kind}")
 
     if model in ("heston", "sz"):
-        params, fl = one_factor(model)
-        return params, None, tuple(flags) + tuple(fl)
+        params, fl, esth = one_factor(model)
+        return params, None, tuple(flags) + tuple(fl), esth
 
     sets = moments.surface_moment_sets(surface)
     esth = estimators.icm_heston(sets)
     if model == "bates2f":
         if method in ("evp", "icm"):
             start = estimators.evp_split(esth.omega, esth.rho, *hts)
-            return start_to_params("bates2f", start), None, start.flags
+            return start_to_params("bates2f", start), None, start.flags, esth
         if method == "mevp":
             start = estimators.mevp_split(esth.omega, esth.rho, *hts,
                                           target="bates_feller")
-            return (start_to_params("bates2f", start), start.rho, start.flags)
+            return start_to_params("bates2f", start), start.rho, start.flags, esth
         raise FxsvolError(f"start method {method!r} not supported for bates2f")
     if model == "bates2f-feller":
         if method in ("mevp", "icm"):
@@ -241,14 +250,14 @@ def build_start(model, method, surface, hist):
                 flags.append("start omegas truncated to the positivity bound")
             start = replace(start, omega=om)
             return (start_to_params("bates2f", start), start.rho,
-                    tuple(flags) + start.flags)
+                    tuple(flags) + start.flags, esth)
         raise FxsvolError(f"start method {method!r} not supported for bates2f-feller")
     if model == "ouou":
         if method in ("mevp", "icm"):
             _, sts = sz_ts_pipeline(surface, ts, hts, hh)
             ests = estimators.icm_sz(None, sts[0], from_heston=(esth.omega, esth.rho))
             start = estimators.mevp_split(ests.omega, ests.rho, *sts, target="ouou")
-            return start_to_params("ouou", start), start.rho, start.flags
+            return start_to_params("ouou", start), start.rho, start.flags, esth
         raise FxsvolError(f"start method {method!r} not supported for ouou")
     raise FxsvolError(f"unknown model {model!r}")
 
@@ -422,8 +431,9 @@ def estimate_job(manifest, surface, hist):
     method, model = manifest.start_method, manifest.model
     base = {"date": date, "method": method, "model": model, "per_tenor": [],
             "flags": []}
-    hh = hist_omega_rho(hist, "heston", date)
-    ts, hts = variance_pipeline(surface, hh)
+    if method in ("gs", "gr"):
+        # gs reads no term structure, but a date whose pipeline fails reports that
+        _, hts = variance_pipeline(surface, hist_omega_rho(hist, "heston", date))
     if method == "gs":
         dates = sorted(hist["vix1m"])
         series = [hist["vix1m"][d] for d in dates if d <= date]
@@ -445,11 +455,9 @@ def estimate_job(manifest, surface, hist):
         base.update({"omega": omega, "rho": rho,
                      "flags": ["experimental: two-strike expansion route"]})
         return base
-    params, _, flags = build_start(model, method, surface, hist)
+    params, _, flags, est = start_with_icm(model, method, surface, hist)
     base.update({"omega": params.omega, "rho": params.rho, "flags": list(flags)})
     if method == "icm" and model == "heston":
-        sets = moments.surface_moment_sets(surface)
-        est = estimators.icm_heston(sets)
         base["per_tenor"] = [
             {"tau": t, "omega2": o, "rho_omega": r} for t, o, r in est.per_tenor]
     return base

@@ -148,6 +148,18 @@ class GKCells:
     implied_vol evaluate per call (numpy's SIMD log/exp need not match libm),
     so every lane of price() and of the lockstep bisection in implied_vol
     does the IEEE operations of the scalar code, bit for bit.
+
+    bracket_prices are price() at the two ends of VOL_BRACKET, which do not
+    depend on the quotes.  price_error is eps, a bound on |price(sigma) -
+    P(sigma)| for sigma in VOL_BRACKET.  P(sigma) = s_df N(d1) - s_df e^-lm
+    N(d1 - st), with d1 = lm/st + st/2 and st = sigma sqrt_tau, is the exact
+    Black price on the cell's float constants (lm = log_moneyness), and it
+    increases with sigma.  Adding up the rounding of st, d1 and d2 (times the
+    normal density), of scipy's ndtr, of the products and the difference, and
+    the gap between k_df and s_df e^-lm gives about (14 + 11 sqrt_tau) units
+    of 2^-52 (s_df + k_df) for |lm| up to 10.  eps is 32 (1 + sqrt_tau) such
+    units, over twice that; a 50-digit evaluation of P on 1D to 5Y cells with
+    |lm| <= 1.5 stays under one unit.
     """
 
     def __init__(self, specs):
@@ -161,6 +173,8 @@ class GKCells:
         self.k_df = np.array([sp.K * math.exp(-sp.r_d * sp.tau) for sp in specs])
         self.lo_bound, self.hi_bound = np.array([_no_arbitrage_bounds(sp)
                                                  for sp in specs]).reshape(-1, 2).T
+        self.price_error = 2.0 ** -47 * (self.s_df + self.k_df) * (1.0 + self.sqrt_tau)
+        self.bracket_prices = tuple(self.price(v) for v in VOL_BRACKET)
 
     def price(self, sigma):
         """gk_price of every cell at sigma (a scalar or one vol per cell)."""
@@ -168,6 +182,17 @@ class GKCells:
         d1 = self.log_moneyness / st + 0.5 * st
         d2 = d1 - st
         return self.s_df * ndtr(d1) - self.k_df * ndtr(d2)
+
+    def price_greeks(self, sigma):
+        """(price, vega, volga / vega) of every cell at sigma, for the vol estimate.
+
+        volga / vega = d1 d2 / sigma is the second-order term of Halley's step.
+        """
+        st = sigma * self.sqrt_tau
+        d1 = self.log_moneyness / st + 0.5 * st
+        d2 = d1 - st
+        price = self.s_df * ndtr(d1) - self.k_df * ndtr(d2)
+        return price, self.s_df * self.sqrt_tau * norm_pdf(d1), d1 * d2 / sigma
 
 
 def implied_vol(spec, price, tol=1e-12, max_iter=200):
@@ -201,21 +226,98 @@ def implied_vol(spec, price, tol=1e-12, max_iter=200):
 
 
 def _implied_vols(cells, prices, tol, max_iter):
+    """The lockstep bisection of implied_vol, with most of its steps replayed.
+
+    Every lane ends bit for bit where the scalar loop ends: the scalar
+    implied_vol is the oracle.  After the bracket check:
+
+    1. Estimate: a Corrado-Miller start and three Newton steps with Halley's
+       second-order term (its denominator kept at 0.5 or more) give x per cell.
+    2. Certificate: margin = tol + 2 eps, rounded up, with eps =
+       cells.price_error, and delta = 2 margin / vega.  a = x - delta and
+       b = x + delta, kept inside the bracket, are priced in one price()
+       call; f = price - target as the loop computes it.  A cell is certified
+       only if f(a) < -margin and f(b) > margin.  Both are strict, so they
+       hold for the exact differences too.  P (see GKCells) is increasing and
+       price() is within eps of it, so a midpoint mid <= a has price(mid) -
+       target <= f(a) + 2 eps < -tol: the loop's f_mid <= -tol, so |f_mid| <
+       tol fails and it sets lo = mid.  A midpoint mid >= b has price(mid) -
+       target > tol >= 0: f_mid > 0 and |f_mid| >= tol, so it sets hi = mid.
+       With tol = 0 the margin is 2 eps, f_mid <= 0 gives lo = mid and
+       f_mid > 0 gives hi = mid; a negative tol stops nothing and counts as 0.
+    3. Replay: per certified cell, in Python floats, the loop's own midpoints
+       0.5 * (lo + hi), each decided by mid against [a, b], for as many
+       iterations as the cell has left.  The first midpoint inside (a, b)
+       ends it.  lo only moves to midpoints <= a and hi to midpoints >= b, so
+       the bracket stays at least min(hi, b) - max(lo, a) wide, as of the
+       replay's start; a cell replays only if that is >= 1e-16, so the loop's
+       width stop cannot fire in a replay.
+    4. Exact tail: the lockstep loop from each cell's own (lo, hi), a lane
+       stopping at its midpoint once its iterations are spent.  After its
+       first round, which decides every certified cell's midpoint in (a, b),
+       the certified cells replay again from where it left them.  An
+       uncertified cell replays nothing and runs the whole loop.
+    """
     lo, hi = VOL_BRACKET
+    p_lo, p_hi = cells.bracket_prices
     outside = ~((cells.lo_bound <= prices) & (prices <= cells.hi_bound))
-    miss = outside | (cells.price(lo) - prices > 0.0) | (cells.price(hi) - prices < 0.0)
+    miss = outside | (p_lo - prices > 0.0) | (p_hi - prices < 0.0)
     if miss.any():
         i = int(np.argmax(miss))
         if outside[i]:
             raise _outside_bounds(float(prices[i]), float(cells.lo_bound[i]),
                                   float(cells.hi_bound[i]))
         raise _outside_bracket(float(prices[i]))
-    lo = np.full(prices.shape, lo)
-    hi = np.full(prices.shape, hi)
-    for _ in range(max_iter):
+    lanes, a, b = _certified_brackets(cells, prices, tol)
+    n = prices.size
+    lo, hi, left = _replay(lanes, a, b, [lo] * n, [hi] * n, [max_iter] * n)
+    if lanes:
+        vols = _lockstep(cells, prices, tol, lo, hi, left, rounds=1)
+        if vols is not None:
+            return vols
+        lo, hi, left = _replay(lanes, a, b, lo.tolist(), hi.tolist(), (left - 1).tolist())
+    return _lockstep(cells, prices, tol, lo, hi, left)
+
+
+def _replay(lanes, a, b, lo, hi, left):
+    """Stage 3 of _implied_vols on the lists lo, hi and left (iterations left).
+
+    Returns them as arrays, each certified lane advanced to its first
+    midpoint inside (a, b) or to the end of its iterations.
+    """
+    for i in lanes:
+        x_lo, x_hi, a_i, b_i = lo[i], hi[i], a[i], b[i]
+        if min(x_hi, b_i) - max(x_lo, a_i) < 1e-16:
+            continue
+        for steps in range(left[i]):
+            mid = 0.5 * (x_lo + x_hi)
+            if mid <= a_i:
+                x_lo = mid
+            elif mid >= b_i:
+                x_hi = mid
+            else:
+                break
+        else:
+            steps = left[i]
+        lo[i], hi[i], left[i] = x_lo, x_hi, left[i] - steps
+    return np.array(lo), np.array(hi), np.array(left)
+
+
+def _lockstep(cells, prices, tol, lo, hi, left, rounds=None):
+    """The scalar implied_vol's loop on every lane at once, from its own (lo, hi).
+
+    Lane i ends at its midpoint once its left[i] iterations are spent.
+    Returns the vols, or None if lanes still run after `rounds` iterations;
+    lo and hi then hold their brackets.
+    """
+    last = int(left.max(initial=0))
+    first = int(left.min(initial=last))
+    for j in range(last if rounds is None else min(rounds, last)):
         mid = 0.5 * (lo + hi)
         f_mid = cells.price(mid) - prices
         done = (np.abs(f_mid) < tol) | ((hi - lo) < 1e-16)
+        if j >= first:  # a lane out of iterations ends at this midpoint
+            done |= left <= j
         if np.count_nonzero(done) == done.size:  # done.all(), in a third of the time
             return mid
         # a stopped lane collapses its bracket onto its midpoint, which every
@@ -223,7 +325,28 @@ def _implied_vols(cells, prices, tol, max_iter):
         up = f_mid > 0.0
         np.copyto(hi, mid, where=done | up)
         np.copyto(lo, mid, where=done | ~up)
-    return 0.5 * (lo + hi)
+    return 0.5 * (lo + hi) if rounds is None or last <= rounds else None
+
+
+def _certified_brackets(cells, prices, tol):
+    """Stages 1 and 2 of _implied_vols: (certified cells, a, b) as lists."""
+    lo, hi = VOL_BRACKET
+    s_df, k_df = cells.s_df, cells.k_df
+    with np.errstate(all="ignore"):
+        # Corrado-Miller on the discounted spot and strike
+        excess = prices - 0.5 * (s_df - k_df)
+        root = np.sqrt(np.maximum(excess * excess - (s_df - k_df) ** 2 / math.pi, 0.0))
+        x = np.maximum(SQRT_2PI / (s_df + k_df) * (excess + root) / cells.sqrt_tau, lo)
+        for _ in range(3):
+            p, vega, curve = cells.price_greeks(x)
+            step = (p - prices) / vega
+            x = np.maximum(x - step / np.maximum(1.0 - 0.5 * step * curve, 0.5), lo)
+        margin = np.nextafter(max(tol, 0.0) + 2.0 * cells.price_error, np.inf)
+        delta = 2.0 * margin / vega
+        a, b = np.maximum(x - delta, lo), np.minimum(x + delta, hi)
+        f = cells.price(np.array((a, b))) - prices
+    sure = (f[0] < -margin) & (f[1] > margin)
+    return np.flatnonzero(sure).tolist(), a.tolist(), b.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from fxsvol import cli
+from fxsvol import cli, estimators, moments
 from fxsvol.charfn import HestonParams
 from fxsvol.cli import EXIT_INVALID, EXIT_PARTIAL, main
 
@@ -152,6 +152,20 @@ class TestVixEstimate:
             assert payload["rho"] < 0.0
         if HAVE_JSONSCHEMA:
             jsonschema.validate(payload, load_schema("estimate.schema.json"))
+
+    def test_estimate_runs_each_estimator_once_per_date(self, quotes_csv, tmp_path,
+                                                        monkeypatch):
+        calls = []
+        for owner, name in [(cli, "variance_pipeline"), (moments, "surface_moment_sets"),
+                            (estimators, "icm_heston")]:
+            def counted(*args, _fn=getattr(owner, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(owner, name, counted)
+        assert main(["estimate", "--input", str(quotes_csv), "--method", "icm",
+                     "--model", "heston", "--output-dir", str(tmp_path / "e")]) == 0
+        assert sorted(calls) == (["icm_heston"] * 3 + ["surface_moment_sets"] * 3
+                                 + ["variance_pipeline"] * 3)
 
 
 class TestPartialFailure:

@@ -75,3 +75,20 @@ def test_cli_signatures(name):
 @pytest.mark.parametrize("name", sorted(CLI_IMPORTS))
 def test_cli_imports_are_the_library_functions(name):
     assert vars(cli)[name] is getattr(CLI_IMPORTS[name], name)
+
+
+def test_implied_vol_reached_through_the_traced_name(heston_surface, heston_median_params,
+                                                    monkeypatch):
+    # the tracer's pricer.implied_vol.* metrics wrap calibrate.implied_vol
+    calls, plain = [], calibrate.implied_vol
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(calibrate, "implied_vol", counted)
+    ctx = calibrate.SurfaceCost(heston_surface, calibrate.CostSpec(target="implied_vol"))
+    ctx("heston", heston_median_params)
+    assert len(calls) == 1
+    calibrate.rmse_report(ctx, "heston", heston_median_params)
+    assert len(calls) == 2

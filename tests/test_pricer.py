@@ -21,6 +21,7 @@ from fxsvol.pricer import (
     GKCells,
     IntegrationGrid,
     OptionSpec,
+    VOL_BRACKET,
     attari_price,
     attari_strip,
     bs_vega,
@@ -146,6 +147,41 @@ def scalar_error(specs, prices):
     return str(err.value)
 
 
+def assert_matches_oracle(specs, prices, **kw):
+    """The whole-surface path against the scalar loop on (specs, prices).
+
+    Cells the scalar loop rejects must make the whole surface raise its first
+    message; the cells it solves must come out bit for bit.  Returns how many
+    it solved.
+    """
+    good = []
+    for sp, p in zip(specs, prices):
+        try:
+            implied_vol(sp, float(p), **kw)
+            good.append((sp, float(p)))
+        except OutOfBounds:
+            pass
+    if len(good) < len(specs):
+        with pytest.raises(OutOfBounds) as err:
+            implied_vol(GKCells(specs), prices, **kw)
+        assert str(err.value) == scalar_error(specs, prices)
+    if good:
+        good_specs, good_prices = zip(*good)
+        assert np.array_equal(implied_vol(GKCells(good_specs), good_prices, **kw),
+                              scalar_vols(good_specs, good_prices, **kw))
+    return len(good)
+
+
+STRESS_TAUS = (1 / 365, 7 / 365, 1 / 12, 0.5, 2.0, 5.0)
+STRESS_VOLS = (1e-4, 0.03, 0.3, 1.5, 4.9)
+
+
+def stress_specs():
+    """1D to 5Y cells at log-moneyness -1.5 to 1.5."""
+    return [OptionSpec(S, S * math.exp(m), tau, RD, RF)
+            for tau in STRESS_TAUS for m in np.linspace(-1.5, 1.5, 13)]
+
+
 def model_surface_cells(rng):
     """Pillar cells of a draw_heston surface, 1M to 2Y, priced by another draw.
 
@@ -201,13 +237,13 @@ class TestWholeSurfaceImpliedVol:
             solved += len(good)
         assert solved > 0.9 * 5 * len(specs)
 
-    @pytest.mark.parametrize("max_iter", [0, 1, 5, 30])
+    @pytest.mark.parametrize("max_iter", [0, 1, 5, 30, 33, 36, 40, 45, 60])
     def test_iteration_cutoff(self, rng, max_iter):
         specs, calls = model_surface_cells(rng)
         got = implied_vol(GKCells(specs), calls, max_iter=max_iter)
         assert np.array_equal(got, scalar_vols(specs, calls, max_iter=max_iter))
 
-    @pytest.mark.parametrize("tol", [1e-6, 0.0])  # 0: only the bracket width stops
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-15, 0.0])  # 0: only the width stops
     def test_tolerance(self, rng, tol):
         specs, calls = model_surface_cells(rng)
         got = implied_vol(GKCells(specs), calls, tol=tol)
@@ -229,6 +265,64 @@ class TestWholeSurfaceImpliedVol:
         assert str(err.value) == message
         assert f"price {float(prices[5])}" in message  # cell 5, not cell 20
         assert ("no vol in" in message) == (bad == "above_bracket")
+
+    @pytest.mark.parametrize("vol", STRESS_VOLS)
+    def test_stress_cells(self, vol):
+        specs = stress_specs()
+        prices = [gk_price(sp, vol) for sp in specs]
+        assert assert_matches_oracle(specs, prices) > 0.6 * len(specs)
+        for kw in ({"tol": 0.0}, {"tol": 1e-15}, {"max_iter": 36}):
+            assert_matches_oracle(specs, prices, **kw)
+
+    def test_vega_near_floor(self):
+        # vols that put d2 five to six standard deviations out: vega 1e-9..1e-7
+        specs, prices = [], []
+        for sp in stress_specs():
+            for z in (5.0, 5.5, 6.0):
+                lm = abs(math.log(sp.S / sp.K) + (RD - RF) * sp.tau)
+                vol = lm / (z * math.sqrt(sp.tau))
+                if 1e-6 < vol < 5.0 and 1e-9 < bs_vega(sp, vol) < 1e-7:
+                    specs.append(sp)
+                    prices.append(gk_price(sp, vol))
+        assert len(specs) > 40
+        assert assert_matches_oracle(specs, prices) > 0.5 * len(specs)
+        assert_matches_oracle(specs, prices, tol=0.0)
+
+    def test_prices_one_ulp_inside_the_bounds(self):
+        specs = stress_specs()
+        cells = GKCells(specs)
+        low = [math.nextafter(b, math.inf) for b in cells.lo_bound.tolist()]
+        high = [math.nextafter(b, -math.inf) for b in cells.hi_bound.tolist()]
+        # out-of-the-money cells solve just above zero; in-the-money ones, and
+        # every cell just below the upper bound, miss the bracket
+        assert 0 < assert_matches_oracle(specs, low) < len(specs)
+        assert assert_matches_oracle(specs, high) == 0
+
+    def test_replay_prices_few_times(self, rng, monkeypatch):
+        # one certificate call and about three exact steps; the plain lockstep
+        # loop makes about 44 calls
+        counts, price = [], GKCells.price
+
+        def counted(cells, sigma):
+            counts[-1] += 1
+            return price(cells, sigma)
+
+        for _ in range(8):
+            specs, calls = model_surface_cells(rng)
+            cells = GKCells(specs)
+            monkeypatch.setattr(GKCells, "price", counted)
+            counts.append(0)
+            vols = implied_vol(cells, calls)
+            monkeypatch.setattr(GKCells, "price", price)
+            assert np.array_equal(vols, scalar_vols(specs, calls))
+        assert max(counts) <= 6, counts
+
+    def test_bracket_prices(self):
+        specs = stress_specs()
+        cells = GKCells(specs)
+        for got, vol in zip(cells.bracket_prices, VOL_BRACKET):
+            assert np.array_equal(got, cells.price(vol))
+            assert np.array_equal(got, [gk_price(sp, vol) for sp in specs])
 
     def test_calls_only(self):
         with pytest.raises(InvariantViolation):
