@@ -34,7 +34,7 @@ from .pricer import (
     AttariLanes,
     GKCells,
     OptionSpec,
-    attari_strip,
+    attari_strip,  # noqa: F401  (perfbench's tracer patches calibrate.attari_strip)
     bs_vega,
     implied_vol,
 )
@@ -243,10 +243,12 @@ def _error_sum(kind, model, market):
 class SurfaceCost:
     """Precomputed market targets for repeated cost evaluation on a surface.
 
-    The strikes, maturities and rates are stacked once, one row per tenor, so
-    each model evaluation prices the whole surface in one kernel call; the
-    cells' Garman-Kohlhagen constants are built once too, so the model vols
-    come from one lockstep bisection over all cells.
+    The strikes, maturities and rates are stacked once, one row per tenor,
+    into the surface's one-lane Attari kernel (kernel), so each model
+    evaluation prices the whole surface in one kernel call without building
+    its constants again; the cells' Garman-Kohlhagen constants are built
+    once too, so the model vols come from one lockstep bisection over all
+    cells.
     """
 
     def __init__(self, surface, spec=CostSpec(), grid=DEFAULT_GRID):
@@ -256,9 +258,9 @@ class SurfaceCost:
         slices = surface.slices
         self.market_vols = np.array([v for sl in slices for v in sl.vols.vols])
         self.strikes = np.array([sl.strikes for sl in slices], dtype=float)
-        self.taus = np.array([sl.tau for sl in slices], dtype=float)
-        self.r_ds = np.array([sl.r_d for sl in slices], dtype=float)
-        self.r_fs = np.array([sl.r_f for sl in slices], dtype=float)
+        self.kernel = AttariLanes([surface.spot], [self.strikes], [[sl.tau for sl in slices]],
+                                  [[sl.r_d for sl in slices]], [[sl.r_f for sl in slices]],
+                                  grid)
         specs = [OptionSpec(surface.spot, strike, sl.tau, sl.r_d, sl.r_f, "call")
                  for sl in slices for strike in sl.strikes]
         self.cells = GKCells(specs)
@@ -268,9 +270,7 @@ class SurfaceCost:
         self.market_scaled = self.market_calls / self.vegas
 
     def model_calls(self, kind, params):
-        cf = cf_factory(kind, params)
-        return attari_strip(cf, self.surface.spot, self.strikes, self.taus,
-                            self.r_ds, self.r_fs, grid=self.grid).ravel()
+        return self.kernel.calls(cf_factory(kind, params))[0].ravel()
 
     def model_vols(self, kind, params):
         return implied_vol(self.cells, self.model_calls(kind, params))
@@ -598,63 +598,53 @@ def _replay(outcomes):
 def _kernel_evaluator(fits):
     """evaluate(rows) for lockstep that prices the lanes' surfaces together.
 
-    Lanes whose fits share the model, the grid and the surface shape get one
-    AttariLanes, built here once; each round their rows go to it LANE_ROWS
-    at a time.  A call that raises (a CF overflow, an implied-vol miss) is
-    priced again row by row, so each row gets its own one-row outcome.
+    Rows whose fits share the model, the grid and the surface shape go to
+    the kernel LANE_ROWS at a time, through an AttariLanes stacked from
+    their contexts' own kernels, so no constants are computed here.  A
+    call that raises (a CF overflow, an implied-vol miss) is priced again
+    row by row, so each row gets its own one-row outcome.  fits is not read.
     """
-    groups = {}
-    for i, fit in fits.items():
-        kind, grid, _ = _kernel_key(fit)
-        groups.setdefault((kind, grid, fit.ctx.strikes.shape), []).append(i)
-    where = {}
-    for lanes in groups.values():
-        ctxs = [fits[i].ctx for i in lanes]
-        kernel = AttariLanes([c.surface.spot for c in ctxs], [c.strikes for c in ctxs],
-                             [c.taus for c in ctxs], [c.r_ds for c in ctxs],
-                             [c.r_fs for c in ctxs], grid=ctxs[0].grid)
-        where.update((i, (kernel, k)) for k, i in enumerate(lanes))
+    return _evaluate_rows
 
-    def evaluate(rows):
-        out = [None] * len(rows)
-        priced = {}
-        for r, (i, fit, x) in enumerate(rows):
+
+def _evaluate_rows(rows):
+    out = [None] * len(rows)
+    priced = {}
+    for r, (_, fit, x) in enumerate(rows):
+        try:
+            params = fit.to_params(x)
+        except FxsvolError as exc:
+            out[r] = exc
+            continue
+        if fit.feller and not params.feller_satisfied():
+            out[r] = FELLER_PENALTY
+            continue
+        group = fit.kind, fit.ctx.grid, fit.ctx.strikes.shape
+        priced.setdefault(group, []).append((r, fit, params))
+    for todo in priced.values():
+        for c in range(0, len(todo), LANE_ROWS):
+            chunk = todo[c:c + LANE_ROWS]
             try:
-                params = fit.to_params(x)
-            except FxsvolError as exc:
-                out[r] = exc
-                continue
-            if fit.feller and not params.feller_satisfied():
-                out[r] = FELLER_PENALTY
-                continue
-            kernel, k = where[i]
-            priced.setdefault(kernel, []).append((r, k, fit, params))
-        for kernel, todo in priced.items():
-            for c in range(0, len(todo), LANE_ROWS):
-                chunk = todo[c:c + LANE_ROWS]
-                try:
-                    costs = _chunk_costs(kernel, chunk)
-                except FxsvolError:
-                    costs = [_row_cost(kernel, row) for row in chunk]
-                for (r, _, _, _), cost_value in zip(chunk, costs):
-                    out[r] = cost_value
-        return out
-
-    return evaluate
+                costs = _chunk_costs(chunk)
+            except FxsvolError:
+                costs = [_row_cost(row) for row in chunk]
+            for (r, _, _), cost_value in zip(chunk, costs):
+                out[r] = cost_value
+    return out
 
 
-def _chunk_costs(kernel, chunk):
-    """The costs of rows (r, kernel lane, fit, params) in one kernel call."""
-    kind = chunk[0][2].kind
-    lanes = np.array([k for _, k, _, _ in chunk])
-    cf = cf_factory(kind, ParamLanes.stack(kind, [p for _, _, _, p in chunk]))
-    calls = kernel.calls(cf, lanes)
-    return [fit.ctx.cost_of_calls(c.ravel()) for (_, _, fit, _), c in zip(chunk, calls)]
+def _chunk_costs(chunk):
+    """The costs of rows (r, fit, params) in one kernel call."""
+    kind = chunk[0][1].kind
+    kernel = AttariLanes.stack([fit.ctx.kernel for _, fit, _ in chunk])
+    cf = cf_factory(kind, ParamLanes.stack(kind, [p for _, _, p in chunk]))
+    calls = kernel.calls(cf)
+    return [fit.ctx.cost_of_calls(c.ravel()) for (_, fit, _), c in zip(chunk, calls)]
 
 
-def _row_cost(kernel, row):
+def _row_cost(row):
     try:
-        return _chunk_costs(kernel, [row])[0]
+        return _chunk_costs([row])[0]
     except FxsvolError as exc:
         return exc
 

@@ -194,13 +194,21 @@ def _sq(v):
 
 
 def _log1p_over(w):
-    """log(1 + w) / w for complex w, stable as w -> 0 (value 1)."""
+    """log(1 + w) / w for complex w, stable as w -> 0 (value 1).
+
+    Nodes with |w| < 1e-2 take the 7-term series and the rest the complex
+    log; each branch is evaluated on its own nodes only.
+    """
     w = np.asarray(w, dtype=complex)
     small = np.abs(w) < 1e-2
-    series = (1.0 - w / 2.0 + w ** 2 / 3.0 - w ** 3 / 4.0
-              + w ** 4 / 5.0 - w ** 5 / 6.0 + w ** 6 / 7.0)
-    safe = np.where(small, 1.0, w)
-    return np.where(small, series, np.log(1.0 + safe) / safe)
+    big = ~small
+    out = np.empty_like(w)
+    s = w[small]
+    out[small] = (1.0 - s / 2.0 + s ** 2 / 3.0 - s ** 3 / 4.0
+                  + s ** 4 / 5.0 - s ** 5 / 6.0 + s ** 6 / 7.0)
+    b = w[big]
+    out[big] = np.log(1.0 + b) / b
+    return out
 
 
 def _exp_checked(expo):
@@ -226,16 +234,19 @@ def heston_terms(u, tau, p, j=2, r_d=0.0, r_f=0.0, drift_weight=1.0):
     beta = b - p.rho * p.omega * iu
     d = _principal_sqrt(beta * beta - om2 * X)
     bpd = beta + d
-    G = om2 * X / (bpd * bpd)            # (beta - d) / (beta + d), cancellation-free
+    bpd2 = bpd * bpd
+    G = om2 * X / bpd2                   # (beta - d) / (beta + d), cancellation-free
     E = np.exp(-d * tau)
+    one_m_e = 1.0 - E
+    one_m_g = 1.0 - G
     denom = 1.0 - G * E
-    B = (X / bpd) * (1.0 - E) / denom
-    w = G * (1.0 - E) / (1.0 - G)
+    B = (X / bpd) * one_m_e / denom
+    w = G * one_m_e / one_m_g
     # log((1 - G E)/(1 - G)) / omega^2, with G/omega^2 = X/bpd^2 kept exact
-    log_ratio_over_om2 = (X / (bpd * bpd)) * ((1.0 - E) / (1.0 - G)) * _log1p_over(w)
+    log_ratio_over_om2 = (X / bpd2) * (one_m_e / one_m_g) * _log1p_over(w)
     A = (drift_weight * (r_d - r_f) * iu * tau
          + p.kappa * p.theta * (X * tau / bpd - 2.0 * log_ratio_over_om2))
-    return CFTerms(A=A, B=B, C=np.zeros_like(A), beta=beta, d=d, G=G, a=a, b=b)
+    return CFTerms(A=A, B=B, beta=beta, d=d, G=G, a=a, b=b)
 
 
 def heston_cf(u, x0, tau, r_d, r_f, p, j=2):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import datetime
 import json
 import math
@@ -645,7 +646,27 @@ def manifest_from_args(args):
     )
 
 
+def _keep_freed_heap():
+    """Have glibc keep up to 16 MB of freed heap in the process.
+
+    A lane kernel call (calibrate.run_lanes) allocates and frees a few MB of
+    numpy temporaries.  By default glibc returns the free top of its heap to
+    the OS once it passes 128 kB, and serves blocks of 128 kB or more by
+    mmap, raising both limits only after it frees a larger mmap'd block; so
+    unless some earlier step happened to free one, every kernel call
+    page-faults its temporaries in again.  Does nothing where the C library
+    has no mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(-1, 16 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 4 << 20)   # M_MMAP_THRESHOLD
+
+
 def main(argv=None):
+    _keep_freed_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     manifest = manifest_from_args(args)

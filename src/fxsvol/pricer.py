@@ -379,7 +379,7 @@ def attari_price(cf, spec, grid=DEFAULT_GRID):
 
 
 class AttariLanes:
-    """Single-integral kernel constants of L surfaces, built once per block.
+    """Single-integral kernel constants of L surfaces, built once.
 
     spots is (L,), strikes (L, T, P) and taus, r_ds, r_fs (L, T): lane l is
     one surface of T maturities and P strikes each.  Everything that does
@@ -387,8 +387,11 @@ class AttariLanes:
     spot, the drift shift exp(-i u (x0 + carry)), the oscillation tensor
     exp(-i u ell), the grid factors and the math.exp discount factors.
     calls() then prices any rows of lanes with one CF call, each row bit
-    for bit the scalar attari_strip on its surface.
+    for bit the scalar attari_strip on its surface.  stack() joins the
+    lanes of kernels built apart without computing anything again.
     """
+
+    _LANE_FIELDS = ("x0", "tau", "r_d", "r_f", "shift", "osc", "s_df", "k_df")
 
     def __init__(self, spots, strikes, taus, r_ds, r_fs, grid=DEFAULT_GRID):
         _, u, weights = grid.nodes()
@@ -409,6 +412,23 @@ class AttariLanes:
         df_d = [math.exp(x) for x in (-self.r_d * self.tau).ravel().tolist()]
         self.s_df = S * np.reshape(df_f, self.tau.shape)
         self.k_df = strikes * np.reshape(df_d, self.tau.shape)
+
+    @classmethod
+    def stack(cls, kernels):
+        """One AttariLanes whose lanes are those of kernels, in order.
+
+        The kernels must share the grid and the surface shape (T, P); their
+        constants are copied, not computed again.
+        """
+        if len(kernels) == 1:
+            return kernels[0]
+        first = kernels[0]
+        out = cls.__new__(cls)
+        out.u, out.weights = first.u, first.weights
+        out.uc, out.grid_num, out.grid_den = first.uc, first.grid_num, first.grid_den
+        for name in cls._LANE_FIELDS:
+            setattr(out, name, np.concatenate([getattr(k, name) for k in kernels]))
+        return out
 
     def calls(self, cf, lanes=None):
         """(R, T, P) call prices of the lanes indexed by lanes (default all).

@@ -39,8 +39,10 @@ def bates2f_params():
     return TwoFactorParams("bates2f", f, f)
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
+    # a fresh generator per test, so a test's draws do not depend on which
+    # tests ran before it
     return np.random.default_rng(20140602)
 
 

@@ -43,7 +43,14 @@ from fxsvol.charfn import (
 )
 from fxsvol.errors import FxsvolError, InvariantViolation, NonFiniteObjective, NumericOverflow
 from fxsvol.moments import heston_total_variance
-from fxsvol.pricer import OptionSpec, attari_strip, gk_price, implied_vol, surface_prices
+from fxsvol.pricer import (
+    AttariLanes,
+    OptionSpec,
+    attari_strip,
+    gk_price,
+    implied_vol,
+    surface_prices,
+)
 
 from conftest import draw_heston
 from nm_reference import reference_nelder_mead
@@ -260,6 +267,58 @@ class TestWholeSurfaceKernel:
                 implied_vol(OptionSpec(heston_surface.spot, k, sl.tau, sl.r_d,
                                        sl.r_f, "call"), float(c))
                 for k, c in zip(sl.strikes, calls)])
+
+
+OUOU = TwoFactorParams("ouou",
+                       Factor(0.06, 0.08, 1.2, 0.11, 0.65),
+                       Factor(0.07, 0.05, 0.8, 0.22, -0.85))
+
+
+def _count_kernel_builds(monkeypatch):
+    """A list that gets one entry per AttariLanes built from here on."""
+    builds, plain = [], AttariLanes.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(1)
+        plain(self, *args, **kwargs)
+
+    monkeypatch.setattr(AttariLanes, "__init__", counting)
+    return builds
+
+
+class TestKernelConstantsOnce:
+    """A SurfaceCost builds its surface's Attari constants once, and the lane
+    path prices through those of its contexts."""
+
+    def test_fifty_evaluations_build_once(self, heston_surface, monkeypatch):
+        builds = _count_kernel_builds(monkeypatch)
+        ctx = SurfaceCost(heston_surface)
+        rng = np.random.default_rng(50)
+        for _ in range(50):
+            ctx("heston", draw_heston(rng))
+        rmse_report(ctx, "heston", draw_heston(rng))
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("kind", ["heston", "sz", "bates2f", "ouou"])
+    def test_model_calls_equal_attari_strip(self, kind, heston_surface,
+                                            heston_median_params, sz_params):
+        params = {"heston": heston_median_params, "sz": sz_params, "bates2f": BATES2F,
+                  "ouou": OUOU}[kind]
+        ctx = SurfaceCost(heston_surface)
+        sls = heston_surface.slices
+        want = attari_strip(cf_factory(kind, params), heston_surface.spot,
+                            [sl.strikes for sl in sls], [sl.tau for sl in sls],
+                            [sl.r_d for sl in sls], [sl.r_f for sl in sls])
+        assert np.array_equal(ctx.model_calls(kind, params), want.ravel())
+
+    def test_run_lanes_builds_only_its_contexts_constants(self, lane_surfaces,
+                                                          monkeypatch):
+        jobs = [full_job("heston", s, HestonParams(0.01, 0.015, 2.0, 0.3, -0.4),
+                         max_iter=10) for s in lane_surfaces]
+        builds = _count_kernel_builds(monkeypatch)
+        results = run_lanes(jobs)
+        assert all(isinstance(r, calibrate_mod.CalibrationResult) for r in results)
+        assert len(builds) == len(lane_surfaces)  # one per full_job's SurfaceCost
 
 
 class TestTermStructure:
@@ -516,16 +575,16 @@ class TestFullCalibration:
 
     def test_rmse_report_prices_the_surface_once(self, heston_surface,
                                                  heston_median_params, monkeypatch):
-        import fxsvol.calibrate as calibrate_mod
         ctx = SurfaceCost(heston_surface)
         expected = rmse_report(ctx, "heston", heston_median_params)
         calls = []
+        kernel_calls = AttariLanes.calls
 
-        def counting_strip(*args, **kwargs):
+        def counting_calls(*args, **kwargs):
             calls.append(1)
-            return attari_strip(*args, **kwargs)
+            return kernel_calls(*args, **kwargs)
 
-        monkeypatch.setattr(calibrate_mod, "attari_strip", counting_strip)
+        monkeypatch.setattr(AttariLanes, "calls", counting_calls)
         assert rmse_report(ctx, "heston", heston_median_params) == expected
         assert len(calls) == 1
         # the vols are those of model_vols, bit for bit

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from fxsvol import charfn
 from fxsvol.charfn import (
     Factor,
     HestonParams,
@@ -12,6 +13,7 @@ from fxsvol.charfn import (
     SchobelZhuParams,
     TwoFactorParams,
     _exp_checked,
+    _log1p_over,
     _sq,
     bates2f_cf,
     bates_jump_multiplier,
@@ -24,6 +26,9 @@ from fxsvol.charfn import (
     sz_terms,
 )
 from fxsvol.errors import InvariantViolation, StepUnderflow
+from fxsvol.pricer import DEFAULT_GRID, AttariLanes
+
+from charfn_reference import reference_heston_terms, reference_log1p_over
 
 X0 = math.log(1.30)
 TAU = 0.75
@@ -371,3 +376,110 @@ class TestParamLanes:
         assert not np.array_equal(x * x, want)
         assert np.array_equal(_sq(x.reshape(-1, 1, 1)).ravel(), want)
         assert _sq(0.3) == 0.3 ** 2
+
+
+def _bits(a):
+    """The bytes of a complex array as integers, so signed zeros count."""
+    return np.ascontiguousarray(a, dtype=complex).view(np.uint64)
+
+
+def _surface_kernel(surface, lanes):
+    """A kernel of lanes copies of one surface."""
+    sls = surface.slices
+    return AttariLanes([surface.spot] * lanes, [[sl.strikes for sl in sls]] * lanes,
+                       [[sl.tau for sl in sls]] * lanes, [[sl.r_d for sl in sls]] * lanes,
+                       [[sl.r_f for sl in sls]] * lanes)
+
+
+class TestLog1pOver:
+    """_log1p_over evaluates the series and the complex log each on its own
+    nodes, bit for bit the old body that evaluated both everywhere
+    (charfn_reference)."""
+
+    @staticmethod
+    def assert_same(w):
+        with np.errstate(all="ignore"):
+            want = reference_log1p_over(w)
+            got = _log1p_over(w)
+        assert isinstance(got, np.ndarray) and got.shape == want.shape
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("kind,params", [(n, p) for n, _, p in ALL_MODELS],
+                             ids=[n for n, _, _ in ALL_MODELS])
+    def test_lane_cf_nodes(self, kind, params, heston_surface, sz_surface, monkeypatch):
+        recorded, plain = [], charfn._log1p_over
+
+        def recording(w):
+            recorded.append(np.array(w))
+            return plain(w)
+
+        monkeypatch.setattr(charfn, "_log1p_over", recording)
+        sets = [_scaled(kind, params, s) for s in (0.8, 1.0, 1.13, 1.27)]
+        for surface in (heston_surface, sz_surface):
+            _surface_kernel(surface, len(sets)).calls(
+                cf_factory(kind, ParamLanes.stack(kind, sets)))
+        assert len(recorded) == 2 * (2 if kind in ("bates2f", "ouou") else 1)
+        small = np.concatenate([np.abs(w).ravel() < 1e-2 for w in recorded])
+        assert small.any() and not small.all()  # both branches taken
+        for w in recorded:
+            self.assert_same(w)
+
+    @pytest.mark.parametrize("n", [1, 7, 16, 17, 1000])
+    def test_random_nodes_straddling_the_switch(self, n):
+        rng = np.random.default_rng(n)
+        r = 1e-2 * np.exp(rng.uniform(-0.7, 0.7, (50, n)))
+        w = r * np.exp(1j * rng.uniform(-math.pi, math.pi, (50, n)))
+        for row in w:
+            self.assert_same(row)
+        self.assert_same(w.reshape(50, 1, n))
+
+    def test_the_switch_and_its_neighbours(self):
+        edge = [np.nextafter(1e-2, 0.0), 1e-2, np.nextafter(1e-2, 1.0)]
+        w = np.array([s * x for x in edge for s in (1, -1, 1j, -1j)])
+        assert list(np.abs(w[4:8])) == [1e-2] * 4
+        self.assert_same(w)
+        for x in w:
+            self.assert_same(x)
+
+    @pytest.mark.parametrize("w", [0.0, 0j, complex(-0.0, 0.0), complex(0.0, -0.0),
+                                   complex(-0.0, -0.0),
+                                   math.nan, complex(math.nan, 0.0), complex(0.0, math.nan),
+                                   math.inf, -math.inf, complex(0.0, math.inf),
+                                   complex(math.inf, math.nan)],
+                             ids=repr)
+    def test_special_values(self, w):
+        self.assert_same(w)                    # 0-d
+        self.assert_same(np.array([w, 0.5, 1e-3]))
+
+    def test_empty_and_zero_d(self):
+        self.assert_same(np.array([], dtype=complex))
+        self.assert_same(np.zeros((3, 0), dtype=complex))
+        got = _log1p_over(np.asarray(-1j))
+        assert got.shape == () and got == reference_log1p_over(np.asarray(-1j))
+
+
+class TestHestonTermsReference:
+    """heston_terms computes each common subexpression once, bit for bit the
+    old body (charfn_reference)."""
+
+    @pytest.mark.parametrize("lanes", [None, 1, 16])
+    @pytest.mark.parametrize("j", [1, 2])
+    @pytest.mark.parametrize("drift_weight", [1.0, 0.5])
+    def test_equals_old_body(self, lanes, j, drift_weight):
+        rng = np.random.default_rng(31)
+        u = DEFAULT_GRID.nodes()[1].astype(complex)
+        taus = np.array(TestTenorColumns.TAUS)
+        if lanes is None:  # one parameter set on (T, 1) columns
+            p, shape = HP, (taus.size, 1)
+        else:
+            p = ParamLanes.stack("heston", [_scaled("heston", HP, s)
+                                            for s in rng.uniform(0.6, 1.6, lanes)]).factors[0]
+            shape = (lanes, taus.size, 1)
+        tau = np.broadcast_to(taus[:, None], shape) * rng.uniform(0.98, 1.02, shape)
+        r_d, r_f = rng.uniform(0.0, 0.03, shape), rng.uniform(0.0, 0.03, shape)
+        got = heston_terms(u, tau, p, j=j, r_d=r_d, r_f=r_f, drift_weight=drift_weight)
+        want = reference_heston_terms(u, tau, p, j=j, r_d=r_d, r_f=r_f,
+                                      drift_weight=drift_weight)
+        for name in ("A", "B", "G", "d"):
+            assert np.array_equal(_bits(getattr(got, name)), _bits(getattr(want, name))), name
+        assert complex(got.C) == 0.0

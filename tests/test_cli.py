@@ -1,6 +1,8 @@
 import concurrent.futures
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -427,6 +429,56 @@ class TestInvocation:
                   str(tmp_path / "o"), "--jobs", "2"])
         assert exc.value.code == EXIT_INVALID
         assert not (tmp_path / "o").exists()
+
+
+def _fresh_python(code):
+    """The standard output of code run in a new interpreter that imports this fxsvol."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+class TestProcessStart:
+    def test_cli_import_loads_no_optional_modules(self):
+        """Importing fxsvol.cli loads none of the modules a run may never need:
+        the process pool is imported when --jobs asks for it, the others only
+        by the tests.  Each would add to every command's start-up time."""
+        probe = ("import sys, fxsvol.cli; print(' '.join(sorted(m for m in sys.modules "
+                 "if m.split('.')[0] in ('multiprocessing', 'mpmath', 'jsonschema', "
+                 "'hypothesis'))))")
+        assert _fresh_python(probe).split() == []
+
+    def test_main_keeps_freed_heap(self, tmp_path):
+        """After cli.main, a freed 2 MB array stays in glibc's heap instead of
+        going back to the OS (checked where the C library has mallinfo2)."""
+        probe = f"""
+import ctypes
+import numpy as np
+from fxsvol import cli
+
+class Info(ctypes.Structure):
+    _fields_ = [(n, ctypes.c_size_t) for n in ("arena", "ordblks", "smblks", "hblks",
+                "hblkhd", "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+try:
+    mallinfo2 = ctypes.CDLL(None).mallinfo2
+except AttributeError:
+    print("skip")
+else:
+    mallinfo2.restype = Info
+    cli.main(["report", "--input", {str(tmp_path / "none")!r}, "--output-dir",
+              {str(tmp_path / "out")!r}])
+    before = mallinfo2().fordblks
+    a = np.ones(1 << 18)
+    del a
+    print(mallinfo2().fordblks - before)
+"""
+        out = _fresh_python(probe).split()[-1]
+        if out == "skip":
+            pytest.skip("no glibc mallinfo2")
+        assert int(out) >= 1 << 20
 
 
 class TestDateDriver:

@@ -547,3 +547,22 @@ class TestAttariLanes:
         whole = AttariLanes(spots[:1], strikes[:1], lane_taus[:1], r_ds[:1], r_fs[:1])
         assert np.array_equal(whole.calls(cf_factory(kind, sets[1], jump=jump))[0],
                               calls[1])
+
+    @pytest.mark.parametrize("kind", ["heston", "bates2f"])
+    def test_stack_equals_indexed_lanes(self, kind, monkeypatch):
+        rng = np.random.default_rng(12)
+        spots = S * np.exp(rng.normal(0.0, 0.05, 3))
+        taus = np.array([1 / 12, 0.25, 1.0]) * rng.uniform(0.98, 1.02, (3, 1))
+        r_ds, r_fs = rng.uniform(0.0, 0.03, (2, 3, 3))
+        strikes = spots[:, None, None] * np.exp(np.linspace(-0.2, 0.2, 5)
+                                                * np.sqrt(taus)[:, :, None])
+        kernel = AttariLanes(spots, strikes, taus, r_ds, r_fs)
+        ones = [AttariLanes(spots[k:k + 1], strikes[k:k + 1], taus[k:k + 1],
+                            r_ds[k:k + 1], r_fs[k:k + 1]) for k in range(3)]
+        assert AttariLanes.stack(ones[1:2]) is ones[1]
+        lanes = [2, 0, 2, 1]
+        monkeypatch.setattr(AttariLanes, "__init__", None)  # stack computes nothing
+        stacked = AttariLanes.stack([ones[k] for k in lanes])
+        cf = cf_factory(kind, ParamLanes.stack(kind, [_lane_params(kind, rng)
+                                                      for _ in lanes]))
+        assert np.array_equal(stacked.calls(cf), kernel.calls(cf, np.array(lanes)))
