@@ -6,14 +6,15 @@ vega-weighted price or implied-vol cost functions over exp/tanh-transformed
 parameters.  Pipelines cover variance/vol term-structure fits, full-surface
 calibration for one- and two-factor models, two-stage starts, outlier
 recalibration and the cross-cost-function calibration-risk protocol.
-Full-surface, two-stage and risk calibrations of many surfaces can run as
-the lanes of one lockstep Nelder-Mead (run_lanes), each lane bit for bit
-its own run.
+Every surface fit, full, two-stage or risk, runs as a lane of a lockstep
+Nelder-Mead (run_lanes for many surfaces, run_job for one), each lane bit
+for bit its own run.
 """
 
 from __future__ import annotations
 
 import bisect
+import copy
 import math
 from dataclasses import dataclass, replace
 
@@ -218,15 +219,12 @@ def untransform_params(x):
 class CostSpec:
     kind: str = "mse"                    # mse | mae | mape | mspe
     target: str = "vega_weighted_price"  # or "implied_vol"
-    vega_floor: float = VEGA_FLOOR
 
     def __post_init__(self):
         if self.kind not in COST_KINDS:
             raise InvariantViolation(f"unknown cost kind {self.kind!r}")
         if self.target not in ("vega_weighted_price", "implied_vol"):
             raise InvariantViolation(f"unknown cost target {self.target!r}")
-        if not self.vega_floor > 0.0:
-            raise InvariantViolation("vega floor must be > 0")
 
 
 def _error_sum(kind, model, market):
@@ -248,7 +246,8 @@ class SurfaceCost:
     evaluation prices the whole surface in one kernel call without building
     its constants again; the cells' Garman-Kohlhagen constants are built
     once too, so the model vols come from one lockstep bisection over all
-    cells.
+    cells.  None of this depends on the cost spec, so with_spec gives the
+    surface's context under another spec without building anything again.
     """
 
     def __init__(self, surface, spec=CostSpec(), grid=DEFAULT_GRID):
@@ -265,9 +264,15 @@ class SurfaceCost:
                  for sl in slices for strike in sl.strikes]
         self.cells = GKCells(specs)
         self.market_calls = self.cells.price(self.market_vols)
-        self.vegas = np.array([max(bs_vega(op, vol), spec.vega_floor)
+        self.vegas = np.array([max(bs_vega(op, vol), VEGA_FLOOR)
                                for op, vol in zip(specs, self.market_vols)])
         self.market_scaled = self.market_calls / self.vegas
+
+    def with_spec(self, spec):
+        """This context under cost spec, sharing every market constant."""
+        other = copy.copy(self)
+        other.spec = spec
+        return other
 
     def model_calls(self, kind, params):
         return self.kernel.calls(cf_factory(kind, params))[0].ravel()
@@ -278,9 +283,6 @@ class SurfaceCost:
     def __call__(self, kind, params, feller=False):
         if feller and not params.feller_satisfied():
             return FELLER_PENALTY
-        if self.spec.target == "implied_vol":
-            return _error_sum(self.spec.kind, self.model_vols(kind, params),
-                              self.market_vols)
         return self.cost_of_calls(self.model_calls(kind, params))
 
     def cost_of_calls(self, calls):
@@ -289,11 +291,6 @@ class SurfaceCost:
             return _error_sum(self.spec.kind, implied_vol(self.cells, calls),
                               self.market_vols)
         return _error_sum(self.spec.kind, calls / self.vegas, self.market_scaled)
-
-
-def cost(kind, params, surface, spec=CostSpec(), feller=False, grid=DEFAULT_GRID):
-    """One-shot cost evaluation (builds the market context each call)."""
-    return SurfaceCost(surface, spec, grid)(kind, params, feller=feller)
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +466,10 @@ LANES_PER_BLOCK = 64
 
 # A calibration is written as a job: a generator that yields a Fit for every
 # Nelder-Mead run it needs, is sent that run's NMResult, and returns its
-# result.  run_job drives one job with nelder_mead; run_lanes drives many as
-# lanes of lockstep runs whose points are priced together.
+# result.  A job builds one SurfaceCost for its surface, and all its fits
+# price through it.  Jobs run only as lanes of lockstep: run_lanes drives
+# many, whose points are priced together, and run_job one, as a one-lane
+# lockstep, so every surface fit prices through _evaluate_rows.
 
 @dataclass(frozen=True, eq=False)
 class Fit:
@@ -482,18 +481,14 @@ class Fit:
     x0: np.ndarray
     config: NelderMeadConfig
 
-    def objective(self, x):
-        return self.ctx(self.kind, self.to_params(x), feller=self.feller)
-
 
 def run_job(job):
-    """A calibration job's result, its fits run one after another."""
-    try:
-        fit = next(job)
-        while True:
-            fit = job.send(nelder_mead(fit.objective, fit.x0, fit.config))
-    except StopIteration as stop:
-        return stop.value
+    """A calibration job's result, as the one lane of a lockstep run;
+    raises the FxsvolError that ended it."""
+    (out,) = lockstep([job], _kernel_evaluator)
+    if isinstance(out, FxsvolError):
+        raise out
+    return out
 
 
 def run_lanes(jobs):
@@ -504,7 +499,8 @@ def run_lanes(jobs):
     of up to LANE_ROWS rows, so the lanes share the CF and Attari dispatch.
     All fits of a job must price one surface with one model and grid.
     Returns, per job, its result or the FxsvolError that ended it, bit for
-    bit what run_job gives that job alone.
+    bit what run_job gives that job alone: a row's cost does not depend on
+    the rows priced with it.
     """
     blocks = even_split(jobs, -(-len(jobs) // LANES_PER_BLOCK) or 1)
     return [r for block in blocks for r in lockstep(block, _kernel_evaluator)]
@@ -600,9 +596,11 @@ def _kernel_evaluator(fits):
 
     Rows whose fits share the model, the grid and the surface shape go to
     the kernel LANE_ROWS at a time, through an AttariLanes stacked from
-    their contexts' own kernels, so no constants are computed here.  A
-    call that raises (a CF overflow, an implied-vol miss) is priced again
-    row by row, so each row gets its own one-row outcome.  fits is not read.
+    their contexts' own kernels, so no constants are computed here; a
+    chunk of one row goes through its context's own cost, SurfaceCost's
+    __call__.  A call that raises (a CF overflow, an implied-vol miss) is
+    priced again row by row, so each row gets its own one-row outcome.
+    fits is not read.
     """
     return _evaluate_rows
 
@@ -634,7 +632,11 @@ def _evaluate_rows(rows):
 
 
 def _chunk_costs(chunk):
-    """The costs of rows (r, fit, params) in one kernel call."""
+    """The costs of rows (r, fit, params) in one kernel call; one row goes
+    through its context's own kernel, with no lanes to stack."""
+    if len(chunk) == 1:
+        ((_, fit, params),) = chunk
+        return [fit.ctx(fit.kind, params)]
     kind = chunk[0][1].kind
     kernel = AttariLanes.stack([fit.ctx.kernel for _, fit, _ in chunk])
     cf = cf_factory(kind, ParamLanes.stack(kind, [p for _, _, p in chunk]))
@@ -654,11 +656,15 @@ def full_job(kind, surface, start_params, cost_spec=CostSpec(), feller=False,
     """calibrate_full as a job (see run_job)."""
     if kind not in MODEL_KINDS:
         raise InvariantViolation(f"unknown model kind {kind!r}")
+    return (yield from _full_fit(SurfaceCost(surface, cost_spec, grid), kind,
+                                 start_params, feller, max_iter, pinned_rho, stop_any))
+
+
+def _full_fit(ctx, kind, start_params, feller, max_iter, pinned_rho, stop_any):
+    """full_job's fit and result on the surface context ctx."""
     two_factor = kind in ("bates2f", "ouou")
     if max_iter is None:
         max_iter = FULL_MAX_ITER_2F if two_factor else FULL_MAX_ITER_1F
-    ctx = SurfaceCost(surface, cost_spec, grid)
-
     x0 = params_to_vector(kind, start_params)
     if pinned_rho is not None:
         if not two_factor:
@@ -722,8 +728,8 @@ def two_stage_job(kind, surface, symmetric_start, cost_spec=CostSpec(), feller=F
         om = feller_truncate_omega(om, t, ka)
     f = Factor(n, t, ka, om, rh)
     stage1_params = TwoFactorParams(kind, f, f)
-    result = yield from full_job(kind, surface, stage1_params, cost_spec=cost_spec,
-                                 feller=feller, max_iter=stage2_max_iter, grid=grid)
+    result = yield from _full_fit(ctx, kind, stage1_params, feller, stage2_max_iter,
+                                  None, False)
     return replace(result, flags=result.flags + ("two_stage",)), stage1
 
 
@@ -760,10 +766,11 @@ def risk_job(kind, surface, base_params, cost_kinds=("mse", "mae", "mape"),
 
     x0 = np.array([math.log(base_params.nu0), math.log(base_params.theta),
                    math.log(base_params.kappa)])
+    ctx = SurfaceCost(surface, grid=grid)
     results = []
     for ck in cost_kinds:
-        res = yield Fit(SurfaceCost(surface, CostSpec(kind=ck), grid), kind, to_params,
-                        False, x0, NelderMeadConfig(max_iter=max_iter))
+        res = yield Fit(ctx.with_spec(CostSpec(kind=ck)), kind, to_params, False, x0,
+                        NelderMeadConfig(max_iter=max_iter))
         results.append((ck, to_params(res.x), res))
     spreads = {}
     for name in ("nu0", "theta", "kappa"):

@@ -27,7 +27,7 @@ cancellation of the literal subtraction in the vol-of-vol -> 0 limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,11 +159,6 @@ class CFTerms:
     A: complex
     B: complex
     C: complex = 0.0 + 0.0j
-    beta: complex = field(default=0.0 + 0.0j, repr=False)
-    d: complex = field(default=0.0 + 0.0j, repr=False)
-    G: complex = field(default=0.0 + 0.0j, repr=False)
-    a: float = field(default=0.0, repr=False)
-    b: float = field(default=0.0, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +171,6 @@ def _aj_bj(j, kappa, omega, rho, eta):
     if j == 2:
         return -0.5, kappa + eta
     raise InvariantViolation(f"j must be 1 or 2, got {j!r}")
-
-
-def _principal_sqrt(z):
-    d = np.sqrt(z)
-    # principal sqrt already has Re >= 0; negate defensively if a backend deviates
-    return np.where(d.real < 0.0, -d, d)
 
 
 def _sq(v):
@@ -232,7 +221,7 @@ def heston_terms(u, tau, p, j=2, r_d=0.0, r_f=0.0, drift_weight=1.0):
     om2 = _sq(p.omega)
     X = 2.0 * a * iu - u * u
     beta = b - p.rho * p.omega * iu
-    d = _principal_sqrt(beta * beta - om2 * X)
+    d = np.sqrt(beta * beta - om2 * X)   # IEEE csqrt: the principal root, Re d >= +0
     bpd = beta + d
     bpd2 = bpd * bpd
     G = om2 * X / bpd2                   # (beta - d) / (beta + d), cancellation-free
@@ -246,7 +235,7 @@ def heston_terms(u, tau, p, j=2, r_d=0.0, r_f=0.0, drift_weight=1.0):
     log_ratio_over_om2 = (X / bpd2) * (one_m_e / one_m_g) * _log1p_over(w)
     A = (drift_weight * (r_d - r_f) * iu * tau
          + p.kappa * p.theta * (X * tau / bpd - 2.0 * log_ratio_over_om2))
-    return CFTerms(A=A, B=B, beta=beta, d=d, G=G, a=a, b=b)
+    return CFTerms(A=A, B=B)
 
 
 def heston_cf(u, x0, tau, r_d, r_f, p, j=2):
@@ -259,12 +248,11 @@ def heston_cf(u, x0, tau, r_d, r_f, p, j=2):
 # Schobel-Zhu / OUOU-factor terms (OU volatility)
 # ---------------------------------------------------------------------------
 
-def sz_terms(u, tau, p, j=2, r_d=0.0, r_f=0.0, drift_weight=1.0, ahat_form="compact"):
+def sz_terms(u, tau, p, j=2, r_d=0.0, r_f=0.0, drift_weight=1.0):
     """A, B, C of the OU-volatility exponent.
 
-    ahat_form selects between the two algebraically equivalent closed forms
-    of the theta-dependent part of A ("compact" is the lower-operation-count
-    variant; "lordkahl" is kept for cross-checking).
+    The theta-dependent part of A takes the compact closed form, with fewer
+    operations than the algebraically equal form of Lord and Kahl.
     """
     u = np.asarray(u, dtype=complex)
     iu = 1j * u
@@ -272,7 +260,7 @@ def sz_terms(u, tau, p, j=2, r_d=0.0, r_f=0.0, drift_weight=1.0, ahat_form="comp
     om2 = _sq(p.omega)
     X = 2.0 * a * iu - u * u
     beta = 2.0 * (b - 1j * p.omega * p.rho * u)
-    d = _principal_sqrt(beta * beta - 4.0 * om2 * X)
+    d = np.sqrt(beta * beta - 4.0 * om2 * X)   # the principal root, Re d >= +0
     bpd = beta + d
     bmd = 4.0 * om2 * X / bpd            # beta - d, cancellation-free
     G = bmd / bpd
@@ -285,25 +273,16 @@ def sz_terms(u, tau, p, j=2, r_d=0.0, r_f=0.0, drift_weight=1.0, ahat_form="comp
     log_ratio = w * _log1p_over(w)       # log((1 - G E)/(1 - G))
     A_tilde = (drift_weight * (r_d - r_f) * iu * tau
                + 0.25 * bmd * tau - 0.5 * log_ratio)
-    k2t2 = _sq(p.kappa * p.theta)
-    if ahat_form == "compact":
-        inner = (0.5 * tau * bpd
-                 + (4.0 * beta * Eh - (2.0 * beta - d) * E - 2.0 * beta - d)
-                 / (d * denom))
-        A_hat = k2t2 * (4.0 * X / bpd) / (d * d) * inner
-    elif ahat_form == "lordkahl":
-        inner = (beta * (d * tau - 4.0) + d * (d * tau - 2.0)
-                 + ((d * d - 2.0 * beta * beta) / bpd * Eh + 2.0 * beta)
-                 * 4.0 * Eh / denom)
-        A_hat = (4.0 * X / bpd) * k2t2 / (2.0 * d ** 3) * inner
-    else:
-        raise InvariantViolation(f"unknown ahat_form {ahat_form!r}")
-    return CFTerms(A=A_tilde + A_hat, B=B, C=C, beta=beta, d=d, G=G, a=a, b=b)
+    inner = (0.5 * tau * bpd
+             + (4.0 * beta * Eh - (2.0 * beta - d) * E - 2.0 * beta - d)
+             / (d * denom))
+    A_hat = _sq(p.kappa * p.theta) * (4.0 * X / bpd) / (d * d) * inner
+    return CFTerms(A=A_tilde + A_hat, B=B, C=C)
 
 
-def sz_cf(u, x0, tau, r_d, r_f, p, j=2, ahat_form="compact"):
+def sz_cf(u, x0, tau, r_d, r_f, p, j=2):
     """phi_j(u) = exp(i u x0 + A + B nu0 + C nu0^2) for the OU-vol model."""
-    t = sz_terms(u, tau, p, j=j, r_d=r_d, r_f=r_f, ahat_form=ahat_form)
+    t = sz_terms(u, tau, p, j=j, r_d=r_d, r_f=r_f)
     return _exp_checked(1j * np.asarray(u, dtype=complex) * x0
                         + t.A + t.B * p.nu0 + t.C * _sq(p.nu0))
 
@@ -430,4 +409,4 @@ def ode_oracle_terms(model, u, tau, params, j=2, r_d=0.0, r_f=0.0,
         A = A + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
         B = B + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
         C = C + (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-    return CFTerms(A=A, B=B, C=C, a=a, b=b)
+    return CFTerms(A=A, B=B, C=C)

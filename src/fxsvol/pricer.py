@@ -353,28 +353,15 @@ def _certified_brackets(cells, prices, tol):
 # CF integration methods
 # ---------------------------------------------------------------------------
 
-def _centered_cf(cf, spec, u, j=2):
-    """Model CF with spot level and deterministic drift factored out."""
-    x0 = math.log(spec.S)
-    raw = cf(u, x0, spec.tau, spec.r_d, spec.r_f, j=j)
-    return raw * np.exp(-1j * u * (x0 + (spec.r_d - spec.r_f) * spec.tau))
-
-
 def attari_price(cf, spec, grid=DEFAULT_GRID):
-    """Single-integral price on the log-transformed trapezoid grid.
+    """Single-integral price of one option: attari_strip on its strike, a
+    put by parity.
 
     C = S e^{-r_f tau} - K e^{-r_d tau} (1/2 + (1/pi) I),
     I = sum Re[e^{-i u l} phi2(u) (1 - i/u)/(1 + u^2)] u dw,  u = e^w,
     l = ln(K/S) - (r_d - r_f) tau, phi2 the drift-centered CF.
     """
-    w, u, weights = grid.nodes()
-    uc = u.astype(complex)
-    phi = _centered_cf(cf, spec, uc, j=2)
-    ell = math.log(spec.K / spec.S) - (spec.r_d - spec.r_f) * spec.tau
-    integrand = (np.exp(-1j * u * ell) * phi * (1.0 - 1j / u) / (1.0 + u * u)).real * u
-    integral = float(np.dot(integrand, weights))
-    call = (spec.S * math.exp(-spec.r_f * spec.tau)
-            - spec.K * math.exp(-spec.r_d * spec.tau) * (0.5 + integral / math.pi))
+    call = float(attari_strip(cf, spec.S, [spec.K], spec.tau, spec.r_d, spec.r_f, grid)[0])
     return call if spec.side == "call" else _put_from_call(call, spec)
 
 
@@ -386,9 +373,9 @@ class AttariLanes:
     not depend on the model parameters is computed here, once: the log
     spot, the drift shift exp(-i u (x0 + carry)), the oscillation tensor
     exp(-i u ell), the grid factors and the math.exp discount factors.
-    calls() then prices any rows of lanes with one CF call, each row bit
-    for bit the scalar attari_strip on its surface.  stack() joins the
-    lanes of kernels built apart without computing anything again.
+    calls() then prices every lane with one CF call, each lane bit for bit
+    the one-lane kernel of its surface.  stack() joins the lanes of kernels
+    built apart without computing anything again.
     """
 
     _LANE_FIELDS = ("x0", "tau", "r_d", "r_f", "shift", "osc", "s_df", "k_df")
@@ -430,21 +417,16 @@ class AttariLanes:
             setattr(out, name, np.concatenate([getattr(k, name) for k in kernels]))
         return out
 
-    def calls(self, cf, lanes=None):
-        """(R, T, P) call prices of the lanes indexed by lanes (default all).
+    def calls(self, cf):
+        """(L, T, P) call prices of the lanes.
 
-        cf takes the lanes' (R, 1, 1) x0 and (R, T, 1) tau and rates; row r
-        of its parameters must belong to lanes[r].
+        cf takes the lanes' (L, 1, 1) x0 and (L, T, 1) tau and rates; row l
+        of its parameters must belong to lane l.
         """
-        x0, tau, r_d, r_f, shift, osc, s_df, k_df = (
-            (self.x0, self.tau, self.r_d, self.r_f, self.shift, self.osc, self.s_df,
-             self.k_df) if lanes is None else
-            (a[lanes] for a in (self.x0, self.tau, self.r_d, self.r_f, self.shift,
-                                self.osc, self.s_df, self.k_df)))
-        phi = cf(self.uc, x0, tau, r_d, r_f, j=2) * shift
+        phi = cf(self.uc, self.x0, self.tau, self.r_d, self.r_f, j=2) * self.shift
         kernel = phi * self.grid_num / self.grid_den * self.u * self.weights
-        integrals = (osc * kernel[:, :, None, :]).real.sum(axis=3)
-        return s_df - k_df * (0.5 + integrals / math.pi)
+        integrals = (self.osc * kernel[:, :, None, :]).real.sum(axis=3)
+        return self.s_df - self.k_df * (0.5 + integrals / math.pi)
 
 
 def attari_strip(cf, S, strikes, tau, r_d, r_f, grid=DEFAULT_GRID):

@@ -1,8 +1,12 @@
-"""The scalar Nelder-Mead loop as it was before the body became a generator.
+"""The scalar Nelder-Mead loop as it was before the body became a generator,
+and the scalar driver of calibration jobs built on it.
 
-Kept verbatim as the oracle of fxsvol.calibrate.nelder_mead_steps: every
-caller that runs the generator (nelder_mead, lockstep) must give its x, fx,
-iterations and converged bit for bit, and raise its errors.
+reference_nelder_mead is kept verbatim as the oracle of
+fxsvol.calibrate.nelder_mead_steps: every caller that runs the generator
+(nelder_mead, lockstep) must give its x, fx, iterations and converged bit
+for bit, and raise its errors.  reference_run_job is the oracle of
+run_job and run_lanes: each fit of a job runs that loop, one point at a
+time, over its context's SurfaceCost.__call__.
 """
 
 import math
@@ -86,3 +90,16 @@ def _eval(f, x):
     if math.isnan(v):
         raise NonFiniteObjective(f"objective NaN at {x}")
     return v
+
+
+def reference_run_job(job):
+    """A calibration job's result, its fits run one after another."""
+    try:
+        fit = next(job)
+        while True:
+            def objective(x, fit=fit):
+                return fit.ctx(fit.kind, fit.to_params(x), feller=fit.feller)
+
+            fit = job.send(reference_nelder_mead(objective, fit.x0, fit.config))
+    except StopIteration as stop:
+        return stop.value

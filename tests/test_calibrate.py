@@ -16,7 +16,6 @@ from fxsvol.calibrate import (
     calibrate_variance_ts,
     calibrate_vol_ts_sz,
     calibration_risk,
-    cost,
     detect_outliers,
     feller_truncate_omega,
     full_job,
@@ -37,6 +36,7 @@ from fxsvol.calibrate import (
 from fxsvol.charfn import (
     Factor,
     HestonParams,
+    ParamLanes,
     SchobelZhuParams,
     TwoFactorParams,
     cf_factory,
@@ -53,7 +53,7 @@ from fxsvol.pricer import (
 )
 
 from conftest import draw_heston
-from nm_reference import reference_nelder_mead
+from nm_reference import reference_nelder_mead, reference_run_job
 from risk_reference import reference_calibration_risk
 
 from synthutil import synth_surface
@@ -161,7 +161,7 @@ class TestTransforms:
 
 class TestCost:
     def test_exact_model_costs_zero(self, heston_surface, heston_median_params):
-        c = cost("heston", heston_median_params, heston_surface)
+        c = SurfaceCost(heston_surface)("heston", heston_median_params)
         assert c < 1e-18
 
     def test_mape_single_cell_example(self):
@@ -177,29 +177,30 @@ class TestCost:
 
     def test_feller_penalty(self, heston_surface, heston_median_params):
         # median params violate the positivity bound: 2*2.07*0.0143 < 0.09
-        c = cost("heston", heston_median_params, heston_surface, feller=True)
+        c = SurfaceCost(heston_surface)("heston", heston_median_params, feller=True)
         assert c == 999.0
 
     def test_feller_pass_through(self, heston_surface):
         ok = HestonParams(0.0082, 0.0143, 4.0, 0.2, -0.38)
         assert ok.feller_satisfied()
-        c = cost("heston", ok, heston_surface, feller=True)
+        c = SurfaceCost(heston_surface)("heston", ok, feller=True)
         assert c != 999.0
 
     def test_no_feller_penalty_on_ou_volatility_factors(self, heston_surface):
         # 2 kappa theta < omega^2 on the first factor: only a CIR variance fails
         tight = Factor(0.06, 0.02, 0.8, 0.3, -0.5)  # 2*0.8*0.02 = 0.032 < 0.09
         other = Factor(0.07, 0.05, 1.2, 0.2, -0.3)
-        assert cost("bates2f", TwoFactorParams("bates2f", tight, other),
-                    heston_surface, feller=True) == FELLER_PENALTY
+        ctx = SurfaceCost(heston_surface)
+        assert ctx("bates2f", TwoFactorParams("bates2f", tight, other),
+                   feller=True) == FELLER_PENALTY
         ouou = TwoFactorParams("ouou", tight, other)
-        assert cost("ouou", ouou, heston_surface, feller=True) != FELLER_PENALTY
+        assert ctx("ouou", ouou, feller=True) != FELLER_PENALTY
         res = calibrate_full("ouou", heston_surface, ouou, feller=True, max_iter=2)
         assert res.feller_satisfied is True
 
     def test_implied_vol_target(self, heston_surface, heston_median_params):
         spec = CostSpec(kind="mse", target="implied_vol")
-        c = cost("heston", heston_median_params, heston_surface, spec=spec)
+        c = SurfaceCost(heston_surface, spec)("heston", heston_median_params)
         assert c < 1e-15
 
 
@@ -319,6 +320,23 @@ class TestKernelConstantsOnce:
         results = run_lanes(jobs)
         assert all(isinstance(r, calibrate_mod.CalibrationResult) for r in results)
         assert len(builds) == len(lane_surfaces)  # one per full_job's SurfaceCost
+
+    @pytest.mark.parametrize("job", ["risk", "two_stage"])
+    def test_one_build_per_date_for_multi_fit_jobs(self, job, lane_surfaces, monkeypatch):
+        """Every fit of a risk or two-stage job prices through one context."""
+        def make(surface):
+            if job == "risk":
+                return risk_job("heston", surface, HestonParams(0.01, 0.015, 2.0, 0.3, -0.4),
+                                max_iter=10)
+            return two_stage_job("bates2f", surface, (0.0041, 0.00715, 2.07, 0.30, -0.38),
+                                 stage1_max_iter=5, stage2_max_iter=5)
+
+        builds = _count_kernel_builds(monkeypatch)
+        run_job(make(lane_surfaces[0]))
+        assert len(builds) == 1
+        results = run_lanes([make(s) for s in lane_surfaces])
+        assert not any(isinstance(r, FxsvolError) for r in results)
+        assert len(builds) == 1 + len(lane_surfaces)
 
 
 class TestTermStructure:
@@ -547,7 +565,7 @@ class TestFullCalibration:
 
     def test_final_cost_never_exceeds_start_cost(self, heston_surface):
         start = HestonParams(0.009, 0.015, 2.5, 0.35, -0.30)
-        start_cost = cost("heston", start, heston_surface)
+        start_cost = SurfaceCost(heston_surface)("heston", start)
         res = calibrate_full("heston", heston_surface, start, max_iter=80)
         assert res.cost_value <= start_cost
 
@@ -811,6 +829,14 @@ def lane_surfaces():
 
 
 def _result_or_error(job):
+    """The job's result or error from the scalar reference driver."""
+    try:
+        return reference_run_job(job)
+    except FxsvolError as exc:
+        return exc
+
+
+def _run_job_or_error(job):
     try:
         return run_job(job)
     except FxsvolError as exc:
@@ -836,7 +862,8 @@ def _assert_same_results(got, want):
 
 
 class TestRunLanes:
-    """run_lanes gives every job run_job's result bit for bit."""
+    """run_lanes and run_job give every job the scalar reference driver's
+    result bit for bit (nm_reference.reference_run_job)."""
 
     def heston_starts(self, surfaces):
         return [HestonParams(0.01, 0.015, 2.0, 0.3 + 0.02 * i, -0.4)
@@ -858,6 +885,7 @@ class TestRunLanes:
                                          cost_spec=CostSpec(kind="mae", target=target),
                                          feller=feller, max_iter=40)
         _assert_same_results(run_lanes(jobs()), want)
+        _assert_same_results([_run_job_or_error(j) for j in jobs()], want)
 
     @pytest.mark.parametrize("kind", ["sz", "bates2f", "ouou"])
     def test_other_models(self, lane_surfaces, kind):
@@ -927,6 +955,38 @@ class TestRunLanes:
         got = run_lanes(jobs())
         _assert_same_results(got, want)
         assert max(calls) > 1 and 1 in calls  # batched, then row by row
+
+    def test_run_job_overflow_mid_fit(self, lane_surfaces, monkeypatch):
+        """A vertex whose CF overflows after the initial simplex ends run_job
+        with the reference driver's error, type and message."""
+        evaluations = []
+
+        def overflowing_factory(kind, params, jump=None):
+            cf = cf_factory(kind, params, jump=jump)
+            sets = params.factors[0] if isinstance(params, ParamLanes) else params
+
+            def wrapped(u, x0, tau, r_d, r_f, j=2):
+                evaluations.append(np.size(sets.nu0))
+                if np.any(np.asarray(sets.nu0) > 0.0112):
+                    raise NumericOverflow(f"characteristic function overflowed at "
+                                          f"nu0 {np.max(sets.nu0)!r}")
+                return cf(u, x0, tau, r_d, r_f, j=j)
+            return wrapped
+
+        monkeypatch.setattr(calibrate_mod, "cf_factory", overflowing_factory)
+
+        def job():
+            return full_job("heston", lane_surfaces[0],
+                            HestonParams(0.01, 0.015, 2.0, 0.3, -0.4), max_iter=40)
+
+        want = _result_or_error(job())
+        assert isinstance(want, NumericOverflow)
+        assert sum(evaluations) > 6  # past the start and the initial simplex
+        evaluations.clear()
+        with pytest.raises(NumericOverflow) as got:
+            run_job(job())
+        assert str(got.value) == str(want)
+        assert max(evaluations) > 1  # the initial simplex went as one chunk
 
     @pytest.mark.parametrize("kind", ["heston", "sz"])
     def test_risk_jobs(self, lane_surfaces, kind):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import types
 
 import numpy as np
 import pytest
@@ -28,7 +29,12 @@ from fxsvol.charfn import (
 from fxsvol.errors import InvariantViolation, StepUnderflow
 from fxsvol.pricer import DEFAULT_GRID, AttariLanes
 
-from charfn_reference import reference_heston_terms, reference_log1p_over
+from charfn_reference import (
+    reference_heston_terms,
+    reference_log1p_over,
+    reference_principal_sqrt,
+    reference_sz_cf,
+)
 
 X0 = math.log(1.30)
 TAU = 0.75
@@ -163,9 +169,10 @@ class TestModelNesting:
         assert np.max(np.abs(a - b)) < 1e-10
 
     def test_sz_ahat_variants_agree(self):
+        # sz_cf's compact A-hat against the Lord-Kahl form (charfn_reference)
         u = np.array([0.3, 1.0, 2.5, 7.0, 20.0, 60.0], dtype=complex)
-        a = sz_cf(u, X0, TAU, RD, RF, SP, j=2, ahat_form="compact")
-        b = sz_cf(u, X0, TAU, RD, RF, SP, j=2, ahat_form="lordkahl")
+        a = sz_cf(u, X0, TAU, RD, RF, SP, j=2)
+        b = reference_sz_cf(u, X0, TAU, RD, RF, SP, j=2)
         assert np.max(np.abs(a - b)) < 1e-12
 
 
@@ -480,6 +487,48 @@ class TestHestonTermsReference:
         got = heston_terms(u, tau, p, j=j, r_d=r_d, r_f=r_f, drift_weight=drift_weight)
         want = reference_heston_terms(u, tau, p, j=j, r_d=r_d, r_f=r_f,
                                       drift_weight=drift_weight)
-        for name in ("A", "B", "G", "d"):
+        for name in ("A", "B"):
             assert np.array_equal(_bits(getattr(got, name)), _bits(getattr(want, name))), name
         assert complex(got.C) == 0.0
+
+
+class _OldSqrtNumpy(types.ModuleType):
+    """numpy, but sqrt with the defensive negation charfn once applied."""
+
+    sqrt = staticmethod(reference_principal_sqrt)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+class TestPrincipalSqrt:
+    """The CFs take d = np.sqrt(...) as it comes: IEEE csqrt already returns
+    the principal root, whose real part is +0 or more."""
+
+    @pytest.mark.parametrize("z,root", [(complex(-4.0, 0.0), 2j),
+                                        (complex(-4.0, -0.0), -2j)])
+    def test_negative_real_axis(self, z, root):
+        got = np.sqrt(np.array([z]))
+        assert got[0] == root and math.copysign(1.0, got[0].real) == 1.0
+        assert np.array_equal(_bits(got), _bits(reference_principal_sqrt(np.array([z]))))
+
+    @pytest.mark.parametrize("kind", ["heston", "sz", "bates2f", "ouou"])
+    def test_cf_bit_identical_on_fixture_surfaces(self, kind, heston_surface, sz_surface,
+                                                  heston_median_params, sz_params,
+                                                  bates2f_params, monkeypatch):
+        params = {"heston": heston_median_params, "sz": sz_params,
+                  "bates2f": bates2f_params,
+                  "ouou": TwoFactorParams("ouou", Factor(0.06, 0.08, 1.2, 0.11, 0.65),
+                                          Factor(0.07, 0.05, 0.8, 0.22, -0.85))}[kind]
+        u = DEFAULT_GRID.nodes()[1].astype(complex)
+        cf = cf_factory(kind, params)
+        for surface in (heston_surface, sz_surface):
+            sls = surface.slices
+            cols = [np.array([getattr(sl, f) for sl in sls])[:, None]
+                    for f in ("tau", "r_d", "r_f")]
+            x0 = math.log(surface.spot)
+            got = cf(u, x0, *cols)
+            with monkeypatch.context() as m:
+                m.setattr(charfn, "np", _OldSqrtNumpy("numpy"))
+                want = cf(u, x0, *cols)
+            assert np.array_equal(_bits(got), _bits(want))

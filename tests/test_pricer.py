@@ -519,8 +519,8 @@ def _lane_params(kind, rng):
 
 
 class TestAttariLanes:
-    """Row r of AttariLanes.calls is the scalar attari_strip of its parameter
-    set on the surface of lanes[r], bit for bit."""
+    """Lane l of AttariLanes.calls is the scalar attari_strip of its
+    parameter set on its surface, bit for bit."""
 
     @pytest.mark.parametrize("kind", ["heston", "sz", "bates2f", "ouou"])
     @pytest.mark.parametrize("jump", [None, JumpParams(lam=0.8, khat=-0.05, delta=0.15)],
@@ -534,11 +534,11 @@ class TestAttariLanes:
         r_fs = rng.uniform(0.0, 0.03, (n_lanes, taus.size))
         strikes = spots[:, None, None] * np.exp(
             np.linspace(-0.2, 0.2, 5) * np.sqrt(lane_taus)[:, :, None])
-        kernel = AttariLanes(spots, strikes, lane_taus, r_ds, r_fs)
         lanes = np.array([2, 0, 2, 3, 1, 3])  # any order, repeats allowed
+        kernel = AttariLanes(spots[lanes], strikes[lanes], lane_taus[lanes], r_ds[lanes],
+                             r_fs[lanes])
         sets = [_lane_params(kind, rng) for _ in lanes]
-        calls = kernel.calls(cf_factory(kind, ParamLanes.stack(kind, sets), jump=jump),
-                             lanes)
+        calls = kernel.calls(cf_factory(kind, ParamLanes.stack(kind, sets), jump=jump))
         assert calls.shape == (lanes.size,) + strikes.shape[1:]
         for row, (lane, params) in enumerate(zip(lanes, sets)):
             want = attari_strip(cf_factory(kind, params, jump=jump), spots[lane],
@@ -556,13 +556,15 @@ class TestAttariLanes:
         r_ds, r_fs = rng.uniform(0.0, 0.03, (2, 3, 3))
         strikes = spots[:, None, None] * np.exp(np.linspace(-0.2, 0.2, 5)
                                                 * np.sqrt(taus)[:, :, None])
-        kernel = AttariLanes(spots, strikes, taus, r_ds, r_fs)
+        lanes = [2, 0, 2, 1]
+        # one kernel built from the inputs of those lanes, in that order
+        kernel = AttariLanes(spots[lanes], strikes[lanes], taus[lanes], r_ds[lanes],
+                             r_fs[lanes])
         ones = [AttariLanes(spots[k:k + 1], strikes[k:k + 1], taus[k:k + 1],
                             r_ds[k:k + 1], r_fs[k:k + 1]) for k in range(3)]
         assert AttariLanes.stack(ones[1:2]) is ones[1]
-        lanes = [2, 0, 2, 1]
         monkeypatch.setattr(AttariLanes, "__init__", None)  # stack computes nothing
         stacked = AttariLanes.stack([ones[k] for k in lanes])
         cf = cf_factory(kind, ParamLanes.stack(kind, [_lane_params(kind, rng)
                                                       for _ in lanes]))
-        assert np.array_equal(stacked.calls(cf), kernel.calls(cf, np.array(lanes)))
+        assert np.array_equal(stacked.calls(cf), kernel.calls(cf))
