@@ -28,7 +28,7 @@ from .charfn import (
     TwoFactorParams,
     cf_factory,
 )
-from .errors import FxsvolError, InvariantViolation, NonFiniteObjective
+from .errors import FxsvolError, InvariantViolation, NonFiniteObjective, NumericOverflow
 from .moments import heston_total_variance
 from .pricer import (
     DEFAULT_GRID,
@@ -332,13 +332,8 @@ def rmse_report(ctx, kind, params):
 # ---------------------------------------------------------------------------
 
 def params_to_vector(kind, params):
-    if kind == "heston" or kind == "sz":
-        return transform_params(params.nu0, params.theta, params.omega,
-                                params.kappa, params.rho)
-    vecs = []
-    for f in params.factors:
-        vecs.append(transform_params(f.nu0, f.theta, f.omega, f.kappa, f.rho))
-    return np.concatenate(vecs)
+    return np.concatenate([transform_params(f.nu0, f.theta, f.omega, f.kappa, f.rho)
+                           for f in params.factors])
 
 
 def vector_to_params(kind, x, pinned_rho=None):
@@ -485,7 +480,7 @@ class Fit:
 def run_job(job):
     """A calibration job's result, as the one lane of a lockstep run;
     raises the FxsvolError that ended it."""
-    (out,) = lockstep([job], _kernel_evaluator)
+    (out,) = lockstep([job], _evaluate_rows)
     if isinstance(out, FxsvolError):
         raise out
     return out
@@ -503,18 +498,17 @@ def run_lanes(jobs):
     the rows priced with it.
     """
     blocks = even_split(jobs, -(-len(jobs) // LANES_PER_BLOCK) or 1)
-    return [r for block in blocks for r in lockstep(block, _kernel_evaluator)]
+    return [r for block in blocks for r in lockstep(block, _evaluate_rows)]
 
 
-def lockstep(jobs, evaluator):
+def lockstep(jobs, evaluate):
     """Drive jobs as lanes, one Nelder-Mead step of every live lane a round.
 
-    Once every job has yielded its first fit, evaluator({lane: fit}) is
-    called once and returns evaluate(rows): rows are (lane, fit, x) for
-    every pending point of every live lane, and evaluate returns one
-    outcome per row, the objective value or the FxsvolError computing it
-    raised.  A lane fails with the first failing outcome in its own point
-    order, the error its job raises on its own; the other lanes go on.
+    Each round calls evaluate(rows) once: rows are (lane, fit, x) for every
+    pending point of every live lane, and evaluate returns one outcome per
+    row, the objective value or the FxsvolError computing it raised.  A
+    lane fails with the first failing outcome in its own point order, the
+    error its job raises on its own; the other lanes go on.
     Returns, per job, its result or the FxsvolError that ended it.
     """
     out = [None] * len(jobs)
@@ -527,7 +521,6 @@ def lockstep(jobs, evaluator):
             out[i] = stop.value
         except FxsvolError as exc:
             out[i] = exc
-    evaluate = evaluator({i: lane.fit for i, lane, _ in live})
     while live:
         rows = [(i, lane.fit, x) for i, lane, points in live for x in points]
         outcomes = iter(evaluate(rows))
@@ -591,21 +584,18 @@ def _replay(outcomes):
         yield o
 
 
-def _kernel_evaluator(fits):
-    """evaluate(rows) for lockstep that prices the lanes' surfaces together.
+def _evaluate_rows(rows):
+    """lockstep's evaluate: the lanes' surfaces priced together.
 
     Rows whose fits share the model, the grid and the surface shape go to
     the kernel LANE_ROWS at a time, through an AttariLanes stacked from
     their contexts' own kernels, so no constants are computed here; a
     chunk of one row goes through its context's own cost, SurfaceCost's
     __call__.  A call that raises (a CF overflow, an implied-vol miss) is
-    priced again row by row, so each row gets its own one-row outcome.
-    fits is not read.
+    priced again row by row, so each row gets its own one-row outcome.  A
+    point whose parameters overflow a float (math.exp in a to_params) is
+    a NumericOverflow outcome.
     """
-    return _evaluate_rows
-
-
-def _evaluate_rows(rows):
     out = [None] * len(rows)
     priced = {}
     for r, (_, fit, x) in enumerate(rows):
@@ -613,6 +603,9 @@ def _evaluate_rows(rows):
             params = fit.to_params(x)
         except FxsvolError as exc:
             out[r] = exc
+            continue
+        except OverflowError as exc:
+            out[r] = NumericOverflow(f"parameter transform overflowed: {exc}")
             continue
         if fit.feller and not params.feller_satisfied():
             out[r] = FELLER_PENALTY

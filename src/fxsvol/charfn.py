@@ -1,15 +1,22 @@
 """Closed-form characteristic functions of log-price for four models.
 
-Heston and Bates two-factor use the variance-process (CIR) solution in the
-G-form of Albrecher et al., which keeps the complex log away from its branch
-cut for all maturities.  Schobel-Zhu and OUOU use the volatility-process (OU)
-solution whose exponent is affine in (1, nu0, nu0^2).
+Every parameter set is a tuple of independent factors (.factors: one for
+heston and sz, two for bates2f and ouou), and every model's CF is one
+exponentially affine body over them,
 
-All functions accept complex u (scalars or numpy arrays).  tau, r_d and r_f
-may be scalars or (T, 1) column arrays, one row per maturity; the result
-then has shape (T, len(u)), and each row equals a scalar-tau call bit for
-bit.  Every CF built by cf_factory has the signature
-cf(u, x0, tau, r_d, r_f, j), and the pricers call nothing else.
+    phi(u) = exp(i u x0 + sum_k [A_k + B_k nu0_k (+ C_k nu0_k^2)]),
+
+each A_k carrying 1/len(factors) of the drift.  Heston and Bates two-factor
+factors are CIR variances: heston_terms gives their A, B in the G-form of
+Albrecher et al., which keeps the complex log away from its branch cut for
+all maturities.  Schobel-Zhu and OUOU factors are OU volatilities: sz_terms
+gives their A, B, C, and the exponent is quadratic in nu0.
+
+cf_factory(kind, params, jump=None) is the one way to build a CF: a closure
+cf(u, x0, tau, r_d, r_f), which the pricers call and nothing else.  u is
+complex (a scalar or a numpy array).  tau, r_d and r_f may be scalars or
+(T, 1) column arrays, one row per maturity; the result then has shape
+(T, len(u)), and each row equals a scalar-tau call bit for bit.
 
 Lanes: ParamLanes.stack(kind, [p_1, ..., p_L]) stacks L parameter sets of
 one model into one Factor per model factor whose fields are (L, 1, 1)
@@ -31,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation, NumericOverflow, StepUnderflow
+from .errors import InvariantViolation, NumericOverflow
 
 
 # ---------------------------------------------------------------------------
@@ -46,13 +53,16 @@ class HestonParams:
     kappa: float
     omega: float
     rho: float
-    eta: float = 0.0  # variance risk premium; identically 0 in risk-neutral calibration
 
     def __post_init__(self):
         if min(self.nu0, self.theta, self.kappa, self.omega) <= 0.0:
             raise InvariantViolation(f"nu0, theta, kappa, omega must be > 0: {self}")
         if abs(self.rho) >= 1.0:
             raise InvariantViolation(f"|rho| must be < 1: {self.rho}")
+
+    @property
+    def factors(self):
+        return (self,)
 
     def feller_satisfied(self):
         return 2.0 * self.kappa * self.theta - self.omega ** 2 > 0.0
@@ -66,7 +76,6 @@ class SchobelZhuParams:
     kappa: float
     omega: float
     rho: float
-    eta: float = 0.0
 
     def __post_init__(self):
         if min(self.nu0, self.kappa, self.omega) <= 0.0:
@@ -75,6 +84,10 @@ class SchobelZhuParams:
             raise InvariantViolation(f"theta must be >= 0: {self.theta}")
         if abs(self.rho) >= 1.0:
             raise InvariantViolation(f"|rho| must be < 1: {self.rho}")
+
+    @property
+    def factors(self):
+        return (self,)
 
     def feller_satisfied(self):
         return True  # an OU volatility has no positivity constraint
@@ -88,7 +101,6 @@ class Factor:
     kappa: float
     omega: float
     rho: float
-    eta: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -118,7 +130,7 @@ class TwoFactorParams:
         return all(2.0 * f.kappa * f.theta - f.omega ** 2 > 0.0 for f in self.factors)
 
 
-_FACTOR_FIELDS = ("nu0", "theta", "kappa", "omega", "rho", "eta")
+_FACTOR_FIELDS = ("nu0", "theta", "kappa", "omega", "rho")
 
 
 @dataclass(frozen=True)
@@ -134,7 +146,7 @@ class ParamLanes:
 
     @classmethod
     def stack(cls, kind, params):
-        sets = [p.factors if kind in ("bates2f", "ouou") else (p,) for p in params]
+        sets = [p.factors for p in params]
         factors = tuple(
             Factor(*(np.array([getattr(fs[k], name) for fs in sets]).reshape(-1, 1, 1)
                      for name in _FACTOR_FIELDS))
@@ -155,7 +167,7 @@ class JumpParams:
 
 @dataclass
 class CFTerms:
-    """Affine-exponent terms: phi = exp(i u x0 + A + B nu0 (+ C nu0^2))."""
+    """One factor's terms of the affine exponent, A + B nu0 (+ C nu0^2)."""
     A: complex
     B: complex
     C: complex = 0.0 + 0.0j
@@ -164,14 +176,6 @@ class CFTerms:
 # ---------------------------------------------------------------------------
 # complex helpers
 # ---------------------------------------------------------------------------
-
-def _aj_bj(j, kappa, omega, rho, eta):
-    if j == 1:
-        return 0.5, kappa + eta - omega * rho
-    if j == 2:
-        return -0.5, kappa + eta
-    raise InvariantViolation(f"j must be 1 or 2, got {j!r}")
-
 
 def _sq(v):
     """v ** 2 as Python evaluates it for a float (C pow), lane by lane for an
@@ -213,14 +217,14 @@ def _exp_checked(expo):
 # Heston / Bates-factor terms (CIR variance)
 # ---------------------------------------------------------------------------
 
-def heston_terms(u, tau, p, j=2, r_d=0.0, r_f=0.0, drift_weight=1.0):
+def heston_terms(u, tau, p, r_d=0.0, r_f=0.0, drift_weight=1.0):
     """A, B of the CIR-variance exponent, G-form with exp(-d tau)."""
     u = np.asarray(u, dtype=complex)
     iu = 1j * u
-    a, b = _aj_bj(j, p.kappa, p.omega, p.rho, p.eta)
+    a = -0.5
     om2 = _sq(p.omega)
     X = 2.0 * a * iu - u * u
-    beta = b - p.rho * p.omega * iu
+    beta = p.kappa - p.rho * p.omega * iu
     d = np.sqrt(beta * beta - om2 * X)   # IEEE csqrt: the principal root, Re d >= +0
     bpd = beta + d
     bpd2 = bpd * bpd
@@ -238,17 +242,11 @@ def heston_terms(u, tau, p, j=2, r_d=0.0, r_f=0.0, drift_weight=1.0):
     return CFTerms(A=A, B=B)
 
 
-def heston_cf(u, x0, tau, r_d, r_f, p, j=2):
-    """phi_j(u) = exp(i u x0 + A + B nu0) for the CIR-variance model."""
-    t = heston_terms(u, tau, p, j=j, r_d=r_d, r_f=r_f)
-    return _exp_checked(1j * np.asarray(u, dtype=complex) * x0 + t.A + t.B * p.nu0)
-
-
 # ---------------------------------------------------------------------------
 # Schobel-Zhu / OUOU-factor terms (OU volatility)
 # ---------------------------------------------------------------------------
 
-def sz_terms(u, tau, p, j=2, r_d=0.0, r_f=0.0, drift_weight=1.0):
+def sz_terms(u, tau, p, r_d=0.0, r_f=0.0, drift_weight=1.0):
     """A, B, C of the OU-volatility exponent.
 
     The theta-dependent part of A takes the compact closed form, with fewer
@@ -256,10 +254,10 @@ def sz_terms(u, tau, p, j=2, r_d=0.0, r_f=0.0, drift_weight=1.0):
     """
     u = np.asarray(u, dtype=complex)
     iu = 1j * u
-    a, b = _aj_bj(j, p.kappa, p.omega, p.rho, p.eta)
+    a = -0.5
     om2 = _sq(p.omega)
     X = 2.0 * a * iu - u * u
-    beta = 2.0 * (b - 1j * p.omega * p.rho * u)
+    beta = 2.0 * (p.kappa - 1j * p.omega * p.rho * u)
     d = np.sqrt(beta * beta - 4.0 * om2 * X)   # the principal root, Re d >= +0
     bpd = beta + d
     bmd = 4.0 * om2 * X / bpd            # beta - d, cancellation-free
@@ -280,133 +278,56 @@ def sz_terms(u, tau, p, j=2, r_d=0.0, r_f=0.0, drift_weight=1.0):
     return CFTerms(A=A_tilde + A_hat, B=B, C=C)
 
 
-def sz_cf(u, x0, tau, r_d, r_f, p, j=2):
-    """phi_j(u) = exp(i u x0 + A + B nu0 + C nu0^2) for the OU-vol model."""
-    t = sz_terms(u, tau, p, j=j, r_d=r_d, r_f=r_f)
-    return _exp_checked(1j * np.asarray(u, dtype=complex) * x0
-                        + t.A + t.B * p.nu0 + t.C * _sq(p.nu0))
+# each model's factor terms; an OU-volatility factor's exponent is quadratic
+# in its nu0
+_FACTOR_TERMS = {"heston": heston_terms, "bates2f": heston_terms,
+                 "sz": sz_terms, "ouou": sz_terms}
 
 
 # ---------------------------------------------------------------------------
-# two-factor models
+# the CF of every model
 # ---------------------------------------------------------------------------
 
-def bates2f_cf(u, x0, tau, r_d, r_f, p, j=2):
-    """Two independent CIR variance factors; each A_k carries half the drift."""
-    if p.kind != "bates2f":
-        raise InvariantViolation(f"expected bates2f params, got {p.kind}")
-    expo = 1j * np.asarray(u, dtype=complex) * x0
-    for f in p.factors:
-        t = heston_terms(u, tau, f, j=j, r_d=r_d, r_f=r_f, drift_weight=0.5)
-        expo = expo + t.A + t.B * f.nu0
-    return _exp_checked(expo)
-
-
-def ouou_cf(u, x0, tau, r_d, r_f, p, j=2):
-    """Two independent OU volatility factors; each A_k carries half the drift."""
-    if p.kind != "ouou":
-        raise InvariantViolation(f"expected ouou params, got {p.kind}")
-    expo = 1j * np.asarray(u, dtype=complex) * x0
-    for f in p.factors:
-        t = sz_terms(u, tau, f, j=j, r_d=r_d, r_f=r_f, drift_weight=0.5)
-        expo = expo + t.A + t.B * f.nu0 + t.C * _sq(f.nu0)
-    return _exp_checked(expo)
-
-
-def bates_jump_multiplier(u, tau, jp, j=2):
+def bates_jump_multiplier(u, tau, jp):
     """Compound-Poisson log-normal jump factor multiplying any base CF.
 
-    The jump exponent is a function of i*u: at u = -i (j = 2) it is exactly 1,
-    so the compensated drift keeps the martingale property of the base CF.
+    The jump exponent is a function of i*u: at u = -i it is exactly 1, so
+    the compensated drift keeps the martingale property of the base CF.
     """
     u = np.asarray(u, dtype=complex)
     iu = 1j * u
-    a = 0.5 if j == 1 else -0.5
     log1k = np.log1p(jp.khat)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        inner = np.exp(iu * log1k + jp.delta ** 2 * (a * iu + 0.5 * iu * iu))
-        expo = (jp.lam * tau * (1.0 + jp.khat) ** (a + 0.5) * (inner - 1.0)
-                - jp.lam * jp.khat * iu * tau)
+        inner = np.exp(iu * log1k + jp.delta ** 2 * (-0.5 * iu + 0.5 * iu * iu))
+        expo = jp.lam * tau * (inner - 1.0) - jp.lam * jp.khat * iu * tau
     return _exp_checked(expo)
 
 
 def cf_factory(kind, params, jump=None):
-    """Bind a model to a closure cf(u, x0, tau, r_d, r_f, j=2).
+    """Bind a model to a closure cf(u, x0, tau, r_d, r_f).
 
-    params is one parameter set, or ParamLanes of the model (then x0, tau,
-    r_d and r_f carry the leading lane axis); jump applies to every lane.
+    params is one parameter set of the model, or ParamLanes of it (then x0,
+    tau, r_d and r_f carry the leading lane axis); jump applies to every
+    lane.
     """
-    if isinstance(params, ParamLanes) and kind in ("heston", "sz"):
-        params = params.factors[0]
-    base = {
-        "heston": heston_cf,
-        "sz": sz_cf,
-        "bates2f": bates2f_cf,
-        "ouou": ouou_cf,
-    }[kind]
+    if getattr(params, "kind", kind) != kind:
+        raise InvariantViolation(f"expected {kind} params, got {params.kind}")
+    terms = _FACTOR_TERMS[kind]
+    quadratic = terms is sz_terms
+    factors = params.factors
+    drift_weight = 1.0 / len(factors)
 
-    def cf(u, x0, tau, r_d, r_f, j=2):
-        phi = base(u, x0, tau, r_d, r_f, params, j=j)
+    def cf(u, x0, tau, r_d, r_f):
+        u = np.asarray(u, dtype=complex)
+        expo = 1j * u * x0
+        for f in factors:
+            t = terms(u, tau, f, r_d=r_d, r_f=r_f, drift_weight=drift_weight)
+            expo = expo + t.A + t.B * f.nu0
+            if quadratic:
+                expo = expo + t.C * _sq(f.nu0)
+        phi = _exp_checked(expo)
         if jump is not None:
-            phi = phi * bates_jump_multiplier(u, tau, jump, j=j)
+            phi = phi * bates_jump_multiplier(u, tau, jump)
         return phi
 
     return cf
-
-
-# ---------------------------------------------------------------------------
-# numeric oracle: fixed-step RK4 on the term ODEs
-# ---------------------------------------------------------------------------
-
-def ode_oracle_terms(model, u, tau, params, j=2, r_d=0.0, r_f=0.0,
-                     steps=2000, drift_weight=1.0):
-    """Integrate the exponent ODE system numerically for testing.
-
-    model "heston": dA = w (r_d - r_f) iu + B kappa theta,
-                    dB = a iu - u^2/2 + (rho omega iu - b) B + omega^2 B^2 / 2.
-    model "sz":     dA = w (r_d - r_f) iu + B kappa theta + omega^2 B^2/2 + omega^2 C,
-                    dB = -b B + rho omega iu B + 2 omega^2 B C + 2 kappa theta C,
-                    dC = -2 b C + 2 rho omega iu C + a iu - u^2/2 + 2 omega^2 C^2.
-
-    Two-factor models are two independent one-factor systems with
-    drift_weight = 1/2; call once per factor.
-    """
-    if steps < 1000:
-        raise StepUnderflow(f"need >= 1000 steps, got {steps}")
-    u, tau_arr = np.broadcast_arrays(np.asarray(u, dtype=complex),
-                                     np.asarray(tau, dtype=float))
-    u = u.astype(complex)
-    a, b = _aj_bj(j, params.kappa, params.omega, params.rho, params.eta)
-    iu = 1j * u
-    om2 = params.omega ** 2
-    kt = params.kappa * params.theta
-    drift = drift_weight * (r_d - r_f) * iu
-    const = a * iu - 0.5 * u * u
-    lin_b = params.rho * params.omega * iu - b
-
-    if model == "heston":
-        def deriv(A, B, C):
-            return (drift + kt * B,
-                    const + lin_b * B + 0.5 * om2 * B * B,
-                    np.zeros_like(A))
-    elif model == "sz":
-        def deriv(A, B, C):
-            return (drift + kt * B + 0.5 * om2 * B * B + om2 * C,
-                    lin_b * B + 2.0 * om2 * B * C + 2.0 * kt * C,
-                    const + 2.0 * lin_b * C + 2.0 * om2 * C * C)
-    else:
-        raise InvariantViolation(f"unknown oracle model {model!r}")
-
-    A = np.zeros_like(u)
-    B = np.zeros_like(u)
-    C = np.zeros_like(u)
-    h = tau_arr / steps
-    for _ in range(steps):
-        k1 = deriv(A, B, C)
-        k2 = deriv(A + 0.5 * h * k1[0], B + 0.5 * h * k1[1], C + 0.5 * h * k1[2])
-        k3 = deriv(A + 0.5 * h * k2[0], B + 0.5 * h * k2[1], C + 0.5 * h * k2[2])
-        k4 = deriv(A + h * k3[0], B + h * k3[1], C + h * k3[2])
-        A = A + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        B = B + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        C = C + (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-    return CFTerms(A=A, B=B, C=C)

@@ -39,11 +39,7 @@ class InvariantViolation(FxsvolError):
 # characteristic functions ---------------------------------------------------
 
 class NumericOverflow(FxsvolError):
-    """CF evaluation overflowed; raised, never clamped."""
-
-
-class StepUnderflow(FxsvolError):
-    """ODE oracle called with too few integration steps."""
+    """CF evaluation or a parameter transform overflowed; raised, never clamped."""
 
 
 # pricing --------------------------------------------------------------------

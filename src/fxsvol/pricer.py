@@ -423,7 +423,7 @@ class AttariLanes:
         cf takes the lanes' (L, 1, 1) x0 and (L, T, 1) tau and rates; row l
         of its parameters must belong to lane l.
         """
-        phi = cf(self.uc, self.x0, self.tau, self.r_d, self.r_f, j=2) * self.shift
+        phi = cf(self.uc, self.x0, self.tau, self.r_d, self.r_f) * self.shift
         kernel = phi * self.grid_num / self.grid_den * self.u * self.weights
         integrals = (self.osc * kernel[:, :, None, :]).real.sum(axis=3)
         return self.s_df - self.k_df * (0.5 + integrals / math.pi)
@@ -458,7 +458,7 @@ def gil_pelaez_probabilities(cf, spec, grid=CROSSCHECK_GRID):
     k = math.log(spec.K)
 
     def phi2(uu):
-        return cf(uu, x0, spec.tau, spec.r_d, spec.r_f, j=2)
+        return cf(uu, x0, spec.tau, spec.r_d, spec.r_f)
 
     phi1 = phi2(uc - 1j) / phi2(np.asarray(-1j, dtype=complex))
     osc = np.exp(-1j * u * k)
@@ -491,7 +491,7 @@ def carr_madan_price(cf, spec, alpha=1.5, n=CARR_MADAN_N, v_max=CARR_MADAN_V_MAX
     x0 = math.log(spec.S)
     k = math.log(spec.K)
     probe = np.asarray(-(alpha + 1.0) * 1j, dtype=complex)
-    moment = cf(probe, x0, spec.tau, spec.r_d, spec.r_f, j=2)
+    moment = cf(probe, x0, spec.tau, spec.r_d, spec.r_f)
     if not np.all(np.isfinite(moment)):
         raise AlphaInvalid(f"phi(-(alpha+1)i) not finite for alpha={alpha}")
     v = np.linspace(0.0, v_max, n)
@@ -499,7 +499,7 @@ def carr_madan_price(cf, spec, alpha=1.5, n=CARR_MADAN_N, v_max=CARR_MADAN_V_MAX
     weights[0] *= 0.5
     weights[-1] *= 0.5
     uu = v - (alpha + 1.0) * 1j
-    phi = cf(uu, x0, spec.tau, spec.r_d, spec.r_f, j=2)
+    phi = cf(uu, x0, spec.tau, spec.r_d, spec.r_f)
     denom = alpha * alpha + alpha - v * v + 1j * (2.0 * alpha + 1.0) * v
     psi = math.exp(-spec.r_d * spec.tau) * phi / denom
     integral = float(np.dot((np.exp(-1j * v * k) * psi).real, weights))

@@ -30,13 +30,8 @@ from fxsvol.charfn import (
     HestonParams,
     SchobelZhuParams,
     TwoFactorParams,
-    bates2f_cf,
     cf_factory,
-    heston_cf,
     heston_terms,
-    ode_oracle_terms,
-    ouou_cf,
-    sz_cf,
     sz_terms,
 )
 from fxsvol.cli import main as cli_main
@@ -66,6 +61,7 @@ from fxsvol.pricer import (
     gk_price,
 )
 
+from charfn_reference import ode_oracle_terms
 from conftest import draw_heston, term_vol
 from synthutil import synth_surface, write_quote_csv
 
@@ -87,11 +83,11 @@ def _array_params(rng, model, n):
         return types.SimpleNamespace(
             nu0=rng.uniform(0.004, 0.04, n), theta=rng.uniform(0.005, 0.04, n),
             kappa=rng.uniform(0.5, 5.0, n), omega=rng.uniform(0.1, 0.8, n),
-            rho=rng.uniform(-0.8, 0.2, n), eta=np.zeros(n))
+            rho=rng.uniform(-0.8, 0.2, n))
     return types.SimpleNamespace(
         nu0=rng.uniform(0.05, 0.2, n), theta=rng.uniform(0.03, 0.2, n),
         kappa=rng.uniform(0.5, 5.0, n), omega=rng.uniform(0.05, 0.4, n),
-        rho=rng.uniform(-0.8, 0.2, n), eta=np.zeros(n))
+        rho=rng.uniform(-0.8, 0.2, n))
 
 
 class TestCriterion1:
@@ -108,8 +104,8 @@ class TestCriterion1:
             p = _array_params(rng, ode_model, n)
             u = rng.uniform(0.1, 20.0, n).astype(complex)
             tau = rng.uniform(0.05, 3.0, n)
-            ct = closed(u, tau, p, j=2, r_d=RD, r_f=RF, drift_weight=weight)
-            ot = ode_oracle_terms(ode_model, u, tau, p, j=2, r_d=RD, r_f=RF,
+            ct = closed(u, tau, p, r_d=RD, r_f=RF, drift_weight=weight)
+            ot = ode_oracle_terms(ode_model, u, tau, p, r_d=RD, r_f=RF,
                                   steps=2000, drift_weight=weight)
             for field in ("A", "B", "C"):
                 worst = max(worst, float(np.max(np.abs(
@@ -123,11 +119,10 @@ class TestCriterion1:
                              Factor(0.07, 0.05, 0.8, 0.22, -0.85))
         fwd = math.exp(X0 + (RD - RF) * 0.75)
         mart = 0.0
-        for cf, params in ((heston_cf, hp), (sz_cf, sp), (bates2f_cf, bp),
-                           (ouou_cf, op)):
-            assert complex(cf(np.asarray(0.0j), X0, 0.75, RD, RF, params)) == 1.0
-            mart = max(mart, abs(complex(
-                cf(np.asarray(-1j), X0, 0.75, RD, RF, params)) - fwd))
+        for kind, params in (("heston", hp), ("sz", sp), ("bates2f", bp), ("ouou", op)):
+            cf = cf_factory(kind, params)
+            assert complex(cf(np.asarray(0.0j), X0, 0.75, RD, RF)) == 1.0
+            mart = max(mart, abs(complex(cf(np.asarray(-1j), X0, 0.75, RD, RF)) - fwd))
         elapsed = time.monotonic() - t_start
         ok = worst < 1e-8 and mart < 1e-8 and elapsed < 30.0
         report(1, "CF correctness vs RK oracle",
@@ -145,13 +140,13 @@ class TestCriterion2:
         sp = SchobelZhuParams(nu0=0.1, theta=0.0, kappa=1.0, omega=0.2, rho=-0.4)
         hp = HestonParams(nu0=sp.nu0 ** 2, theta=sp.omega ** 2 / (2 * sp.kappa),
                           kappa=2 * sp.kappa, omega=2 * sp.omega, rho=sp.rho)
-        err_sz = float(np.max(np.abs(sz_cf(u, X0, 0.75, RD, RF, sp)
-                                     - heston_cf(u, X0, 0.75, RD, RF, hp))))
+        err_sz = float(np.max(np.abs(cf_factory("sz", sp)(u, X0, 0.75, RD, RF)
+                                     - cf_factory("heston", hp)(u, X0, 0.75, RD, RF))))
         h2 = HestonParams(0.0082, 0.0143, 2.07, 0.30, -0.38)
         f = Factor(h2.nu0 / 2, h2.theta / 2, h2.kappa, h2.omega, h2.rho)
         bp = TwoFactorParams("bates2f", f, f)
-        err_b = float(np.max(np.abs(bates2f_cf(u, X0, 0.75, RD, RF, bp)
-                                    - heston_cf(u, X0, 0.75, RD, RF, h2))))
+        err_b = float(np.max(np.abs(cf_factory("bates2f", bp)(u, X0, 0.75, RD, RF)
+                                    - cf_factory("heston", h2)(u, X0, 0.75, RD, RF))))
         elapsed = time.monotonic() - t_start
         ok = err_sz < 1e-10 and err_b < 1e-10 and elapsed < 5.0
         report(2, "model-nesting identities", ok,

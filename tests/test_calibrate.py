@@ -36,7 +36,6 @@ from fxsvol.calibrate import (
 from fxsvol.charfn import (
     Factor,
     HestonParams,
-    ParamLanes,
     SchobelZhuParams,
     TwoFactorParams,
     cf_factory,
@@ -767,15 +766,11 @@ class TestLockstepNelderMead:
         funcs = [f for f, _, _ in self.LANES]
         rounds = []
 
-        def evaluator(fits):
-            assert sorted(fits) == list(range(len(self.LANES)))
+        def evaluate(rows):
+            rounds.append(len(rows))
+            return [_outcome(funcs[i], x) for i, _, x in rows]
 
-            def evaluate(rows):
-                rounds.append(len(rows))
-                return [_outcome(funcs[i], x) for i, _, x in rows]
-            return evaluate
-
-        got = lockstep([_nm_job(x0, cfg) for _, x0, cfg in self.LANES], evaluator)
+        got = lockstep([_nm_job(x0, cfg) for _, x0, cfg in self.LANES], evaluate)
         for g, w in zip(got, want):
             self.assert_same(g, w)
         # the first round prices every lane's start and initial simplex together
@@ -933,12 +928,12 @@ class TestRunLanes:
         def overflowing_factory(kind, params, jump=None):
             cf = cf_factory(kind, params, jump=jump)
 
-            def wrapped(u, x0, tau, r_d, r_f, j=2):
+            def wrapped(u, x0, tau, r_d, r_f):
                 calls.append(np.size(x0))
                 if np.any(np.asarray(x0) == bad_x0):
                     raise NumericOverflow("characteristic function overflowed; "
                                           "reduce |u|*tau")
-                return cf(u, x0, tau, r_d, r_f, j=j)
+                return cf(u, x0, tau, r_d, r_f)
             return wrapped
 
         monkeypatch.setattr(calibrate_mod, "cf_factory", overflowing_factory)
@@ -963,14 +958,14 @@ class TestRunLanes:
 
         def overflowing_factory(kind, params, jump=None):
             cf = cf_factory(kind, params, jump=jump)
-            sets = params.factors[0] if isinstance(params, ParamLanes) else params
+            sets = params.factors[0]
 
-            def wrapped(u, x0, tau, r_d, r_f, j=2):
+            def wrapped(u, x0, tau, r_d, r_f):
                 evaluations.append(np.size(sets.nu0))
                 if np.any(np.asarray(sets.nu0) > 0.0112):
                     raise NumericOverflow(f"characteristic function overflowed at "
                                           f"nu0 {np.max(sets.nu0)!r}")
-                return cf(u, x0, tau, r_d, r_f, j=j)
+                return cf(u, x0, tau, r_d, r_f)
             return wrapped
 
         monkeypatch.setattr(calibrate_mod, "cf_factory", overflowing_factory)
@@ -1010,6 +1005,26 @@ class TestRunLanes:
         assert all(isinstance(w, CalibrationRisk) for i, w in enumerate(want) if i != 2)
         _assert_same_results(run_lanes(jobs()), want)
 
+    def test_parameter_overflow_fails_its_lane(self, lane_surfaces):
+        """A point whose parameters overflow a float (math.exp in to_params,
+        as in risk_job) is that lane's NumericOverflow; the other lanes go on."""
+        def job(surface, x0):
+            def to_params(x):
+                nu0, theta, kappa = (math.exp(v) for v in x)
+                return HestonParams(nu0, theta, kappa, 0.3, -0.4)
+
+            return (yield Fit(SurfaceCost(surface), "heston", to_params, False,
+                              np.array(x0), NelderMeadConfig(max_iter=20)))
+
+        start = [math.log(0.01), math.log(0.015), math.log(2.0)]
+        overflowing = [math.log(0.01), 800.0, math.log(2.0)]
+        with pytest.raises(NumericOverflow):
+            run_job(job(lane_surfaces[1], overflowing))
+        got = run_lanes([job(lane_surfaces[0], start), job(lane_surfaces[1], overflowing)])
+        assert isinstance(got[1], NumericOverflow)
+        want = run_job(job(lane_surfaces[0], start))
+        assert np.array_equal(got[0].x, want.x) and got[0].fx == want.fx
+
     def test_lane_surfaces_must_stay_fixed(self, lane_surfaces):
         def job():
             ctx = SurfaceCost(lane_surfaces[0])
@@ -1020,8 +1035,8 @@ class TestRunLanes:
             yield Fit(SurfaceCost(lane_surfaces[1]), "heston", None, False, res.x,
                       NelderMeadConfig())
 
-        def evaluator(fits):
-            return lambda rows: [float(np.sum(x * x)) for _, _, x in rows]
+        def evaluate(rows):
+            return [float(np.sum(x * x)) for _, _, x in rows]
 
-        (out,) = lockstep([job()], evaluator)
+        (out,) = lockstep([job()], evaluate)
         assert isinstance(out, InvariantViolation)

@@ -16,24 +16,27 @@ from fxsvol.charfn import (
     _exp_checked,
     _log1p_over,
     _sq,
-    bates2f_cf,
     bates_jump_multiplier,
     cf_factory,
-    heston_cf,
     heston_terms,
-    ode_oracle_terms,
-    ouou_cf,
-    sz_cf,
     sz_terms,
 )
-from fxsvol.errors import InvariantViolation, StepUnderflow
+from fxsvol.errors import InvariantViolation
 from fxsvol.pricer import DEFAULT_GRID, AttariLanes
 
 from charfn_reference import (
+    StepUnderflow,
+    bates2f_cf,
+    heston_cf,
+    lord_kahl_sz_cf,
+    ode_oracle_terms,
+    ouou_cf,
+    reference_cf_factory,
     reference_heston_terms,
+    reference_jump_multiplier,
     reference_log1p_over,
     reference_principal_sqrt,
-    reference_sz_cf,
+    sz_cf,
 )
 
 X0 = math.log(1.30)
@@ -50,6 +53,8 @@ OP = TwoFactorParams("ouou",
                      Factor(0.06, 0.08, 1.2, 0.11, 0.65),
                      Factor(0.07, 0.05, 0.8, 0.22, -0.85))
 
+# (kind, the model's CF before the one affine body, parameters); the old
+# CF's name is in every test id, and TestOneAffineBody compares against it
 ALL_MODELS = [
     ("heston", heston_cf, HP),
     ("sz", sz_cf, SP),
@@ -59,33 +64,33 @@ ALL_MODELS = [
 
 
 class TestBasicIdentities:
-    @pytest.mark.parametrize("name,cf,params", ALL_MODELS)
-    def test_phi_at_zero_is_one(self, name, cf, params):
-        for j in (1, 2):
-            val = complex(cf(np.asarray(0.0j), X0, TAU, RD, RF, params, j=j))
-            assert val == 1.0 + 0.0j
+    @pytest.mark.parametrize("name,old,params", ALL_MODELS)
+    def test_phi_at_zero_is_one(self, name, old, params):
+        val = complex(cf_factory(name, params)(np.asarray(0.0j), X0, TAU, RD, RF))
+        assert val == 1.0 + 0.0j
 
-    @pytest.mark.parametrize("name,cf,params", ALL_MODELS)
-    def test_martingale(self, name, cf, params):
-        val = complex(cf(np.asarray(-1j), X0, TAU, RD, RF, params, j=2))
+    @pytest.mark.parametrize("name,old,params", ALL_MODELS)
+    def test_martingale(self, name, old, params):
+        val = complex(cf_factory(name, params)(np.asarray(-1j), X0, TAU, RD, RF))
         assert abs(val - FORWARD) < 1e-8
 
-    @pytest.mark.parametrize("name,cf,params", ALL_MODELS)
-    def test_hermitian_symmetry(self, name, cf, params):
+    @pytest.mark.parametrize("name,old,params", ALL_MODELS)
+    def test_hermitian_symmetry(self, name, old, params):
+        cf = cf_factory(name, params)
         u = np.linspace(0.05, 120.0, 60).astype(complex)
-        left = cf(-u, X0, TAU, RD, RF, params, j=2)
-        right = np.conj(cf(u, X0, TAU, RD, RF, params, j=2))
+        left = cf(-u, X0, TAU, RD, RF)
+        right = np.conj(cf(u, X0, TAU, RD, RF))
         assert np.max(np.abs(left - right)) < 1e-13
 
-    @pytest.mark.parametrize("name,cf,params", ALL_MODELS)
-    def test_modulus_bounded_by_one(self, name, cf, params):
+    @pytest.mark.parametrize("name,old,params", ALL_MODELS)
+    def test_modulus_bounded_by_one(self, name, old, params):
         u = np.linspace(0.01, 148.0, 400).astype(complex)
-        assert np.max(np.abs(cf(u, X0, TAU, RD, RF, params, j=2))) <= 1.0 + 1e-12
+        assert np.max(np.abs(cf_factory(name, params)(u, X0, TAU, RD, RF))) <= 1.0 + 1e-12
 
     def test_boundary_terms_vanish_at_tau_zero(self):
-        t = heston_terms(np.asarray(1.3 + 0j), 0.0, HP, j=2, r_d=RD, r_f=RF)
+        t = heston_terms(np.asarray(1.3 + 0j), 0.0, HP, r_d=RD, r_f=RF)
         assert complex(t.A) == 0.0 and complex(t.B) == 0.0
-        t = sz_terms(np.asarray(1.3 + 0j), 0.0, SP, j=2, r_d=RD, r_f=RF)
+        t = sz_terms(np.asarray(1.3 + 0j), 0.0, SP, r_d=RD, r_f=RF)
         assert abs(complex(t.A)) < 1e-15
         assert complex(t.B) == 0.0 and complex(t.C) == 0.0
 
@@ -100,7 +105,7 @@ class TestBasicIdentities:
                              rho=rng.uniform(-0.8, 0.2))
             u = complex(rng.uniform(5.0, 60.0), 0.0)
             A = heston_terms(np.full_like(taus, u, dtype=complex), taus, p,
-                             j=2, r_d=RD, r_f=RF).A
+                             r_d=RD, r_f=RF).A
             steps = np.abs(np.diff(A))
             assert steps.max() < 0.05  # smooth: no 2*pi-scale log jumps
 
@@ -112,15 +117,8 @@ class TestDegenerateLimits:
         u = np.array([0.5, 1.0, 3.0, 10.0, 50.0, 148.0], dtype=complex)
         bs = np.exp(1j * u * X0 + 1j * u * (RD - RF - 0.02) * TAU
                     - u * u * 0.04 * TAU / 2.0)
-        val = heston_cf(u, X0, TAU, RD, RF, p, j=2)
+        val = cf_factory("heston", p)(u, X0, TAU, RD, RF)
         assert np.max(np.abs(val - bs) / np.abs(bs)) < 1e-6
-
-    def test_phi1_is_tilted_phi2(self):
-        u = np.array([0.4, 1.7, 9.0], dtype=complex)
-        phi1 = heston_cf(u, X0, TAU, RD, RF, HP, j=1)
-        phi2_shift = heston_cf(u - 1j, X0, TAU, RD, RF, HP, j=2)
-        phi2_mi = complex(heston_cf(np.asarray(-1j), X0, TAU, RD, RF, HP, j=2))
-        assert np.max(np.abs(phi1 - phi2_shift / phi2_mi)) < 1e-12
 
 
 class TestModelNesting:
@@ -129,27 +127,25 @@ class TestModelNesting:
         hp = HestonParams(nu0=sp.nu0 ** 2, theta=sp.omega ** 2 / (2 * sp.kappa),
                           kappa=2 * sp.kappa, omega=2 * sp.omega, rho=sp.rho)
         u = np.array([0.3, 1.0, 2.5, 7.0, 20.0, 80.0], dtype=complex)
-        for j in (1, 2):
-            a = sz_cf(u, X0, TAU, RD, RF, sp, j=j)
-            b = heston_cf(u, X0, TAU, RD, RF, hp, j=j)
-            assert np.max(np.abs(a - b)) < 1e-10
+        a = cf_factory("sz", sp)(u, X0, TAU, RD, RF)
+        b = cf_factory("heston", hp)(u, X0, TAU, RD, RF)
+        assert np.max(np.abs(a - b)) < 1e-10
 
     def test_symmetric_bates2f_equals_heston(self):
         f = Factor(HP.nu0 / 2, HP.theta / 2, HP.kappa, HP.omega, HP.rho)
         bp = TwoFactorParams("bates2f", f, f)
         u = np.array([0.3, 1.0, 2.5, 7.0, 20.0, 80.0], dtype=complex)
-        for j in (1, 2):
-            a = bates2f_cf(u, X0, TAU, RD, RF, bp, j=j)
-            b = heston_cf(u, X0, TAU, RD, RF, HP, j=j)
-            assert np.max(np.abs(a - b)) < 1e-10
+        a = cf_factory("bates2f", bp)(u, X0, TAU, RD, RF)
+        b = cf_factory("heston", HP)(u, X0, TAU, RD, RF)
+        assert np.max(np.abs(a - b)) < 1e-10
 
     def test_bates2f_degenerate_second_factor_approaches_heston(self):
         f2 = Factor(1e-8, 1e-8, 2.0, 1e-8, 0.0)
         bp = TwoFactorParams("bates2f", Factor(HP.nu0, HP.theta, HP.kappa,
                                                HP.omega, HP.rho), f2)
         u = np.array([0.5, 2.0, 10.0], dtype=complex)
-        a = bates2f_cf(u, X0, TAU, RD, RF, bp, j=2)
-        b = heston_cf(u, X0, TAU, RD, RF, HP, j=2)
+        a = cf_factory("bates2f", bp)(u, X0, TAU, RD, RF)
+        b = cf_factory("heston", HP)(u, X0, TAU, RD, RF)
         # residual is O(nu0_2 u^2) from the vanishing factor's B term
         assert np.max(np.abs(a - b)) < 1e-6
 
@@ -164,15 +160,15 @@ class TestModelNesting:
 
         bp = TwoFactorParams("bates2f", mapped(f1), mapped(f2))
         u = np.array([0.3, 1.0, 2.5, 7.0, 20.0], dtype=complex)
-        a = ouou_cf(u, X0, TAU, RD, RF, op, j=2)
-        b = bates2f_cf(u, X0, TAU, RD, RF, bp, j=2)
+        a = cf_factory("ouou", op)(u, X0, TAU, RD, RF)
+        b = cf_factory("bates2f", bp)(u, X0, TAU, RD, RF)
         assert np.max(np.abs(a - b)) < 1e-10
 
     def test_sz_ahat_variants_agree(self):
-        # sz_cf's compact A-hat against the Lord-Kahl form (charfn_reference)
+        # sz_terms' compact A-hat against the Lord-Kahl form (charfn_reference)
         u = np.array([0.3, 1.0, 2.5, 7.0, 20.0, 60.0], dtype=complex)
-        a = sz_cf(u, X0, TAU, RD, RF, SP, j=2)
-        b = reference_sz_cf(u, X0, TAU, RD, RF, SP, j=2)
+        a = cf_factory("sz", SP)(u, X0, TAU, RD, RF)
+        b = lord_kahl_sz_cf(u, X0, TAU, RD, RF, SP)
         assert np.max(np.abs(a - b)) < 1e-12
 
 
@@ -197,13 +193,13 @@ class TestJumpMultiplier:
                 - lam * khat * iu * tau)
         expected = cmath.exp(expo)
         got = complex(bates_jump_multiplier(np.asarray(u), tau,
-                                            JumpParams(lam, khat, delta), j=2))
+                                            JumpParams(lam, khat, delta)))
         assert abs(got - expected) < 1e-15
 
     def test_martingale_preserved(self):
         jp = JumpParams(lam=0.8, khat=-0.05, delta=0.15)
         cf = cf_factory("heston", HP, jump=jp)
-        val = complex(cf(np.asarray(-1j), X0, TAU, RD, RF, j=2))
+        val = complex(cf(np.asarray(-1j), X0, TAU, RD, RF))
         assert abs(val - FORWARD) < 1e-8
 
 
@@ -218,16 +214,16 @@ class TestOdeOracle:
 
     def test_heston_terms_match(self):
         u, tau = 1.0 + 0.0j, 1.0
-        ct = heston_terms(np.asarray(u), tau, HP, j=2, r_d=RD, r_f=RF)
-        ot = ode_oracle_terms("heston", np.asarray(u), tau, HP, j=2, r_d=RD,
+        ct = heston_terms(np.asarray(u), tau, HP, r_d=RD, r_f=RF)
+        ot = ode_oracle_terms("heston", np.asarray(u), tau, HP, r_d=RD,
                               r_f=RF, steps=2000)
         assert abs(complex(ct.A) - complex(ot.A)) < 1e-8
         assert abs(complex(ct.B) - complex(ot.B)) < 1e-8
 
     def test_sz_terms_match(self):
         u, tau = 2.0 + 0.0j, 0.5
-        ct = sz_terms(np.asarray(u), tau, SP, j=2, r_d=RD, r_f=RF)
-        ot = ode_oracle_terms("sz", np.asarray(u), tau, SP, j=2, r_d=RD, r_f=RF,
+        ct = sz_terms(np.asarray(u), tau, SP, r_d=RD, r_f=RF)
+        ot = ode_oracle_terms("sz", np.asarray(u), tau, SP, r_d=RD, r_f=RF,
                               steps=2000)
         for name in ("A", "B", "C"):
             assert abs(complex(getattr(ct, name)) - complex(getattr(ot, name))) < 1e-8
@@ -235,9 +231,9 @@ class TestOdeOracle:
     def test_two_factor_oracle_drift_weight(self):
         f = BP.f1
         hp = HestonParams(f.nu0, f.theta, f.kappa, f.omega, f.rho)
-        ct = heston_terms(np.asarray(1.5 + 0j), 0.8, hp, j=2, r_d=RD, r_f=RF,
+        ct = heston_terms(np.asarray(1.5 + 0j), 0.8, hp, r_d=RD, r_f=RF,
                           drift_weight=0.5)
-        ot = ode_oracle_terms("heston", np.asarray(1.5 + 0j), 0.8, hp, j=2,
+        ot = ode_oracle_terms("heston", np.asarray(1.5 + 0j), 0.8, hp,
                               r_d=RD, r_f=RF, steps=2000, drift_weight=0.5)
         assert abs(complex(ct.A) - complex(ot.A)) < 1e-8
 
@@ -258,12 +254,10 @@ class TestTenorColumns:
         u = DEFAULT_GRID.nodes()[1].astype(complex)
         tau, r_d, r_f = (np.asarray(v).reshape(-1, 1)
                          for v in (self.TAUS, self.R_DS, self.R_FS))
-        for j in (1, 2):
-            column = cf(u, X0, tau, r_d, r_f, j=j)
-            rows = [cf(u, X0, t, rd, rf, j=j)
-                    for t, rd, rf in zip(self.TAUS, self.R_DS, self.R_FS)]
-            assert column.shape == (len(self.TAUS), u.size)
-            assert np.array_equal(column, np.array(rows))
+        column = cf(u, X0, tau, r_d, r_f)
+        rows = [cf(u, X0, t, rd, rf) for t, rd, rf in zip(self.TAUS, self.R_DS, self.R_FS)]
+        assert column.shape == (len(self.TAUS), u.size)
+        assert np.array_equal(column, np.array(rows))
 
 
 class TestOverflowPolicy:
@@ -286,6 +280,12 @@ class TestValidation:
         with pytest.raises(InvariantViolation):
             SchobelZhuParams(0.1, -0.1, 1.0, 0.3, -0.4)
 
+    def test_two_factor_kind_must_match(self):
+        with pytest.raises(InvariantViolation):
+            cf_factory("bates2f", OP)
+        with pytest.raises(InvariantViolation):
+            cf_factory("ouou", ParamLanes.stack("bates2f", [BP, BP]))
+
     def test_feller_flag(self):
         assert not HP.feller_satisfied()  # 2*2.07*0.0143 = 0.0592 < 0.09
         assert HestonParams(0.01, 0.02, 3.0, 0.3, -0.4).feller_satisfied()
@@ -298,22 +298,22 @@ class TestValidation:
         assert not TwoFactorParams("bates2f", tight, BP.f2).feller_satisfied()
 
 
-def _old_bates2f_cf(u, x0, tau, r_d, r_f, p, j=2):
+def _old_bates2f_cf(u, x0, tau, r_d, r_f, p):
     """bates2f_cf as it was: a validated HestonParams per factor and call."""
     expo = 1j * np.asarray(u, dtype=complex) * x0
     for f in p.factors:
-        hp = HestonParams(f.nu0, f.theta, f.kappa, f.omega, f.rho, f.eta)
-        t = heston_terms(u, tau, hp, j=j, r_d=r_d, r_f=r_f, drift_weight=0.5)
+        hp = HestonParams(f.nu0, f.theta, f.kappa, f.omega, f.rho)
+        t = heston_terms(u, tau, hp, r_d=r_d, r_f=r_f, drift_weight=0.5)
         expo = expo + t.A + t.B * f.nu0
     return _exp_checked(expo)
 
 
-def _old_ouou_cf(u, x0, tau, r_d, r_f, p, j=2):
+def _old_ouou_cf(u, x0, tau, r_d, r_f, p):
     """ouou_cf as it was: a validated SchobelZhuParams per factor and call."""
     expo = 1j * np.asarray(u, dtype=complex) * x0
     for f in p.factors:
-        sp = SchobelZhuParams(f.nu0, f.theta, f.kappa, f.omega, f.rho, f.eta)
-        t = sz_terms(u, tau, sp, j=j, r_d=r_d, r_f=r_f, drift_weight=0.5)
+        sp = SchobelZhuParams(f.nu0, f.theta, f.kappa, f.omega, f.rho)
+        t = sz_terms(u, tau, sp, r_d=r_d, r_f=r_f, drift_weight=0.5)
         expo = expo + t.A + t.B * f.nu0 + t.C * f.nu0 ** 2
     return _exp_checked(expo)
 
@@ -332,12 +332,54 @@ class TestTwoFactorFactors:
     def test_same_bits(self, kind, old, params, jump):
         u = np.linspace(-30.0, 30.0, 61) + 0.0j
         tau = np.asarray(TestTenorColumns.TAUS).reshape(-1, 1)
-        cf = cf_factory(kind, params, jump=jump)
-        for j in (1, 2):
-            want = old(u, X0, tau, RD, RF, params, j=j)
-            if jump is not None:
-                want = want * bates_jump_multiplier(u, tau, jump, j=j)
-            assert np.array_equal(cf(u, X0, tau, RD, RF, j=j), want)
+        want = old(u, X0, tau, RD, RF, params)
+        if jump is not None:
+            want = want * bates_jump_multiplier(u, tau, jump)
+        assert np.array_equal(cf_factory(kind, params, jump=jump)(u, X0, tau, RD, RF), want)
+
+
+def _draw(kind, rng):
+    """A random parameter set of the model; nu0 and theta are variances
+    (heston, bates2f) or volatilities (sz, ouou)."""
+    level = 0.01 if kind in ("heston", "bates2f") else 0.1
+
+    def fields():
+        return (level * rng.uniform(0.2, 3.0), level * rng.uniform(0.2, 3.0),
+                rng.uniform(0.2, 6.0), rng.uniform(0.05, 1.0), rng.uniform(-0.95, 0.95))
+
+    if kind in ("bates2f", "ouou"):
+        return TwoFactorParams(kind, Factor(*fields()), Factor(*fields()))
+    return (HestonParams if kind == "heston" else SchobelZhuParams)(*fields())
+
+
+class TestOneAffineBody:
+    """cf_factory's one loop over a model's factors gives, bit for bit, the
+    model's CF and the jump multiplier as they were (charfn_reference), for
+    one parameter set and for lanes, on the pricing grid's nodes against
+    tenor columns."""
+
+    @pytest.mark.parametrize("kind,old,params", ALL_MODELS)
+    @pytest.mark.parametrize("jump", [None, JUMP], ids=["diffusion", "jumps"])
+    def test_same_bits(self, kind, old, params, jump):
+        rng = np.random.default_rng(13)
+        u = DEFAULT_GRID.nodes()[1].astype(complex)
+        n, taus = 5, np.array(TestTenorColumns.TAUS)[:, None]
+        for draw in range(12):
+            sets = [params] + [_draw(kind, rng) for _ in range(n - 1)]
+            x0 = X0 + rng.normal(0.0, 0.05, (n, 1, 1))
+            tau = taus * rng.uniform(0.98, 1.02, (n, taus.size, 1))
+            r_d, r_f = rng.uniform(0.0, 0.03, (2, n, taus.size, 1))
+            for k, p in enumerate(sets):
+                want = old(u, x0[k, 0, 0], tau[k], r_d[k], r_f[k], p)
+                if jump is not None:
+                    want = want * reference_jump_multiplier(u, tau[k], jump)
+                got = cf_factory(kind, p, jump=jump)(u, x0[k, 0, 0], tau[k], r_d[k], r_f[k])
+                assert np.array_equal(_bits(got), _bits(want)), (draw, k)
+            lanes = ParamLanes.stack(kind, sets)
+            want = reference_cf_factory(kind, lanes, jump=jump)(u, x0, tau, r_d, r_f)
+            got = cf_factory(kind, lanes, jump=jump)(u, x0, tau, r_d, r_f)
+            assert got.shape == (n, taus.size, u.size)
+            assert np.array_equal(_bits(got), _bits(want)), draw
 
 
 def _scaled(kind, params, s):
@@ -367,14 +409,13 @@ class TestParamLanes:
         r_ds = np.array([TestTenorColumns.R_DS] * len(sets)) + 0.001
         r_fs = np.array([TestTenorColumns.R_FS] * len(sets))
         cf = cf_factory(kind, ParamLanes.stack(kind, sets), jump=jump)
-        for j in (1, 2):
-            lanes = cf(u, np.array(x0s).reshape(-1, 1, 1), taus[:, :, None],
-                       r_ds[:, :, None], r_fs[:, :, None], j=j)
-            assert lanes.shape == (len(sets), taus.shape[1], u.size)
-            for k, p in enumerate(sets):
-                one = cf_factory(kind, p, jump=jump)(u, x0s[k], taus[k][:, None],
-                                                     r_ds[k][:, None], r_fs[k][:, None], j=j)
-                assert np.array_equal(lanes[k], one)
+        lanes = cf(u, np.array(x0s).reshape(-1, 1, 1), taus[:, :, None],
+                   r_ds[:, :, None], r_fs[:, :, None])
+        assert lanes.shape == (len(sets), taus.shape[1], u.size)
+        for k, p in enumerate(sets):
+            one = cf_factory(kind, p, jump=jump)(u, x0s[k], taus[k][:, None],
+                                                 r_ds[k][:, None], r_fs[k][:, None])
+            assert np.array_equal(lanes[k], one)
 
     def test_squares_are_pythons_pow(self):
         # numpy's array ** 2 is x * x, which misses C pow's bits now and then
@@ -470,10 +511,10 @@ class TestHestonTermsReference:
     old body (charfn_reference)."""
 
     @pytest.mark.parametrize("lanes", [None, 1, 16])
-    @pytest.mark.parametrize("j", [1, 2])
+    @pytest.mark.parametrize("draw", [1, 2])
     @pytest.mark.parametrize("drift_weight", [1.0, 0.5])
-    def test_equals_old_body(self, lanes, j, drift_weight):
-        rng = np.random.default_rng(31)
+    def test_equals_old_body(self, lanes, draw, drift_weight):
+        rng = np.random.default_rng(29 + draw)
         u = DEFAULT_GRID.nodes()[1].astype(complex)
         taus = np.array(TestTenorColumns.TAUS)
         if lanes is None:  # one parameter set on (T, 1) columns
@@ -484,8 +525,8 @@ class TestHestonTermsReference:
             shape = (lanes, taus.size, 1)
         tau = np.broadcast_to(taus[:, None], shape) * rng.uniform(0.98, 1.02, shape)
         r_d, r_f = rng.uniform(0.0, 0.03, shape), rng.uniform(0.0, 0.03, shape)
-        got = heston_terms(u, tau, p, j=j, r_d=r_d, r_f=r_f, drift_weight=drift_weight)
-        want = reference_heston_terms(u, tau, p, j=j, r_d=r_d, r_f=r_f,
+        got = heston_terms(u, tau, p, r_d=r_d, r_f=r_f, drift_weight=drift_weight)
+        want = reference_heston_terms(u, tau, p, r_d=r_d, r_f=r_f,
                                       drift_weight=drift_weight)
         for name in ("A", "B"):
             assert np.array_equal(_bits(getattr(got, name)), _bits(getattr(want, name))), name

@@ -10,6 +10,7 @@ import importlib.util
 import inspect
 import os
 
+import numpy as np
 import pytest
 
 from fxsvol import calibrate, cli, market_data
@@ -92,3 +93,16 @@ def test_implied_vol_reached_through_the_traced_name(heston_surface, heston_medi
     assert len(calls) == 1
     calibrate.rmse_report(ctx, "heston", heston_median_params)
     assert len(calls) == 2
+
+
+def test_traced_cf_factory_prices_a_surface(heston_surface, heston_median_params,
+                                            monkeypatch):
+    # the tracer wraps calibrate.cf_factory, calls it as factory(kind, params,
+    # jump=jump) and passes the closure's arguments through
+    tracer = _load_tracer().Tracer()
+    ctx = calibrate.SurfaceCost(heston_surface)
+    plain = ctx.model_calls("heston", heston_median_params)
+    monkeypatch.setattr(calibrate, "cf_factory",
+                        tracer.traced_cf_factory(calibrate.cf_factory))
+    assert np.array_equal(ctx.model_calls("heston", heston_median_params), plain)
+    assert [rec[0] for buf in tracer.buffers for rec in buf.spans] == ["charfn.cf"]

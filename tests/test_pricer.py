@@ -48,7 +48,7 @@ def one_tenor_strip(cf, S, strikes, tau, r_d, r_f, grid=DEFAULT_GRID):
     """The one-maturity kernel, operation for operation, as a bit-level oracle."""
     w, u, weights = grid.nodes()
     x0 = math.log(S)
-    phi = cf(u.astype(complex), x0, tau, r_d, r_f, j=2)
+    phi = cf(u.astype(complex), x0, tau, r_d, r_f)
     phi = phi * np.exp(-1j * u * (x0 + (r_d - r_f) * tau))
     ell = np.log(np.asarray(strikes) / S) - (r_d - r_f) * tau
     kernel = phi * (1.0 - 1j / u) / (1.0 + u * u) * u * weights
