@@ -2,13 +2,18 @@
 
 A literal Nelder-Mead (reflection 1, expansion 2, contraction 1/2, shrink 1/2,
 simplex seeded from the start point with 0.05/0.00025 offsets) minimizes
-vega-weighted price or implied-vol cost functions over exp/tanh-transformed
-parameters.  Pipelines cover variance/vol term-structure fits, full-surface
-calibration for one- and two-factor models, two-stage starts, outlier
-recalibration and the cross-cost-function calibration-risk protocol.
+vega-weighted price or implied-vol cost functions.  Pipelines cover
+variance/vol term-structure fits, full-surface calibration for one- and
+two-factor models, two-stage starts, outlier recalibration and the
+cross-cost-function calibration-risk protocol.
 Every surface fit, full, two-stage or risk, runs as a lane of a lockstep
 Nelder-Mead (run_lanes for many surfaces, run_job for one), each lane bit
-for bit its own run.
+for bit its own run.  A fit's simplex coordinates are one Layout: per
+factor, the free fields among (nu0, theta, omega, kappa, rho), log of a
+positive field and atanh of rho, the rest pinned at a base value and the
+factors optionally tied.  The full fit frees every field, the modified
+equal-variance start pins rho, the two-stage start ties the factors and
+the calibration-risk protocol pins omega and rho.
 """
 
 from __future__ import annotations
@@ -20,14 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .charfn import (
-    Factor,
-    HestonParams,
-    ParamLanes,
-    SchobelZhuParams,
-    TwoFactorParams,
-    cf_factory,
-)
+from .charfn import Factor, ParamLanes, cf_factory, model_params, variance_factors
 from .errors import FxsvolError, InvariantViolation, NonFiniteObjective, NumericOverflow
 from .moments import heston_total_variance
 from .pricer import (
@@ -43,7 +41,6 @@ from .pricer import (
 FELLER_PENALTY = 999.0
 VEGA_FLOOR = 1e-8
 
-MODEL_KINDS = ("heston", "sz", "bates2f", "ouou")
 COST_KINDS = ("mse", "mae", "mape", "mspe")
 
 
@@ -196,19 +193,44 @@ def _checked(v, x):
 
 
 # ---------------------------------------------------------------------------
-# parameter transforms
+# simplex coordinates
 # ---------------------------------------------------------------------------
 
-def transform_params(nu0, theta, omega, kappa, rho):
-    """Model params -> unconstrained vector (log for positives, atanh for rho)."""
-    return np.array([math.log(nu0), math.log(theta), math.log(omega),
-                     math.log(kappa), math.atanh(rho)])
+# a factor's fields in coordinate order, and each one's place in Factor's
+# (nu0, theta, kappa, omega, rho); the simplex offsets and the stable-sort
+# tie-breaks of Nelder-Mead depend on this order
+COORDS = ("nu0", "theta", "omega", "kappa", "rho")
+_SLOT = {"nu0": 0, "theta": 1, "kappa": 2, "omega": 3, "rho": 4}
 
 
-def untransform_params(x):
-    """Unconstrained vector -> (nu0, theta, omega, kappa, rho)."""
-    return (math.exp(x[0]), math.exp(x[1]), math.exp(x[2]), math.exp(x[3]),
-            math.tanh(x[4]))
+class Layout:
+    """The simplex coordinates of one fit's model parameters.
+
+    factors are the base parameters, one object with Factor's fields per
+    model factor.  Per factor, each field named in free is a coordinate, in
+    COORDS order: log of a positive field, atanh of rho; every other field
+    stays at its base value.  With tied, all factors share the coordinates
+    of the first.  x0 is the base's coordinates, and params(x) the
+    parameter set (charfn.model_params) at coordinates x; math.exp and
+    math.tanh map them back, so a coordinate that overflows a float raises
+    OverflowError.  The index plan is built here, once per fit.
+    """
+
+    def __init__(self, kind, factors, free=COORDS, tied=False):
+        self.kind = kind
+        base = [(f.nu0, f.theta, f.kappa, f.omega, f.rho) for f in factors]
+        self._blocks, self._copies = (base[:1], len(base)) if tied else (base, 1)
+        names = [name for name in COORDS if name in free]
+        self._plan = [(k, _SLOT[name], math.tanh if name == "rho" else math.exp)
+                      for k in range(len(self._blocks)) for name in names]
+        self.x0 = np.array([(math.atanh if inverse is math.tanh else math.log)(
+            self._blocks[k][slot]) for k, slot, inverse in self._plan])
+
+    def params(self, x):
+        fields = [list(f) for f in self._blocks]
+        for (k, slot, inverse), v in zip(self._plan, x.tolist()):
+            fields[k][slot] = inverse(v)
+        return model_params(self.kind, fields * self._copies)
 
 
 # ---------------------------------------------------------------------------
@@ -328,47 +350,6 @@ def rmse_report(ctx, kind, params):
 
 
 # ---------------------------------------------------------------------------
-# parameter vector plumbing per model kind
-# ---------------------------------------------------------------------------
-
-def params_to_vector(kind, params):
-    return np.concatenate([transform_params(f.nu0, f.theta, f.omega, f.kappa, f.rho)
-                           for f in params.factors])
-
-
-def vector_to_params(kind, x, pinned_rho=None):
-    if kind == "heston":
-        nu0, theta, omega, kappa, rho = untransform_params(x)
-        return HestonParams(nu0, theta, kappa, omega, rho)
-    if kind == "sz":
-        nu0, theta, omega, kappa, rho = untransform_params(x)
-        return SchobelZhuParams(nu0, theta, kappa, omega, rho)
-    factors = []
-    for k in range(2):
-        if pinned_rho is None:
-            nu0, theta, omega, kappa, rho = untransform_params(x[5 * k:5 * k + 5])
-        else:
-            nu0, theta, omega, kappa = (math.exp(v) for v in x[4 * k:4 * k + 4])
-            rho = pinned_rho[k]
-        factors.append(Factor(nu0, theta, kappa, omega, rho))
-    return TwoFactorParams(kind, factors[0], factors[1])
-
-
-def _strip_rho(x10):
-    """Drop the two rho coordinates from a 10-vector (pinned-rho mode)."""
-    return np.concatenate([x10[0:4], x10[5:9]])
-
-
-def start_to_params(kind, start):
-    """TwoFactorStart -> TwoFactorParams."""
-    f1 = Factor(start.nu0[0], start.theta[0], start.kappa[0], start.omega[0],
-                start.rho[0])
-    f2 = Factor(start.nu0[1], start.theta[1], start.kappa[1], start.omega[1],
-                start.rho[1])
-    return TwoFactorParams(kind, f1, f2)
-
-
-# ---------------------------------------------------------------------------
 # term-structure calibrations
 # ---------------------------------------------------------------------------
 
@@ -468,12 +449,11 @@ LANES_PER_BLOCK = 64
 
 @dataclass(frozen=True, eq=False)
 class Fit:
-    """One Nelder-Mead run: minimize ctx(kind, to_params(x), feller) from x0."""
+    """One Nelder-Mead run: minimize ctx(layout.kind, layout.params(x),
+    feller) from layout.x0."""
     ctx: SurfaceCost
-    kind: str
-    to_params: object
+    layout: Layout
     feller: bool
-    x0: np.ndarray
     config: NelderMeadConfig
 
 
@@ -567,13 +547,13 @@ class _Lane:
             raise InvariantViolation("the fits of a lane must price one surface, "
                                      "model and grid")
         self.fit = fit
-        self.steps = nelder_mead_steps(fit.x0, fit.config)
+        self.steps = nelder_mead_steps(fit.layout.x0, fit.config)
         return next(self.steps)
 
 
 def _kernel_key(fit):
     """What a lane's kernel constants and CF depend on."""
-    return fit.kind, fit.ctx.grid, id(fit.ctx.surface)
+    return fit.layout.kind, fit.ctx.grid, id(fit.ctx.surface)
 
 
 def _replay(outcomes):
@@ -593,14 +573,14 @@ def _evaluate_rows(rows):
     chunk of one row goes through its context's own cost, SurfaceCost's
     __call__.  A call that raises (a CF overflow, an implied-vol miss) is
     priced again row by row, so each row gets its own one-row outcome.  A
-    point whose parameters overflow a float (math.exp in a to_params) is
+    point whose parameters overflow a float (math.exp in Layout.params) is
     a NumericOverflow outcome.
     """
     out = [None] * len(rows)
     priced = {}
     for r, (_, fit, x) in enumerate(rows):
         try:
-            params = fit.to_params(x)
+            params = fit.layout.params(x)
         except FxsvolError as exc:
             out[r] = exc
             continue
@@ -610,7 +590,7 @@ def _evaluate_rows(rows):
         if fit.feller and not params.feller_satisfied():
             out[r] = FELLER_PENALTY
             continue
-        group = fit.kind, fit.ctx.grid, fit.ctx.strikes.shape
+        group = fit.layout.kind, fit.ctx.grid, fit.ctx.strikes.shape
         priced.setdefault(group, []).append((r, fit, params))
     for todo in priced.values():
         for c in range(0, len(todo), LANE_ROWS):
@@ -629,8 +609,8 @@ def _chunk_costs(chunk):
     through its context's own kernel, with no lanes to stack."""
     if len(chunk) == 1:
         ((_, fit, params),) = chunk
-        return [fit.ctx(fit.kind, params)]
-    kind = chunk[0][1].kind
+        return [fit.ctx(fit.layout.kind, params)]
+    kind = chunk[0][1].layout.kind
     kernel = AttariLanes.stack([fit.ctx.kernel for _, fit, _ in chunk])
     cf = cf_factory(kind, ParamLanes.stack(kind, [p for _, _, p in chunk]))
     calls = kernel.calls(cf)
@@ -647,29 +627,25 @@ def _row_cost(row):
 def full_job(kind, surface, start_params, cost_spec=CostSpec(), feller=False,
              max_iter=None, pinned_rho=None, grid=DEFAULT_GRID, stop_any=False):
     """calibrate_full as a job (see run_job)."""
-    if kind not in MODEL_KINDS:
-        raise InvariantViolation(f"unknown model kind {kind!r}")
     return (yield from _full_fit(SurfaceCost(surface, cost_spec, grid), kind,
                                  start_params, feller, max_iter, pinned_rho, stop_any))
 
 
 def _full_fit(ctx, kind, start_params, feller, max_iter, pinned_rho, stop_any):
     """full_job's fit and result on the surface context ctx."""
-    two_factor = kind in ("bates2f", "ouou")
+    factors = start_params.factors
     if max_iter is None:
-        max_iter = FULL_MAX_ITER_2F if two_factor else FULL_MAX_ITER_1F
-    x0 = params_to_vector(kind, start_params)
+        max_iter = FULL_MAX_ITER_1F if len(factors) == 1 else FULL_MAX_ITER_2F
+    free = COORDS
     if pinned_rho is not None:
-        if not two_factor:
+        if len(factors) == 1:
             raise InvariantViolation("pinned rho applies to two-factor models only")
-        x0 = _strip_rho(x0)
-
-    def to_params(x):
-        return vector_to_params(kind, x, pinned_rho=pinned_rho)
-
-    res = yield Fit(ctx, kind, to_params, feller, x0,
+        factors = [replace(f, rho=rho) for f, rho in zip(factors, pinned_rho)]
+        free = ("nu0", "theta", "omega", "kappa")
+    layout = Layout(kind, factors, free)
+    res = yield Fit(ctx, layout, feller,
                     NelderMeadConfig(max_iter=max_iter, stop_any=stop_any))
-    params = to_params(res.x)
+    params = layout.params(res.x)
     rmse_vol, rmse_vega, residuals = rmse_report(ctx, kind, params)
     return CalibrationResult(
         model=kind, params=params, start=start_params, cost_value=res.fx,
@@ -703,24 +679,14 @@ def two_stage_job(kind, surface, symmetric_start, cost_spec=CostSpec(), feller=F
                   stage1_max_iter=FULL_MAX_ITER_1F, stage2_max_iter=FULL_MAX_ITER_2F,
                   grid=DEFAULT_GRID):
     """two_stage_calibration as a job (see run_job)."""
-    if kind not in ("bates2f", "ouou"):
-        raise InvariantViolation("two-stage calibration is for two-factor models")
     ctx = SurfaceCost(surface, cost_spec, grid)
-    nu0, theta, kappa, omega, rho = symmetric_start
-
-    def tied_params(x):
-        n, t, om, ka, rh = untransform_params(x)
-        f = Factor(n, t, ka, om, rh)
-        return TwoFactorParams(kind, f, f)
-
-    x0 = transform_params(nu0, theta, omega, kappa, rho)
-    stage1 = yield Fit(ctx, kind, tied_params, feller, x0,
-                       NelderMeadConfig(max_iter=stage1_max_iter))
-    n, t, om, ka, rh = untransform_params(stage1.x)
-    if feller and kind == "bates2f":
-        om = feller_truncate_omega(om, t, ka)
-    f = Factor(n, t, ka, om, rh)
-    stage1_params = TwoFactorParams(kind, f, f)
+    tied = Layout(kind, [Factor(*symmetric_start)] * 2, tied=True)
+    stage1 = yield Fit(ctx, tied, feller, NelderMeadConfig(max_iter=stage1_max_iter))
+    stage1_params = tied.params(stage1.x)
+    if feller and variance_factors(kind):
+        stage1_params = model_params(kind, [
+            (f.nu0, f.theta, f.kappa, feller_truncate_omega(f.omega, f.theta, f.kappa), f.rho)
+            for f in stage1_params.factors])
     result = yield from _full_fit(ctx, kind, stage1_params, feller, stage2_max_iter,
                                   None, False)
     return replace(result, flags=result.flags + ("two_stage",)), stage1
@@ -748,23 +714,15 @@ def two_stage_calibration(kind, surface, symmetric_start, cost_spec=CostSpec(),
 def risk_job(kind, surface, base_params, cost_kinds=("mse", "mae", "mape"),
              max_iter=FULL_MAX_ITER_1F, grid=DEFAULT_GRID):
     """calibration_risk as a job (see run_job): one fit per cost kind."""
-    if kind not in ("heston", "sz"):
+    if len(base_params.factors) != 1:
         raise InvariantViolation("risk protocol runs on one-factor models")
-    cls = HestonParams if kind == "heston" else SchobelZhuParams
-
-    def to_params(x):
-        nu0, theta, kappa = (math.exp(v) for v in x)
-        return cls(nu0=nu0, theta=theta, kappa=kappa, omega=base_params.omega,
-                   rho=base_params.rho)
-
-    x0 = np.array([math.log(base_params.nu0), math.log(base_params.theta),
-                   math.log(base_params.kappa)])
+    layout = Layout(kind, base_params.factors, free=("nu0", "theta", "kappa"))
     ctx = SurfaceCost(surface, grid=grid)
     results = []
     for ck in cost_kinds:
-        res = yield Fit(ctx.with_spec(CostSpec(kind=ck)), kind, to_params, False, x0,
+        res = yield Fit(ctx.with_spec(CostSpec(kind=ck)), layout, False,
                         NelderMeadConfig(max_iter=max_iter))
-        results.append((ck, to_params(res.x), res))
+        results.append((ck, layout.params(res.x), res))
     spreads = {}
     for name in ("nu0", "theta", "kappa"):
         vals = [getattr(p, name) for _, p, _ in results]

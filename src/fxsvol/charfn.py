@@ -12,6 +12,10 @@ Albrecher et al., which keeps the complex log away from its branch cut for
 all maturities.  Schobel-Zhu and OUOU factors are OU volatilities: sz_terms
 gives their A, B, C, and the exponent is quadratic in nu0.
 
+model_params(kind, factors) builds a model's parameter set from its factors'
+fields; it is the one place that knows each model's parameter class and
+factor count.
+
 cf_factory(kind, params, jump=None) is the one way to build a CF: a closure
 cf(u, x0, tau, r_d, r_f), which the pricers call and nothing else.  u is
 complex (a scalar or a numpy array).  tau, r_d and r_f may be scalars or
@@ -282,6 +286,23 @@ def sz_terms(u, tau, p, r_d=0.0, r_f=0.0, drift_weight=1.0):
 # in its nu0
 _FACTOR_TERMS = {"heston": heston_terms, "bates2f": heston_terms,
                  "sz": sz_terms, "ouou": sz_terms}
+
+
+def model_params(kind, factors):
+    """Model kind's parameter set from its factors, each a sequence
+    (nu0, theta, kappa, omega, rho): one factor for heston and sz, two for
+    bates2f and ouou."""
+    if kind in ("bates2f", "ouou") and len(factors) == 2:
+        return TwoFactorParams(kind, Factor(*factors[0]), Factor(*factors[1]))
+    if kind in ("heston", "sz") and len(factors) == 1:
+        return (HestonParams if kind == "heston" else SchobelZhuParams)(*factors[0])
+    raise InvariantViolation(f"no {kind!r} parameter set has {len(factors)} factor(s)")
+
+
+def variance_factors(kind):
+    """Whether model kind's factors are CIR variances, which the Feller
+    condition bounds (OU volatilities have no such bound)."""
+    return _FACTOR_TERMS[kind] is heston_terms
 
 
 # ---------------------------------------------------------------------------

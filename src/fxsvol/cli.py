@@ -30,10 +30,9 @@ from .calibrate import (
     risk_job,
     run_job,
     run_lanes,
-    start_to_params,
     two_stage_job,
 )
-from .charfn import HestonParams, SchobelZhuParams
+from .charfn import model_params
 from .errors import FxsvolError, InvariantViolation, ParseError
 from .market_data import build_surface, group_rows_by_date, ingest_csv
 from .pricer import DEFAULT_GRID, IntegrationGrid
@@ -91,16 +90,11 @@ def write_json(path, payload):
 
 
 def params_to_dict(kind, params):
-    if kind in ("heston", "sz"):
-        return {"nu0": params.nu0, "theta": params.theta, "kappa": params.kappa,
-                "omega": params.omega, "rho": params.rho}
-    return {
-        "factors": [
-            {"nu0": f.nu0, "theta": f.theta, "kappa": f.kappa,
-             "omega": f.omega, "rho": f.rho}
-            for f in params.factors
-        ]
-    }
+    """A parameter set of model kind as JSON: a one-factor model's fields,
+    or {"factors": [...]}, one dict of fields per factor."""
+    factors = [{"nu0": f.nu0, "theta": f.theta, "kappa": f.kappa,
+                "omega": f.omega, "rho": f.rho} for f in params.factors]
+    return factors[0] if len(factors) == 1 else {"factors": factors}
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +122,9 @@ def historical_context(surfaces):
     """Per-date EWMA (omega, rho) estimates from the 1M strip vol and spot.
 
     With fewer than 63 dates the documented warm-up fallbacks apply (omega =
-    index level, or half of it for the vol model; rho = -0.1).
+    index level, or half of it for the vol model; rho = -0.1); with fewer
+    than two there are no estimates, and hist_omega_rho gives the fallback
+    for every date.
     """
     dates = sorted(surfaces)
     vix1m, spots = [], []
@@ -140,9 +136,7 @@ def historical_context(surfaces):
         vix1m.append(math.sqrt(max(v2, 0.0)))
         spots.append(surf.spot)
     if len(dates) < 2:
-        h = {dates[0]: (vix1m[0], HIST_RHO_FALLBACK)} if dates else {}
-        s = {dates[0]: (0.5 * vix1m[0], HIST_RHO_FALLBACK)} if dates else {}
-        return {"heston": h, "sz": s, "vix1m": dict(zip(dates, vix1m))}
+        return {"heston": {}, "sz": {}, "vix1m": dict(zip(dates, vix1m))}
     om_h, rho_h = estimators.historical_omega_rho(vix1m, spots, model="heston")
     om_s, rho_s = estimators.historical_omega_rho(vix1m, spots, model="sz")
     return {
@@ -197,70 +191,57 @@ def start_with_icm(model, method, surface, hist):
     flags = []
 
     def one_factor(model_kind):
+        """(nu0, theta, kappa, omega, rho), flags and Heston ICM estimate."""
         if method == "icm":
             sets = moments.surface_moment_sets(surface)
             if model_kind == "heston":
                 est = estimators.icm_heston(sets)
-                return (HestonParams(hts[0], hts[1], hts[2], est.omega, est.rho), est.flags,
-                        est)
+                return (*hts, est.omega, est.rho), est.flags, est
             _, sts = sz_ts_pipeline(surface, ts, hts, hh)
             esth = estimators.icm_heston(sets)
             est = estimators.icm_sz(None, sts[0], from_heston=(esth.omega, esth.rho))
-            return (SchobelZhuParams(sts[0], sts[1], sts[2], est.omega, est.rho),
-                    est.flags, esth)
+            return (*sts, est.omega, est.rho), est.flags, esth
         if method == "durrleman":
             est = estimators.durrleman(surface, ts.v2_corrected[0])
             if model_kind == "heston":
-                return (HestonParams(hts[0], hts[1], hts[2],
-                                     max(est.omega, 1e-4), est.rho), est.flags, None)
+                return (*hts, max(est.omega, 1e-4), est.rho), est.flags, None
             _, sts = sz_ts_pipeline(surface, ts, hts, hh)
-            return (SchobelZhuParams(sts[0], sts[1], sts[2],
-                                     max(0.5 * est.omega, 1e-4), est.rho),
+            return ((*sts, max(0.5 * est.omega, 1e-4), est.rho),
                     est.flags + ("half-relation applied for the OU-vol model",), None)
         if method == "hist":
             if model_kind == "heston":
-                return (HestonParams(hts[0], hts[1], hts[2], max(hh[0], 1e-4), hh[1]), (),
-                        None)
+                return (*hts, max(hh[0], 1e-4), hh[1]), (), None
             _, sts = sz_ts_pipeline(surface, ts, hts, hh)
-            return (SchobelZhuParams(sts[0], sts[1], sts[2], max(hs[0], 1e-4), hs[1]), (),
-                    None)
+            return (*sts, max(hs[0], 1e-4), hs[1]), (), None
         raise FxsvolError(f"start method {method!r} not supported for {model_kind}")
 
     if model in ("heston", "sz"):
-        params, fl, esth = one_factor(model)
-        return params, None, tuple(flags) + tuple(fl), esth
+        fields, fl, esth = one_factor(model)
+        return model_params(model, [fields]), None, tuple(fl), esth
 
     sets = moments.surface_moment_sets(surface)
     esth = estimators.icm_heston(sets)
-    if model == "bates2f":
-        if method in ("evp", "icm"):
-            start = estimators.evp_split(esth.omega, esth.rho, *hts)
-            return start_to_params("bates2f", start), None, start.flags, esth
-        if method == "mevp":
-            start = estimators.mevp_split(esth.omega, esth.rho, *hts,
-                                          target="bates_feller")
-            return start_to_params("bates2f", start), start.rho, start.flags, esth
-        raise FxsvolError(f"start method {method!r} not supported for bates2f")
-    if model == "bates2f-feller":
-        if method in ("mevp", "icm"):
-            start = estimators.mevp_split(esth.omega, esth.rho, *hts,
-                                          target="bates_feller")
-            om = tuple(feller_truncate_omega(o, t, k)
-                       for o, t, k in zip(start.omega, start.theta, start.kappa))
-            if om != start.omega:
-                flags.append("start omegas truncated to the positivity bound")
-            start = replace(start, omega=om)
-            return (start_to_params("bates2f", start), start.rho,
-                    tuple(flags) + start.flags, esth)
-        raise FxsvolError(f"start method {method!r} not supported for bates2f-feller")
-    if model == "ouou":
-        if method in ("mevp", "icm"):
-            _, sts = sz_ts_pipeline(surface, ts, hts, hh)
-            ests = estimators.icm_sz(None, sts[0], from_heston=(esth.omega, esth.rho))
-            start = estimators.mevp_split(ests.omega, ests.rho, *sts, target="ouou")
-            return start_to_params("ouou", start), start.rho, start.flags, esth
-        raise FxsvolError(f"start method {method!r} not supported for ouou")
-    raise FxsvolError(f"unknown model {model!r}")
+    if model == "bates2f" and method in ("evp", "icm"):
+        start = estimators.evp_split(esth.omega, esth.rho, *hts)
+    elif model == "bates2f" and method == "mevp":
+        start = estimators.mevp_split(esth.omega, esth.rho, *hts, target="bates_feller")
+    elif model == "bates2f-feller" and method in ("mevp", "icm"):
+        start = estimators.mevp_split(esth.omega, esth.rho, *hts, target="bates_feller")
+        om = tuple(feller_truncate_omega(o, t, k)
+                   for o, t, k in zip(start.omega, start.theta, start.kappa))
+        if om != start.omega:
+            flags.append("start omegas truncated to the positivity bound")
+        start = replace(start, omega=om)
+    elif model == "ouou" and method in ("mevp", "icm"):
+        _, sts = sz_ts_pipeline(surface, ts, hts, hh)
+        ests = estimators.icm_sz(None, sts[0], from_heston=(esth.omega, esth.rho))
+        start = estimators.mevp_split(ests.omega, ests.rho, *sts, target="ouou")
+    elif model in ("bates2f", "bates2f-feller", "ouou"):
+        raise FxsvolError(f"start method {method!r} not supported for {model}")
+    else:
+        raise FxsvolError(f"unknown model {model!r}")
+    return (model_params(start.kind, start.factors), start.rho if start.pin_rho else None,
+            tuple(flags) + start.flags, esth)
 
 
 def pipeline_job(manifest, surface, hist):
@@ -411,7 +392,7 @@ def cmd_vix(manifest):
 def vix_job(manifest, surface, hist):
     """One date's vix.csv rows as a job that runs no fit."""
     date = surface.date
-    om_h, rho_h = hist["heston"][date]
+    om_h, rho_h = hist_omega_rho(hist, "heston", date)
     ts = moments.surface_variance_ts(surface, rho_h=rho_h, omega_h=om_h)
     sets = moments.surface_moment_sets(surface)
     rows = [[date, sl.tenor] + [f"{x:.12g}" for x in (sl.tau, v2, v2c, m.skew, m.kurt)]

@@ -85,6 +85,11 @@ class TwoFactorStart:
     pin_rho: bool = False
     flags: tuple = ()
 
+    @property
+    def factors(self):
+        """Per factor, its (nu0, theta, kappa, omega, rho)."""
+        return tuple(zip(self.nu0, self.theta, self.kappa, self.omega, self.rho))
+
 
 def _lower_median(values):
     """Median with lower-of-the-two tie break for even counts."""

@@ -261,10 +261,14 @@ def _parse_row(rec, row_no, scale):
     def num(col):
         raw = rec.get(col)
         try:
-            return float(raw)
+            value = float(raw)
         except (TypeError, ValueError):
             raise ParseError(f"row {row_no}, column '{col}': not numeric: {raw!r}",
                              row=row_no, column=col) from None
+        if not math.isfinite(value):
+            raise ParseError(f"row {row_no}, column '{col}': not finite: {raw!r}",
+                             row=row_no, column=col)
+        return value
 
     tenor = (rec.get("tenor") or "").strip()
     if tenor not in TENORS:

@@ -98,8 +98,8 @@ def reference_run_job(job):
         fit = next(job)
         while True:
             def objective(x, fit=fit):
-                return fit.ctx(fit.kind, fit.to_params(x), feller=fit.feller)
+                return fit.ctx(fit.layout.kind, fit.layout.params(x), feller=fit.feller)
 
-            fit = job.send(reference_nelder_mead(objective, fit.x0, fit.config))
+            fit = job.send(reference_nelder_mead(objective, fit.layout.x0, fit.config))
     except StopIteration as stop:
         return stop.value

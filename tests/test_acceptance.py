@@ -23,7 +23,6 @@ from fxsvol.calibrate import (
     calibration_risk,
     feller_truncate_omega,
     nelder_mead,
-    start_to_params,
 )
 from fxsvol.charfn import (
     Factor,
@@ -32,6 +31,7 @@ from fxsvol.charfn import (
     TwoFactorParams,
     cf_factory,
     heston_terms,
+    model_params,
     sz_terms,
 )
 from fxsvol.cli import main as cli_main
@@ -334,7 +334,8 @@ def sz_icm_start(surf):
 
 def ouou_mevp_start(surf):
     (nu0s, ths, kas), ests, _ = sz_icm_start(surf)
-    return mevp_split(ests.omega, ests.rho, nu0s, ths, kas, target="ouou")
+    st = mevp_split(ests.omega, ests.rho, nu0s, ths, kas, target="ouou")
+    return model_params(st.kind, st.factors)
 
 
 def bates_feller_start(surf):
@@ -342,7 +343,8 @@ def bates_feller_start(surf):
     st = mevp_split(est.omega, est.rho, nu0, th, ka, target="bates_feller")
     om = tuple(feller_truncate_omega(o, t, k)
                for o, t, k in zip(st.omega, st.theta, st.kappa))
-    return replace(st, omega=om)
+    st = replace(st, omega=om)
+    return model_params(st.kind, st.factors)
 
 
 class TestCriterion7:
@@ -373,8 +375,8 @@ class TestCriterion7:
         truth = TwoFactorParams("bates2f", f, f)
         surf = synth_surface("bates2f", truth)
         (nu0, th, ka), est = heston_icm_start(surf)
-        start = start_to_params("bates2f",
-                                evp_split(est.omega, est.rho, nu0, th, ka))
+        split = evp_split(est.omega, est.rho, nu0, th, ka)
+        start = model_params(split.kind, split.factors)
         res = calibrate_full("bates2f", surf, start, max_iter=800)
         report(7, "round trip bates2f/ICM+EVP", res.rmse_vol < 1e-4,
                f"rmse_vol={res.rmse_vol:.2e} iters={res.iterations}")
@@ -392,10 +394,9 @@ class TestCriterion7:
         # deterministic warm-up walks the generator to the estimator's
         # self-consistent neighbourhood (the identification regime)
         for _ in range(3):
-            truth = start_to_params("ouou",
-                                    ouou_mevp_start(synth_surface("ouou", truth)))
+            truth = ouou_mevp_start(synth_surface("ouou", truth))
         surf = synth_surface("ouou", truth)
-        start = start_to_params("ouou", ouou_mevp_start(surf))
+        start = ouou_mevp_start(surf)
         res = calibrate_full("ouou", surf, start, pinned_rho=(0.99, -0.99),
                              max_iter=800)
         report(7, "round trip ouou/ICM+MEVP", res.rmse_vol < 1e-4,
@@ -407,11 +408,10 @@ class TestCriterion7:
                                 Factor(0.005, 0.009, 2.5, 0.10, 0.99),
                                 Factor(0.005, 0.009, 2.5, 0.18, -0.99))
         for _ in range(2):
-            truth = start_to_params(
-                "bates2f", bates_feller_start(synth_surface("bates2f", truth)))
+            truth = bates_feller_start(synth_surface("bates2f", truth))
         assert truth.feller_satisfied()
         surf = synth_surface("bates2f", truth)
-        start = start_to_params("bates2f", bates_feller_start(surf))
+        start = bates_feller_start(surf)
         res = calibrate_full("bates2f", surf, start, pinned_rho=(0.99, -0.99),
                              feller=True, max_iter=800)
         fell = all(2 * f.kappa * f.theta - f.omega ** 2 > 0

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from fxsvol.calibrate import (
     CalibrationRisk,
     CostSpec,
     Fit,
+    Layout,
     NelderMeadConfig,
     SurfaceCost,
     calibrate_full,
@@ -22,16 +24,12 @@ from fxsvol.calibrate import (
     lockstep,
     nelder_mead,
     outlier_recalibration,
-    params_to_vector,
     risk_job,
     rmse_report,
     run_job,
     run_lanes,
-    transform_params,
     two_stage_calibration,
     two_stage_job,
-    untransform_params,
-    vector_to_params,
 )
 from fxsvol.charfn import (
     Factor,
@@ -123,36 +121,45 @@ class TestNelderMead:
 
 
 class TestTransforms:
+    """The round trips of the simplex coordinates, on Layout (the literal
+    copies of the maps it replaced are the oracle of test_layout.py)."""
+
     def test_round_trip(self):
-        x = transform_params(0.0082, 0.0143, 0.3, 2.07, -0.38)
-        back = untransform_params(x)
-        assert np.max(np.abs(np.array(back)
+        layout = Layout("heston", [HestonParams(0.0082, 0.0143, 2.07, 0.3, -0.38)])
+        assert np.array_equal(layout.x0, [math.log(0.0082), math.log(0.0143),
+                                          math.log(0.3), math.log(2.07), math.atanh(-0.38)])
+        back = layout.params(layout.x0)
+        assert np.max(np.abs(np.array([back.nu0, back.theta, back.omega, back.kappa,
+                                       back.rho])
                              - np.array([0.0082, 0.0143, 0.3, 2.07, -0.38]))) < 1e-14
 
     def test_zero_vector(self):
-        assert untransform_params(np.zeros(5)) == (1.0, 1.0, 1.0, 1.0, 0.0)
+        layout = Layout("heston", [HestonParams(0.01, 0.01, 1.0, 0.3, 0.0)])
+        assert layout.params(np.zeros(5)) == HestonParams(1.0, 1.0, 1.0, 1.0, 0.0)
 
     def test_extreme_rho_finite(self):
-        x = transform_params(0.01, 0.01, 0.3, 1.0, 0.99)
-        assert np.all(np.isfinite(x))
-        x = transform_params(0.01, 0.01, 0.3, 1.0, -0.99)
-        assert np.all(np.isfinite(x))
+        for rho in (0.99, -0.99):
+            x = Layout("heston", [HestonParams(0.01, 0.01, 1.0, 0.3, rho)]).x0
+            assert np.all(np.isfinite(x))
 
     @given(nu0=st.floats(1e-4, 1.0), theta=st.floats(1e-4, 1.0),
            omega=st.floats(1e-3, 2.0), kappa=st.floats(1e-2, 50.0),
            rho=st.floats(-0.99, 0.99))
     @settings(max_examples=50)
     def test_round_trip_property(self, nu0, theta, omega, kappa, rho):
-        back = untransform_params(transform_params(nu0, theta, omega, kappa, rho))
-        for a, b in zip(back, (nu0, theta, omega, kappa, rho)):
-            assert a == pytest.approx(b, rel=1e-12, abs=1e-14)
+        p = HestonParams(nu0, theta, kappa, omega, rho)
+        layout = Layout("heston", [p])
+        back = layout.params(layout.x0)
+        for name in ("nu0", "theta", "omega", "kappa", "rho"):
+            assert getattr(back, name) == pytest.approx(getattr(p, name),
+                                                        rel=1e-12, abs=1e-14)
 
     def test_two_factor_vector_round_trip(self):
         p = TwoFactorParams("bates2f",
                             Factor(0.004, 0.007, 2.0, 0.3, -0.4),
                             Factor(0.005, 0.006, 1.1, 0.2, 0.1))
-        x = params_to_vector("bates2f", p)
-        q = vector_to_params("bates2f", x)
+        layout = Layout("bates2f", p.factors)
+        q = layout.params(layout.x0)
         for f1, f2 in zip(p.factors, q.factors):
             assert f1.nu0 == pytest.approx(f2.nu0, rel=1e-12)
             assert f1.rho == pytest.approx(f2.rho, rel=1e-12)
@@ -706,8 +713,13 @@ def _plateau(x):
     return round(float(np.sum(x * x)), 2)
 
 
+def _start_at(x0, kind="test", params=None):
+    """A stand-in Layout: the start point x0 and, if given, the map params."""
+    return SimpleNamespace(kind=kind, x0=np.asarray(x0, dtype=float), params=params)
+
+
 def _nm_job(x0, config):
-    return (yield Fit(None, "test", None, False, np.asarray(x0, dtype=float), config))
+    return (yield Fit(None, _start_at(x0), False, config))
 
 
 def _outcome(f, x):
@@ -1006,15 +1018,15 @@ class TestRunLanes:
         _assert_same_results(run_lanes(jobs()), want)
 
     def test_parameter_overflow_fails_its_lane(self, lane_surfaces):
-        """A point whose parameters overflow a float (math.exp in to_params,
-        as in risk_job) is that lane's NumericOverflow; the other lanes go on."""
-        def job(surface, x0):
-            def to_params(x):
-                nu0, theta, kappa = (math.exp(v) for v in x)
-                return HestonParams(nu0, theta, kappa, 0.3, -0.4)
+        """A point whose parameters overflow a float (math.exp in
+        Layout.params, as in risk_job) is that lane's NumericOverflow; the
+        other lanes go on."""
+        layout = Layout("heston", [HestonParams(1.0, 1.0, 1.0, 0.3, -0.4)],
+                        free=("nu0", "theta", "kappa"))
 
-            return (yield Fit(SurfaceCost(surface), "heston", to_params, False,
-                              np.array(x0), NelderMeadConfig(max_iter=20)))
+        def job(surface, x0):
+            return (yield Fit(SurfaceCost(surface), _start_at(x0, "heston", layout.params),
+                              False, NelderMeadConfig(max_iter=20)))
 
         start = [math.log(0.01), math.log(0.015), math.log(2.0)]
         overflowing = [math.log(0.01), 800.0, math.log(2.0)]
@@ -1022,17 +1034,18 @@ class TestRunLanes:
             run_job(job(lane_surfaces[1], overflowing))
         got = run_lanes([job(lane_surfaces[0], start), job(lane_surfaces[1], overflowing)])
         assert isinstance(got[1], NumericOverflow)
+        assert str(got[1]) == "parameter transform overflowed: math range error"
         want = run_job(job(lane_surfaces[0], start))
         assert np.array_equal(got[0].x, want.x) and got[0].fx == want.fx
 
     def test_lane_surfaces_must_stay_fixed(self, lane_surfaces):
         def job():
             ctx = SurfaceCost(lane_surfaces[0])
-            res = yield Fit(ctx, "heston", None, False, np.zeros(1), NelderMeadConfig())
+            res = yield Fit(ctx, _start_at(np.zeros(1), "heston"), False, NelderMeadConfig())
             # a new SurfaceCost of the same surface may follow, another surface not
-            res = yield Fit(SurfaceCost(lane_surfaces[0], CostSpec(kind="mae")), "heston",
-                            None, False, res.x, NelderMeadConfig())
-            yield Fit(SurfaceCost(lane_surfaces[1]), "heston", None, False, res.x,
+            res = yield Fit(SurfaceCost(lane_surfaces[0], CostSpec(kind="mae")),
+                            _start_at(res.x, "heston"), False, NelderMeadConfig())
+            yield Fit(SurfaceCost(lane_surfaces[1]), _start_at(res.x, "heston"), False,
                       NelderMeadConfig())
 
         def evaluate(rows):

@@ -113,6 +113,25 @@ class TestIngest:
                    str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize("column", ["spot", "ois", "fwd_points"])
+    def test_non_finite_cell_exits_2(self, quotes_csv, tmp_path, capsys, column):
+        """A nan quote on one date of several stops the run at ingest, naming
+        its row and column, and writes nothing."""
+        lines = quotes_csv.read_text().splitlines()
+        header = lines[0].split(",")
+        cells = lines[8].split(",")  # the 2M row of 2014-06-03, the second date
+        cells[header.index(column)] = "nan"
+        lines[8] = ",".join(cells)
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        rc = main(["calibrate", "--input", str(path), "--output-dir", str(out),
+                   "--model", "heston", "--start", "icm"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"input invalid: row 9, column '{column}': not finite")
+        assert not out.exists()
+
     def test_empty_date_range_ok(self, quotes_csv, tmp_path):
         out = tmp_path / "empty"
         rc = main(["ingest", "--input", str(quotes_csv), "--output-dir", str(out),
@@ -168,6 +187,49 @@ class TestVixEstimate:
                      "--model", "heston", "--output-dir", str(tmp_path / "e")]) == 0
         assert sorted(calls) == (["icm_heston"] * 3 + ["surface_moment_sets"] * 3
                                  + ["variance_pipeline"] * 3)
+
+
+class TestOneDate:
+    """A one-date file has no historical estimates, so every route takes the
+    warm-up fallback of hist_omega_rho: omega = the 1M index level (half of
+    it for the vol model) and rho = -0.1, the values the context spells out
+    below."""
+
+    @pytest.fixture
+    def one_date(self, tmp_path):
+        surf = synth_surface("heston", HestonParams(0.0082, 0.0143, 2.07, 0.30, -0.38),
+                             date="2014-06-02")
+        return write_quote_csv(tmp_path / "one.csv", [surf], vols_decimal=False)
+
+    @staticmethod
+    def fallback(manifest):
+        surfaces = cli.load_surfaces(manifest)
+        ((date, level),) = cli.historical_context(surfaces)["vix1m"].items()
+        hist = {"heston": {date: (level, -0.1)}, "sz": {date: (0.5 * level, -0.1)},
+                "vix1m": {date: level}}
+        return surfaces[date], hist
+
+    def test_vix(self, one_date, tmp_path):
+        out = tmp_path / "o"
+        assert main(["vix", "--input", str(one_date), "--output-dir", str(out)]) == 0
+        manifest = cli.RunManifest(command="vix", input_path=str(one_date),
+                                   output_dir=str(out))
+        surface, hist = self.fallback(manifest)
+        want = cli.run_job(cli.vix_job(manifest, surface, hist))["rows"]
+        assert (out / "vix.csv").read_text().splitlines()[1:] == [",".join(r) for r in want]
+
+    @pytest.mark.parametrize("model,start", [("heston", "icm"), ("sz", "hist")])
+    def test_calibrate(self, one_date, tmp_path, model, start):
+        out = tmp_path / "o"
+        assert main(["calibrate", "--input", str(one_date), "--output-dir", str(out),
+                     "--model", model, "--start", start]) == 0
+        manifest = cli.RunManifest(command="calibrate", input_path=str(one_date),
+                                   output_dir=str(out), model=model, start_method=start)
+        surface, hist = self.fallback(manifest)
+        cli.write_json(tmp_path / "want.json",
+                       cli.cmd_pipeline_one_date(manifest, surface, hist))
+        got = out / f"calibration_2014-06-02_{model}_{start}_mse.json"
+        assert got.read_bytes() == (tmp_path / "want.json").read_bytes()
 
 
 class TestPartialFailure:

@@ -290,11 +290,10 @@ class TestSplits:
 
     def test_evp_symmetric_start_prices_like_one_factor(self):
         # CF equality of the split against the one-factor generator
-        from fxsvol.calibrate import start_to_params
-        from fxsvol.charfn import cf_factory
+        from fxsvol.charfn import cf_factory, model_params
         hp = HestonParams(0.0082, 0.0143, 2.07, 0.3, -0.38)
         start = evp_split(hp.omega, hp.rho, hp.nu0, hp.theta, hp.kappa)
-        bp = start_to_params("bates2f", start)
+        bp = model_params(start.kind, start.factors)
         u = np.array([0.4, 1.5, 6.0], dtype=complex)
         a = cf_factory("bates2f", bp)(u, 0.26, 0.75, 0.012, 0.006)
         b = cf_factory("heston", hp)(u, 0.26, 0.75, 0.012, 0.006)

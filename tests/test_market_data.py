@@ -141,6 +141,20 @@ class TestIngest:
         assert err.value.column == "atm"
         assert err.value.row == 2
 
+    @pytest.mark.parametrize("column", ["spot", "ois", "fwd_points", "atm"])
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_cell_raises_with_location(self, tmp_path, column, raw):
+        cells = dict(date="2014-06-02", tenor="1M", spot="1.3", ois="0.01",
+                     fwd_points="0.001", atm="10", rr25="0", fly25="0", rr10="0",
+                     fly10="0")
+        cells[column] = raw
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(cells) + "\n" + ",".join(cells.values()) + "\n")
+        with pytest.raises(ParseError, match=f"^row 2, column '{column}': not finite") as err:
+            ingest_csv(path)
+        assert err.value.column == column
+        assert err.value.row == 2
+
     def test_percent_conversion_default(self, tmp_path):
         path = tmp_path / "q.csv"
         path.write_text(

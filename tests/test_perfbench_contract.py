@@ -18,14 +18,15 @@ from fxsvol import calibrate, cli, market_data
 PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 HARNESS_FILES = ("worker.py", "tracer.py", "setup_probe.py")
 
-# cli functions the worker times (the first two) or the tracer wraps, with
-# their parameters
+# cli functions the worker times (the first two), calls or the tracer wraps,
+# with their parameters
 CLI_SIGNATURES = {
     "cmd_pipeline_one_date": ["manifest", "surface", "hist"],
     "historical_context": ["surfaces"],
     "build_start": ["model", "method", "surface", "hist"],
     "write_json": ["path", "payload"],
     "load_surfaces": ["manifest"],
+    "params_to_dict": ["kind", "params"],
 }
 # names cli imports and the tracer patches in cli's namespace
 CLI_IMPORTS = {
@@ -71,6 +72,16 @@ def test_tracer_patches_are_module_callables():
 @pytest.mark.parametrize("name", sorted(CLI_SIGNATURES))
 def test_cli_signatures(name):
     assert list(inspect.signature(vars(cli)[name]).parameters) == CLI_SIGNATURES[name]
+
+
+def test_calibrate_full_takes_the_worker_keywords():
+    # the library workload calls calibrate_full(kind, surface, start,
+    # cost_spec=CostSpec(target=...), max_iter=...)
+    params = inspect.signature(calibrate.calibrate_full).parameters
+    assert list(params)[:3] == ["kind", "surface", "start_params"]
+    for name in ("cost_spec", "max_iter"):
+        assert params[name].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+    assert "target" in inspect.signature(calibrate.CostSpec).parameters
 
 
 @pytest.mark.parametrize("name", sorted(CLI_IMPORTS))
