@@ -31,6 +31,12 @@ the scalar-parameter call on that surface bit for bit: every lane does the
 scalar's IEEE operations in the scalar's order, and squares of parameters
 go through _sq, the C pow that Python's float ** uses.
 
+The G-form's log term, _log1p_over, works node by node, so lanes stay the
+scalar call bit for bit through it as well.  Its value is held to the ulp
+bounds its docstring states against the exact log(1 + w)/w, not to the bits
+of any earlier form (tests/charfn_reference.py keeps the power series and
+complex-log form it replaced).
+
 The difference beta - d is always evaluated as omega^2 * X / (beta + d) (X
 the Riccati constant term), which is exact and avoids the catastrophic
 cancellation of the literal subtraction in the vol-of-vol -> 0 limit.
@@ -193,18 +199,39 @@ def _sq(v):
 def _log1p_over(w):
     """log(1 + w) / w for complex w, stable as w -> 0 (value 1).
 
-    Nodes with |w| < 1e-2 take the 7-term series and the rest the complex
-    log; each branch is evaluated on its own nodes only.
+    Nodes with |w| < 1e-2 take the 7-term series 1 - w/2 + ... + w^6/7 in
+    Horner form; its truncation bounds the error by 8 ulp of the result.
+    The other nodes take log(1 + w) from real float64 ufuncs: the real part
+    is 0.5 log1p(|1 + w|^2 - 1) with |1 + w|^2 - 1 formed from w, so 1 + w is
+    never rounded, or log|1 + w| where that form cancels (|1 + w|^2 <= 1/2)
+    or overflows; the imaginary part is arctan2.  That branch is within 4
+    ulp of the result.  An ulp here is 2^-52 times the exact modulus.
+    Each branch runs on its own nodes only, element by element: a node's
+    bits do not depend on the array it sits in.
     """
     w = np.asarray(w, dtype=complex)
     small = np.abs(w) < 1e-2
     big = ~small
     out = np.empty_like(w)
     s = w[small]
-    out[small] = (1.0 - s / 2.0 + s ** 2 / 3.0 - s ** 3 / 4.0
-                  + s ** 4 / 5.0 - s ** 5 / 6.0 + s ** 6 / 7.0)
+    r = 1.0 / 7.0
+    for c in (-1.0 / 6.0, 1.0 / 5.0, -1.0 / 4.0, 1.0 / 3.0, -1.0 / 2.0, 1.0):
+        # not in place: numpy's in-place complex product of a 1-element
+        # array skips the SIMD (FMA) kernel and rounds differently
+        r = c + s * r
+    out[small] = r
     b = w[big]
-    out[big] = np.log(1.0 + b) / b
+    br, bi = b.real, b.imag
+    xr = 1.0 + br
+    with np.errstate(over="ignore"):
+        t = br * (2.0 + br) + bi * bi    # |1 + b|^2 - 1; inf once |b| > 1e154
+    log_b = np.empty_like(b)
+    log_b.real = 0.5 * np.log1p(np.maximum(t, -0.5))
+    near = ~((t > -0.5) & (t < np.inf))
+    if near.any():
+        log_b.real[near] = np.log(np.hypot(xr[near], bi[near]))
+    log_b.imag = np.arctan2(bi, xr)
+    out[big] = log_b / b
     return out
 
 
@@ -268,17 +295,20 @@ def sz_terms(u, tau, p, r_d=0.0, r_f=0.0, drift_weight=1.0):
     G = bmd / bpd
     E = np.exp(-d * tau)
     Eh = np.exp(-0.5 * d * tau)
+    one_m_e = 1.0 - E
     denom = 1.0 - G * E
-    C = (X / bpd) * (1.0 - E) / denom
-    B = p.kappa * p.theta * (4.0 * X / bpd) * (1.0 - Eh) ** 2 / (d * denom)
-    w = G * (1.0 - E) / (1.0 - G)
+    d_denom = d * denom
+    X4_bpd = 4.0 * X / bpd
+    two_beta = 2.0 * beta
+    C = (X / bpd) * one_m_e / denom
+    B = p.kappa * p.theta * X4_bpd * (1.0 - Eh) ** 2 / d_denom
+    w = G * one_m_e / (1.0 - G)
     log_ratio = w * _log1p_over(w)       # log((1 - G E)/(1 - G))
     A_tilde = (drift_weight * (r_d - r_f) * iu * tau
                + 0.25 * bmd * tau - 0.5 * log_ratio)
     inner = (0.5 * tau * bpd
-             + (4.0 * beta * Eh - (2.0 * beta - d) * E - 2.0 * beta - d)
-             / (d * denom))
-    A_hat = _sq(p.kappa * p.theta) * (4.0 * X / bpd) / (d * d) * inner
+             + (4.0 * beta * Eh - (two_beta - d) * E - two_beta - d) / d_denom)
+    A_hat = _sq(p.kappa * p.theta) * X4_bpd / (d * d) * inner
     return CFTerms(A=A_tilde + A_hat, B=B, C=C)
 
 

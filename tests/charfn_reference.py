@@ -1,10 +1,13 @@
 """Reference forms of fxsvol.charfn, kept as oracles for its tests.
 
-- reference_log1p_over, reference_heston_terms and reference_principal_sqrt:
-  _log1p_over, heston_terms and the principal square root as they were
-  before each branch of _log1p_over ran on its own nodes, heston_terms
-  shared its common subexpressions and the square root lost its defensive
-  negation.
+- reference_log1p_over: _log1p_over as it was before its series became
+  Horner products and its log branch real float64 ufuncs: the series in
+  powers of w and the complex log of the rounded 1 + w.  It is the old side
+  of the tests that bound how far that change moved the log term and the
+  prices.
+- reference_heston_terms and reference_principal_sqrt: heston_terms and the
+  principal square root as they were before heston_terms shared its common
+  subexpressions and the square root lost its defensive negation.
 - reference_sz_terms, heston_cf, sz_cf, bates2f_cf, ouou_cf,
   reference_jump_multiplier and reference_cf_factory: sz_terms, the four
   per-model CFs, the jump multiplier and cf_factory as they were before
@@ -14,9 +17,11 @@
   sz_terms no longer offers.
 - ode_oracle_terms: the exponent ODEs integrated by fixed-step RK4.
 
-fxsvol.charfn must give the results of the first two groups bit for bit,
-signed zeros included.  lord_kahl_sz_cf agrees with it to rounding only, and
-ode_oracle_terms to the RK4 error.
+The reference terms call the production _log1p_over, so fxsvol.charfn must
+give the results of the second and third groups bit for bit, signed zeros
+included.  reference_log1p_over agrees with _log1p_over within the error
+bounds test_charfn states against a 40-digit oracle, lord_kahl_sz_cf to
+rounding only, and ode_oracle_terms to the RK4 error.
 """
 
 import numpy as np
@@ -61,7 +66,7 @@ def reference_heston_terms(u, tau, p, r_d=0.0, r_f=0.0, drift_weight=1.0):
     B = (X / bpd) * (1.0 - E) / denom
     w = G * (1.0 - E) / (1.0 - G)
     # log((1 - G E)/(1 - G)) / omega^2, with G/omega^2 = X/bpd^2 kept exact
-    log_ratio_over_om2 = (X / (bpd * bpd)) * ((1.0 - E) / (1.0 - G)) * reference_log1p_over(w)
+    log_ratio_over_om2 = (X / (bpd * bpd)) * ((1.0 - E) / (1.0 - G)) * _log1p_over(w)
     A = (drift_weight * (r_d - r_f) * iu * tau
          + p.kappa * p.theta * (X * tau / bpd - 2.0 * log_ratio_over_om2))
     return CFTerms(A=A, B=B, C=np.zeros_like(A))

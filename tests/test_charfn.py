@@ -1,11 +1,14 @@
 import cmath
 import math
 import types
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from fxsvol import charfn
+from fxsvol.calibrate import LANE_ROWS
 from fxsvol.charfn import (
     Factor,
     HestonParams,
@@ -38,6 +41,7 @@ from charfn_reference import (
     reference_principal_sqrt,
     sz_cf,
 )
+from conftest import draw_heston
 
 X0 = math.log(1.30)
 TAU = 0.75
@@ -439,55 +443,112 @@ def _surface_kernel(surface, lanes):
                        [[sl.r_f for sl in sls]] * lanes)
 
 
+# _log1p_over's error bounds against the exact log(1 + w) / w, in ulps of the
+# exact value (2^-52 times its modulus)
+SERIES_ULPS = 8.0  # |w| < 1e-2: set by the 7-term truncation, |w|^7 / 8 <= 5.6 ulp
+LOG_ULPS = 4.0     # the log branch
+
+
+@mpmath.workdps(40)
+def _exact_log1p_over(w):
+    """log(1 + w) / w per node of w at 40 digits (1 at w = 0)."""
+    out = []
+    for z in np.ravel(w).tolist():
+        z = mpmath.mpc(z.real, z.imag)
+        out.append(mpmath.log1p(z) / z if z else mpmath.mpc(1))
+    return out
+
+
+def _ulps(got, exact):
+    """|got - exact| per node, in units of 2^-52 |exact|."""
+    return np.array([float(abs(mpmath.mpc(g.real, g.imag) - x) / abs(x)) * 2.0 ** 52
+                     for g, x in zip(np.ravel(got).tolist(), exact)])
+
+
+def _recorded_cf_nodes(kind, params, surfaces, monkeypatch):
+    """Every w the lane CF of four scaled copies of params passes to
+    _log1p_over while it prices the surfaces."""
+    recorded, plain = [], charfn._log1p_over
+
+    def recording(w):
+        recorded.append(np.array(w))
+        return plain(w)
+
+    with monkeypatch.context() as m:
+        m.setattr(charfn, "_log1p_over", recording)
+        sets = [_scaled(kind, params, s) for s in (0.8, 1.0, 1.13, 1.27)]
+        for surface in surfaces:
+            _surface_kernel(surface, len(sets)).calls(
+                cf_factory(kind, ParamLanes.stack(kind, sets)))
+    assert len(recorded) == len(surfaces) * len(params.factors)
+    return recorded
+
+
+def _straddling(n):
+    """50 rows of n random w with |w| within a factor 2 of the 1e-2 switch."""
+    rng = np.random.default_rng(n)
+    r = 1e-2 * np.exp(rng.uniform(-0.7, 0.7, (50, n)))
+    return r * np.exp(1j * rng.uniform(-math.pi, math.pi, (50, n)))
+
+
 class TestLog1pOver:
-    """_log1p_over evaluates the series and the complex log each on its own
-    nodes, bit for bit the old body that evaluated both everywhere
-    (charfn_reference)."""
+    """_log1p_over against a 40-digit mpmath oracle: within SERIES_ULPS on
+    the series nodes (|w| < 1e-2) and LOG_ULPS on the log nodes."""
 
     @staticmethod
-    def assert_same(w):
-        with np.errstate(all="ignore"):
-            want = reference_log1p_over(w)
-            got = _log1p_over(w)
-        assert isinstance(got, np.ndarray) and got.shape == want.shape
-        assert np.array_equal(_bits(got), _bits(want))
+    def assert_within_bounds(w):
+        got = _log1p_over(w)
+        assert isinstance(got, np.ndarray) and got.shape == np.shape(w)
+        err = _ulps(got, _exact_log1p_over(w))
+        series = np.abs(np.ravel(w)) < 1e-2
+        assert err[series].max(initial=0.0) <= SERIES_ULPS
+        assert err[~series].max(initial=0.0) <= LOG_ULPS
 
     @pytest.mark.parametrize("kind,params", [(n, p) for n, _, p in ALL_MODELS],
                              ids=[n for n, _, _ in ALL_MODELS])
     def test_lane_cf_nodes(self, kind, params, heston_surface, sz_surface, monkeypatch):
-        recorded, plain = [], charfn._log1p_over
-
-        def recording(w):
-            recorded.append(np.array(w))
-            return plain(w)
-
-        monkeypatch.setattr(charfn, "_log1p_over", recording)
-        sets = [_scaled(kind, params, s) for s in (0.8, 1.0, 1.13, 1.27)]
-        for surface in (heston_surface, sz_surface):
-            _surface_kernel(surface, len(sets)).calls(
-                cf_factory(kind, ParamLanes.stack(kind, sets)))
-        assert len(recorded) == 2 * (2 if kind in ("bates2f", "ouou") else 1)
+        recorded = _recorded_cf_nodes(kind, params, (heston_surface, sz_surface),
+                                      monkeypatch)
         small = np.concatenate([np.abs(w).ravel() < 1e-2 for w in recorded])
         assert small.any() and not small.all()  # both branches taken
         for w in recorded:
-            self.assert_same(w)
+            self.assert_within_bounds(w)
 
     @pytest.mark.parametrize("n", [1, 7, 16, 17, 1000])
     def test_random_nodes_straddling_the_switch(self, n):
-        rng = np.random.default_rng(n)
-        r = 1e-2 * np.exp(rng.uniform(-0.7, 0.7, (50, n)))
-        w = r * np.exp(1j * rng.uniform(-math.pi, math.pi, (50, n)))
-        for row in w:
-            self.assert_same(row)
-        self.assert_same(w.reshape(50, 1, n))
+        w = _straddling(n)
+        self.assert_within_bounds(w.reshape(50, 1, n))
+        whole = _bits(_log1p_over(w))
+        for k, row in enumerate(w):
+            assert np.array_equal(_bits(_log1p_over(row)), whole[k]), k
 
     def test_the_switch_and_its_neighbours(self):
+        # at |w| = 1e-2 the series' truncation alone is 5.6 ulp, beyond
+        # LOG_ULPS: these nodes must take the log
         edge = [np.nextafter(1e-2, 0.0), 1e-2, np.nextafter(1e-2, 1.0)]
         w = np.array([s * x for x in edge for s in (1, -1, 1j, -1j)])
         assert list(np.abs(w[4:8])) == [1e-2] * 4
-        self.assert_same(w)
+        self.assert_within_bounds(w)
         for x in w:
-            self.assert_same(x)
+            self.assert_within_bounds(np.asarray(x))
+
+    def test_sweep(self):
+        # |w| from 1e-9 to 50 at random angles, w near -1, w near the circle
+        # |1 + w| = 1 (where log|1 + w| cancels), and |w| up to 1e300
+        rng = np.random.default_rng(41)
+
+        def polar(r):
+            return r * np.exp(1j * rng.uniform(-math.pi, math.pi, r.size))
+
+        w = np.concatenate([
+            polar(10.0 ** rng.uniform(-9.0, math.log10(50.0), 2000)),
+            -1.0 + polar(10.0 ** rng.uniform(-15.0, -0.5, 400)),
+            (1.0 + 10.0 ** rng.uniform(-14.0, -3.0, 400) * rng.choice([-1, 1], 400))
+            * np.exp(1j * rng.uniform(0.0101, math.pi, 400) * rng.choice([-1, 1], 400))
+            - 1.0,
+            polar(10.0 ** rng.uniform(2.0, 300.0, 200)),
+        ])
+        self.assert_within_bounds(w)
 
     @pytest.mark.parametrize("w", [0.0, 0j, complex(-0.0, 0.0), complex(0.0, -0.0),
                                    complex(-0.0, -0.0),
@@ -496,14 +557,143 @@ class TestLog1pOver:
                                    complex(math.inf, math.nan)],
                              ids=repr)
     def test_special_values(self, w):
-        self.assert_same(w)                    # 0-d
-        self.assert_same(np.array([w, 0.5, 1e-3]))
+        with np.errstate(invalid="ignore"):
+            both = (_log1p_over(w), _log1p_over(np.array([w, 0.5, 1e-3]))[0])
+        for got in both:
+            if w == 0:
+                assert got == 1.0            # the limit, exactly
+            else:
+                assert not np.isfinite(got)  # NaN and inf do not turn finite
+        self.assert_within_bounds(np.array([0.5, 1e-3]))
 
     def test_empty_and_zero_d(self):
-        self.assert_same(np.array([], dtype=complex))
-        self.assert_same(np.zeros((3, 0), dtype=complex))
+        for w in (np.array([], dtype=complex), np.zeros((3, 0), dtype=complex)):
+            got = _log1p_over(w)
+            assert got.shape == w.shape and got.dtype == complex
         got = _log1p_over(np.asarray(-1j))
-        assert got.shape == () and got == reference_log1p_over(np.asarray(-1j))
+        assert got.shape == ()
+        self.assert_within_bounds(np.asarray(-1j))
+
+    @pytest.mark.parametrize("kind,params", [(n, p) for n, _, p in ALL_MODELS],
+                             ids=[n for n, _, _ in ALL_MODELS])
+    def test_old_form_agrees_within_the_bounds(self, kind, params, heston_surface,
+                                               sz_surface, monkeypatch):
+        # the old form (charfn_reference) evaluated the series in powers of w,
+        # within the same SERIES_ULPS, and the log of the rounded 1 + w, which
+        # is off by up to 2^-53 |1 + w|: 0.5 / |log(1 + w)| ulp on top of
+        # LOG_ULPS.  Old and new agree within the sum of their bounds.
+        nodes = _recorded_cf_nodes(kind, params, (heston_surface, sz_surface), monkeypatch)
+        w = np.concatenate([x.ravel() for x in nodes] + [_straddling(16).ravel()])
+        new, old = _log1p_over(w), reference_log1p_over(w)
+        exact = _exact_log1p_over(w)
+        size = np.array([float(abs(x)) for x in exact])   # |log(1 + w) / w|
+        series = np.abs(w) < 1e-2
+        new_bound = np.where(series, SERIES_ULPS, LOG_ULPS)
+        old_bound = np.where(series, SERIES_ULPS, LOG_ULPS + 0.5 / (np.abs(w) * size))
+        assert np.all(_ulps(new, exact) <= new_bound)
+        assert np.all(_ulps(old, exact) <= old_bound)
+        assert np.all(np.abs(new - old) <= (new_bound + old_bound) * size * 2.0 ** -52)
+
+
+def _lane_nodes():
+    """A (16, 6, 56) lane array of w over both branches, w near -1 (the
+    log|1 + w| form) and w on the switch."""
+    rng = np.random.default_rng(53)
+    r = 10.0 ** rng.uniform(-4.0, 1.0, (16, 6, 56))
+    w = r * np.exp(1j * rng.uniform(-math.pi, math.pi, r.shape))
+    flat = w.reshape(-1)
+    flat[::23] = -1.0 + 10.0 ** rng.uniform(-12.0, -0.2, flat[::23].size) * np.exp(
+        1j * rng.uniform(-math.pi, math.pi, flat[::23].size))
+    flat[5::101] = 1e-2
+    return w
+
+
+class TestLog1pOverLanes:
+    """A node's bits do not depend on the array it sits in: the lane path
+    relies on it (a row of a lane-stacked CF call is the one-row call bit
+    for bit), and a SIMD kernel could break it through tails, strides or
+    shapes."""
+
+    W = _lane_nodes()
+
+    def want(self):
+        return _bits(_log1p_over(self.W)).reshape(-1, 2)
+
+    def test_zero_d(self):
+        got = np.array([_bits(_log1p_over(np.asarray(x))) for x in self.W.ravel()])
+        assert np.array_equal(got, self.want())
+
+    def test_reversed_and_strided_views(self):
+        flat = self.W.ravel()
+        assert np.array_equal(_bits(_log1p_over(flat[::-1])).reshape(-1, 2)[::-1],
+                              self.want())
+        assert np.array_equal(_bits(_log1p_over(self.W[::-2, 1:, ::3])).reshape(-1, 2),
+                              self.want().reshape(self.W.shape + (2,))[::-2, 1:, ::3]
+                              .reshape(-1, 2))
+
+    @pytest.mark.parametrize("n", [1, 7, 9, 17])
+    def test_lengths(self, n):
+        flat, want = self.W.ravel(), self.want()
+        for start in range(0, flat.size - n, 13):
+            got = _bits(_log1p_over(flat[start:start + n].copy())).reshape(-1, 2)
+            assert np.array_equal(got, want[start:start + n]), start
+
+    def test_finite_input_raises_no_warning(self):
+        tiny = 5e-324
+        w = np.array([complex(-1.0, tiny), complex(-1.0, -tiny), complex(-1.0, 1e-300),
+                      np.nextafter(-1.0, 0.0), np.nextafter(-1.0, -2.0),
+                      complex(np.nextafter(-1.0, 0.0), -tiny), -1.0 + 1e-9j, -2.0,
+                      1e300 + 1e300j, -1e308, complex(0.0, -1e308), tiny, 1e-2, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _log1p_over(w)
+            for x in w:
+                _log1p_over(x)
+        assert np.all(np.isfinite(got))
+        TestLog1pOver.assert_within_bounds(w)
+
+
+def _from_heston(kind, h, h2):
+    """A kind's parameter set from two draw_heston sets: the variances as they
+    are (halved over two factors), or as OU volatilities (sqrt) with kappa and
+    omega halved, the map of the sz/heston nesting."""
+    def factor(p, half):
+        if charfn.variance_factors(kind):
+            return (p.nu0 * half, p.theta * half, p.kappa, p.omega, p.rho)
+        return (math.sqrt(p.nu0), math.sqrt(p.theta), p.kappa / 2, p.omega / 2, p.rho)
+
+    if kind in ("bates2f", "ouou"):
+        return charfn.model_params(kind, [factor(h, 0.5), factor(h2, 0.5)])
+    return charfn.model_params(kind, [factor(h, 1.0)])
+
+
+class TestLogTermPriceShift:
+    """Against the old log term (charfn_reference.reference_log1p_over
+    patched in), no call price on the fixture surfaces moves by more than
+    1e-14: all four models, with and without jumps, for the ALL_MODELS set
+    and 200 sets mapped from draw_heston."""
+
+    @pytest.mark.parametrize("kind,params", [(n, p) for n, _, p in ALL_MODELS],
+                             ids=[n for n, _, _ in ALL_MODELS])
+    @pytest.mark.parametrize("jump", [None, JUMP], ids=["diffusion", "jumps"])
+    def test_shift_per_cell(self, kind, params, jump, heston_surface, sz_surface,
+                            monkeypatch):
+        rng = np.random.default_rng(67)
+        sets = [params] + [_from_heston(kind, draw_heston(rng), draw_heston(rng))
+                           for _ in range(200)]
+        worst = 0.0
+        for surface in (heston_surface, sz_surface):
+            for k in range(0, len(sets), LANE_ROWS):
+                chunk = sets[k:k + LANE_ROWS]
+                kernel = _surface_kernel(surface, len(chunk))
+                cf = cf_factory(kind, ParamLanes.stack(kind, chunk), jump=jump)
+                new = kernel.calls(cf)
+                with monkeypatch.context() as m:
+                    m.setattr(charfn, "_log1p_over", reference_log1p_over)
+                    old = kernel.calls(cf)
+                assert np.all(np.isfinite(new))
+                worst = max(worst, float(np.max(np.abs(new - old))))
+        assert worst <= 1e-14
 
 
 class TestHestonTermsReference:
