@@ -21,6 +21,7 @@ from __future__ import annotations
 import bisect
 import copy
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -76,9 +77,9 @@ class NMResult:
 
 
 def _simplex_volume(points):
-    edges = points[1:] - points[0]
-    n = edges.shape[0]
-    return abs(np.linalg.det(edges)) / math.factorial(n)
+    vertices = np.array(points)
+    edges = vertices[1:] - vertices[0]
+    return abs(np.linalg.det(edges)) / math.factorial(edges.shape[0])
 
 
 def nelder_mead_steps(x_start, config=NelderMeadConfig()):
@@ -86,30 +87,38 @@ def nelder_mead_steps(x_start, config=NelderMeadConfig()):
 
     The initial simplex is x_start plus per-coordinate offsets of 0.05
     (0.00025 where the start coordinate is zero), with x_start itself kept
-    as the (n+1)-th vertex.  Each step yields the list of points it needs
-    and is sent an iterable of their objective values in point order; a
-    value is read only when the step needs it, so an iterable that
-    evaluates, or raises, as it goes gives the errors of a plain loop.
+    as the (n+1)-th vertex.  Each step yields the list of points it needs,
+    as float64 arrays, and is sent an iterable of their objective values in
+    point order; a value is read only when the step needs it, so an
+    iterable that evaluates, or raises, as it goes gives the errors of a
+    plain loop.
 
-    The vertices are kept in the order a stable argsort of their values
-    gives.  They are sorted in full after the initial simplex and after a
-    shrink; any other step replaces only the worst vertex, and the new one
-    goes after the vertices of equal value (bisect_right).  The simplex
-    volume is computed only when the stop rule needs it.
+    The vertices are lists of Python floats, and every step is the
+    IEEE operation, in the same order, of the numpy vector form it stands
+    for: x0 + step * e_i, the centroid as the rows added in order from the
+    first then divided by n, and c + alpha * (c - worst) and the like.  The
+    simplex volume is np.linalg.det of the edge array, computed only when
+    the stop rule needs it.  The vertices are kept in the order a stable
+    sort of their values gives.  They are sorted in full after the initial
+    simplex and after a shrink; any other step replaces only the worst
+    vertex, and the new one goes after the vertices of equal value
+    (bisect_right).
     """
     x0 = np.asarray(x_start, dtype=float)
-    n = x0.size
-    points = [x0 + (0.05 if x0[i] != 0.0 else 0.00025) * _unit(n, i) for i in range(n)]
-    points.append(x0.copy())
-    points = np.asarray(points)
-    got = iter((yield [x0, *points[:n]]))
+    start = x0.tolist()
+    n = len(start)
+    points = [_offset(start, i) for i in range(n)]
+    asked = [np.array(p) for p in points]
+    points.append(start)
+    got = iter((yield [x0, *asked]))
     f0 = float(next(got))
     if not math.isfinite(f0):
         raise NonFiniteObjective(f"objective not finite at start: {f0}")
-    values = [_checked(v, p) for v, p in zip(got, points[:n])]
+    values = [_checked(v, p) for v, p in zip(got, asked)]
     values.append(f0)
     points, values = _sorted(points, values)
 
+    alpha, gamma, rho_c, sigma_s = config.alpha, config.gamma, config.rho_c, config.sigma_s
     iterations = 0
     converged = False
     while True:
@@ -124,45 +133,61 @@ def nelder_mead_steps(x_start, config=NelderMeadConfig()):
             break
         if iterations > config.max_iter:
             break
-        centroid = np.add.reduce(points[:-1], axis=0) / n
-        xr = centroid + config.alpha * (centroid - points[-1])
-        fr = _checked(*(yield [xr]), xr)
+        total = points[0]
+        for p in points[1:-1]:
+            total = [a + b for a, b in zip(total, p)]
+        centroid = [a / n for a in total]
+        worst = points[-1]
+        xr = [c + alpha * (c - w) for c, w in zip(centroid, worst)]
+        ask = np.array(xr)
+        fr = _checked(*(yield [ask]), ask)
         if values[0] <= fr <= values[-2]:
             _replace_worst(points, values, xr, fr)
             continue
         if fr <= values[0]:
-            xe = centroid + config.gamma * (xr - centroid)
-            fe = _checked(*(yield [xe]), xe)
+            xe = [c + gamma * (r - c) for c, r in zip(centroid, xr)]
+            ask = np.array(xe)
+            fe = _checked(*(yield [ask]), ask)
             if fe <= fr:
                 _replace_worst(points, values, xe, fe)
             else:
                 _replace_worst(points, values, xr, fr)
             continue
-        xc = centroid + config.rho_c * (points[-1] - centroid)
-        fc = _checked(*(yield [xc]), xc)
+        xc = [c + rho_c * (w - c) for c, w in zip(centroid, worst)]
+        ask = np.array(xc)
+        fc = _checked(*(yield [ask]), ask)
         if fc <= values[-1]:
             _replace_worst(points, values, xc, fc)
             continue
-        points[1:] = points[0] + config.sigma_s * (points[1:] - points[0])
-        values[1:] = [_checked(v, p) for v, p in zip((yield list(points[1:])), points[1:])]
+        best = points[0]
+        points[1:] = [[b + sigma_s * (p - b) for b, p in zip(best, q)] for q in points[1:]]
+        asked = [np.array(p) for p in points[1:]]
+        values[1:] = [_checked(v, p) for v, p in zip((yield asked), asked)]
         points, values = _sorted(points, values)
 
-    return NMResult(x=points[0].copy(), fx=values[0], iterations=iterations,
+    return NMResult(x=np.array(points[0]), fx=values[0], iterations=iterations,
                     converged=converged)
 
 
+def _offset(start, i):
+    """Vertex i of the initial simplex: start + step * e_i, coordinate by
+    coordinate, so the others get + 0.0 and a -0.0 among them becomes 0.0."""
+    step = 0.05 if start[i] != 0.0 else 0.00025
+    return [x + (step if j == i else 0.0) for j, x in enumerate(start)]
+
+
 def _sorted(points, values):
-    """The vertices and their values in stable-argsort order of the values."""
-    order = np.argsort(values, kind="stable")
-    return points[order], [values[i] for i in order.tolist()]
+    """The vertices and their values in stable-sort order of the values."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    return [points[i] for i in order], [values[i] for i in order]
 
 
 def _replace_worst(points, values, x, fx):
-    """Drop the worst (last) vertex and put (x, fx) where a stable argsort
-    of the others plus it, appended last, would: after every equal value."""
+    """Drop the worst (last) vertex and put (x, fx) where a stable sort of
+    the others plus it, appended last, would: after every equal value."""
     k = bisect.bisect_right(values, fx, 0, len(values) - 1)
-    points[k + 1:] = points[k:-1]
-    points[k] = x
+    points.pop()
+    points.insert(k, x)
     values.pop()
     values.insert(k, fx)
 
@@ -177,12 +202,6 @@ def nelder_mead(f, x_start, config=NelderMeadConfig()):
             points = steps.send(f(x) for x in points)
     except StopIteration as stop:
         return stop.value
-
-
-def _unit(n, i):
-    e = np.zeros(n)
-    e[i] = 1.0
-    return e
 
 
 def _checked(v, x):
@@ -250,14 +269,16 @@ class CostSpec:
 
 
 def _error_sum(kind, model, market):
+    """The cost kind's error sums of model against market over the last
+    (cell) axis: a row's sum is numpy's sum of that row alone."""
     diff = model - market
     if kind == "mse":
-        return float(np.sum(diff * diff))
+        return np.sum(diff * diff, axis=-1)
     if kind == "mae":
-        return float(np.sum(np.abs(diff)))
+        return np.sum(np.abs(diff), axis=-1)
     if kind == "mape":
-        return float(np.sum(np.abs(diff / market)))
-    return float(np.sum((diff / market) ** 2))
+        return np.sum(np.abs(diff / market), axis=-1)
+    return np.sum((diff / market) ** 2, axis=-1)
 
 
 class SurfaceCost:
@@ -310,9 +331,9 @@ class SurfaceCost:
     def cost_of_calls(self, calls):
         """The cost of model call prices of every cell (row-major by tenor)."""
         if self.spec.target == "implied_vol":
-            return _error_sum(self.spec.kind, implied_vol(self.cells, calls),
-                              self.market_vols)
-        return _error_sum(self.spec.kind, calls / self.vegas, self.market_scaled)
+            return float(_error_sum(self.spec.kind, implied_vol(self.cells, calls),
+                                    self.market_vols))
+        return float(_error_sum(self.spec.kind, calls / self.vegas, self.market_scaled))
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +466,7 @@ LANES_PER_BLOCK = 64
 # result.  A job builds one SurfaceCost for its surface, and all its fits
 # price through it.  Jobs run only as lanes of lockstep: run_lanes drives
 # many, whose points are priced together, and run_job one, as a one-lane
-# lockstep, so every surface fit prices through _evaluate_rows.
+# lockstep, so every surface fit prices through a _SurfacePricer.
 
 @dataclass(frozen=True, eq=False)
 class Fit:
@@ -460,7 +481,7 @@ class Fit:
 def run_job(job):
     """A calibration job's result, as the one lane of a lockstep run;
     raises the FxsvolError that ended it."""
-    (out,) = lockstep([job], _evaluate_rows)
+    (out,) = lockstep([job], _SurfacePricer())
     if isinstance(out, FxsvolError):
         raise out
     return out
@@ -478,7 +499,7 @@ def run_lanes(jobs):
     the rows priced with it.
     """
     blocks = even_split(jobs, -(-len(jobs) // LANES_PER_BLOCK) or 1)
-    return [r for block in blocks for r in lockstep(block, _evaluate_rows)]
+    return [r for block in blocks for r in lockstep(block, _SurfacePricer())]
 
 
 def lockstep(jobs, evaluate):
@@ -564,62 +585,95 @@ def _replay(outcomes):
         yield o
 
 
-def _evaluate_rows(rows):
-    """lockstep's evaluate: the lanes' surfaces priced together.
+class _SurfacePricer:
+    """lockstep's evaluate for surface fits: the lanes' surfaces priced
+    together.  One pricer serves one lockstep run and dies with it.
 
     Rows whose fits share the model, the grid and the surface shape go to
     the kernel LANE_ROWS at a time, through an AttariLanes stacked from
     their contexts' own kernels, so no constants are computed here; a
     chunk of one row goes through its context's own cost, SurfaceCost's
-    __call__.  A call that raises (a CF overflow, an implied-vol miss) is
-    priced again row by row, so each row gets its own one-row outcome.  A
-    point whose parameters overflow a float (math.exp in Layout.params) is
-    a NumericOverflow outcome.
+    __call__.  A chunk whose rows share a price-target spec gets its costs
+    from one row-wise reduction, each row its one-row cost bit for bit;
+    other chunks are costed row by row.  A chunk that raises (a CF
+    overflow, an implied-vol miss) is priced again row by row, so each row
+    gets its own one-row outcome.  A point whose parameters overflow a
+    float (math.exp in Layout.params) is a NumericOverflow outcome.
+
+    In steady state every live lane pends one point a round, so a round's
+    chunks repeat the last round's.  stacks keeps the stacked constants of
+    the last chunks, as many as a one-point-per-lane round of a full block
+    makes, keyed on the tuple of the chunk's kernels.  An entry holds its
+    key, so no kernel it names is freed and no new one can take its id.
     """
-    out = [None] * len(rows)
-    priced = {}
-    for r, (_, fit, x) in enumerate(rows):
-        try:
-            params = fit.layout.params(x)
-        except FxsvolError as exc:
-            out[r] = exc
-            continue
-        except OverflowError as exc:
-            out[r] = NumericOverflow(f"parameter transform overflowed: {exc}")
-            continue
-        if fit.feller and not params.feller_satisfied():
-            out[r] = FELLER_PENALTY
-            continue
-        group = fit.layout.kind, fit.ctx.grid, fit.ctx.strikes.shape
-        priced.setdefault(group, []).append((r, fit, params))
-    for todo in priced.values():
-        for c in range(0, len(todo), LANE_ROWS):
-            chunk = todo[c:c + LANE_ROWS]
+
+    def __init__(self):
+        self.stacks = OrderedDict()
+
+    def __call__(self, rows):
+        out = [None] * len(rows)
+        priced = {}
+        for r, (_, fit, x) in enumerate(rows):
             try:
-                costs = _chunk_costs(chunk)
-            except FxsvolError:
-                costs = [_row_cost(row) for row in chunk]
-            for (r, _, _), cost_value in zip(chunk, costs):
-                out[r] = cost_value
-    return out
+                params = fit.layout.params(x)
+            except FxsvolError as exc:
+                out[r] = exc
+                continue
+            except OverflowError as exc:
+                out[r] = NumericOverflow(f"parameter transform overflowed: {exc}")
+                continue
+            if fit.feller and not params.feller_satisfied():
+                out[r] = FELLER_PENALTY
+                continue
+            group = fit.layout.kind, fit.ctx.grid, fit.ctx.strikes.shape
+            priced.setdefault(group, []).append((r, fit, params))
+        for todo in priced.values():
+            for c in range(0, len(todo), LANE_ROWS):
+                chunk = todo[c:c + LANE_ROWS]
+                costs = self._chunk_costs(chunk) if len(chunk) > 1 else [_row_cost(chunk[0])]
+                for (r, _, _), cost_value in zip(chunk, costs):
+                    out[r] = cost_value
+        return out
 
+    def _chunk_costs(self, chunk):
+        """The outcomes of two or more rows (r, fit, params) from one kernel
+        call, or row by row if it raises."""
+        ctxs = [fit.ctx for _, fit, _ in chunk]
+        kind = chunk[0][1].layout.kind
+        spec = ctxs[0].spec
+        try:
+            kernel, vegas, market_scaled = self._stacked(ctxs)
+            lanes = ParamLanes.stack(kind, [p for _, _, p in chunk])
+            calls = kernel.calls(cf_factory(kind, lanes))
+            if spec.target == "implied_vol" or any(ctx.spec != spec for ctx in ctxs):
+                return [ctx.cost_of_calls(c.ravel()) for ctx, c in zip(ctxs, calls)]
+            return _error_sum(spec.kind, calls.reshape(len(chunk), -1) / vegas,
+                              market_scaled).tolist()
+        except FxsvolError:
+            return [_row_cost(row) for row in chunk]
 
-def _chunk_costs(chunk):
-    """The costs of rows (r, fit, params) in one kernel call; one row goes
-    through its context's own kernel, with no lanes to stack."""
-    if len(chunk) == 1:
-        ((_, fit, params),) = chunk
-        return [fit.ctx(fit.layout.kind, params)]
-    kind = chunk[0][1].layout.kind
-    kernel = AttariLanes.stack([fit.ctx.kernel for _, fit, _ in chunk])
-    cf = cf_factory(kind, ParamLanes.stack(kind, [p for _, _, p in chunk]))
-    calls = kernel.calls(cf)
-    return [fit.ctx.cost_of_calls(c.ravel()) for (_, fit, _), c in zip(chunk, calls)]
+    def _stacked(self, ctxs):
+        """(AttariLanes, vegas, market_scaled) of the contexts' lanes, in
+        order; with_spec copies share all three, so the kernels name them."""
+        key = tuple(ctx.kernel for ctx in ctxs)
+        entry = self.stacks.get(key)
+        if entry is not None:
+            self.stacks.move_to_end(key)
+            return entry
+        entry = (AttariLanes.stack(key), np.stack([ctx.vegas for ctx in ctxs]),
+                 np.stack([ctx.market_scaled for ctx in ctxs]))
+        self.stacks[key] = entry
+        if len(self.stacks) > -(-LANES_PER_BLOCK // LANE_ROWS):  # 4 stacks, about 2 MB
+            self.stacks.popitem(last=False)
+        return entry
 
 
 def _row_cost(row):
+    """The outcome of one row (r, fit, params) through its context's own
+    kernel: its cost or the FxsvolError computing it raised."""
+    _, fit, params = row
     try:
-        return _chunk_costs([row])[0]
+        return fit.ctx(fit.layout.kind, params)
     except FxsvolError as exc:
         return exc
 

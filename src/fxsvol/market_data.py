@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -186,12 +185,6 @@ class VolSurface:
         if any(b <= a for a, b in zip(taus, taus[1:])):
             raise InvariantViolation("tenor slices must be ordered by increasing tau")
 
-    def slice(self, tenor):
-        for s in self.slices:
-            if s.tenor == tenor:
-                return s
-        raise KeyError(tenor)
-
     @property
     def n_cells(self):
         return 5 * len(self.slices)
@@ -215,9 +208,6 @@ class VolSurface:
                 for s in self.slices
             ],
         }
-
-    def to_json(self, **kwargs):
-        return json.dumps(self.to_dict(), **kwargs)
 
     @classmethod
     def from_dict(cls, d):

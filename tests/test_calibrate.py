@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import fxsvol.calibrate as calibrate_mod
 from fxsvol.calibrate import (
+    COST_KINDS,
     FELLER_PENALTY,
     CalibrationRisk,
     CostSpec,
@@ -713,6 +716,23 @@ def _plateau(x):
     return round(float(np.sum(x * x)), 2)
 
 
+def _signed_zero(x):
+    # tells -0.0 from +0.0: the start's -0.0 coordinates cost 0.5 each, and
+    # the offset rule turns them into +0.0 at the other simplex vertices
+    return float(np.sum(x * x)) + 0.5 * sum(math.copysign(1.0, v) < 0.0 for v in x.tolist())
+
+
+def _nan_off_start(x):
+    # NaN at the second simplex vertex, whose x[0] is the start's -0.0 + 0.0
+    return float("nan") if x[1] > 1.01 else float(np.sum(x * x))
+
+
+def _inf_right(x):
+    # +inf on a half-plane the initial simplex reaches at two vertices, so
+    # vertices tie at +inf and the stable sort order decides
+    return float("inf") if x[0] + x[1] > 2.02 else _rosen(x)
+
+
 def _start_at(x0, kind="test", params=None):
     """A stand-in Layout: the start point x0 and, if given, the map params."""
     return SimpleNamespace(kind=kind, x0=np.asarray(x0, dtype=float), params=params)
@@ -758,6 +778,10 @@ class TestLockstepNelderMead:
          NelderMeadConfig()),  # AND: spread under eps1 from the start
         (_rosen, [-1.2, 1.0], NelderMeadConfig(eps1=0.0, eps2=1e-6,
                                                stop_any=True)),  # stop_any by volume
+        (_signed_zero, [-0.0, 1.0, -0.0], NelderMeadConfig()),  # -0.0 start coordinates
+        (_nan_off_start, [-0.0, 1.0], NelderMeadConfig()),  # NaN at a vertex with a 0.0
+        (_inf_right, [1.0, 1.0], NelderMeadConfig()),  # +inf at two simplex vertices
+        (_inf_right, [0.9, 1.0, 1.1], NelderMeadConfig(max_iter=300)),  # 3-d, +inf ties
     ]
 
     @staticmethod
@@ -773,8 +797,11 @@ class TestLockstepNelderMead:
         want = [_reference_or_error(f, x0, cfg) for f, x0, cfg in self.LANES]
         assert [type(w) for w in want[6:9]] == [NumericOverflow, NonFiniteObjective,
                                                 NonFiniteObjective]
-        assert [w.converged for w in want[:6] + want[9:]] == [
-            True, False, True, True, True, True, False, False, True, True]
+        assert [w.converged for w in want[:6] + want[9:14] + want[15:]] == [
+            True, False, True, True, True, True, False, False, True, True, True, True,
+            True]
+        assert type(want[14]) is NonFiniteObjective
+        assert str(want[14]) == "objective NaN at [0.   1.05]"
         funcs = [f for f, _, _ in self.LANES]
         rounds = []
 
@@ -1053,3 +1080,169 @@ class TestRunLanes:
 
         (out,) = lockstep([job()], evaluate)
         assert isinstance(out, InvariantViolation)
+
+
+def _fresh_context_job(surface, start):
+    """Two fits of one surface, each through a context of its own, so the
+    first context is dropped while the run goes on."""
+    first = Layout("heston", start.factors)
+    res = yield Fit(SurfaceCost(surface), first, False, NelderMeadConfig(max_iter=25))
+    second = Layout("heston", first.params(res.x).factors)
+    res = yield Fit(SurfaceCost(surface, CostSpec(kind="mae")), second, False,
+                    NelderMeadConfig(max_iter=25))
+    return [res.x.tolist(), res.fx, res.iterations, res.converged]
+
+
+class TestStackedKernels:
+    """A lockstep run keeps the stacked constants of its last chunks; they
+    never outlive the run and never stand in for other kernels."""
+
+    @staticmethod
+    def recording_pricer(monkeypatch):
+        """Patch in a pricer that records, per call, how many stacks it holds,
+        and weak references to itself and to every stacked kernel."""
+        seen = SimpleNamespace(sizes=[], refs=[], stacked=0, built=0)
+
+        class Recording(calibrate_mod._SurfacePricer):
+            def __init__(self):
+                super().__init__()
+                seen.refs.append(weakref.ref(self))
+
+            def __call__(self, rows):
+                out = super().__call__(rows)
+                seen.sizes.append(len(self.stacks))
+                seen.refs.extend(weakref.ref(entry[0]) for entry in self.stacks.values())
+                return out
+
+            def _stacked(self, ctxs):
+                seen.stacked += 1
+                return super()._stacked(ctxs)
+
+        real_stack = AttariLanes.stack.__func__
+
+        def counting_stack(cls, kernels):
+            seen.built += 1
+            return real_stack(cls, kernels)
+
+        monkeypatch.setattr(calibrate_mod, "_SurfacePricer", Recording)
+        monkeypatch.setattr(AttariLanes, "stack", classmethod(counting_stack))
+        return seen
+
+    @staticmethod
+    def jobs(surfaces, rng):
+        out = [full_job("heston", s, draw_heston(rng), max_iter=40) for s in surfaces]
+        out += [_fresh_context_job(s, draw_heston(rng)) for s in surfaces[:2]]
+        return out
+
+    @staticmethod
+    def assert_run_freed(seen):
+        gc.collect()
+        assert seen.refs and all(ref() is None for ref in seen.refs)
+
+    def test_no_stale_stacks_across_runs(self, lane_surfaces, monkeypatch):
+        seen = self.recording_pricer(monkeypatch)
+        want = [_result_or_error(j) for j in self.jobs(lane_surfaces, np.random.default_rng(3))]
+        _assert_same_results(run_lanes(self.jobs(lane_surfaces, np.random.default_rng(3))),
+                             want)
+        assert max(seen.sizes) <= calibrate_mod.LANES_PER_BLOCK // calibrate_mod.LANE_ROWS
+        assert 0 < seen.built < seen.stacked  # stacks are reused across rounds
+        self.assert_run_freed(seen)
+        # every context of the first run is gone, so new ones may take their
+        # addresses; the second run must price only its own surfaces
+        del want
+        gc.collect()
+        rng = np.random.default_rng(78)
+        others = [synth_surface("heston", draw_heston(rng), date=f"2014-07-0{1 + i}",
+                                spot=1.25 + 0.03 * i) for i in range(4)]
+        others.append(synth_surface("heston", draw_heston(rng), date="2014-07-07",
+                                    tenors=("1M", "2M", "3M", "6M")))
+        want = [_result_or_error(j) for j in self.jobs(others, np.random.default_rng(4))]
+        _assert_same_results(run_lanes(self.jobs(others, np.random.default_rng(4))), want)
+        _assert_same_results([_run_job_or_error(j)
+                              for j in self.jobs(others, np.random.default_rng(4))], want)
+        self.assert_run_freed(seen)
+
+    def test_evicted_stacks(self, lane_surfaces, monkeypatch):
+        """Kernel calls of two rows make more chunks a round than the cache
+        holds (LANES_PER_BLOCK / LANE_ROWS = 4), so stacks are evicted and
+        built again, and a context dropped mid-run keeps its kernel alive only
+        while a stack names it."""
+        monkeypatch.setattr(calibrate_mod, "LANE_ROWS", 2)
+        monkeypatch.setattr(calibrate_mod, "LANES_PER_BLOCK", 8)
+        seen = self.recording_pricer(monkeypatch)
+        want = [_result_or_error(j) for j in self.jobs(lane_surfaces, np.random.default_rng(5))]
+        _assert_same_results(run_lanes(self.jobs(lane_surfaces, np.random.default_rng(5))),
+                             want)
+        assert max(seen.sizes) == 4
+        assert seen.built > 4
+        self.assert_run_freed(seen)
+
+
+    def test_stacks_hold_their_kernels(self, lane_surfaces):
+        """A cached stack keeps the kernels it was built from alive, so no
+        kernel built later can take the id of one it names."""
+        pricer = calibrate_mod._SurfacePricer()
+        ctxs = [SurfaceCost(s) for s in lane_surfaces[:3]]
+        refs = [weakref.ref(ctx.kernel) for ctx in ctxs]
+        layout = Layout("heston", [HestonParams(0.01, 0.015, 2.0, 0.3, -0.4)])
+        rows = [(i, Fit(ctx, layout, False, NelderMeadConfig()), layout.x0)
+                for i, ctx in enumerate(ctxs)]
+        pricer(rows)
+        del rows, ctxs
+        gc.collect()
+        assert all(ref() is not None for ref in refs)
+        del pricer
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+
+class TestChunkCosts:
+    """A chunk's costs, from one row-wise reduction or row by row, are each
+    row's one-row cost bit for bit."""
+
+    @staticmethod
+    def one_row(fit, x):
+        params = fit.layout.params(x)
+        try:
+            return fit.ctx.cost_of_calls(fit.ctx.model_calls(fit.layout.kind, params))
+        except FxsvolError as exc:
+            return exc
+
+    @pytest.mark.parametrize("target", ["vega_weighted_price", "implied_vol"])
+    @pytest.mark.parametrize("kind", COST_KINDS)
+    def test_chunks_of_2_to_16_rows(self, lane_surfaces, kind, target, monkeypatch):
+        rng = np.random.default_rng(11)
+        ctxs = [SurfaceCost(s, CostSpec(kind=kind, target=target)) for s in lane_surfaces]
+        real = SurfaceCost.cost_of_calls
+        one_row_costs = []
+
+        def counted(ctx, calls):
+            one_row_costs.append(ctx.spec)
+            return real(ctx, calls)
+
+        for n in range(2, 17):
+            # one chunk over the six-tenor surfaces in turn, one on the
+            # four-tenor surface, and one whose rows cycle through the cost
+            # kinds as risk lanes do
+            for mixed, chunk_ctxs in [
+                    (False, [ctxs[j % 4] for j in range(n)]),
+                    (False, [ctxs[4]] * n),
+                    (True, [ctxs[j % 4].with_spec(CostSpec(kind=COST_KINDS[j % 4],
+                                                           target=target))
+                            for j in range(n)])]:
+                rows = []
+                for ctx in chunk_ctxs:
+                    layout = Layout("heston", draw_heston(rng).factors)
+                    rows.append((len(rows), Fit(ctx, layout, False, NelderMeadConfig()),
+                                 layout.x0))
+                want = [self.one_row(fit, x) for _, fit, x in rows]
+                one_row_costs.clear()
+                monkeypatch.setattr(SurfaceCost, "cost_of_calls", counted)
+                got = calibrate_mod._SurfacePricer()(rows)
+                monkeypatch.setattr(SurfaceCost, "cost_of_calls", real)
+                for g, w in zip(got, want):
+                    assert type(g) is type(w)
+                    assert g == w if isinstance(w, float) else str(g) == str(w)
+                # a price-target chunk of one spec takes one reduction
+                by_row = mixed or target == "implied_vol"
+                assert len(one_row_costs) == (n if by_row else 0)
