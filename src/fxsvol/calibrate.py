@@ -42,6 +42,13 @@ from .pricer import (
 FELLER_PENALTY = 999.0
 VEGA_FLOOR = 1e-8
 
+# the literal Nelder-Mead coefficients: reflection, expansion, contraction
+# and shrink
+NM_ALPHA = 1.0
+NM_GAMMA = 2.0
+NM_RHO_C = 0.5
+NM_SIGMA_S = 0.5
+
 COST_KINDS = ("mse", "mae", "mape", "mspe")
 
 
@@ -51,20 +58,13 @@ COST_KINDS = ("mse", "mae", "mape", "mspe")
 
 @dataclass(frozen=True)
 class NelderMeadConfig:
-    alpha: float = 1.0
-    gamma: float = 2.0
-    rho_c: float = 0.5
-    sigma_s: float = 0.5
     eps1: float = 1e-10
     eps2: float = 1e-12
     max_iter: int = 1600
     stop_any: bool = False  # OR instead of AND in the two-tolerance stop rule
 
     def __post_init__(self):
-        ok = (self.alpha > 0.0 and self.gamma > 1.0
-              and 0.0 < self.rho_c <= 0.5 and 0.0 < self.sigma_s < 1.0
-              and self.max_iter >= 0)
-        if not ok:
+        if self.max_iter < 0:
             raise InvariantViolation(f"bad Nelder-Mead constants {self}")
 
 
@@ -118,7 +118,7 @@ def nelder_mead_steps(x_start, config=NelderMeadConfig()):
     values.append(f0)
     points, values = _sorted(points, values)
 
-    alpha, gamma, rho_c, sigma_s = config.alpha, config.gamma, config.rho_c, config.sigma_s
+    alpha, gamma, rho_c, sigma_s = NM_ALPHA, NM_GAMMA, NM_RHO_C, NM_SIGMA_S
     iterations = 0
     converged = False
     while True:
@@ -375,33 +375,32 @@ def rmse_report(ctx, kind, params):
 # ---------------------------------------------------------------------------
 
 TS_MAX_ITER = 8000
+TS_KAPPA_START_CIR = 2.0
+TS_KAPPA_START_OU = 0.95
+# the 3-parameter least-squares fits are cheap; run them to collapse so the
+# curve residual lands well under the strip-noise scale
+_TS_NM_CONFIG = NelderMeadConfig(eps1=1e-18, eps2=1e-24, max_iter=TS_MAX_ITER)
 
 
-def _ts_nm_config(max_iter):
-    # the 3-parameter least-squares fits are cheap; run them to collapse so the
-    # curve residual lands well under the strip-noise scale
-    return NelderMeadConfig(eps1=1e-18, eps2=1e-24, max_iter=max_iter)
-
-
-def calibrate_variance_ts(taus, targets_v2, kappa_start=2.0, max_iter=TS_MAX_ITER):
+def calibrate_variance_ts(taus, targets_v2):
     """(nu0, theta, kappa) fit of the CIR variance curve to corrected strip vols.
 
     The cost skips the first tenor and compares vol levels
     sum_{i>=2} (sqrt(curve(tau_i)) - sqrt(V~^2(tau_i)))^2; starts are the
-    first/last curve points and kappa_start.
+    first/last curve points and TS_KAPPA_START_CIR = 2.
     """
     v2 = np.asarray(targets_v2, dtype=float)
-    return _fit_ts(_cir_vol, taus, np.sqrt(v2), (v2[0], v2[-1], kappa_start), max_iter)
+    return _fit_ts(_cir_vol, taus, np.sqrt(v2), (v2[0], v2[-1], TS_KAPPA_START_CIR))
 
 
-def calibrate_vol_ts_sz(taus, vol_targets, kappa_start=0.95, max_iter=TS_MAX_ITER):
+def calibrate_vol_ts_sz(taus, vol_targets):
     """(nu0, theta, kappa) fit of the OU vol curve on the vol scale.
 
     Same exponential-decay curve evaluated on vols; the first tenor is skipped
-    and the starts are the first/last targets with kappa_start = 0.95.
+    and the starts are the first/last targets with TS_KAPPA_START_OU = 0.95.
     """
     vols = np.asarray(vol_targets, dtype=float)
-    return _fit_ts(_ou_vol, taus, vols, (vols[0], vols[-1], kappa_start), max_iter)
+    return _fit_ts(_ou_vol, taus, vols, (vols[0], vols[-1], TS_KAPPA_START_OU))
 
 
 def _cir_vol(nu0, theta, kappa, tau):
@@ -419,7 +418,7 @@ def _decay(kappa, tau):
     return (1.0 - math.exp(-x)) / x
 
 
-def _fit_ts(curve, taus, targets, start, max_iter):
+def _fit_ts(curve, taus, targets, start):
     """(nu0, theta, kappa, NMResult) of the least-squares fit of
     curve(nu0, theta, kappa, tau) to targets past the first tenor, over
     log-parameters, from start = (nu0, theta, kappa).
@@ -441,7 +440,7 @@ def _fit_ts(curve, taus, targets, start, max_iter):
         return total
 
     x0 = np.array([math.log(v) for v in start])
-    res = nelder_mead(objective, x0, _ts_nm_config(max_iter))
+    res = nelder_mead(objective, x0, _TS_NM_CONFIG)
     nu0, theta, kappa = (math.exp(v) for v in res.x)
     return nu0, theta, kappa, res
 
@@ -729,6 +728,14 @@ def feller_truncate_omega(omega, theta_k, kappa_k):
     return min(omega, math.sqrt(1.99 * theta_k * kappa_k))
 
 
+def feller_truncated(kind, params):
+    """The parameter set params of model kind with every factor's omega
+    truncated by feller_truncate_omega."""
+    return model_params(kind, [
+        (f.nu0, f.theta, f.kappa, feller_truncate_omega(f.omega, f.theta, f.kappa), f.rho)
+        for f in params.factors])
+
+
 def two_stage_job(kind, surface, symmetric_start, cost_spec=CostSpec(), feller=False,
                   stage1_max_iter=FULL_MAX_ITER_1F, stage2_max_iter=FULL_MAX_ITER_2F,
                   grid=DEFAULT_GRID):
@@ -738,9 +745,7 @@ def two_stage_job(kind, surface, symmetric_start, cost_spec=CostSpec(), feller=F
     stage1 = yield Fit(ctx, tied, feller, NelderMeadConfig(max_iter=stage1_max_iter))
     stage1_params = tied.params(stage1.x)
     if feller and variance_factors(kind):
-        stage1_params = model_params(kind, [
-            (f.nu0, f.theta, f.kappa, feller_truncate_omega(f.omega, f.theta, f.kappa), f.rho)
-            for f in stage1_params.factors])
+        stage1_params = feller_truncated(kind, stage1_params)
     result = yield from _full_fit(ctx, kind, stage1_params, feller, stage2_max_iter,
                                   None, False)
     return replace(result, flags=result.flags + ("two_stage",)), stage1
@@ -814,11 +819,11 @@ def detect_outliers(series):
 
 
 def outlier_recalibration(daily_results, watch_params, recalibrate,
-                          start_of=lambda r: r.start, value_of=getattr,
                           sz_feller_mode=False):
     """Re-run flagged days once with the offending start parameter doubled.
 
-    daily_results is chronologically ordered; recalibrate(day_index,
+    daily_results is chronologically ordered, each result with its fitted
+    .params and its .start parameter set; recalibrate(day_index,
     modified_start, param_name) must return a replacement result.  Both the
     original and the replacement are kept as (original, replacement | None).
     sz_feller_mode additionally multiplies the kappa start by 100 for theta
@@ -826,7 +831,7 @@ def outlier_recalibration(daily_results, watch_params, recalibrate,
     """
     corrected = []
     for name in watch_params:
-        series = [value_of(r.params, name) for r in daily_results]
+        series = [getattr(r.params, name) for r in daily_results]
         flags = set(detect_outliers(series))
         corrected.append((name, flags))
     out = []
@@ -836,7 +841,7 @@ def outlier_recalibration(daily_results, watch_params, recalibrate,
             out.append((result, None))
             continue
         name = hit[0]
-        start = _double_param(start_of(result), name)
+        start = _double_param(result.start, name)
         if sz_feller_mode and name == "theta":
             start = replace(start, kappa=100.0 * start.kappa)
         redo = recalibrate(t, start, name)

@@ -25,7 +25,7 @@ from .calibrate import (
     calibrate_variance_ts,
     calibrate_vol_ts_sz,
     even_split,
-    feller_truncate_omega,
+    feller_truncated,
     full_job,
     risk_job,
     run_job,
@@ -40,8 +40,6 @@ from .pricer import DEFAULT_GRID, IntegrationGrid
 EXIT_OK = 0
 EXIT_PARTIAL = 1
 EXIT_INVALID = 2
-
-HIST_RHO_FALLBACK = -0.1
 
 
 @dataclass(frozen=True)
@@ -153,7 +151,7 @@ def hist_omega_rho(hist, model, date):
     for the vol model) and rho = -0.1, as in the warm-up window.
     """
     scale = 0.5 if model == "sz" else 1.0
-    fallback = (scale * hist["vix1m"].get(date, 0.1), HIST_RHO_FALLBACK)
+    fallback = (scale * hist["vix1m"].get(date, 0.1), estimators.HIST_RHO_FALLBACK)
     return hist[model].get(date, fallback)
 
 
@@ -188,7 +186,6 @@ def start_with_icm(model, method, surface, hist):
     hh = hist_omega_rho(hist, "heston", surface.date)
     hs = hist_omega_rho(hist, "sz", surface.date)
     ts, hts = variance_pipeline(surface, hh)
-    flags = []
 
     def one_factor(model_kind):
         """(nu0, theta, kappa, omega, rho), flags and Heston ICM estimate."""
@@ -223,15 +220,9 @@ def start_with_icm(model, method, surface, hist):
     esth = estimators.icm_heston(sets)
     if model == "bates2f" and method in ("evp", "icm"):
         start = estimators.evp_split(esth.omega, esth.rho, *hts)
-    elif model == "bates2f" and method == "mevp":
+    elif (model == "bates2f" and method == "mevp"
+          or model == "bates2f-feller" and method in ("mevp", "icm")):
         start = estimators.mevp_split(esth.omega, esth.rho, *hts, target="bates_feller")
-    elif model == "bates2f-feller" and method in ("mevp", "icm"):
-        start = estimators.mevp_split(esth.omega, esth.rho, *hts, target="bates_feller")
-        om = tuple(feller_truncate_omega(o, t, k)
-                   for o, t, k in zip(start.omega, start.theta, start.kappa))
-        if om != start.omega:
-            flags.append("start omegas truncated to the positivity bound")
-        start = replace(start, omega=om)
     elif model == "ouou" and method in ("mevp", "icm"):
         _, sts = sz_ts_pipeline(surface, ts, hts, hh)
         ests = estimators.icm_sz(None, sts[0], from_heston=(esth.omega, esth.rho))
@@ -240,8 +231,13 @@ def start_with_icm(model, method, surface, hist):
         raise FxsvolError(f"start method {method!r} not supported for {model}")
     else:
         raise FxsvolError(f"unknown model {model!r}")
-    return (model_params(start.kind, start.factors), start.rho if start.pin_rho else None,
-            tuple(flags) + start.flags, esth)
+    params, flags = model_params(start.kind, start.factors), start.flags
+    if model == "bates2f-feller":
+        truncated = feller_truncated(start.kind, params)
+        if truncated != params:
+            flags = ("start omegas truncated to the positivity bound",) + flags
+        params = truncated
+    return params, start.rho if start.pin_rho else None, flags, esth
 
 
 def pipeline_job(manifest, surface, hist):

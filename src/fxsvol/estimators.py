@@ -28,6 +28,8 @@ from .errors import (
 OMEGA_FLOOR = 0.001
 RHO_PIN = 0.99
 RHO_CLAMP = 0.99
+HIST_WINDOW = 63          # days of the historical EWMA estimates
+HIST_RHO_FALLBACK = -0.1  # their rho during the warm-up
 
 
 @dataclass(frozen=True)
@@ -126,10 +128,6 @@ def icm_heston(moment_sets, ts_params=None):
     denominators to the exact weight integrals evaluated on that variance
     curve (flagged alternative, off by default).
     """
-    if not moment_sets:
-        raise DegenerateMoments("no tenors supplied")
-    flags = []
-    om2s, rhoms = [], []
     per_tenor = []
     for m in moment_sets:
         if m.mu2 <= 0.0:
@@ -139,21 +137,8 @@ def icm_heston(moment_sets, ts_params=None):
             i2 = m.mu2 * m.tau * m.tau / 3.0
         else:
             i1, i2 = variance_weight_integrals(*ts_params, m.tau)
-        om2 = m.ey2 / i2
-        rhom = m.exy / i1
-        om2s.append(om2)
-        rhoms.append(rhom)
-        per_tenor.append((m.tau, om2, rhom))
-    om2 = _lower_median(om2s)
-    if om2 <= 0.0:
-        raise DegenerateMoments(f"median omega^2 = {om2} <= 0")
-    omega = math.sqrt(om2)
-    rho = _lower_median(rhoms) / omega
-    if abs(rho) > RHO_CLAMP:
-        flags.append(f"rho {rho:.4f} clamped to +/-{RHO_CLAMP}")
-        rho = math.copysign(RHO_CLAMP, rho)
-    return Estimate(omega=omega, rho=rho, per_tenor=tuple(per_tenor),
-                    flags=tuple(flags))
+        per_tenor.append((m.tau, m.ey2 / i2, m.exy / i1))
+    return _icm_estimate(per_tenor)
 
 
 def icm_sz(moment_sets, nu0_sz, from_heston=None):
@@ -169,28 +154,32 @@ def icm_sz(moment_sets, nu0_sz, from_heston=None):
                         flags=("half-relation from CIR-variance estimates",))
     if nu0_sz <= 0.0:
         raise DegenerateMoments(f"nu0_sz = {nu0_sz} <= 0")
-    if not moment_sets:
-        raise DegenerateMoments("no tenors supplied")
-    flags = []
-    om2s, rhoms, per_tenor = [], [], []
+    per_tenor = []
     n4 = nu0_sz ** 4
     n2 = nu0_sz ** 2
     for m in moment_sets:
         om2 = (-n2 + math.sqrt(n4 + 0.5 * m.ey2)) / m.tau
         rhom = m.exy / (om2 * m.tau * m.tau + 2.0 * n2 * m.tau) if om2 > 0.0 else 0.0
-        om2s.append(om2)
-        rhoms.append(rhom)
         per_tenor.append((m.tau, om2, rhom))
-    om2 = _lower_median(om2s)
+    return _icm_estimate(per_tenor)
+
+
+def _icm_estimate(per_tenor):
+    """The Estimate from per-tenor (tau, omega^2, rho omega): omega is the
+    root of the lower median of omega^2, rho the lower median of rho omega
+    over omega, clamped to +/-RHO_CLAMP with a flag."""
+    if not per_tenor:
+        raise DegenerateMoments("no tenors supplied")
+    om2 = _lower_median([om2 for _, om2, _ in per_tenor])
     if om2 <= 0.0:
         raise DegenerateMoments(f"median omega^2 = {om2} <= 0")
     omega = math.sqrt(om2)
-    rho = _lower_median(rhoms) / omega
+    rho = _lower_median([rhom for _, _, rhom in per_tenor]) / omega
+    flags = ()
     if abs(rho) > RHO_CLAMP:
-        flags.append(f"rho {rho:.4f} clamped to +/-{RHO_CLAMP}")
+        flags = (f"rho {rho:.4f} clamped to +/-{RHO_CLAMP}",)
         rho = math.copysign(RHO_CLAMP, rho)
-    return Estimate(omega=omega, rho=rho, per_tenor=tuple(per_tenor),
-                    flags=tuple(flags))
+    return Estimate(omega=omega, rho=rho, per_tenor=tuple(per_tenor), flags=flags)
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +374,7 @@ def guillaume_schoutens(vix_series, window_years, mode="SMA", latest_atm_strike=
     if mode == "SMA":
         theta = float(np.mean(sq[-window:]))
     elif mode == "EWMA":
-        lam = 1.0 - 1.0 / window
-        e = sq[0]
-        for xval in sq[1:]:
-            e = (1.0 - lam) * xval + lam * e
-        theta = float(e)
+        theta = float(_ewma(sq, window)[-1])
     else:
         raise InvariantViolation(f"mode must be SMA or EWMA: {mode!r}")
     return nu0, theta
@@ -407,14 +392,13 @@ def _ewma(x, window):
     return out
 
 
-def historical_omega_rho(vix_series, spot_series, model="heston", window=63,
-                         rho_fallback=-0.1):
+def historical_omega_rho(vix_series, spot_series, model="heston"):
     """Daily EWMA estimates of (omega, rho) from vol-index and spot series.
 
     The variance model uses squared-index increments; the volatility model
-    uses index increments.  The first `window - 1` outputs are warm-up
-    fallbacks: omega = index level (variance model) or half of it (vol
-    model); rho = rho_fallback.
+    uses index increments, both over HIST_WINDOW = 63 days.  The first
+    HIST_WINDOW - 1 outputs are warm-up fallbacks: omega = index level
+    (variance model) or half of it (vol model); rho = HIST_RHO_FALLBACK.
     """
     vix = np.asarray(vix_series, dtype=float)
     spot = np.asarray(spot_series, dtype=float)
@@ -423,15 +407,15 @@ def historical_omega_rho(vix_series, spot_series, model="heston", window=63,
     driver = vix * vix if model == "heston" else vix
     dv = np.diff(driver)
     dls = np.diff(np.log(spot))
-    e_dv2 = _ewma(dv * dv, window)
-    e_ds2 = _ewma(dls * dls, window)
-    e_cross = _ewma(dls * dv, window)
+    e_dv2 = _ewma(dv * dv, HIST_WINDOW)
+    e_ds2 = _ewma(dls * dls, HIST_WINDOW)
+    e_cross = _ewma(dls * dv, HIST_WINDOW)
     n = vix.size
     omega = np.empty(n)
     rho = np.empty(n)
-    warm = min(n, window - 1)
+    warm = min(n, HIST_WINDOW - 1)
     omega[:warm] = vix[:warm] if model == "heston" else 0.5 * vix[:warm]
-    rho[:warm] = rho_fallback
+    rho[:warm] = HIST_RHO_FALLBACK
     for t in range(warm, n):
         i = t - 1  # EWMA index over the diff series
         if model == "heston":
@@ -439,7 +423,7 @@ def historical_omega_rho(vix_series, spot_series, model="heston", window=63,
         else:
             omega[t] = math.sqrt(e_dv2[i])
         denom = math.sqrt(e_ds2[i] * e_dv2[i])
-        rho[t] = e_cross[i] / denom if denom > 0.0 else rho_fallback
+        rho[t] = e_cross[i] / denom if denom > 0.0 else HIST_RHO_FALLBACK
     return omega, rho
 
 

@@ -8,6 +8,7 @@ pillars and their absolute strikes.
 
 from __future__ import annotations
 
+import calendar
 import csv
 import datetime as _dt
 import math
@@ -39,17 +40,9 @@ def tenor_year_fraction(date: _dt.date, tenor: str) -> float:
     y, m = divmod(date.month - 1 + months, 12)
     year, month = date.year + y, m + 1
     # clamp to month end (e.g. Jan 31 + 1M -> Feb 28)
-    day = min(date.day, _days_in_month(year, month))
+    day = min(date.day, calendar.monthrange(year, month)[1])
     end = _dt.date(year, month, day)
     return (end - date).days / 365.0
-
-
-def _days_in_month(year: int, month: int) -> int:
-    if month == 12:
-        nxt = _dt.date(year + 1, 1, 1)
-    else:
-        nxt = _dt.date(year, month + 1, 1)
-    return (nxt - _dt.date(year, month, 1)).days
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ characteristic-function integration methods.
 The production route is the single-integral method on a log-transformed
 trapezoid grid (w = ln u on [-17, 5] with 0.4 spacing); the two-integral
 Gil-Pelaez inversion and the damped-call transform exist to cross-validate
-it and default to denser grids of their own.
+it and run on denser grids of their own.
 """
 
 from __future__ import annotations
@@ -445,14 +445,14 @@ def attari_strip(cf, S, strikes, tau, r_d, r_f, grid=DEFAULT_GRID):
     return calls[0] if scalar else calls
 
 
-def gil_pelaez_probabilities(cf, spec, grid=CROSSCHECK_GRID):
-    """(P1, P2) of the two-integral method.
+def gil_pelaez_probabilities(cf, spec):
+    """(P1, P2) of the two-integral method on CROSSCHECK_GRID.
 
     P2 from phi2 directly; P1 from the single-CF variant
     phi1(u) = phi2(u - i)/phi2(-i).  Same u = e^w substitution as the
     production pricer (the 1/u of the kernel cancels the Jacobian).
     """
-    w, u, weights = grid.nodes()
+    w, u, weights = CROSSCHECK_GRID.nodes()
     uc = u.astype(complex)
     x0 = math.log(spec.S)
     k = math.log(spec.K)
@@ -467,9 +467,9 @@ def gil_pelaez_probabilities(cf, spec, grid=CROSSCHECK_GRID):
     return p1, p2
 
 
-def gil_pelaez_price(cf, spec, grid=CROSSCHECK_GRID):
+def gil_pelaez_price(cf, spec):
     """Two-probability inversion C = S e^{-r_f tau} P1 - K e^{-r_d tau} P2."""
-    p1, p2 = gil_pelaez_probabilities(cf, spec, grid)
+    p1, p2 = gil_pelaez_probabilities(cf, spec)
     call = (spec.S * math.exp(-spec.r_f * spec.tau) * p1
             - spec.K * math.exp(-spec.r_d * spec.tau) * p2)
     return call if spec.side == "call" else _put_from_call(call, spec)
@@ -479,12 +479,13 @@ CARR_MADAN_N = 4001
 CARR_MADAN_V_MAX = math.exp(6.5)
 
 
-def carr_madan_price(cf, spec, alpha=1.5, n=CARR_MADAN_N, v_max=CARR_MADAN_V_MAX):
+def carr_madan_price(cf, spec, alpha=1.5):
     """Damped-call transform price.
 
     C = (e^{-alpha k}/pi) int_0^vmax Re[e^{-i v k} psi(v)] dv with
     psi(v) = e^{-r_d tau} phi(v - (alpha+1)i) / (alpha^2 + alpha - v^2 + i(2 alpha + 1) v),
-    evaluated per strike on a linear trapezoid grid (no FFT batching).
+    evaluated per strike on a linear trapezoid grid of CARR_MADAN_N nodes
+    up to vmax = CARR_MADAN_V_MAX (no FFT batching).
     """
     if alpha <= 0.0:
         raise AlphaInvalid(f"alpha must be > 0, got {alpha}")
@@ -494,8 +495,8 @@ def carr_madan_price(cf, spec, alpha=1.5, n=CARR_MADAN_N, v_max=CARR_MADAN_V_MAX
     moment = cf(probe, x0, spec.tau, spec.r_d, spec.r_f)
     if not np.all(np.isfinite(moment)):
         raise AlphaInvalid(f"phi(-(alpha+1)i) not finite for alpha={alpha}")
-    v = np.linspace(0.0, v_max, n)
-    weights = np.full(n, v[1] - v[0])
+    v = np.linspace(0.0, CARR_MADAN_V_MAX, CARR_MADAN_N)
+    weights = np.full(CARR_MADAN_N, v[1] - v[0])
     weights[0] *= 0.5
     weights[-1] *= 0.5
     uu = v - (alpha + 1.0) * 1j
@@ -507,8 +508,9 @@ def carr_madan_price(cf, spec, alpha=1.5, n=CARR_MADAN_N, v_max=CARR_MADAN_V_MAX
     return call if spec.side == "call" else _put_from_call(call, spec)
 
 
-def surface_prices(cf, surface, grid=DEFAULT_GRID):
-    """Model call price and model implied vol for every (tenor, pillar) cell.
+def surface_prices(cf, surface):
+    """Model call price and model implied vol for every (tenor, pillar) cell,
+    priced on DEFAULT_GRID.
 
     Returns {tenor: (prices array, vols array)} in pillar order.
     """
@@ -517,7 +519,7 @@ def surface_prices(cf, surface, grid=DEFAULT_GRID):
         return {}
     calls = attari_strip(cf, surface.spot, [sl.strikes for sl in slices],
                          [sl.tau for sl in slices], [sl.r_d for sl in slices],
-                         [sl.r_f for sl in slices], grid=grid)
+                         [sl.r_f for sl in slices])
     cells = GKCells(OptionSpec(surface.spot, K, sl.tau, sl.r_d, sl.r_f, "call")
                     for sl in slices for K in sl.strikes)
     vols = implied_vol(cells, calls.ravel()).reshape(calls.shape)

@@ -2,9 +2,10 @@
 and the scalar driver of calibration jobs built on it.
 
 reference_nelder_mead is kept verbatim as the oracle of
-fxsvol.calibrate.nelder_mead_steps: every caller that runs the generator
-(nelder_mead, lockstep) must give its x, fx, iterations and converged bit
-for bit, and raise its errors.  reference_run_job is the oracle of
+fxsvol.calibrate.nelder_mead_steps, its coefficients 1, 2, 1/2 and 1/2
+written as literals rather than read from the module under test: every
+caller that runs the generator (nelder_mead, lockstep) must give its x,
+fx, iterations and converged bit for bit, and raise its errors.  reference_run_job is the oracle of
 run_job and run_lanes: each fit of a job runs that loop, one point at a
 time, over its context's SurfaceCost.__call__.
 """
@@ -53,25 +54,25 @@ def reference_nelder_mead(f, x_start, config=NelderMeadConfig()):
         if iterations > config.max_iter:
             break
         centroid = points[:-1].mean(axis=0)
-        xr = centroid + config.alpha * (centroid - points[-1])
+        xr = centroid + 1.0 * (centroid - points[-1])
         fr = _eval(f, xr)
         if values[0] <= fr <= values[-2]:
             points[-1], values[-1] = xr, fr
             continue
         if fr <= values[0]:
-            xe = centroid + config.gamma * (xr - centroid)
+            xe = centroid + 2.0 * (xr - centroid)
             fe = _eval(f, xe)
             if fe <= fr:
                 points[-1], values[-1] = xe, fe
             else:
                 points[-1], values[-1] = xr, fr
             continue
-        xc = centroid + config.rho_c * (points[-1] - centroid)
+        xc = centroid + 0.5 * (points[-1] - centroid)
         fc = _eval(f, xc)
         if fc <= values[-1]:
             points[-1], values[-1] = xc, fc
             continue
-        points[1:] = points[0] + config.sigma_s * (points[1:] - points[0])
+        points[1:] = points[0] + 0.5 * (points[1:] - points[0])
         values[1:] = [_eval(f, p) for p in points[1:]]
 
     order = np.argsort(values, kind="stable")

@@ -116,12 +116,6 @@ class TestNelderMead:
         res = nelder_mead(lambda x: float(np.sum(x * x)), np.array([1.0, 1.0]), cfg)
         assert res.iterations == 1  # f-spread is tiny relative to eps1 at once
 
-    def test_bad_constants_rejected(self):
-        with pytest.raises(InvariantViolation):
-            NelderMeadConfig(alpha=-1.0)
-        with pytest.raises(InvariantViolation):
-            NelderMeadConfig(rho_c=0.9)
-
 
 class TestTransforms:
     """The round trips of the simplex coordinates, on Layout (the literal

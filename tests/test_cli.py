@@ -368,6 +368,36 @@ class TestCalibrate:
         assert len(os.listdir(out1)) == 5  # 3 dates, the summary, the manifest
         assert_same_outputs(out1, out2)
 
+    def test_bates2f_feller_start_truncated(self, tmp_path):
+        """Every factor of the bates2f-feller start satisfies 2 kappa theta >
+        omega^2, and the start carries the truncation flag exactly on the
+        dates where the bates2f split's omegas were cut."""
+        surfs = [synth_surface("heston", HestonParams(0.0082, 0.0143, 2.07, 0.30, -0.38),
+                               date="2014-06-02"),
+                 synth_surface("heston", HestonParams(0.01, 0.04, 6.0, 0.10, -0.2),
+                               date="2014-06-03")]
+        path = write_quote_csv(tmp_path / "q.csv", surfs, vols_decimal=False)
+        base = ["calibrate", "--input", str(path), "--start", "mevp", "--max-iter", "20"]
+        runs = [("bates2f", "1"), ("bates2f-feller", "1"), ("bates2f-feller", "2")]
+        for model, jobs in runs:
+            assert main(base + ["--model", model, "--jobs", jobs, "--output-dir",
+                                str(tmp_path / f"{model}-{jobs}")]) == 0
+        assert_same_outputs(tmp_path / "bates2f-feller-1", tmp_path / "bates2f-feller-2")
+        cut_on = []
+        for day in ("2014-06-02", "2014-06-03"):
+            with open(tmp_path / "bates2f-1" / f"calibration_{day}_bates2f_mevp_mse.json") as fh:
+                split = json.load(fh)["start"]["factors"]
+            with open(tmp_path / "bates2f-feller-1"
+                      / f"calibration_{day}_bates2f-feller_mevp_mse.json") as fh:
+                payload = json.load(fh)
+            start = payload["start"]["factors"]
+            assert all(2.0 * f["kappa"] * f["theta"] > f["omega"] ** 2 for f in start)
+            cut = [f["omega"] for f in start] != [f["omega"] for f in split]
+            flagged = "start omegas truncated to the positivity bound" in payload["flags"]
+            assert flagged == cut
+            cut_on.append(cut)
+        assert cut_on == [True, False]
+
     def test_jobs_pool_partial_failure(self, tmp_path):
         path = frown_history(tmp_path)
         base = ["calibrate", "--input", str(path), "--model", "heston",

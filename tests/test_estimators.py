@@ -57,9 +57,11 @@ class TestIcmHeston:
         assert (a.omega, a.rho) == (b.omega, b.rho)
 
     def test_rho_clamped_with_flag(self):
-        est = icm_heston([mset(1.0, 0.01, 0.0003, -0.01)])
-        assert est.rho == -0.99
-        assert est.flags
+        # icm_sz shares the aggregation and its clamp
+        for est, raw in ((icm_heston([mset(1.0, 0.01, 0.0003, -0.01)]), "-6.6667"),
+                         (icm_sz([mset(1.0, 0.01, 0.0008, -0.01)], nu0_sz=0.1), "-2.7795")):
+            assert est.rho == -0.99
+            assert est.flags == (f"rho {raw} clamped to +/-0.99",)
 
     def test_weight_integrals_match_quadrature(self):
         nu0, th, ka, tau = 0.0082, 0.0143, 2.07, 0.5
@@ -83,6 +85,8 @@ class TestIcmSz:
         with pytest.raises(DegenerateMoments):
             # -nu0^2/tau + sqrt(nu0^4)/tau = 0 exactly
             icm_sz([mset(1.0, 0.01, 0.0, 0.0)], nu0_sz=0.1)
+        with pytest.raises(DegenerateMoments, match="no tenors supplied"):
+            icm_sz([], nu0_sz=0.1)
 
     def test_arithmetic_example(self):
         nu0, tau, ey2, exy = 0.1, 1.0, 0.0008, -0.0004
@@ -219,6 +223,16 @@ class TestGuillaumeSchoutens:
             acc = (1 - lam) * x + lam * acc
         _, theta = guillaume_schoutens(v, window_years=1.0, mode="EWMA")
         assert theta == pytest.approx(acc, rel=1e-14)
+        # exactly the recursive loop, on a seeded series
+        v = np.random.default_rng(7).uniform(0.05, 0.2, 300)
+        window = max(1, int(round(252 * 0.5)))
+        lam = 1.0 - 1.0 / window
+        sq = v * v
+        e = sq[0]
+        for xval in sq[1:]:
+            e = (1.0 - lam) * xval + lam * e
+        _, theta = guillaume_schoutens(v, window_years=0.5, mode="EWMA")
+        assert theta == float(e)
 
     def test_lvix_variant(self):
         nu0, theta = guillaume_schoutens([0.1], 1.0, latest_atm_strike=0.123)

@@ -217,6 +217,11 @@ class TestSurface:
         # month-end clamping: Jan 31 + 1M -> Feb 28
         assert tenor_year_fraction(datetime.date(2015, 1, 31), "1M") == \
             pytest.approx(28 / 365)
+        # year wrap: Dec 31 + 2M -> Feb 28; leap February: Jan 31 + 1M ->
+        # Feb 29; Mar 31 + 6M -> Sep 30
+        assert tenor_year_fraction(datetime.date(2014, 12, 31), "2M") == 59 / 365
+        assert tenor_year_fraction(datetime.date(2016, 1, 31), "1M") == 29 / 365
+        assert tenor_year_fraction(datetime.date(2014, 3, 31), "6M") == 183 / 365
 
     def test_group_rows_by_date_sorted(self, tmp_path, heston_median_params):
         s1 = synth_surface("heston", heston_median_params, date="2014-06-03",
