@@ -49,7 +49,7 @@ NM_GAMMA = 2.0
 NM_RHO_C = 0.5
 NM_SIGMA_S = 0.5
 
-COST_KINDS = ("mse", "mae", "mape", "mspe")
+COST_KINDS = ("mse", "mae", "mape")
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +258,7 @@ class Layout:
 
 @dataclass(frozen=True)
 class CostSpec:
-    kind: str = "mse"                    # mse | mae | mape | mspe
+    kind: str = "mse"                    # mse | mae | mape
     target: str = "vega_weighted_price"  # or "implied_vol"
 
     def __post_init__(self):
@@ -276,9 +276,7 @@ def _error_sum(kind, model, market):
         return np.sum(diff * diff, axis=-1)
     if kind == "mae":
         return np.sum(np.abs(diff), axis=-1)
-    if kind == "mape":
-        return np.sum(np.abs(diff / market), axis=-1)
-    return np.sum((diff / market) ** 2, axis=-1)
+    return np.sum(np.abs(diff / market), axis=-1)
 
 
 class SurfaceCost:
@@ -492,7 +490,6 @@ def run_lanes(jobs):
     The jobs go in blocks of up to LANES_PER_BLOCK lanes.  Each round, the
     pending points of every live lane of a block are priced in kernel calls
     of up to LANE_ROWS rows, so the lanes share the CF and Attari dispatch.
-    All fits of a job must price one surface with one model and grid.
     Returns, per job, its result or the FxsvolError that ended it, bit for
     bit what run_job gives that job alone: a row's cost does not depend on
     the rows priced with it.
@@ -563,17 +560,9 @@ class _Lane:
             return self._begin(self.job.send(stop.value))
 
     def _begin(self, fit):
-        if self.fit is not None and _kernel_key(fit) != _kernel_key(self.fit):
-            raise InvariantViolation("the fits of a lane must price one surface, "
-                                     "model and grid")
         self.fit = fit
         self.steps = nelder_mead_steps(fit.layout.x0, fit.config)
         return next(self.steps)
-
-
-def _kernel_key(fit):
-    """What a lane's kernel constants and CF depend on."""
-    return fit.layout.kind, fit.ctx.grid, id(fit.ctx.surface)
 
 
 def _replay(outcomes):

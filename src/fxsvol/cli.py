@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, replace
 
 from . import estimators, moments
 from .calibrate import (
+    FULL_MAX_ITER_2F,
     CostSpec,
     calibrate_full,  # noqa: F401  (perfbench/tracer.py patches cli.calibrate_full)
     calibrate_variance_ts,
@@ -40,6 +41,10 @@ from .pricer import DEFAULT_GRID, IntegrationGrid
 EXIT_OK = 0
 EXIT_PARTIAL = 1
 EXIT_INVALID = 2
+
+# the least omega of a one-factor start from a smile-shape or historical
+# estimate
+START_OMEGA_FLOOR = 1e-4
 
 
 @dataclass(frozen=True)
@@ -117,12 +122,13 @@ def selected_dates(manifest, surfaces):
 
 
 def historical_context(surfaces):
-    """Per-date EWMA (omega, rho) estimates from the 1M strip vol and spot.
+    """Per-date EWMA (omega, rho) estimates from the 1M strip vol and spot
+    (estimators.historical_omega_rho), for "heston" and "sz", and the 1M
+    index level, each keyed by date.
 
-    With fewer than 63 dates the documented warm-up fallbacks apply (omega =
-    index level, or half of it for the vol model; rho = -0.1); with fewer
-    than two there are no estimates, and hist_omega_rho gives the fallback
-    for every date.
+    The first HIST_WINDOW - 1 dates take historical_omega_rho's warm-up
+    fallbacks: omega = index level, or half of it for the vol model; rho =
+    HIST_RHO_FALLBACK.
     """
     dates = sorted(surfaces)
     vix1m, spots = [], []
@@ -133,8 +139,6 @@ def historical_context(surfaces):
         v2 = moments.implied_variance_vix(strikes, prices, f0, k0, sl.r_d, sl.tau)
         vix1m.append(math.sqrt(max(v2, 0.0)))
         spots.append(surf.spot)
-    if len(dates) < 2:
-        return {"heston": {}, "sz": {}, "vix1m": dict(zip(dates, vix1m))}
     om_h, rho_h = estimators.historical_omega_rho(vix1m, spots, model="heston")
     om_s, rho_s = estimators.historical_omega_rho(vix1m, spots, model="sz")
     return {
@@ -142,17 +146,6 @@ def historical_context(surfaces):
         "sz": {d: (float(om_s[i]), float(rho_s[i])) for i, d in enumerate(dates)},
         "vix1m": dict(zip(dates, vix1m)),
     }
-
-
-def hist_omega_rho(hist, model, date):
-    """(omega, rho) from the historical context, for "heston" or "sz".
-
-    A date outside the context falls back to the 1M index level (half of it
-    for the vol model) and rho = -0.1, as in the warm-up window.
-    """
-    scale = 0.5 if model == "sz" else 1.0
-    fallback = (scale * hist["vix1m"].get(date, 0.1), estimators.HIST_RHO_FALLBACK)
-    return hist[model].get(date, fallback)
 
 
 def variance_pipeline(surface, hist_heston):
@@ -182,35 +175,34 @@ def build_start(model, method, surface, hist):
 
 def start_with_icm(model, method, surface, hist):
     """build_start's (params, pinned rho, flags), and the Heston ICM estimate
-    the route made on the way (None if it made none)."""
-    hh = hist_omega_rho(hist, "heston", surface.date)
-    hs = hist_omega_rho(hist, "sz", surface.date)
+    the route made on the way (None if it made none).  This is the one place
+    a calibration start is built."""
+    hh = hist["heston"][surface.date]
     ts, hts = variance_pipeline(surface, hh)
 
     def one_factor(model_kind):
-        """(nu0, theta, kappa, omega, rho), flags and Heston ICM estimate."""
+        """(nu0, theta, kappa, omega, rho), flags and Heston ICM estimate.
+        The route's estimate is made before or after the model's curve as
+        it always was, so the first error a date raises stays the same."""
         if method == "icm":
             sets = moments.surface_moment_sets(surface)
-            if model_kind == "heston":
-                est = estimators.icm_heston(sets)
-                return (*hts, est.omega, est.rho), est.flags, est
-            _, sts = sz_ts_pipeline(surface, ts, hts, hh)
-            esth = estimators.icm_heston(sets)
-            est = estimators.icm_sz(None, sts[0], from_heston=(esth.omega, esth.rho))
-            return (*sts, est.omega, est.rho), est.flags, esth
-        if method == "durrleman":
+        elif method == "durrleman":
             est = estimators.durrleman(surface, ts.v2_corrected[0])
-            if model_kind == "heston":
-                return (*hts, max(est.omega, 1e-4), est.rho), est.flags, None
-            _, sts = sz_ts_pipeline(surface, ts, hts, hh)
-            return ((*sts, max(0.5 * est.omega, 1e-4), est.rho),
-                    est.flags + ("half-relation applied for the OU-vol model",), None)
+        elif method != "hist":
+            raise FxsvolError(f"start method {method!r} not supported for {model_kind}")
+        curve = hts if model_kind == "heston" else sz_ts_pipeline(surface, ts, hts, hh)[1]
+        if method == "icm":
+            esth = estimators.icm_heston(sets)
+            est = esth if model_kind == "heston" else estimators.half_relation(esth)
+            return (*curve, est.omega, est.rho), est.flags, esth
         if method == "hist":
-            if model_kind == "heston":
-                return (*hts, max(hh[0], 1e-4), hh[1]), (), None
-            _, sts = sz_ts_pipeline(surface, ts, hts, hh)
-            return (*sts, max(hs[0], 1e-4), hs[1]), (), None
-        raise FxsvolError(f"start method {method!r} not supported for {model_kind}")
+            (omega, rho), flags = hist[model_kind][surface.date], ()
+        elif model_kind == "heston":
+            omega, rho, flags = est.omega, est.rho, est.flags
+        else:
+            omega, rho = 0.5 * est.omega, est.rho
+            flags = est.flags + ("half-relation applied for the OU-vol model",)
+        return (*curve, max(omega, START_OMEGA_FLOOR), rho), flags, None
 
     if model in ("heston", "sz"):
         fields, fl, esth = one_factor(model)
@@ -225,7 +217,7 @@ def start_with_icm(model, method, surface, hist):
         start = estimators.mevp_split(esth.omega, esth.rho, *hts, target="bates_feller")
     elif model == "ouou" and method in ("mevp", "icm"):
         _, sts = sz_ts_pipeline(surface, ts, hts, hh)
-        ests = estimators.icm_sz(None, sts[0], from_heston=(esth.omega, esth.rho))
+        ests = estimators.half_relation(esth)
         start = estimators.mevp_split(ests.omega, ests.rho, *sts, target="ouou")
     elif model in ("bates2f", "bates2f-feller", "ouou"):
         raise FxsvolError(f"start method {method!r} not supported for {model}")
@@ -247,21 +239,16 @@ def pipeline_job(manifest, surface, hist):
     kind = "bates2f" if model == "bates2f-feller" else model
     feller = manifest.feller or model == "bates2f-feller"
     if manifest.start_method == "twostage":
-        hh = hist_omega_rho(hist, "heston", surface.date)
-        ts, hts = variance_pipeline(surface, hh)
-        if kind == "ouou":
-            # OU-volatility factors live on the vol scale
-            hs = hist_omega_rho(hist, "sz", surface.date)
-            _, sts = sz_ts_pipeline(surface, ts, hts, hh)
-            root2 = math.sqrt(2.0)
-            sym = (sts[0] / root2, sts[1] / root2, sts[2],
-                   max(hs[0], 1e-4), hs[1])
-        else:
-            sym = (hts[0] / 2.0, hts[1] / 2.0, hts[2], max(hh[0], 1e-4), hh[1])
+        # each factor of the tied stage is the equal-variance split of the
+        # base model's historical start
+        base, _, _ = build_start("sz" if kind == "ouou" else "heston", "hist",
+                                 surface, hist)
+        sym = (*estimators.factor_share(kind, base.nu0, base.theta), base.kappa,
+               base.omega, base.rho)
         result, _ = yield from two_stage_job(
             kind, surface, sym, cost_spec=CostSpec(kind=manifest.cost_kind),
             feller=feller, grid=manifest.grid(),
-            stage2_max_iter=manifest.max_iter or 800)
+            stage2_max_iter=manifest.max_iter or FULL_MAX_ITER_2F)
     else:
         start, pinned, start_flags = build_start(model, manifest.start_method,
                                                  surface, hist)
@@ -388,7 +375,7 @@ def cmd_vix(manifest):
 def vix_job(manifest, surface, hist):
     """One date's vix.csv rows as a job that runs no fit."""
     date = surface.date
-    om_h, rho_h = hist_omega_rho(hist, "heston", date)
+    om_h, rho_h = hist["heston"][date]
     ts = moments.surface_variance_ts(surface, rho_h=rho_h, omega_h=om_h)
     sets = moments.surface_moment_sets(surface)
     rows = [[date, sl.tenor] + [f"{x:.12g}" for x in (sl.tau, v2, v2c, m.skew, m.kurt)]
@@ -411,7 +398,7 @@ def estimate_job(manifest, surface, hist):
             "flags": []}
     if method in ("gs", "gr"):
         # gs reads no term structure, but a date whose pipeline fails reports that
-        _, hts = variance_pipeline(surface, hist_omega_rho(hist, "heston", date))
+        _, hts = variance_pipeline(surface, hist["heston"][date])
     if method == "gs":
         dates = sorted(hist["vix1m"])
         series = [hist["vix1m"][d] for d in dates if d <= date]
@@ -549,7 +536,8 @@ def _iso_date(text):
 
 
 def _add_common(p, jobs=False):
-    p.add_argument("--input", required=True, help="quote CSV (or JSON dir for report)")
+    p.add_argument("--input", dest="input_path", metavar="INPUT", required=True,
+                   help="quote CSV (or JSON dir for report)")
     p.add_argument("--output-dir", default="out")
     p.add_argument("--vols-decimal", action="store_true",
                    help="vol columns already in decimals, not percentage points")
@@ -575,7 +563,7 @@ def build_parser():
 
     p = sub.add_parser("estimate")
     _add_common(p, jobs=True)
-    p.add_argument("--method", required=True,
+    p.add_argument("--method", dest="start_method", required=True,
                    choices=["icm", "durrleman", "gr", "gs", "hist"])
     p.add_argument("--model", default="heston", choices=["heston", "sz"])
 
@@ -583,9 +571,10 @@ def build_parser():
     _add_common(p, jobs=True)
     p.add_argument("--model", required=True,
                    choices=["heston", "sz", "bates2f", "bates2f-feller", "ouou"])
-    p.add_argument("--start", required=True,
+    p.add_argument("--start", dest="start_method", required=True,
                    choices=["icm", "durrleman", "hist", "twostage", "evp", "mevp"])
-    p.add_argument("--cost", default="mse", choices=["mse", "mae", "mape"])
+    p.add_argument("--cost", dest="cost_kind", default="mse",
+                   choices=["mse", "mae", "mape"])
     p.add_argument("--feller", action="store_true")
     p.add_argument("--max-iter", type=_int_at_least(0), default=0,
                    help="Nelder-Mead iteration cap (0: the model's default)")
@@ -595,7 +584,8 @@ def build_parser():
     p = sub.add_parser("risk")
     _add_common(p, jobs=True)
     p.add_argument("--model", default="heston", choices=["heston", "sz"])
-    p.add_argument("--method", default="icm", choices=["icm", "durrleman", "hist"])
+    p.add_argument("--method", dest="start_method", default="icm",
+                   choices=["icm", "durrleman", "hist"])
 
     p = sub.add_parser("report")
     _add_common(p)
@@ -603,24 +593,9 @@ def build_parser():
 
 
 def manifest_from_args(args):
-    return RunManifest(
-        command=args.command,
-        input_path=args.input,
-        output_dir=args.output_dir,
-        model=getattr(args, "model", ""),
-        start_method=getattr(args, "start", getattr(args, "method", "")),
-        cost_kind=getattr(args, "cost", "mse"),
-        feller=getattr(args, "feller", False),
-        max_iter=getattr(args, "max_iter", 0),
-        stop_any=getattr(args, "stop_any", False),
-        vols_decimal=args.vols_decimal,
-        grid_min=args.grid_min,
-        grid_max=args.grid_max,
-        grid_step=args.grid_step,
-        jobs=getattr(args, "jobs", 1),
-        date_from=args.date_from,
-        date_to=args.date_to,
-    )
+    """The run's manifest: each parsed option is the field of its dest, and a
+    field the subcommand has no option for keeps its default."""
+    return RunManifest(**vars(args))
 
 
 def _keep_freed_heap():

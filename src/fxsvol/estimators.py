@@ -141,17 +141,12 @@ def icm_heston(moment_sets, ts_params=None):
     return _icm_estimate(per_tenor)
 
 
-def icm_sz(moment_sets, nu0_sz, from_heston=None):
+def icm_sz(moment_sets, nu0_sz):
     """(omega, rho) for the OU-volatility model.
 
     omega_tau^2 = -nu0^2/tau + sqrt(nu0^4 + E[Y^2]/2)/tau,
     omega_tau rho_tau = E[XY] / (omega_tau^2 tau^2 + 2 nu0^2 tau).
-    from_heston=(omega_h, rho_h) applies the half-relation shortcut instead.
     """
-    if from_heston is not None:
-        om_h, rho_h = from_heston
-        return Estimate(omega=0.5 * om_h, rho=rho_h,
-                        flags=("half-relation from CIR-variance estimates",))
     if nu0_sz <= 0.0:
         raise DegenerateMoments(f"nu0_sz = {nu0_sz} <= 0")
     per_tenor = []
@@ -162,6 +157,13 @@ def icm_sz(moment_sets, nu0_sz, from_heston=None):
         rhom = m.exy / (om2 * m.tau * m.tau + 2.0 * n2 * m.tau) if om2 > 0.0 else 0.0
         per_tenor.append((m.tau, om2, rhom))
     return _icm_estimate(per_tenor)
+
+
+def half_relation(heston):
+    """The OU-volatility model's (omega, rho) from the CIR-variance model's
+    Estimate heston by the half-relation shortcut: half its omega, its rho."""
+    return Estimate(omega=0.5 * heston.omega, rho=heston.rho,
+                    flags=("half-relation from CIR-variance estimates",))
 
 
 def _icm_estimate(per_tenor):
@@ -397,25 +399,28 @@ def historical_omega_rho(vix_series, spot_series, model="heston"):
 
     The variance model uses squared-index increments; the volatility model
     uses index increments, both over HIST_WINDOW = 63 days.  The first
-    HIST_WINDOW - 1 outputs are warm-up fallbacks: omega = index level
-    (variance model) or half of it (vol model); rho = HIST_RHO_FALLBACK.
+    HIST_WINDOW - 1 outputs, so every output of a shorter series, are
+    warm-up fallbacks: omega = index level (variance model) or half of it
+    (vol model); rho = HIST_RHO_FALLBACK.
     """
     vix = np.asarray(vix_series, dtype=float)
     spot = np.asarray(spot_series, dtype=float)
-    if vix.shape != spot.shape or vix.size < 2:
-        raise ShortSeries("need aligned series of length >= 2")
-    driver = vix * vix if model == "heston" else vix
-    dv = np.diff(driver)
-    dls = np.diff(np.log(spot))
-    e_dv2 = _ewma(dv * dv, HIST_WINDOW)
-    e_ds2 = _ewma(dls * dls, HIST_WINDOW)
-    e_cross = _ewma(dls * dv, HIST_WINDOW)
+    if vix.shape != spot.shape:
+        raise ShortSeries("need aligned series")
     n = vix.size
     omega = np.empty(n)
     rho = np.empty(n)
     warm = min(n, HIST_WINDOW - 1)
     omega[:warm] = vix[:warm] if model == "heston" else 0.5 * vix[:warm]
     rho[:warm] = HIST_RHO_FALLBACK
+    if warm == n:
+        return omega, rho
+    driver = vix * vix if model == "heston" else vix
+    dv = np.diff(driver)
+    dls = np.diff(np.log(spot))
+    e_dv2 = _ewma(dv * dv, HIST_WINDOW)
+    e_ds2 = _ewma(dls * dls, HIST_WINDOW)
+    e_cross = _ewma(dls * dv, HIST_WINDOW)
     for t in range(warm, n):
         i = t - 1  # EWMA index over the diff series
         if model == "heston":
@@ -431,12 +436,22 @@ def historical_omega_rho(vix_series, spot_series, model="heston"):
 # two-factor starting vectors
 # ---------------------------------------------------------------------------
 
+def factor_share(kind, nu0, theta):
+    """A factor's (nu0, theta) in the equal-variance split of a one-factor
+    curve between the two factors of model kind: half of each for CIR
+    variances (bates2f), 1/sqrt(2) of each for OU volatilities (ouou), so
+    the factors' variances add up to the curve's."""
+    share = math.sqrt(2.0) if kind == "ouou" else 2.0
+    return nu0 / share, theta / share
+
+
 def evp_split(omega, rho, nu0, theta, kappa):
     """Equal-variance split: both factors carry half the variance curve."""
+    nu0_k, theta_k = factor_share("bates2f", nu0, theta)
     return TwoFactorStart(
         kind="bates2f",
-        nu0=(nu0 / 2.0, nu0 / 2.0),
-        theta=(theta / 2.0, theta / 2.0),
+        nu0=(nu0_k, nu0_k),
+        theta=(theta_k, theta_k),
         kappa=(kappa, kappa),
         omega=(omega, omega),
         rho=(rho, rho),
@@ -449,21 +464,19 @@ def mevp_split(omega, rho, nu0, theta, kappa, target="ouou", rho_pin=RHO_PIN):
 
     omega_1 = omega (sqrt(1-rho^2) + rho), omega_2 = omega (sqrt(1-rho^2) - rho),
     floored at 0.001.  For the OU-volatility target the incoming omega is the
-    one-factor estimate scaled by 1/sqrt(2) and the vol-curve (nu0, theta) are
-    divided by sqrt(2); for the Feller-constrained variance target the
-    variance curve (nu0, theta) are halved.
+    one-factor estimate scaled by 1/sqrt(2).  Each factor takes its
+    factor_share of the curve's (nu0, theta).
     """
     if omega <= 0.0 or abs(rho) >= 1.0:
         raise InvariantViolation(f"need omega > 0 and |rho| < 1: {omega}, {rho}")
     flags = []
     if target == "ouou":
-        omega_eff = omega / math.sqrt(2.0)
-        nu0_k, theta_k = nu0 / math.sqrt(2.0), theta / math.sqrt(2.0)
+        kind, omega_eff = "ouou", omega / math.sqrt(2.0)
     elif target == "bates_feller":
-        omega_eff = omega
-        nu0_k, theta_k = nu0 / 2.0, theta / 2.0
+        kind, omega_eff = "bates2f", omega
     else:
         raise InvariantViolation(f"target must be ouou or bates_feller: {target!r}")
+    nu0_k, theta_k = factor_share(kind, nu0, theta)
     s = math.sqrt(1.0 - rho * rho)
     om1 = omega_eff * (s + rho)
     om2 = omega_eff * (s - rho)
@@ -474,7 +487,7 @@ def mevp_split(omega, rho, nu0, theta, kappa, target="ouou", rho_pin=RHO_PIN):
         flags.append(f"omega_2 {om2:.6f} clamped to {OMEGA_FLOOR}")
         om2 = OMEGA_FLOOR
     return TwoFactorStart(
-        kind="ouou" if target == "ouou" else "bates2f",
+        kind=kind,
         nu0=(nu0_k, nu0_k),
         theta=(theta_k, theta_k),
         kappa=(kappa, kappa),

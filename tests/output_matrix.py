@@ -1,0 +1,80 @@
+"""Run the byte-comparison matrix of fxsvol commands and keep every output.
+
+Usage:
+    PYTHONPATH=src python tests/output_matrix.py QUOTES.csv OUT_ROOT \
+        [--date-from YYYY-MM-DD] [--date-to YYYY-MM-DD]
+
+Each command of MATRIX runs in this process through cli.main, on the date
+range given, with its output directory OUT_ROOT/<name>; its exit code and
+stderr go to OUT_ROOT/<name>.exit and OUT_ROOT/<name>.stderr.  The output
+directories are given relative to OUT_ROOT, so the manifests do not name it.
+Run it at two commits into two roots on the same CSV; `diff -r` of the roots
+is then the check that the two commits write the same bytes.
+
+pytest does not collect this file: its name has no test_ prefix.
+"""
+
+import argparse
+import contextlib
+import io
+import os
+import sys
+
+from fxsvol import cli
+
+TWO_STAGE_ITER = ["--max-iter", "20"]
+TWO_FACTOR_ITER = ["--max-iter", "150"]
+
+MATRIX = (
+    [(f"calibrate-{m}-{s}", ["calibrate", "--model", m, "--start", s])
+     for m in ("heston", "sz") for s in ("icm", "durrleman", "hist")]
+    + [(f"calibrate-{m}-{s}", ["calibrate", "--model", m, "--start", s] + TWO_FACTOR_ITER)
+       for m, s in (("bates2f", "evp"), ("bates2f", "mevp"), ("bates2f", "icm"),
+                    ("bates2f-feller", "mevp"), ("bates2f-feller", "icm"),
+                    ("ouou", "mevp"), ("ouou", "icm"))]
+    + [(f"calibrate-{m}-twostage", ["calibrate", "--model", m, "--start", "twostage"]
+        + TWO_STAGE_ITER) for m in ("bates2f", "bates2f-feller", "ouou")]
+    + [("calibrate-ouou-twostage-jobs2", ["calibrate", "--model", "ouou", "--start",
+                                          "twostage", "--jobs", "2"] + TWO_STAGE_ITER)]
+    + [(f"estimate-{m}-{s}", ["estimate", "--model", m, "--method", s])
+       for m in ("heston", "sz") for s in ("icm", "durrleman", "hist")]
+    + [(f"estimate-heston-{s}", ["estimate", "--model", "heston", "--method", s])
+       for s in ("gs", "gr")]
+    + [(f"risk-{m}", ["risk", "--model", m]) for m in ("heston", "sz")]
+    + [("vix", ["vix"])]
+)
+
+
+def run(name, argv):
+    """cli.main(argv) with stderr captured: (exit code, stderr text)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv + ["--output-dir", name])
+        except SystemExit as exc:  # an argparse error
+            code = exc.code
+    return code, err.getvalue()
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("csv")
+    parser.add_argument("root")
+    parser.add_argument("--date-from", default="")
+    parser.add_argument("--date-to", default="")
+    args = parser.parse_args(argv)
+    csv = os.path.abspath(args.csv)
+    os.makedirs(args.root, exist_ok=True)
+    os.chdir(args.root)
+    dates = ["--date-from", args.date_from, "--date-to", args.date_to]
+    for name, command in MATRIX:
+        code, err = run(name, command + ["--input", csv] + dates)
+        with open(f"{name}.exit", "w") as fh:
+            fh.write(f"{code}\n")
+        with open(f"{name}.stderr", "w") as fh:
+            fh.write(err)
+        print(name, code, file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()

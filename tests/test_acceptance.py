@@ -38,8 +38,8 @@ from fxsvol.cli import main as cli_main
 from fxsvol.estimators import (
     durrleman,
     evp_split,
+    half_relation,
     icm_heston,
-    icm_sz,
     mevp_split,
 )
 from fxsvol.market_data import PILLAR_DELTAS, strike_from_delta
@@ -328,7 +328,7 @@ def sz_icm_start(surf):
                for v, t in zip(ts.v2_corrected, taus)]
     nu0s, ths, kas, _ = calibrate_vol_ts_sz(taus, targets)
     esth = icm_heston(surface_moment_sets(surf))
-    ests = icm_sz(None, nu0s, from_heston=(esth.omega, esth.rho))
+    ests = half_relation(esth)
     return (nu0s, ths, kas), ests, esth
 
 

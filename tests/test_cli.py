@@ -190,10 +190,10 @@ class TestVixEstimate:
 
 
 class TestOneDate:
-    """A one-date file has no historical estimates, so every route takes the
-    warm-up fallback of hist_omega_rho: omega = the 1M index level (half of
-    it for the vol model) and rho = -0.1, the values the context spells out
-    below."""
+    """A one-date file lies inside the warm-up window, so its historical
+    context holds estimators.historical_omega_rho's warm-up values: omega =
+    the 1M index level (half of it for the vol model) and rho = -0.1, the
+    values the context spells out below."""
 
     @pytest.fixture
     def one_date(self, tmp_path):

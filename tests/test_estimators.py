@@ -12,11 +12,13 @@ from fxsvol.errors import (
     ZeroTotalVariance,
 )
 from fxsvol.estimators import (
+    Estimate,
     durrleman,
     evp_split,
     gauthier_rivaille,
     gr_forward_price,
     guillaume_schoutens,
+    half_relation,
     historical_omega_rho,
     icm_heston,
     icm_sz,
@@ -97,10 +99,10 @@ class TestIcmSz:
         assert est.rho == pytest.approx(rhom / math.sqrt(om2))
 
     def test_half_relation_mode(self):
-        est = icm_sz(None, 0.1, from_heston=(0.4, -0.4))
+        est = half_relation(Estimate(omega=0.4, rho=-0.4, flags=("ignored",)))
         assert est.omega == 0.2
         assert est.rho == -0.4
-        assert est.flags
+        assert est.flags == ("half-relation from CIR-variance estimates",)
 
 
 def parabola_surface(slope, curv, atm=0.10, spot=1.30):
