@@ -461,9 +461,9 @@ LANES_PER_BLOCK = 64
 # A calibration is written as a job: a generator that yields a Fit for every
 # Nelder-Mead run it needs, is sent that run's NMResult, and returns its
 # result.  A job builds one SurfaceCost for its surface, and all its fits
-# price through it.  Jobs run only as lanes of lockstep: run_lanes drives
-# many, whose points are priced together, and run_job one, as a one-lane
-# lockstep, so every surface fit prices through a _SurfacePricer.
+# price through it.  Jobs run only as _lane generators of lockstep: run_lanes
+# drives many, whose points are priced together, and run_job one, so every
+# surface fit prices through a _SurfacePricer's one chunk route.
 
 @dataclass(frozen=True, eq=False)
 class Fit:
@@ -501,37 +501,30 @@ def run_lanes(jobs):
 def lockstep(jobs, evaluate):
     """Drive jobs as lanes, one Nelder-Mead step of every live lane a round.
 
-    Each round calls evaluate(rows) once: rows are (lane, fit, x) for every
-    pending point of every live lane, and evaluate returns one outcome per
-    row, the objective value or the FxsvolError computing it raised.  A
-    lane fails with the first failing outcome in its own point order, the
-    error its job raises on its own; the other lanes go on.
+    Each round sends every live _lane its points' values and calls
+    evaluate(rows) once: rows are (lane, fit, x) for each point the lanes
+    ask for next, and evaluate returns per row the objective value or the
+    FxsvolError computing it raised.  A lane fails with the first failing
+    outcome in its own point order, as its job alone would; the others go on.
     Returns, per job, its result or the FxsvolError that ended it.
     """
     out = [None] * len(jobs)
-    live = []
-    for i, job in enumerate(jobs):
-        lane = _Lane(job)
-        try:
-            live.append((i, lane, lane.start()))
-        except StopIteration as stop:
-            out[i] = stop.value
-        except FxsvolError as exc:
-            out[i] = exc
-    while live:
-        rows = [(i, lane.fit, x) for i, lane, points in live for x in points]
-        outcomes = iter(evaluate(rows))
-        still = []
-        for i, lane, points in live:
-            got = [next(outcomes) for _ in points]
+    lanes = [(i, _lane(job), None) for i, job in enumerate(jobs)]
+    while True:
+        live = []
+        for i, lane, values in lanes:
             try:
-                still.append((i, lane, lane.send(_replay(got))))
+                live.append((i, lane, *lane.send(values)))
             except StopIteration as stop:
                 out[i] = stop.value
             except FxsvolError as exc:
                 out[i] = exc
-        live = still
-    return out
+        if not live:
+            return out
+        outcomes = iter(evaluate([(i, fit, x) for i, _, fit, points in live
+                                  for x in points]))
+        lanes = [(i, lane, _replay([next(outcomes) for _ in points]))
+                 for i, lane, _, points in live]
 
 
 def even_split(items, n):
@@ -541,28 +534,23 @@ def even_split(items, n):
     return [items[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-class _Lane:
-    """A job and the Nelder-Mead run of its current fit."""
-
-    def __init__(self, job):
-        self.job = job
-        self.fit = None
-        self.steps = None
-
-    def start(self):
-        return self._begin(next(self.job))
-
-    def send(self, values):
-        """The points the lane needs next; StopIteration carries its result."""
+def _lane(job):
+    """A job as a lockstep lane: a generator that yields (fit, points) for
+    each Nelder-Mead step of the job's fits, is sent an iterable of the
+    points' values, and returns the job's result."""
+    result = None
+    while True:
         try:
-            return self.steps.send(values)
+            fit = job.send(result)
         except StopIteration as stop:
-            return self._begin(self.job.send(stop.value))
-
-    def _begin(self, fit):
-        self.fit = fit
-        self.steps = nelder_mead_steps(fit.layout.x0, fit.config)
-        return next(self.steps)
+            return stop.value
+        steps = nelder_mead_steps(fit.layout.x0, fit.config)
+        values = None
+        try:
+            while True:
+                values = yield fit, steps.send(values)
+        except StopIteration as stop:
+            result = stop.value
 
 
 def _replay(outcomes):
@@ -578,15 +566,15 @@ class _SurfacePricer:
     together.  One pricer serves one lockstep run and dies with it.
 
     Rows whose fits share the model, the grid and the surface shape go to
-    the kernel LANE_ROWS at a time, through an AttariLanes stacked from
-    their contexts' own kernels, so no constants are computed here; a
-    chunk of one row goes through its context's own cost, SurfaceCost's
-    __call__.  A chunk whose rows share a price-target spec gets its costs
-    from one row-wise reduction, each row its one-row cost bit for bit;
-    other chunks are costed row by row.  A chunk that raises (a CF
-    overflow, an implied-vol miss) is priced again row by row, so each row
-    gets its own one-row outcome.  A point whose parameters overflow a
-    float (math.exp in Layout.params) is a NumericOverflow outcome.
+    the kernel in chunks of 1 to LANE_ROWS rows, each through an AttariLanes
+    stacked from their contexts' own kernels, so no constants are computed
+    here; a chunk of one is its context's kernel and its scalar parameter
+    set.  A chunk whose rows share a price-target spec gets its costs from
+    one row-wise reduction, each row its one-row cost bit for bit; other
+    chunks are costed row by row.  A chunk that raises (a CF overflow, an
+    implied-vol miss) is priced again as chunks of one, so each row gets
+    its own outcome.  A point whose parameters overflow a float (math.exp
+    in Layout.params) is a NumericOverflow outcome.
 
     In steady state every live lane pends one point a round, so a round's
     chunks repeat the last round's.  stacks keeps the stacked constants of
@@ -618,14 +606,13 @@ class _SurfacePricer:
         for todo in priced.values():
             for c in range(0, len(todo), LANE_ROWS):
                 chunk = todo[c:c + LANE_ROWS]
-                costs = self._chunk_costs(chunk) if len(chunk) > 1 else [_row_cost(chunk[0])]
-                for (r, _, _), cost_value in zip(chunk, costs):
-                    out[r] = cost_value
+                for (r, _, _), outcome in zip(chunk, self._chunk_costs(chunk)):
+                    out[r] = outcome
         return out
 
     def _chunk_costs(self, chunk):
-        """The outcomes of two or more rows (r, fit, params) from one kernel
-        call, or row by row if it raises."""
+        """The outcomes of rows (r, fit, params) from one kernel call, or, if
+        it raises, of each row as a chunk of one (whose outcome is the error)."""
         ctxs = [fit.ctx for _, fit, _ in chunk]
         kind = chunk[0][1].layout.kind
         spec = ctxs[0].spec
@@ -637,8 +624,9 @@ class _SurfacePricer:
                 return [ctx.cost_of_calls(c.ravel()) for ctx, c in zip(ctxs, calls)]
             return _error_sum(spec.kind, calls.reshape(len(chunk), -1) / vegas,
                               market_scaled).tolist()
-        except FxsvolError:
-            return [_row_cost(row) for row in chunk]
+        except FxsvolError as exc:
+            return ([exc] if len(chunk) == 1
+                    else [self._chunk_costs([row])[0] for row in chunk])
 
     def _stacked(self, ctxs):
         """(AttariLanes, vegas, market_scaled) of the contexts' lanes, in
@@ -654,16 +642,6 @@ class _SurfacePricer:
         if len(self.stacks) > -(-LANES_PER_BLOCK // LANE_ROWS):  # 4 stacks, about 2 MB
             self.stacks.popitem(last=False)
         return entry
-
-
-def _row_cost(row):
-    """The outcome of one row (r, fit, params) through its context's own
-    kernel: its cost or the FxsvolError computing it raised."""
-    _, fit, params = row
-    try:
-        return fit.ctx(fit.layout.kind, params)
-    except FxsvolError as exc:
-        return exc
 
 
 def full_job(kind, surface, start_params, cost_spec=CostSpec(), feller=False,
@@ -726,7 +704,7 @@ def feller_truncated(kind, params):
 
 
 def two_stage_job(kind, surface, symmetric_start, cost_spec=CostSpec(), feller=False,
-                  stage1_max_iter=FULL_MAX_ITER_1F, stage2_max_iter=FULL_MAX_ITER_2F,
+                  stage1_max_iter=FULL_MAX_ITER_1F, stage2_max_iter=None,
                   grid=DEFAULT_GRID):
     """two_stage_calibration as a job (see run_job)."""
     ctx = SurfaceCost(surface, cost_spec, grid)
@@ -742,13 +720,14 @@ def two_stage_job(kind, surface, symmetric_start, cost_spec=CostSpec(), feller=F
 
 def two_stage_calibration(kind, surface, symmetric_start, cost_spec=CostSpec(),
                           feller=False, stage1_max_iter=FULL_MAX_ITER_1F,
-                          stage2_max_iter=FULL_MAX_ITER_2F, grid=DEFAULT_GRID):
+                          stage2_max_iter=None, grid=DEFAULT_GRID):
     """Symmetric 5-parameter stage then unconstrained 10-parameter stage.
 
     symmetric_start is (nu0, theta, kappa, omega, rho) for one factor of the
     tied model (both factors equal).  For the Feller-constrained variance
     model the stage-1 factor omegas are truncated to sqrt(1.99 theta kappa)
-    before stage 2.  Returns (result, stage-1 NMResult).
+    before stage 2, whose cap None is FULL_MAX_ITER_2F.  Returns (result,
+    stage-1 NMResult).
     """
     return run_job(two_stage_job(kind, surface, symmetric_start, cost_spec=cost_spec,
                                  feller=feller, stage1_max_iter=stage1_max_iter,

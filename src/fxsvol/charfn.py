@@ -149,13 +149,15 @@ class ParamLanes:
 
     factors holds one Factor per model factor (one for heston and sz, two
     for bates2f and ouou) whose fields are (L, 1, 1) arrays, lane l holding
-    the l-th set.  The sets were validated when they were built.
+    the l-th set, validated when it was built.  stack of one set returns it.
     """
     kind: str
     factors: tuple
 
     @classmethod
     def stack(cls, kind, params):
+        if len(params) == 1:
+            return params[0]
         sets = [p.factors for p in params]
         factors = tuple(
             Factor(*(np.array([getattr(fs[k], name) for fs in sets]).reshape(-1, 1, 1)

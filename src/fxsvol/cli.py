@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass, replace
 
 from . import estimators, moments
 from .calibrate import (
-    FULL_MAX_ITER_2F,
     CostSpec,
     calibrate_full,  # noqa: F401  (perfbench/tracer.py patches cli.calibrate_full)
     calibrate_variance_ts,
@@ -238,6 +237,7 @@ def pipeline_job(manifest, surface, hist):
     model = manifest.model
     kind = "bates2f" if model == "bates2f-feller" else model
     feller = manifest.feller or model == "bates2f-feller"
+    max_iter = manifest.max_iter or None
     if manifest.start_method == "twostage":
         # each factor of the tied stage is the equal-variance split of the
         # base model's historical start
@@ -247,12 +247,10 @@ def pipeline_job(manifest, surface, hist):
                base.omega, base.rho)
         result, _ = yield from two_stage_job(
             kind, surface, sym, cost_spec=CostSpec(kind=manifest.cost_kind),
-            feller=feller, grid=manifest.grid(),
-            stage2_max_iter=manifest.max_iter or FULL_MAX_ITER_2F)
+            feller=feller, grid=manifest.grid(), stage2_max_iter=max_iter)
     else:
         start, pinned, start_flags = build_start(model, manifest.start_method,
                                                  surface, hist)
-        max_iter = manifest.max_iter or None
         result = yield from full_job(kind, surface, start,
                                      cost_spec=CostSpec(kind=manifest.cost_kind),
                                      feller=feller, max_iter=max_iter,
@@ -592,6 +590,18 @@ def build_parser():
     return parser
 
 
+# the start methods (--start, estimate's --method) each model runs where the
+# parser allows more; main rejects the others, which fail every date
+RUNNABLE_STARTS = {
+    ("calibrate", "heston"): ("icm", "durrleman", "hist"),
+    ("calibrate", "sz"): ("icm", "durrleman", "hist"),
+    ("calibrate", "bates2f"): ("icm", "evp", "mevp", "twostage"),
+    ("calibrate", "bates2f-feller"): ("icm", "mevp", "twostage"),
+    ("calibrate", "ouou"): ("icm", "mevp", "twostage"),
+    ("estimate", "sz"): ("icm", "durrleman", "hist"),
+}
+
+
 def manifest_from_args(args):
     """The run's manifest: each parsed option is the field of its dest, and a
     field the subcommand has no option for keeps its default."""
@@ -626,6 +636,14 @@ def main(argv=None):
         manifest.grid()
     except InvariantViolation as exc:
         parser.error(str(exc))
+    starts = RUNNABLE_STARTS.get((manifest.command, manifest.model), ())
+    if starts and manifest.start_method not in starts:
+        flag = "--start" if manifest.command == "calibrate" else "--method"
+        parser.error(f"argument {flag}: {manifest.start_method!r} does not run with --model "
+                     f"{manifest.model} (choose from {', '.join(map(repr, starts))})")
+    if manifest.stop_any and manifest.start_method == "twostage":  # its fits ignore it
+        parser.error("argument --stop-any: not allowed with --start twostage (choose "
+                     f"--start from {', '.join(repr(s) for s in starts if s != 'twostage')})")
     handlers = {
         "ingest": cmd_ingest,
         "surface": cmd_surface,

@@ -8,8 +8,14 @@ Each command of MATRIX runs in this process through cli.main, on the date
 range given, with its output directory OUT_ROOT/<name>; its exit code and
 stderr go to OUT_ROOT/<name>.exit and OUT_ROOT/<name>.stderr.  The output
 directories are given relative to OUT_ROOT, so the manifests do not name it.
+It then runs the library implied-vol-target loop for each selected date:
+the heston/icm start (cli.build_start), then calibrate_full under
+CostSpec(target="implied_vol") with max_iter IV_MAX_ITER, and writes the
+result's repr, or the FxsvolError's, to OUT_ROOT/library-iv/<date>.txt.
 Run it at two commits into two roots on the same CSV; `diff -r` of the roots
-is then the check that the two commits write the same bytes.
+is then the check that the two commits write the same bytes.  To run this
+file against another commit's package, put that commit's src first on
+PYTHONPATH.
 
 pytest does not collect this file: its name has no test_ prefix.
 """
@@ -21,7 +27,10 @@ import os
 import sys
 
 from fxsvol import cli
+from fxsvol.calibrate import CostSpec, calibrate_full
+from fxsvol.errors import FxsvolError
 
+IV_MAX_ITER = 60
 TWO_STAGE_ITER = ["--max-iter", "20"]
 TWO_FACTOR_ITER = ["--max-iter", "150"]
 
@@ -56,6 +65,25 @@ def run(name, argv):
     return code, err.getvalue()
 
 
+def library_iv(csv, date_from, date_to):
+    """The implied-vol-target fit of each selected date, as a library caller
+    runs it: {date: repr of the result or of the FxsvolError}."""
+    manifest = cli.RunManifest(command="calibrate", input_path=csv, output_dir="",
+                               date_from=date_from, date_to=date_to)
+    surfaces = cli.load_surfaces(manifest)
+    hist = cli.historical_context(surfaces)
+    out = {}
+    for date in cli.selected_dates(manifest, surfaces):
+        try:
+            start, _, _ = cli.build_start("heston", "icm", surfaces[date], hist)
+            out[date] = repr(calibrate_full("heston", surfaces[date], start,
+                                            cost_spec=CostSpec(target="implied_vol"),
+                                            max_iter=IV_MAX_ITER))
+        except FxsvolError as exc:
+            out[date] = repr(exc)
+    return out
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("csv")
@@ -74,6 +102,11 @@ def main(argv=None):
         with open(f"{name}.stderr", "w") as fh:
             fh.write(err)
         print(name, code, file=sys.stderr)
+    os.makedirs("library-iv", exist_ok=True)
+    for date, text in library_iv(csv, args.date_from, args.date_to).items():
+        with open(os.path.join("library-iv", f"{date}.txt"), "w") as fh:
+            fh.write(text + "\n")
+    print("library-iv", file=sys.stderr)
 
 
 if __name__ == "__main__":

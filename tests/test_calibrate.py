@@ -631,6 +631,18 @@ class TestTwoStage:
         f1, f2 = result.params.factors
         assert abs(f1.nu0 - f2.nu0) < 0.5 * (f1.nu0 + f2.nu0)
 
+    def test_stage_caps(self, lane_surfaces):
+        """Stage 1 runs at most 1600 iterations and stage 2, by default, the
+        full fit's two-factor cap of 800."""
+        for stage2, cap in [(None, 800), (20, 20)]:
+            job = two_stage_job("bates2f", lane_surfaces[0],
+                                (0.0041, 0.00715, 2.07, 0.30, -0.38), stage2_max_iter=stage2)
+            stage1 = next(job)
+            assert stage1.config.max_iter == 1600
+            fit = job.send(calibrate_mod.NMResult(x=stage1.layout.x0, fx=0.0, iterations=0,
+                                                  converged=True))
+            assert fit.config.max_iter == cap
+
     def test_feller_truncation_formula(self):
         assert feller_truncate_omega(0.5, 0.0143, 2.07) == pytest.approx(
             math.sqrt(1.99 * 0.0143 * 2.07))
@@ -983,6 +995,40 @@ class TestRunLanes:
         _assert_same_results(got, want)
         assert max(calls) > 1 and 1 in calls  # batched, then row by row
 
+    @pytest.mark.parametrize("target", ["vega_weighted_price", "implied_vol"])
+    def test_pricer_never_calls_the_context(self, lane_surfaces, monkeypatch, target):
+        """Every chunk, of one row or many, prices through the stacked
+        kernel: run_job, run_lanes (whose four-tenor lane is a one-row chunk
+        every round) and an overflowing lane's rows priced again as chunks
+        of one never call SurfaceCost.__call__, the oracle's cost."""
+        bad_x0 = math.log(lane_surfaces[1].spot)
+
+        def overflowing_factory(kind, params, jump=None):
+            cf = cf_factory(kind, params, jump=jump)
+
+            def wrapped(u, x0, tau, r_d, r_f):
+                if np.any(np.asarray(x0) == bad_x0):
+                    raise NumericOverflow("characteristic function overflowed")
+                return cf(u, x0, tau, r_d, r_f)
+            return wrapped
+
+        monkeypatch.setattr(calibrate_mod, "cf_factory", overflowing_factory)
+        starts = self.heston_starts(lane_surfaces)
+
+        def jobs():
+            return [full_job("heston", s, st, cost_spec=CostSpec(target=target),
+                             max_iter=20) for s, st in zip(lane_surfaces, starts)]
+
+        want = [_result_or_error(j) for j in jobs()]
+        assert isinstance(want[1], NumericOverflow)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("SurfaceCost.__call__ called")
+
+        monkeypatch.setattr(SurfaceCost, "__call__", refused)
+        _assert_same_results(run_lanes(jobs()), want)
+        _assert_same_results([_run_job_or_error(j) for j in jobs()], want)
+
     def test_run_job_overflow_mid_fit(self, lane_surfaces, monkeypatch):
         """A vertex whose CF overflows after the initial simplex ends run_job
         with the reference driver's error, type and message."""
@@ -1194,8 +1240,8 @@ class TestStackedKernels:
 
 
 class TestChunkCosts:
-    """A chunk's costs, from one row-wise reduction or row by row, are each
-    row's one-row cost bit for bit."""
+    """A chunk's costs, of one row to LANE_ROWS rows, from one row-wise
+    reduction or row by row, are each row's one-row cost bit for bit."""
 
     @staticmethod
     def one_row(fit, x):
@@ -1217,7 +1263,7 @@ class TestChunkCosts:
             one_row_costs.append(ctx.spec)
             return real(ctx, calls)
 
-        for n in range(2, 17):
+        for n in range(1, 17):
             # one chunk over the six-tenor surfaces in turn, one on the
             # four-tenor surface, and one whose rows cycle through the cost
             # kinds as risk lanes do
@@ -1240,6 +1286,7 @@ class TestChunkCosts:
                 for g, w in zip(got, want):
                     assert type(g) is type(w)
                     assert g == w if isinstance(w, float) else str(g) == str(w)
-                # a price-target chunk of one spec takes one reduction
-                by_row = mixed or target == "implied_vol"
+                # a price-target chunk of one spec, a one-row chunk
+                # included, takes one reduction
+                by_row = mixed and n > 1 or target == "implied_vol"
                 assert len(one_row_costs) == (n if by_row else 0)

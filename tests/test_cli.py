@@ -523,6 +523,77 @@ class TestInvocation:
         assert not (tmp_path / "o").exists()
 
 
+# the (model, start) pairs calibrate runs; the parser rejects the other 14
+CALIBRATE_PAIRS = {
+    ("heston", "icm"), ("heston", "durrleman"), ("heston", "hist"),
+    ("sz", "icm"), ("sz", "durrleman"), ("sz", "hist"),
+    ("bates2f", "icm"), ("bates2f", "evp"), ("bates2f", "mevp"), ("bates2f", "twostage"),
+    ("bates2f-feller", "icm"), ("bates2f-feller", "mevp"), ("bates2f-feller", "twostage"),
+    ("ouou", "icm"), ("ouou", "mevp"), ("ouou", "twostage"),
+}
+
+
+class TestRunnableStarts:
+    """An invocation that no date can run is a usage error (exit 2) that
+    writes nothing and names the values that do run; every other one runs."""
+
+    @pytest.mark.parametrize("start", ["icm", "durrleman", "hist", "twostage", "evp",
+                                       "mevp"])
+    @pytest.mark.parametrize("model", ["heston", "sz", "bates2f", "bates2f-feller",
+                                       "ouou"])
+    def test_calibrate_pairs(self, tmp_path, capsys, model, start):
+        surf = synth_surface("heston", HestonParams(0.0082, 0.0143, 2.07, 0.30, -0.38),
+                             date="2014-06-02")
+        path = write_quote_csv(tmp_path / "one.csv", [surf], vols_decimal=False)
+        out = tmp_path / "o"
+        argv = ["calibrate", "--input", str(path), "--output-dir", str(out),
+                "--model", model, "--start", start, "--max-iter", "5"]
+        if (model, start) in CALIBRATE_PAIRS:
+            assert main(argv) == 0
+            assert (out / f"calibration_2014-06-02_{model}_{start}_mse.json").exists()
+            return
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INVALID
+        assert not out.exists()
+        runs = [s for m, s in CALIBRATE_PAIRS if m == model]
+        err = capsys.readouterr().err
+        assert f"argument --start: '{start}' does not run with --model {model}" in err
+        assert all(f"'{s}'" in err for s in runs)
+
+    @pytest.mark.parametrize("argv,message", [
+        (["calibrate", "--model", "bates2f", "--start", "twostage", "--stop-any"],
+         "argument --stop-any: not allowed with --start twostage "
+         "(choose --start from 'icm', 'evp', 'mevp')"),
+        (["calibrate", "--model", "ouou", "--start", "twostage", "--stop-any"],
+         "argument --stop-any: not allowed with --start twostage "
+         "(choose --start from 'icm', 'mevp')"),
+        (["estimate", "--model", "sz", "--method", "gs"],
+         "argument --method: 'gs' does not run with --model sz "
+         "(choose from 'icm', 'durrleman', 'hist')"),
+        (["estimate", "--model", "sz", "--method", "gr"],
+         "argument --method: 'gr' does not run with --model sz "
+         "(choose from 'icm', 'durrleman', 'hist')"),
+    ], ids=["stop-any-bates2f", "stop-any-ouou", "sz-gs", "sz-gr"])
+    def test_rejected_invocations(self, quotes_csv, tmp_path, capsys, argv, message):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--input", str(quotes_csv), "--output-dir", str(out)])
+        assert exc.value.code == EXIT_INVALID
+        assert not out.exists()
+        assert message in capsys.readouterr().err
+
+    def test_stop_any_runs_with_a_full_fit(self, tmp_path):
+        """--stop-any still passes the parse with a full-fit start: on a
+        header-only file nothing else can fail."""
+        path = write_quote_csv(tmp_path / "empty.csv", [], vols_decimal=False)
+        out = tmp_path / "o"
+        assert main(["calibrate", "--model", "bates2f", "--start", "evp", "--stop-any",
+                     "--input", str(path), "--output-dir", str(out)]) == 0
+        with open(out / "manifest.json") as fh:
+            assert json.load(fh)["stop_any"] is True
+
+
 def _fresh_python(code):
     """The standard output of code run in a new interpreter that imports this fxsvol."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
