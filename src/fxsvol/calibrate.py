@@ -268,15 +268,24 @@ class CostSpec:
             raise InvariantViolation(f"unknown cost target {self.target!r}")
 
 
-def _error_sum(kind, model, market):
-    """The cost kind's error sums of model against market over the last
-    (cell) axis: a row's sum is numpy's sum of that row alone."""
+def _costs(spec, ctxs, calls, vegas, market_scaled, market_vols):
+    """The cost under spec of each row of calls, model call prices (rows,
+    cells) on the surfaces of contexts ctxs, in one row-wise reduction against
+    the contexts' vegas, market_scaled and market_vols (stacked, or one
+    context's): a row's cost is numpy's of that row alone.  The implied-vol
+    target takes each row's vols on its own context's cells.  The one
+    dispatch on the cost target and the cost kind."""
+    if spec.target == "implied_vol":
+        model = np.array([implied_vol(ctx.cells, row) for ctx, row in zip(ctxs, calls)])
+        market = market_vols
+    else:
+        model, market = calls / vegas, market_scaled
     diff = model - market
-    if kind == "mse":
-        return np.sum(diff * diff, axis=-1)
-    if kind == "mae":
-        return np.sum(np.abs(diff), axis=-1)
-    return np.sum(np.abs(diff / market), axis=-1)
+    if spec.kind == "mse":
+        return np.sum(diff * diff, axis=-1).tolist()
+    if spec.kind == "mae":
+        return np.sum(np.abs(diff), axis=-1).tolist()
+    return np.sum(np.abs(diff / market), axis=-1).tolist()
 
 
 class SurfaceCost:
@@ -289,10 +298,10 @@ class SurfaceCost:
     once too, so the model vols come from one lockstep bisection over all
     cells.  None of this depends on the cost spec, so with_spec gives the
     surface's context under another spec without building anything again.
+    Calling the context costs one parameter set as a one-row _costs.
     """
 
     def __init__(self, surface, spec=CostSpec(), grid=DEFAULT_GRID):
-        self.surface = surface
         self.spec = spec
         self.grid = grid
         slices = surface.slices
@@ -324,14 +333,8 @@ class SurfaceCost:
     def __call__(self, kind, params, feller=False):
         if feller and not params.feller_satisfied():
             return FELLER_PENALTY
-        return self.cost_of_calls(self.model_calls(kind, params))
-
-    def cost_of_calls(self, calls):
-        """The cost of model call prices of every cell (row-major by tenor)."""
-        if self.spec.target == "implied_vol":
-            return float(_error_sum(self.spec.kind, implied_vol(self.cells, calls),
-                                    self.market_vols))
-        return float(_error_sum(self.spec.kind, calls / self.vegas, self.market_scaled))
+        return _costs(self.spec, [self], self.model_calls(kind, params)[None],
+                      self.vegas, self.market_scaled, self.market_vols)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -565,16 +568,15 @@ class _SurfacePricer:
     """lockstep's evaluate for surface fits: the lanes' surfaces priced
     together.  One pricer serves one lockstep run and dies with it.
 
-    Rows whose fits share the model, the grid and the surface shape go to
-    the kernel in chunks of 1 to LANE_ROWS rows, each through an AttariLanes
-    stacked from their contexts' own kernels, so no constants are computed
-    here; a chunk of one is its context's kernel and its scalar parameter
-    set.  A chunk whose rows share a price-target spec gets its costs from
-    one row-wise reduction, each row its one-row cost bit for bit; other
-    chunks are costed row by row.  A chunk that raises (a CF overflow, an
-    implied-vol miss) is priced again as chunks of one, so each row gets
-    its own outcome.  A point whose parameters overflow a float (math.exp
-    in Layout.params) is a NumericOverflow outcome.
+    Rows whose fits share the model, the grid, the surface shape and the
+    cost spec go to the kernel in chunks of 1 to LANE_ROWS rows, each
+    through an AttariLanes stacked from their contexts' own kernels, so no
+    constants are computed here; a chunk of one is its context's kernel and
+    its scalar parameter set.  Every chunk gets its costs from one _costs,
+    each row its one-row cost bit for bit.  A chunk that raises (a CF
+    overflow, an implied-vol miss) is priced again as chunks of one, so
+    each row gets its own outcome.  A point whose parameters overflow a
+    float (math.exp in Layout.params) is a NumericOverflow outcome.
 
     In steady state every live lane pends one point a round, so a round's
     chunks repeat the last round's.  stacks keeps the stacked constants of
@@ -601,7 +603,7 @@ class _SurfacePricer:
             if fit.feller and not params.feller_satisfied():
                 out[r] = FELLER_PENALTY
                 continue
-            group = fit.layout.kind, fit.ctx.grid, fit.ctx.strikes.shape
+            group = fit.layout.kind, fit.ctx.grid, fit.ctx.strikes.shape, fit.ctx.spec
             priced.setdefault(group, []).append((r, fit, params))
         for todo in priced.values():
             for c in range(0, len(todo), LANE_ROWS):
@@ -611,33 +613,31 @@ class _SurfacePricer:
         return out
 
     def _chunk_costs(self, chunk):
-        """The outcomes of rows (r, fit, params) from one kernel call, or, if
-        it raises, of each row as a chunk of one (whose outcome is the error)."""
+        """The outcomes of rows (r, fit, params) of one cost spec from one
+        kernel call and one _costs, or, if either raises, of each row as a
+        chunk of one (whose outcome is the error)."""
         ctxs = [fit.ctx for _, fit, _ in chunk]
         kind = chunk[0][1].layout.kind
-        spec = ctxs[0].spec
         try:
-            kernel, vegas, market_scaled = self._stacked(ctxs)
+            kernel, *market = self._stacked(ctxs)
             lanes = ParamLanes.stack(kind, [p for _, _, p in chunk])
-            calls = kernel.calls(cf_factory(kind, lanes))
-            if spec.target == "implied_vol" or any(ctx.spec != spec for ctx in ctxs):
-                return [ctx.cost_of_calls(c.ravel()) for ctx, c in zip(ctxs, calls)]
-            return _error_sum(spec.kind, calls.reshape(len(chunk), -1) / vegas,
-                              market_scaled).tolist()
+            calls = kernel.calls(cf_factory(kind, lanes)).reshape(len(chunk), -1)
+            return _costs(ctxs[0].spec, ctxs, calls, *market)
         except FxsvolError as exc:
             return ([exc] if len(chunk) == 1
                     else [self._chunk_costs([row])[0] for row in chunk])
 
     def _stacked(self, ctxs):
-        """(AttariLanes, vegas, market_scaled) of the contexts' lanes, in
-        order; with_spec copies share all three, so the kernels name them."""
+        """(AttariLanes, vegas, market_scaled, market_vols) of the contexts,
+        in order; with_spec copies share all four, so the kernels name them."""
         key = tuple(ctx.kernel for ctx in ctxs)
         entry = self.stacks.get(key)
         if entry is not None:
             self.stacks.move_to_end(key)
             return entry
         entry = (AttariLanes.stack(key), np.stack([ctx.vegas for ctx in ctxs]),
-                 np.stack([ctx.market_scaled for ctx in ctxs]))
+                 np.stack([ctx.market_scaled for ctx in ctxs]),
+                 np.stack([ctx.market_vols for ctx in ctxs]))
         self.stacks[key] = entry
         if len(self.stacks) > -(-LANES_PER_BLOCK // LANE_ROWS):  # 4 stacks, about 2 MB
             self.stacks.popitem(last=False)

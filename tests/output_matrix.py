@@ -8,10 +8,13 @@ Each command of MATRIX runs in this process through cli.main, on the date
 range given, with its output directory OUT_ROOT/<name>; its exit code and
 stderr go to OUT_ROOT/<name>.exit and OUT_ROOT/<name>.stderr.  The output
 directories are given relative to OUT_ROOT, so the manifests do not name it.
-It then runs the library implied-vol-target loop for each selected date:
-the heston/icm start (cli.build_start), then calibrate_full under
-CostSpec(target="implied_vol") with max_iter IV_MAX_ITER, and writes the
-result's repr, or the FxsvolError's, to OUT_ROOT/library-iv/<date>.txt.
+It then runs the library implied-vol-target fits of the selected dates,
+each from the date's heston/icm start (cli.build_start) under
+CostSpec(target="implied_vol") with max_iter IV_MAX_ITER, two ways: one
+calibrate_full per date, written to OUT_ROOT/library-iv/<date>.txt, and
+every date's full_job as a lane of one run_lanes call, whose chunks hold
+many rows, written to OUT_ROOT/library-iv-lanes/<date>.txt.  Each file
+holds the result's repr, or the FxsvolError's.
 Run it at two commits into two roots on the same CSV; `diff -r` of the roots
 is then the check that the two commits write the same bytes.  To run this
 file against another commit's package, put that commit's src first on
@@ -27,7 +30,7 @@ import os
 import sys
 
 from fxsvol import cli
-from fxsvol.calibrate import CostSpec, calibrate_full
+from fxsvol.calibrate import CostSpec, calibrate_full, full_job, run_lanes
 from fxsvol.errors import FxsvolError
 
 IV_MAX_ITER = 60
@@ -66,22 +69,32 @@ def run(name, argv):
 
 
 def library_iv(csv, date_from, date_to):
-    """The implied-vol-target fit of each selected date, as a library caller
-    runs it: {date: repr of the result or of the FxsvolError}."""
+    """The implied-vol-target fits of each selected date, as a library caller
+    runs them: ({date: repr} of calibrate_full run per date, {date: repr} of
+    the dates' full_jobs run as the lanes of one run_lanes call), each repr
+    that of the result or of the FxsvolError."""
     manifest = cli.RunManifest(command="calibrate", input_path=csv, output_dir="",
                                date_from=date_from, date_to=date_to)
     surfaces = cli.load_surfaces(manifest)
     hist = cli.historical_context(surfaces)
-    out = {}
+    alone, lanes, jobs = {}, {}, {}
+    spec = CostSpec(target="implied_vol")
     for date in cli.selected_dates(manifest, surfaces):
         try:
             start, _, _ = cli.build_start("heston", "icm", surfaces[date], hist)
-            out[date] = repr(calibrate_full("heston", surfaces[date], start,
-                                            cost_spec=CostSpec(target="implied_vol"),
-                                            max_iter=IV_MAX_ITER))
         except FxsvolError as exc:
-            out[date] = repr(exc)
-    return out
+            alone[date] = lanes[date] = repr(exc)
+            continue
+        jobs[date] = full_job("heston", surfaces[date], start, cost_spec=spec,
+                              max_iter=IV_MAX_ITER)
+        try:
+            alone[date] = repr(calibrate_full("heston", surfaces[date], start,
+                                              cost_spec=spec, max_iter=IV_MAX_ITER))
+        except FxsvolError as exc:
+            alone[date] = repr(exc)
+    for date, out in zip(jobs, run_lanes(list(jobs.values()))):
+        lanes[date] = repr(out)
+    return alone, lanes
 
 
 def main(argv=None):
@@ -102,11 +115,13 @@ def main(argv=None):
         with open(f"{name}.stderr", "w") as fh:
             fh.write(err)
         print(name, code, file=sys.stderr)
-    os.makedirs("library-iv", exist_ok=True)
-    for date, text in library_iv(csv, args.date_from, args.date_to).items():
-        with open(os.path.join("library-iv", f"{date}.txt"), "w") as fh:
-            fh.write(text + "\n")
-    print("library-iv", file=sys.stderr)
+    for name, texts in zip(("library-iv", "library-iv-lanes"),
+                           library_iv(csv, args.date_from, args.date_to)):
+        os.makedirs(name, exist_ok=True)
+        for date, text in texts.items():
+            with open(os.path.join(name, f"{date}.txt"), "w") as fh:
+                fh.write(text + "\n")
+        print(name, file=sys.stderr)
 
 
 if __name__ == "__main__":

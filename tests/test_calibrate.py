@@ -41,7 +41,13 @@ from fxsvol.charfn import (
     TwoFactorParams,
     cf_factory,
 )
-from fxsvol.errors import FxsvolError, InvariantViolation, NonFiniteObjective, NumericOverflow
+from fxsvol.errors import (
+    FxsvolError,
+    InvariantViolation,
+    NonFiniteObjective,
+    NumericOverflow,
+    OutOfBounds,
+)
 from fxsvol.moments import heston_total_variance
 from fxsvol.pricer import (
     AttariLanes,
@@ -53,6 +59,7 @@ from fxsvol.pricer import (
 )
 
 from conftest import draw_heston
+from cost_reference import reference_cost
 from nm_reference import reference_nelder_mead, reference_run_job
 from risk_reference import reference_calibration_risk
 
@@ -172,10 +179,15 @@ class TestCost:
         market = np.array([1.0, 2.0, 3.0])
         model = market.copy()
         model[1] *= 1.10
-        from fxsvol.calibrate import _error_sum
-        assert _error_sum("mape", model, market) == pytest.approx(0.1)
-        assert _error_sum("mse", model, market) == pytest.approx(0.04)
-        assert _error_sum("mae", model, market) == pytest.approx(0.2)
+
+        def cost(kind):
+            # unit vegas, so the price target compares model with market
+            (c,) = calibrate_mod._costs(CostSpec(kind=kind), [None], model[None],
+                                        np.ones(3), market, None)
+            return c
+        assert cost("mape") == pytest.approx(0.1)
+        assert cost("mse") == pytest.approx(0.04)
+        assert cost("mae") == pytest.approx(0.2)
 
     def test_feller_penalty(self, heston_surface, heston_median_params):
         # median params violate the positivity bound: 2*2.07*0.0143 < 0.09
@@ -1240,28 +1252,34 @@ class TestStackedKernels:
 
 
 class TestChunkCosts:
-    """A chunk's costs, of one row to LANE_ROWS rows, from one row-wise
-    reduction or row by row, are each row's one-row cost bit for bit."""
+    """A chunk's costs, of one row to LANE_ROWS rows, come from one _costs
+    per cost spec, and each is the row-by-row oracle's cost bit for bit, as
+    is SurfaceCost's own."""
 
     @staticmethod
-    def one_row(fit, x):
-        params = fit.layout.params(x)
+    def one_row(ctx, kind, params):
         try:
-            return fit.ctx.cost_of_calls(fit.ctx.model_calls(fit.layout.kind, params))
+            return reference_cost(ctx, ctx.model_calls(kind, params))
         except FxsvolError as exc:
             return exc
+
+    @staticmethod
+    def assert_same(got, want):
+        for g, w in zip(got, want, strict=True):
+            assert type(g) is type(w)
+            assert g == w if isinstance(w, float) else str(g) == str(w)
 
     @pytest.mark.parametrize("target", ["vega_weighted_price", "implied_vol"])
     @pytest.mark.parametrize("kind", COST_KINDS)
     def test_chunks_of_2_to_16_rows(self, lane_surfaces, kind, target, monkeypatch):
         rng = np.random.default_rng(11)
         ctxs = [SurfaceCost(s, CostSpec(kind=kind, target=target)) for s in lane_surfaces]
-        real = SurfaceCost.cost_of_calls
-        one_row_costs = []
+        real = calibrate_mod._costs
+        specs = []
 
-        def counted(ctx, calls):
-            one_row_costs.append(ctx.spec)
-            return real(ctx, calls)
+        def counted(spec, *args):
+            specs.append(spec)
+            return real(spec, *args)
 
         for n in range(1, 17):
             # one chunk over the six-tenor surfaces in turn, one on the
@@ -1278,15 +1296,37 @@ class TestChunkCosts:
                     layout = Layout("heston", draw_heston(rng).factors)
                     rows.append((len(rows), Fit(ctx, layout, False, NelderMeadConfig()),
                                  layout.x0))
-                want = [self.one_row(fit, x) for _, fit, x in rows]
-                one_row_costs.clear()
-                monkeypatch.setattr(SurfaceCost, "cost_of_calls", counted)
+                want = [self.one_row(fit.ctx, fit.layout.kind, fit.layout.params(x))
+                        for _, fit, x in rows]
+                specs.clear()
+                monkeypatch.setattr(calibrate_mod, "_costs", counted)
                 got = calibrate_mod._SurfacePricer()(rows)
-                monkeypatch.setattr(SurfaceCost, "cost_of_calls", real)
-                for g, w in zip(got, want):
-                    assert type(g) is type(w)
-                    assert g == w if isinstance(w, float) else str(g) == str(w)
-                # a price-target chunk of one spec, a one-row chunk
-                # included, takes one reduction
-                by_row = mixed and n > 1 or target == "implied_vol"
-                assert len(one_row_costs) == (n if by_row else 0)
+                monkeypatch.setattr(calibrate_mod, "_costs", real)
+                self.assert_same(got, want)
+                # one _costs per spec: a mixed chunk splits by cost kind
+                assert len(specs) == (min(n, len(COST_KINDS)) if mixed else 1)
+                assert len(set(specs)) == len(specs)
+
+    @pytest.mark.parametrize("target", ["vega_weighted_price", "implied_vol"])
+    @pytest.mark.parametrize("kind", COST_KINDS)
+    def test_surface_cost_call(self, lane_surfaces, kind, target):
+        """SurfaceCost.__call__ is the oracle's cost, the Feller penalty where
+        asked for and broken, and the oracle's error where it raises."""
+        rng = np.random.default_rng(23)
+        tiny = HestonParams(1e-14, 1e-14, 2.0, 1e-7, -0.3)  # prices below intrinsic
+        params = [draw_heston(rng) for _ in range(6)] + [tiny]
+        for surface in (lane_surfaces[0], lane_surfaces[4]):
+            ctx = SurfaceCost(surface, CostSpec(kind=kind, target=target))
+            for feller in (False, True):
+                want = [FELLER_PENALTY if feller and not p.feller_satisfied()
+                        else self.one_row(ctx, "heston", p) for p in params]
+                got = []
+                for p in params:
+                    try:
+                        got.append(ctx("heston", p, feller=feller))
+                    except FxsvolError as exc:
+                        got.append(exc)
+                self.assert_same(got, want)
+                assert FELLER_PENALTY in want if feller else FELLER_PENALTY not in want
+            oob = isinstance(want[-1], OutOfBounds)
+            assert oob if target == "implied_vol" else isinstance(want[-1], float)
