@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import copy
+import functools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, replace
@@ -51,6 +52,9 @@ NM_SIGMA_S = 0.5
 
 COST_KINDS = ("mse", "mae", "mape")
 
+FULL_MAX_ITER_1F = 1600
+FULL_MAX_ITER_2F = 800
+
 
 # ---------------------------------------------------------------------------
 # Nelder-Mead
@@ -60,7 +64,7 @@ COST_KINDS = ("mse", "mae", "mape")
 class NelderMeadConfig:
     eps1: float = 1e-10
     eps2: float = 1e-12
-    max_iter: int = 1600
+    max_iter: int = FULL_MAX_ITER_1F
     stop_any: bool = False  # OR instead of AND in the two-tolerance stop rule
 
     def __post_init__(self):
@@ -450,9 +454,6 @@ def _fit_ts(curve, taus, targets, start):
 # full-surface calibration
 # ---------------------------------------------------------------------------
 
-FULL_MAX_ITER_1F = 1600
-FULL_MAX_ITER_2F = 800
-
 # Lockstep runs (run_lanes): at most LANE_ROWS points per kernel call and
 # LANES_PER_BLOCK surfaces per block.  A call's CF temporaries are
 # (rows, T, 56) and its oscillation product (rows, T, P, 56), so 16 rows keep
@@ -478,6 +479,15 @@ class Fit:
     config: NelderMeadConfig
 
 
+def _fit_config(layout, max_iter, stop_any):
+    """Every surface fit's NelderMeadConfig: stop_any's stop rule and max_iter,
+    or for None FULL_MAX_ITER_1F on a simplex of at most one factor's
+    len(COORDS) coordinates and FULL_MAX_ITER_2F on a larger one."""
+    if max_iter is None:
+        max_iter = FULL_MAX_ITER_1F if len(layout.x0) <= len(COORDS) else FULL_MAX_ITER_2F
+    return NelderMeadConfig(max_iter=max_iter, stop_any=stop_any)
+
+
 def run_job(job):
     """A calibration job's result, as the one lane of a lockstep run;
     raises the FxsvolError that ended it."""
@@ -485,6 +495,16 @@ def run_job(job):
     if isinstance(out, FxsvolError):
         raise out
     return out
+
+
+def _run_alone(name, job_of):
+    """The library function name: job_of(*args, **kwargs) run alone (run_job),
+    with job_of's docstring and, for inspect.signature, its parameters."""
+    def run_alone(*args, **kwargs):
+        return run_job(job_of(*args, **kwargs))
+    functools.update_wrapper(run_alone, job_of)
+    run_alone.__name__ = run_alone.__qualname__ = name
+    return run_alone
 
 
 def run_lanes(jobs):
@@ -646,7 +666,13 @@ class _SurfacePricer:
 
 def full_job(kind, surface, start_params, cost_spec=CostSpec(), feller=False,
              max_iter=None, pinned_rho=None, grid=DEFAULT_GRID, stop_any=False):
-    """calibrate_full as a job (see run_job)."""
+    """Nelder-Mead calibration of a model to a surface.
+
+    pinned_rho = (rho1, rho2) freezes the factor correlations of a two-factor
+    model (8 free parameters); feller=True swaps the cost for the 999 penalty
+    whenever a variance factor violates 2 kappa theta > omega^2.  max_iter
+    and stop_any set the fit's stop rule (_fit_config).
+    """
     return (yield from _full_fit(SurfaceCost(surface, cost_spec, grid), kind,
                                  start_params, feller, max_iter, pinned_rho, stop_any))
 
@@ -654,8 +680,6 @@ def full_job(kind, surface, start_params, cost_spec=CostSpec(), feller=False,
 def _full_fit(ctx, kind, start_params, feller, max_iter, pinned_rho, stop_any):
     """full_job's fit and result on the surface context ctx."""
     factors = start_params.factors
-    if max_iter is None:
-        max_iter = FULL_MAX_ITER_1F if len(factors) == 1 else FULL_MAX_ITER_2F
     free = COORDS
     if pinned_rho is not None:
         if len(factors) == 1:
@@ -663,8 +687,7 @@ def _full_fit(ctx, kind, start_params, feller, max_iter, pinned_rho, stop_any):
         factors = [replace(f, rho=rho) for f, rho in zip(factors, pinned_rho)]
         free = ("nu0", "theta", "omega", "kappa")
     layout = Layout(kind, factors, free)
-    res = yield Fit(ctx, layout, feller,
-                    NelderMeadConfig(max_iter=max_iter, stop_any=stop_any))
+    res = yield Fit(ctx, layout, feller, _fit_config(layout, max_iter, stop_any))
     params = layout.params(res.x)
     rmse_vol, rmse_vega, residuals = rmse_report(ctx, kind, params)
     return CalibrationResult(
@@ -674,20 +697,6 @@ def _full_fit(ctx, kind, start_params, feller, max_iter, pinned_rho, stop_any):
         rmse_vol=rmse_vol, rmse_vega=rmse_vega,
         flags=("pinned_rho",) if pinned_rho is not None else (),
     )
-
-
-def calibrate_full(kind, surface, start_params, cost_spec=CostSpec(), feller=False,
-                   max_iter=None, pinned_rho=None, grid=DEFAULT_GRID,
-                   stop_any=False):
-    """Nelder-Mead calibration of a model to a surface.
-
-    pinned_rho = (rho1, rho2) freezes the factor correlations of a two-factor
-    model (8 free parameters); feller=True swaps the cost for the 999 penalty
-    whenever a variance factor violates 2 kappa theta > omega^2.
-    """
-    return run_job(full_job(kind, surface, start_params, cost_spec=cost_spec,
-                            feller=feller, max_iter=max_iter, pinned_rho=pinned_rho,
-                            grid=grid, stop_any=stop_any))
 
 
 def feller_truncate_omega(omega, theta_k, kappa_k):
@@ -704,34 +713,25 @@ def feller_truncated(kind, params):
 
 
 def two_stage_job(kind, surface, symmetric_start, cost_spec=CostSpec(), feller=False,
-                  stage1_max_iter=FULL_MAX_ITER_1F, stage2_max_iter=None,
-                  grid=DEFAULT_GRID):
-    """two_stage_calibration as a job (see run_job)."""
-    ctx = SurfaceCost(surface, cost_spec, grid)
-    tied = Layout(kind, [Factor(*symmetric_start)] * 2, tied=True)
-    stage1 = yield Fit(ctx, tied, feller, NelderMeadConfig(max_iter=stage1_max_iter))
-    stage1_params = tied.params(stage1.x)
-    if feller and variance_factors(kind):
-        stage1_params = feller_truncated(kind, stage1_params)
-    result = yield from _full_fit(ctx, kind, stage1_params, feller, stage2_max_iter,
-                                  None, False)
-    return replace(result, flags=result.flags + ("two_stage",)), stage1
-
-
-def two_stage_calibration(kind, surface, symmetric_start, cost_spec=CostSpec(),
-                          feller=False, stage1_max_iter=FULL_MAX_ITER_1F,
-                          stage2_max_iter=None, grid=DEFAULT_GRID):
+                  max_iter=None, grid=DEFAULT_GRID, stop_any=False):
     """Symmetric 5-parameter stage then unconstrained 10-parameter stage.
 
     symmetric_start is (nu0, theta, kappa, omega, rho) for one factor of the
     tied model (both factors equal).  For the Feller-constrained variance
     model the stage-1 factor omegas are truncated to sqrt(1.99 theta kappa)
-    before stage 2, whose cap None is FULL_MAX_ITER_2F.  Returns (result,
-    stage-1 NMResult).
+    before stage 2.  max_iter and stop_any set the stop rule of both stages
+    (_fit_config), so by default stage 1 stops at FULL_MAX_ITER_1F and
+    stage 2 at FULL_MAX_ITER_2F.  Returns (result, stage-1 NMResult).
     """
-    return run_job(two_stage_job(kind, surface, symmetric_start, cost_spec=cost_spec,
-                                 feller=feller, stage1_max_iter=stage1_max_iter,
-                                 stage2_max_iter=stage2_max_iter, grid=grid))
+    ctx = SurfaceCost(surface, cost_spec, grid)
+    tied = Layout(kind, [Factor(*symmetric_start)] * 2, tied=True)
+    stage1 = yield Fit(ctx, tied, feller, _fit_config(tied, max_iter, stop_any))
+    stage1_params = tied.params(stage1.x)
+    if feller and variance_factors(kind):
+        stage1_params = feller_truncated(kind, stage1_params)
+    result = yield from _full_fit(ctx, kind, stage1_params, feller, max_iter, None,
+                                  stop_any)
+    return replace(result, flags=result.flags + ("two_stage",)), stage1
 
 
 # ---------------------------------------------------------------------------
@@ -739,16 +739,20 @@ def two_stage_calibration(kind, surface, symmetric_start, cost_spec=CostSpec(),
 # ---------------------------------------------------------------------------
 
 def risk_job(kind, surface, base_params, cost_kinds=("mse", "mae", "mape"),
-             max_iter=FULL_MAX_ITER_1F, grid=DEFAULT_GRID):
-    """calibration_risk as a job (see run_job): one fit per cost kind."""
+             max_iter=None, grid=DEFAULT_GRID):
+    """Per-parameter max pairwise spread across cost-function choices.
+
+    omega and rho stay fixed at the base values; (nu0, theta, kappa) are
+    recalibrated once per cost kind, each fit under _fit_config's stop rule.
+    """
     if len(base_params.factors) != 1:
         raise InvariantViolation("risk protocol runs on one-factor models")
     layout = Layout(kind, base_params.factors, free=("nu0", "theta", "kappa"))
     ctx = SurfaceCost(surface, grid=grid)
+    config = _fit_config(layout, max_iter, False)
     results = []
     for ck in cost_kinds:
-        res = yield Fit(ctx.with_spec(CostSpec(kind=ck)), layout, False,
-                        NelderMeadConfig(max_iter=max_iter))
+        res = yield Fit(ctx.with_spec(CostSpec(kind=ck)), layout, False, config)
         results.append((ck, layout.params(res.x), res))
     spreads = {}
     for name in ("nu0", "theta", "kappa"):
@@ -757,15 +761,10 @@ def risk_job(kind, surface, base_params, cost_kinds=("mse", "mae", "mape"),
     return CalibrationRisk(per_parameter=spreads, results=tuple(results))
 
 
-def calibration_risk(kind, surface, base_params, cost_kinds=("mse", "mae", "mape"),
-                     max_iter=FULL_MAX_ITER_1F, grid=DEFAULT_GRID):
-    """Per-parameter max pairwise spread across cost-function choices.
-
-    omega and rho stay fixed at the base values; (nu0, theta, kappa) are
-    recalibrated once per cost kind.
-    """
-    return run_job(risk_job(kind, surface, base_params, cost_kinds=cost_kinds,
-                            max_iter=max_iter, grid=grid))
+# the library entry points: each job run alone
+calibrate_full = _run_alone("calibrate_full", full_job)
+two_stage_calibration = _run_alone("two_stage_calibration", two_stage_job)
+calibration_risk = _run_alone("calibration_risk", risk_job)
 
 
 OUTLIER_LOG_JUMP = 0.4

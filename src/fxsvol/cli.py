@@ -237,7 +237,9 @@ def pipeline_job(manifest, surface, hist):
     model = manifest.model
     kind = "bates2f" if model == "bates2f-feller" else model
     feller = manifest.feller or model == "bates2f-feller"
-    max_iter = manifest.max_iter or None
+    fit = dict(cost_spec=CostSpec(kind=manifest.cost_kind), feller=feller,
+               max_iter=manifest.max_iter or None, grid=manifest.grid(),
+               stop_any=manifest.stop_any)
     if manifest.start_method == "twostage":
         # each factor of the tied stage is the equal-variance split of the
         # base model's historical start
@@ -245,18 +247,13 @@ def pipeline_job(manifest, surface, hist):
                                  surface, hist)
         sym = (*estimators.factor_share(kind, base.nu0, base.theta), base.kappa,
                base.omega, base.rho)
-        result, _ = yield from two_stage_job(
-            kind, surface, sym, cost_spec=CostSpec(kind=manifest.cost_kind),
-            feller=feller, grid=manifest.grid(), stage2_max_iter=max_iter)
+        result, _ = yield from two_stage_job(kind, surface, sym, **fit)
+        start_flags = ()
     else:
         start, pinned, start_flags = build_start(model, manifest.start_method,
                                                  surface, hist)
-        result = yield from full_job(kind, surface, start,
-                                     cost_spec=CostSpec(kind=manifest.cost_kind),
-                                     feller=feller, max_iter=max_iter,
-                                     pinned_rho=pinned, grid=manifest.grid(),
-                                     stop_any=manifest.stop_any)
-        result = replace(result, flags=result.flags + tuple(start_flags))
+        result = yield from full_job(kind, surface, start, pinned_rho=pinned, **fit)
+    result = replace(result, flags=result.flags + tuple(start_flags))
     return {
         "date": surface.date,
         "model": model,
@@ -405,16 +402,7 @@ def estimate_job(manifest, surface, hist):
         base.update({"omega": None, "rho": None, "nu0": nu0, "theta": theta})
         return base
     if method == "gr":
-        sl = surface.slices[0]
-        from .pricer import OptionSpec, gk_price
-        k1, k2 = sl.strikes[1], sl.strikes[3]
-        p1 = gk_price(OptionSpec(surface.spot, k1, sl.tau, sl.r_d, sl.r_f, "put"),
-                      sl.vols.vols[1])
-        p2 = gk_price(OptionSpec(surface.spot, k2, sl.tau, sl.r_d, sl.r_f, "put"),
-                      sl.vols.vols[3])
-        omega, rho = estimators.gauthier_rivaille(
-            p1, p2, k1, k2, hts[0], hts[1], hts[2], sl.tau, surface.spot,
-            sl.r_d, sl.r_f)
+        omega, rho = estimators.gr_from_surface(surface, *hts[:3])
         base.update({"omega": omega, "rho": rho,
                      "flags": ["experimental: two-strike expansion route"]})
         return base
@@ -575,7 +563,7 @@ def build_parser():
                    choices=["mse", "mae", "mape"])
     p.add_argument("--feller", action="store_true")
     p.add_argument("--max-iter", type=_int_at_least(0), default=0,
-                   help="Nelder-Mead iteration cap (0: the model's default)")
+                   help="every surface fit's cap (0: 1600, 800 above 5 coordinates)")
     p.add_argument("--stop-any", action="store_true",
                    help="stop when either tolerance is met instead of both")
 
@@ -641,9 +629,6 @@ def main(argv=None):
         flag = "--start" if manifest.command == "calibrate" else "--method"
         parser.error(f"argument {flag}: {manifest.start_method!r} does not run with --model "
                      f"{manifest.model} (choose from {', '.join(map(repr, starts))})")
-    if manifest.stop_any and manifest.start_method == "twostage":  # its fits ignore it
-        parser.error("argument --stop-any: not allowed with --start twostage (choose "
-                     f"--start from {', '.join(repr(s) for s in starts if s != 'twostage')})")
     handlers = {
         "ingest": cmd_ingest,
         "surface": cmd_surface,

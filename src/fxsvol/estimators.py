@@ -24,6 +24,7 @@ from .errors import (
     SingularRegression,
     ZeroTotalVariance,
 )
+from .pricer import OptionSpec, gk_price
 
 OMEGA_FLOOR = 0.001
 RHO_PIN = 0.99
@@ -272,13 +273,15 @@ def _bs_partials(x, k, w, df):
 def gr_coefficients(strike, nu0, theta, kappa, tau, spot, r_d, r_f):
     """Price-expansion coefficients (A, B, C, D) for one put strike.
 
-    The expansion variance is w_tau = theta + (nu0 - theta)(1 - e^{kappa tau})/kappa
-    as printed in the source method (exact at nu0 = theta, tau = 1).  The
-    mixed-derivative coefficient of D pairs nu0 with q0 and squares the
-    first-order coefficient; without both repairs the expansion cannot invert
-    its own near-exact model prices.
+    The expansion variance is the integrated expected variance
+    w_tau = theta tau + (nu0 - theta)(1 - e^{-kappa tau})/kappa of Gauthier &
+    Rivaille (2009) and Benhamou, Gobet & Miri (2010), not the printed
+    theta + (nu0 - theta)(1 - e^{kappa tau})/kappa.  The mixed-derivative
+    coefficient of D pairs nu0 with q0 and squares the first-order
+    coefficient; without both repairs the expansion cannot invert its own
+    near-exact model prices.
     """
-    w = theta + (nu0 - theta) * (1.0 - math.exp(kappa * tau)) / kappa
+    w = theta * tau + (nu0 - theta) * (1.0 - math.exp(-kappa * tau)) / kappa
     if w <= 0.0:
         raise NoValidRoot(f"expansion variance w_tau = {w} <= 0")
     x = math.log(spot) + (r_d - r_f) * tau
@@ -350,6 +353,17 @@ def gauthier_rivaille(p1, p2, k1, k2, nu0, theta, kappa, tau, spot, r_d, r_f):
         raise NoValidRoot("all roots outside omega > 0, |rho| <= 1")
     _, omega, rho = min(candidates)
     return omega, rho
+
+
+def gr_from_surface(surface, nu0, theta, kappa):
+    """gauthier_rivaille's (omega, rho) from the first tenor's puts at its 2nd and
+    4th strikes, at their quoted vols, and the term-structure nu0, theta, kappa."""
+    sl = surface.slices[0]
+    k1, k2 = sl.strikes[1], sl.strikes[3]
+    p1, p2 = (gk_price(OptionSpec(surface.spot, sl.strikes[i], sl.tau, sl.r_d, sl.r_f,
+                                  "put"), sl.vols.vols[i]) for i in (1, 3))
+    return gauthier_rivaille(p1, p2, k1, k2, nu0, theta, kappa, sl.tau, surface.spot,
+                             sl.r_d, sl.r_f)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,11 @@ MATRIX = (
         + TWO_STAGE_ITER) for m in ("bates2f", "bates2f-feller", "ouou")]
     + [("calibrate-ouou-twostage-jobs2", ["calibrate", "--model", "ouou", "--start",
                                           "twostage", "--jobs", "2"] + TWO_STAGE_ITER)]
+    + [("calibrate-bates2f-twostage-default-cap",
+        ["calibrate", "--model", "bates2f", "--start", "twostage"])]
+    + [("calibrate-bates2f-twostage-stop-any",
+        ["calibrate", "--model", "bates2f", "--start", "twostage", "--stop-any"]
+        + TWO_STAGE_ITER)]
     + [(f"estimate-{m}-{s}", ["estimate", "--model", m, "--method", s])
        for m in ("heston", "sz") for s in ("icm", "durrleman", "hist")]
     + [(f"estimate-heston-{s}", ["estimate", "--model", "heston", "--method", s])

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import math
 import weakref
 from types import SimpleNamespace
@@ -343,7 +344,7 @@ class TestKernelConstantsOnce:
                 return risk_job("heston", surface, HestonParams(0.01, 0.015, 2.0, 0.3, -0.4),
                                 max_iter=10)
             return two_stage_job("bates2f", surface, (0.0041, 0.00715, 2.07, 0.30, -0.38),
-                                 stage1_max_iter=5, stage2_max_iter=5)
+                                 max_iter=5)
 
         builds = _count_kernel_builds(monkeypatch)
         run_job(make(lane_surfaces[0]))
@@ -569,6 +570,19 @@ class TestOutliers:
         assert start.kappa == pytest.approx(100.0)
 
 
+@pytest.mark.parametrize("name,job", [("calibrate_full", full_job),
+                                      ("two_stage_calibration", two_stage_job),
+                                      ("calibration_risk", risk_job)])
+def test_library_calls_are_their_jobs_run_alone(name, job):
+    """Each library call keeps its name, takes and reports its job's
+    parameters and has its docstring."""
+    call = getattr(calibrate_mod, name)
+    assert (call.__name__, call.__qualname__, call.__module__) == (
+        name, name, "fxsvol.calibrate")
+    assert inspect.signature(call) == inspect.signature(job)
+    assert call.__doc__ == job.__doc__
+
+
 class TestFullCalibration:
     def test_start_at_truth_converges_immediately(self, heston_surface,
                                                   heston_median_params):
@@ -637,23 +651,27 @@ class TestTwoStage:
                bates2f_params.f1.kappa, bates2f_params.f1.omega,
                bates2f_params.f1.rho)
         result, stage1 = two_stage_calibration(
-            "bates2f", surf, sym, stage1_max_iter=300, stage2_max_iter=300)
+            "bates2f", surf, sym, max_iter=300)
         assert result.cost_value <= stage1.fx + 1e-15
         assert result.rmse_vol < 5e-4
         f1, f2 = result.params.factors
         assert abs(f1.nu0 - f2.nu0) < 0.5 * (f1.nu0 + f2.nu0)
 
     def test_stage_caps(self, lane_surfaces):
-        """Stage 1 runs at most 1600 iterations and stage 2, by default, the
-        full fit's two-factor cap of 800."""
-        for stage2, cap in [(None, 800), (20, 20)]:
+        """By default stage 1 (5 tied coordinates) runs at most 1600
+        iterations and stage 2 (10 coordinates) 800, the full fits' caps;
+        a max_iter given caps both stages, and stop_any sets both stop rules."""
+        for max_iter, stop_any, caps in [(None, False, (1600, 800)),
+                                         (20, False, (20, 20)), (20, True, (20, 20))]:
             job = two_stage_job("bates2f", lane_surfaces[0],
-                                (0.0041, 0.00715, 2.07, 0.30, -0.38), stage2_max_iter=stage2)
+                                (0.0041, 0.00715, 2.07, 0.30, -0.38), max_iter=max_iter,
+                                stop_any=stop_any)
             stage1 = next(job)
-            assert stage1.config.max_iter == 1600
             fit = job.send(calibrate_mod.NMResult(x=stage1.layout.x0, fx=0.0, iterations=0,
                                                   converged=True))
-            assert fit.config.max_iter == cap
+            assert (stage1.config.max_iter, fit.config.max_iter) == caps
+            assert (len(stage1.layout.x0), len(fit.layout.x0)) == (5, 10)
+            assert stage1.config.stop_any is fit.config.stop_any is stop_any
 
     def test_feller_truncation_formula(self):
         assert feller_truncate_omega(0.5, 0.0143, 2.07) == pytest.approx(
@@ -962,13 +980,12 @@ class TestRunLanes:
         sym = (0.0041, 0.00715, 2.07, 0.30, -0.38)
 
         def jobs():
-            return [two_stage_job("bates2f", s, sym, feller=True, stage1_max_iter=25,
-                                  stage2_max_iter=10) for s in lane_surfaces]
+            return [two_stage_job("bates2f", s, sym, feller=True, max_iter=15)
+                    for s in lane_surfaces]
 
         want = [_result_or_error(j) for j in jobs()]
         assert want[0][0] == two_stage_calibration(
-            "bates2f", lane_surfaces[0], sym, feller=True, stage1_max_iter=25,
-            stage2_max_iter=10)[0]
+            "bates2f", lane_surfaces[0], sym, feller=True, max_iter=15)[0]
         # blocks of two lanes and kernel calls of three rows change nothing
         monkeypatch.setattr(calibrate_mod, "LANES_PER_BLOCK", 2)
         monkeypatch.setattr(calibrate_mod, "LANE_ROWS", 3)

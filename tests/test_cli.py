@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from fxsvol import cli, estimators, moments
+from fxsvol import calibrate, cli, estimators, moments
 from fxsvol.charfn import HestonParams
 from fxsvol.cli import EXIT_INVALID, EXIT_PARTIAL, main
 
@@ -562,19 +562,13 @@ class TestRunnableStarts:
         assert all(f"'{s}'" in err for s in runs)
 
     @pytest.mark.parametrize("argv,message", [
-        (["calibrate", "--model", "bates2f", "--start", "twostage", "--stop-any"],
-         "argument --stop-any: not allowed with --start twostage "
-         "(choose --start from 'icm', 'evp', 'mevp')"),
-        (["calibrate", "--model", "ouou", "--start", "twostage", "--stop-any"],
-         "argument --stop-any: not allowed with --start twostage "
-         "(choose --start from 'icm', 'mevp')"),
         (["estimate", "--model", "sz", "--method", "gs"],
          "argument --method: 'gs' does not run with --model sz "
          "(choose from 'icm', 'durrleman', 'hist')"),
         (["estimate", "--model", "sz", "--method", "gr"],
          "argument --method: 'gr' does not run with --model sz "
          "(choose from 'icm', 'durrleman', 'hist')"),
-    ], ids=["stop-any-bates2f", "stop-any-ouou", "sz-gs", "sz-gr"])
+    ], ids=["sz-gs", "sz-gr"])
     def test_rejected_invocations(self, quotes_csv, tmp_path, capsys, argv, message):
         out = tmp_path / "o"
         with pytest.raises(SystemExit) as exc:
@@ -592,6 +586,32 @@ class TestRunnableStarts:
                      "--input", str(path), "--output-dir", str(out)]) == 0
         with open(out / "manifest.json") as fh:
             assert json.load(fh)["stop_any"] is True
+
+    @pytest.mark.parametrize("model", ["bates2f", "ouou"])
+    def test_stop_any_runs_with_twostage(self, tmp_path, monkeypatch, model):
+        """--stop-any --start twostage runs, is recorded, and both stages
+        stop by the OR rule under the one --max-iter cap."""
+        configs = []
+        steps = calibrate.nelder_mead_steps
+
+        def spy(x_start, config):
+            configs.append((len(x_start), config))
+            return steps(x_start, config)
+
+        monkeypatch.setattr(calibrate, "nelder_mead_steps", spy)
+        surf = synth_surface("heston", HestonParams(0.0082, 0.0143, 2.07, 0.30, -0.38),
+                             date="2014-06-02")
+        path = write_quote_csv(tmp_path / "one.csv", [surf], vols_decimal=False)
+        out = tmp_path / "o"
+        assert main(["calibrate", "--model", model, "--start", "twostage", "--stop-any",
+                     "--max-iter", "20", "--input", str(path),
+                     "--output-dir", str(out)]) == 0
+        with open(out / "manifest.json") as fh:
+            assert json.load(fh)["stop_any"] is True
+        with open(out / f"calibration_2014-06-02_{model}_twostage_mse.json") as fh:
+            assert "two_stage" in json.load(fh)["flags"]
+        stages = [(n, c.max_iter, c.stop_any) for n, c in configs if n >= 5]
+        assert stages == [(5, 20, True), (10, 20, True)]
 
 
 def _fresh_python(code):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from fxsvol import estimators
 from fxsvol.charfn import HestonParams, cf_factory
 from fxsvol.errors import (
     DegenerateMoments,
@@ -16,7 +17,9 @@ from fxsvol.estimators import (
     durrleman,
     evp_split,
     gauthier_rivaille,
+    gr_coefficients,
     gr_forward_price,
+    gr_from_surface,
     guillaume_schoutens,
     half_relation,
     historical_omega_rho,
@@ -30,6 +33,10 @@ from fxsvol.estimators import (
 from fxsvol.market_data import SmileNodes, TenorSlice, VolSurface
 from fxsvol.moments import ImpliedMomentSet
 from fxsvol.pricer import OptionSpec, gil_pelaez_price
+
+from conftest import draw_heston
+from gr_reference import printed_gr_coefficients
+from synthutil import synth_surface
 
 
 def mset(tau, mu2, ey2, exy, mu3=0.0, mu4=0.0):
@@ -199,6 +206,53 @@ class TestGauthierRivaille:
         om, rho = gauthier_rivaille(p1, p2, k1, k2, *self.args())
         assert om == pytest.approx(0.10, abs=0.005)
         assert rho == pytest.approx(-0.35, abs=0.005)
+
+    def test_printed_form_agrees_only_at_the_anchor(self):
+        """At nu0 = theta and tau = 1 the printed expansion variance is the
+        integrated one, so every coefficient is the same float; elsewhere the
+        printed one is far off the total variance."""
+        assert gr_coefficients(1.25, *self.args()) == printed_gr_coefficients(
+            1.25, *self.args())
+        args = (0.0082, 0.0143, 2.07, 1.0 / 12.0, self.S, self.RD, self.RF)
+        w = gr_coefficients(1.25, *args).w_tau
+        want = 0.0143 / 12 - 0.0061 * (1 - math.exp(-2.07 / 12)) / 2.07
+        assert w == pytest.approx(want, rel=1e-14)
+        assert printed_gr_coefficients(1.25, *args).w_tau > 10.0 * w
+
+
+@pytest.fixture(scope="module")
+def gr_truth():
+    """(true HestonParams, synthetic surface) for 12 seeded draw_heston sets."""
+    rng = np.random.default_rng(11)
+    truths = [draw_heston(rng) for _ in range(12)]
+    return [(p, synth_surface("heston", p)) for p in truths]
+
+
+class TestGauthierRivailleGroundTruth:
+    """gr_from_surface on exact Heston surfaces, given the true (nu0, theta,
+    kappa).  Over 40 draws from the same generator the integrated form
+    solved all 40 with |d omega| <= 0.044 and |d rho| <= 0.023; the bounds
+    below leave a little room above that."""
+
+    def test_integrated_form_recovers_omega_and_rho(self, gr_truth):
+        for p, surface in gr_truth:
+            omega, rho = gr_from_surface(surface, p.nu0, p.theta, p.kappa)
+            assert abs(omega - p.omega) <= 0.05
+            assert abs(rho - p.rho) <= 0.025
+
+    def test_printed_form_misses_the_truth(self, gr_truth, monkeypatch):
+        """The oracle of the old expansion point: on the same surfaces each
+        date either has no admissible root or an omega more than 1 off."""
+        monkeypatch.setattr(estimators, "gr_coefficients", printed_gr_coefficients)
+        misses = 0
+        for p, surface in gr_truth:
+            try:
+                omega, _ = gr_from_surface(surface, p.nu0, p.theta, p.kappa)
+            except NoValidRoot:
+                misses += 1
+                continue
+            assert abs(omega - p.omega) > 1.0
+        assert misses > 0
 
 
 class TestGuillaumeSchoutens:
