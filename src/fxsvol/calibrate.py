@@ -482,9 +482,14 @@ class Fit:
 def _fit_config(layout, max_iter, stop_any):
     """Every surface fit's NelderMeadConfig: stop_any's stop rule and max_iter,
     or for None FULL_MAX_ITER_1F on a simplex of at most one factor's
-    len(COORDS) coordinates and FULL_MAX_ITER_2F on a larger one."""
+    len(COORDS) coordinates and FULL_MAX_ITER_2F on a larger one.  A larger
+    simplex refuses stop_any: its initial volume, 0.05^n / n!, is already
+    below eps2, so the OR rule would stop at the start."""
+    n = len(layout.x0)
+    if stop_any and n > len(COORDS):
+        raise InvariantViolation(f"stop_any stops a {n}-coordinate fit at its start")
     if max_iter is None:
-        max_iter = FULL_MAX_ITER_1F if len(layout.x0) <= len(COORDS) else FULL_MAX_ITER_2F
+        max_iter = FULL_MAX_ITER_1F if n <= len(COORDS) else FULL_MAX_ITER_2F
     return NelderMeadConfig(max_iter=max_iter, stop_any=stop_any)
 
 
@@ -704,10 +709,12 @@ def feller_truncate_omega(omega, theta_k, kappa_k):
     return min(omega, math.sqrt(1.99 * theta_k * kappa_k))
 
 
-def feller_truncated(kind, params):
-    """The parameter set params of model kind with every factor's omega
-    truncated by feller_truncate_omega."""
-    return model_params(kind, [
+def feller_truncated(params):
+    """params with every factor's omega truncated by feller_truncate_omega,
+    or params itself for OU volatilities, which have no Feller bound."""
+    if not variance_factors(params.kind):
+        return params
+    return model_params(params.kind, [
         (f.nu0, f.theta, f.kappa, feller_truncate_omega(f.omega, f.theta, f.kappa), f.rho)
         for f in params.factors])
 
@@ -720,15 +727,16 @@ def two_stage_job(kind, surface, symmetric_start, cost_spec=CostSpec(), feller=F
     tied model (both factors equal).  For the Feller-constrained variance
     model the stage-1 factor omegas are truncated to sqrt(1.99 theta kappa)
     before stage 2.  max_iter and stop_any set the stop rule of both stages
-    (_fit_config), so by default stage 1 stops at FULL_MAX_ITER_1F and
-    stage 2 at FULL_MAX_ITER_2F.  Returns (result, stage-1 NMResult).
+    (_fit_config): by default stage 1 stops at FULL_MAX_ITER_1F and stage 2
+    at FULL_MAX_ITER_2F, and stage 2 refuses stop_any.  Returns (result,
+    stage-1 NMResult).
     """
     ctx = SurfaceCost(surface, cost_spec, grid)
     tied = Layout(kind, [Factor(*symmetric_start)] * 2, tied=True)
     stage1 = yield Fit(ctx, tied, feller, _fit_config(tied, max_iter, stop_any))
     stage1_params = tied.params(stage1.x)
-    if feller and variance_factors(kind):
-        stage1_params = feller_truncated(kind, stage1_params)
+    if feller:
+        stage1_params = feller_truncated(stage1_params)
     result = yield from _full_fit(ctx, kind, stage1_params, feller, max_iter, None,
                                   stop_any)
     return replace(result, flags=result.flags + ("two_stage",)), stage1

@@ -1,8 +1,8 @@
 """Closed-form characteristic functions of log-price for four models.
 
-Every parameter set is a tuple of independent factors (.factors: one for
-heston and sz, two for bates2f and ouou), and every model's CF is one
-exponentially affine body over them,
+Every parameter set carries its model kind (.kind) and a tuple of
+independent factors (.factors: one for heston and sz, two for bates2f and
+ouou), and every model's CF is one exponentially affine body over them,
 
     phi(u) = exp(i u x0 + sum_k [A_k + B_k nu0_k (+ C_k nu0_k^2)]),
 
@@ -13,8 +13,10 @@ all maturities.  Schobel-Zhu and OUOU factors are OU volatilities: sz_terms
 gives their A, B, C, and the exponent is quadratic in nu0.
 
 model_params(kind, factors) builds a model's parameter set from its factors'
-fields; it is the one place that knows each model's parameter class and
-factor count.
+fields, its class taken from the one table _PARAMS.  Every set is checked,
+and its Feller condition read, by one rule for all four models, keyed on
+variance_factors(kind): a CIR variance needs theta > 0 and may break
+Feller, an OU volatility allows theta = 0 and has no Feller bound.
 
 cf_factory(kind, params, jump=None) is the one way to build a CF: a closure
 cf(u, x0, tau, r_d, r_f), which the pricers call and nothing else.  u is
@@ -56,56 +58,9 @@ from .errors import InvariantViolation, NumericOverflow
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class HestonParams:
-    """CIR-variance model: nu0/theta are variances (per annum)."""
-    nu0: float
-    theta: float
-    kappa: float
-    omega: float
-    rho: float
-
-    def __post_init__(self):
-        if min(self.nu0, self.theta, self.kappa, self.omega) <= 0.0:
-            raise InvariantViolation(f"nu0, theta, kappa, omega must be > 0: {self}")
-        if abs(self.rho) >= 1.0:
-            raise InvariantViolation(f"|rho| must be < 1: {self.rho}")
-
-    @property
-    def factors(self):
-        return (self,)
-
-    def feller_satisfied(self):
-        return 2.0 * self.kappa * self.theta - self.omega ** 2 > 0.0
-
-
-@dataclass(frozen=True)
-class SchobelZhuParams:
-    """OU-volatility model: nu0/theta are volatilities."""
-    nu0: float
-    theta: float
-    kappa: float
-    omega: float
-    rho: float
-
-    def __post_init__(self):
-        if min(self.nu0, self.kappa, self.omega) <= 0.0:
-            raise InvariantViolation(f"nu0, kappa, omega must be > 0: {self}")
-        if self.theta < 0.0:
-            raise InvariantViolation(f"theta must be >= 0: {self.theta}")
-        if abs(self.rho) >= 1.0:
-            raise InvariantViolation(f"|rho| must be < 1: {self.rho}")
-
-    @property
-    def factors(self):
-        return (self,)
-
-    def feller_satisfied(self):
-        return True  # an OU volatility has no positivity constraint
-
-
-@dataclass(frozen=True)
 class Factor:
-    """One variance/volatility factor of a two-factor model."""
+    """One variance/volatility factor: nu0/theta are variances (per annum)
+    for a CIR variance, volatilities for an OU volatility."""
     nu0: float
     theta: float
     kappa: float
@@ -113,33 +68,62 @@ class Factor:
     rho: float
 
 
+class _ParamSet:
+    """What every model's parameter set shares: a kind, a tuple of factors,
+    one validation rule and one Feller rule, each keyed on whether the
+    kind's factors are CIR variances (variance_factors)."""
+
+    def __post_init__(self):
+        if _PARAMS.get(self.kind) is not type(self):
+            raise InvariantViolation(f"{type(self).__name__} has no kind {self.kind!r}")
+        cir = variance_factors(self.kind)
+        for f in self.factors:
+            if (min(f.nu0, f.kappa, f.omega) <= 0.0 or f.theta < 0.0
+                    or cir and f.theta == 0.0 or abs(f.rho) >= 1.0):
+                raise InvariantViolation(
+                    f"{self.kind} factor needs nu0, kappa, omega > 0, theta "
+                    f"{'>' if cir else '>='} 0 and |rho| < 1: {f}")
+
+    def feller_satisfied(self):
+        """2 kappa theta > omega^2 on every factor; always true for OU
+        volatilities, which have no positivity constraint."""
+        return not variance_factors(self.kind) or all(
+            2.0 * f.kappa * f.theta - f.omega ** 2 > 0.0 for f in self.factors)
+
+
+@dataclass(frozen=True)  # again: Factor's own __init__ calls no __post_init__
+class _OneFactorParams(_ParamSet, Factor):
+    """A one-factor model's parameter set: its own one factor."""
+
+    @property
+    def factors(self):
+        return (self,)
+
+
+class HestonParams(_OneFactorParams):
+    """CIR-variance model: nu0/theta are variances (per annum)."""
+    kind = "heston"
+
+
+class SchobelZhuParams(_OneFactorParams):
+    """OU-volatility model: nu0/theta are volatilities."""
+    kind = "sz"
+
+
 @dataclass(frozen=True)
-class TwoFactorParams:
+class TwoFactorParams(_ParamSet):
     kind: str  # "bates2f" | "ouou"
     f1: Factor
     f2: Factor
-
-    def __post_init__(self):
-        if self.kind not in ("bates2f", "ouou"):
-            raise InvariantViolation(f"unknown two-factor kind {self.kind!r}")
-        for f in (self.f1, self.f2):
-            if min(f.nu0, f.kappa, f.omega) <= 0.0:
-                raise InvariantViolation(f"factor fields must be > 0: {f}")
-            if f.theta < 0.0 or (self.kind == "bates2f" and f.theta <= 0.0):
-                raise InvariantViolation(f"bad theta in factor {f}")
-            if abs(f.rho) >= 1.0:
-                raise InvariantViolation(f"|rho| must be < 1: {f.rho}")
 
     @property
     def factors(self):
         return (self.f1, self.f2)
 
-    def feller_satisfied(self):
-        if self.kind == "ouou":
-            return True  # OU volatility factors have no positivity constraint
-        return all(2.0 * f.kappa * f.theta - f.omega ** 2 > 0.0 for f in self.factors)
 
-
+# each model's parameter class, and the fields of every factor
+_PARAMS = {"heston": HestonParams, "sz": SchobelZhuParams,
+           "bates2f": TwoFactorParams, "ouou": TwoFactorParams}
 _FACTOR_FIELDS = ("nu0", "theta", "kappa", "omega", "rho")
 
 
@@ -156,14 +140,15 @@ class ParamLanes:
 
     @classmethod
     def stack(cls, kind, params):
+        if any(p.kind != kind for p in params):
+            raise InvariantViolation(f"expected {kind} params, got {[p.kind for p in params]}")
         if len(params) == 1:
             return params[0]
         sets = [p.factors for p in params]
-        factors = tuple(
+        return cls(kind, tuple(
             Factor(*(np.array([getattr(fs[k], name) for fs in sets]).reshape(-1, 1, 1)
                      for name in _FACTOR_FIELDS))
-            for k in range(len(sets[0])))
-        return cls(kind, factors)
+            for k in range(len(sets[0]))))
 
 
 @dataclass(frozen=True)
@@ -324,10 +309,11 @@ def model_params(kind, factors):
     """Model kind's parameter set from its factors, each a sequence
     (nu0, theta, kappa, omega, rho): one factor for heston and sz, two for
     bates2f and ouou."""
-    if kind in ("bates2f", "ouou") and len(factors) == 2:
-        return TwoFactorParams(kind, Factor(*factors[0]), Factor(*factors[1]))
-    if kind in ("heston", "sz") and len(factors) == 1:
-        return (HestonParams if kind == "heston" else SchobelZhuParams)(*factors[0])
+    cls = _PARAMS.get(kind)
+    if cls is TwoFactorParams and len(factors) == 2:
+        return cls(kind, Factor(*factors[0]), Factor(*factors[1]))
+    if cls in (HestonParams, SchobelZhuParams) and len(factors) == 1:
+        return cls(*factors[0])
     raise InvariantViolation(f"no {kind!r} parameter set has {len(factors)} factor(s)")
 
 
@@ -363,7 +349,7 @@ def cf_factory(kind, params, jump=None):
     tau, r_d and r_f carry the leading lane axis); jump applies to every
     lane.
     """
-    if getattr(params, "kind", kind) != kind:
+    if params.kind != kind:
         raise InvariantViolation(f"expected {kind} params, got {params.kind}")
     terms = _FACTOR_TERMS[kind]
     quadratic = terms is sz_terms

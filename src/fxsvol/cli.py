@@ -224,7 +224,7 @@ def start_with_icm(model, method, surface, hist):
         raise FxsvolError(f"unknown model {model!r}")
     params, flags = model_params(start.kind, start.factors), start.flags
     if model == "bates2f-feller":
-        truncated = feller_truncated(start.kind, params)
+        truncated = feller_truncated(params)
         if truncated != params:
             flags = ("start omegas truncated to the positivity bound",) + flags
         params = truncated
@@ -565,7 +565,7 @@ def build_parser():
     p.add_argument("--max-iter", type=_int_at_least(0), default=0,
                    help="every surface fit's cap (0: 1600, 800 above 5 coordinates)")
     p.add_argument("--stop-any", action="store_true",
-                   help="stop when either tolerance is met instead of both")
+                   help="stop when either tolerance is met instead of both (heston, sz)")
 
     p = sub.add_parser("risk")
     _add_common(p, jobs=True)
@@ -629,6 +629,9 @@ def main(argv=None):
         flag = "--start" if manifest.command == "calibrate" else "--method"
         parser.error(f"argument {flag}: {manifest.start_method!r} does not run with --model "
                      f"{manifest.model} (choose from {', '.join(map(repr, starts))})")
+    if manifest.stop_any and manifest.model not in ("heston", "sz"):
+        parser.error(f"argument --stop-any: does not run with --model {manifest.model} "
+                     "(choose a one-factor model, 'heston' or 'sz')")
     handlers = {
         "ingest": cmd_ingest,
         "surface": cmd_surface,

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
+from .charfn import variance_factors
 from .errors import (
     DegenerateMoments,
     InvariantViolation,
@@ -455,7 +456,7 @@ def factor_share(kind, nu0, theta):
     curve between the two factors of model kind: half of each for CIR
     variances (bates2f), 1/sqrt(2) of each for OU volatilities (ouou), so
     the factors' variances add up to the curve's."""
-    share = math.sqrt(2.0) if kind == "ouou" else 2.0
+    share = 2.0 if variance_factors(kind) else math.sqrt(2.0)
     return nu0 / share, theta / share
 
 

@@ -53,6 +53,12 @@ MATRIX = (
     + [("calibrate-bates2f-twostage-stop-any",
         ["calibrate", "--model", "bates2f", "--start", "twostage", "--stop-any"]
         + TWO_STAGE_ITER)]
+    + [(f"calibrate-{m}-icm-feller", ["calibrate", "--model", m, "--start", "icm",
+                                      "--feller"]) for m in ("heston", "sz")]
+    + [("calibrate-ouou-mevp-feller",
+        ["calibrate", "--model", "ouou", "--start", "mevp", "--feller"] + TWO_FACTOR_ITER)]
+    + [("calibrate-heston-icm-stop-any",
+        ["calibrate", "--model", "heston", "--start", "icm", "--stop-any"])]
     + [(f"estimate-{m}-{s}", ["estimate", "--model", m, "--method", s])
        for m in ("heston", "sz") for s in ("icm", "durrleman", "hist")]
     + [(f"estimate-heston-{s}", ["estimate", "--model", "heston", "--method", s])

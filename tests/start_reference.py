@@ -186,7 +186,7 @@ def start_with_icm(model, method, surface, hist):
         raise FxsvolError(f"unknown model {model!r}")
     params, flags = model_params(start.kind, start.factors), start.flags
     if model == "bates2f-feller":
-        truncated = feller_truncated(start.kind, params)
+        truncated = feller_truncated(params)
         if truncated != params:
             flags = ("start omegas truncated to the positivity bound",) + flags
         params = truncated

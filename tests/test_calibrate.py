@@ -2,6 +2,7 @@ import gc
 import inspect
 import math
 import weakref
+from dataclasses import asdict, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,6 +25,7 @@ from fxsvol.calibrate import (
     calibration_risk,
     detect_outliers,
     feller_truncate_omega,
+    feller_truncated,
     full_job,
     lockstep,
     nelder_mead,
@@ -212,6 +214,13 @@ class TestCost:
         assert ctx("ouou", ouou, feller=True) != FELLER_PENALTY
         res = calibrate_full("ouou", heston_surface, ouou, feller=True, max_iter=2)
         assert res.feller_satisfied is True
+
+    def test_refuses_a_set_of_another_kind(self, heston_surface, heston_median_params):
+        ctx = SurfaceCost(heston_surface)
+        with pytest.raises(InvariantViolation, match="expected sz params, got heston"):
+            ctx("sz", heston_median_params)
+        with pytest.raises(InvariantViolation, match="expected heston params, got sz"):
+            ctx("heston", SchobelZhuParams(0.09, 0.11, 1.4, 0.15, -0.38))
 
     def test_implied_vol_target(self, heston_surface, heston_median_params):
         spec = CostSpec(kind="mse", target="implied_vol")
@@ -660,18 +669,51 @@ class TestTwoStage:
     def test_stage_caps(self, lane_surfaces):
         """By default stage 1 (5 tied coordinates) runs at most 1600
         iterations and stage 2 (10 coordinates) 800, the full fits' caps;
-        a max_iter given caps both stages, and stop_any sets both stop rules."""
+        a max_iter given caps both stages.  stop_any sets stage 1's stop rule,
+        and stage 2 (10 coordinates, whose initial simplex already meets the
+        volume test) refuses it."""
         for max_iter, stop_any, caps in [(None, False, (1600, 800)),
-                                         (20, False, (20, 20)), (20, True, (20, 20))]:
+                                         (20, False, (20, 20)), (20, True, (20, None))]:
             job = two_stage_job("bates2f", lane_surfaces[0],
                                 (0.0041, 0.00715, 2.07, 0.30, -0.38), max_iter=max_iter,
                                 stop_any=stop_any)
             stage1 = next(job)
-            fit = job.send(calibrate_mod.NMResult(x=stage1.layout.x0, fx=0.0, iterations=0,
-                                                  converged=True))
-            assert (stage1.config.max_iter, fit.config.max_iter) == caps
-            assert (len(stage1.layout.x0), len(fit.layout.x0)) == (5, 10)
-            assert stage1.config.stop_any is fit.config.stop_any is stop_any
+            assert (len(stage1.layout.x0), stage1.config.max_iter) == (5, caps[0])
+            assert stage1.config.stop_any is stop_any
+            stage1_result = calibrate_mod.NMResult(x=stage1.layout.x0, fx=0.0, iterations=0,
+                                                   converged=True)
+            if stop_any:
+                with pytest.raises(InvariantViolation, match="10-coordinate"):
+                    job.send(stage1_result)
+                continue
+            fit = job.send(stage1_result)
+            assert (len(fit.layout.x0), fit.config.max_iter) == (10, caps[1])
+            assert fit.config.stop_any is False
+
+    def test_feller_truncation_leaves_ou_volatilities(self):
+        """feller_truncated cuts each CIR-variance factor's omega to the
+        bound and returns an OU-volatility set as it is."""
+        tight = Factor(0.06, 0.02, 0.8, 0.3, -0.5)  # omega above sqrt(1.99 theta kappa)
+        other = Factor(0.07, 0.05, 1.2, 0.2, -0.3)
+        ouou = TwoFactorParams("ouou", tight, other)
+        assert feller_truncated(ouou) is ouou
+        sz = SchobelZhuParams(**asdict(tight))
+        assert feller_truncated(sz) is sz
+        cut = feller_truncated(TwoFactorParams("bates2f", tight, other))
+        bound = math.sqrt(1.99 * 0.02 * 0.8)
+        assert cut == TwoFactorParams("bates2f", replace(tight, omega=bound), other)
+        assert cut.feller_satisfied()
+
+    @pytest.mark.parametrize("pinned_rho", [None, (0.5, -0.5)], ids=["full", "pinned-rho"])
+    def test_stop_any_refused_on_two_factor_fits(self, bates2f_params, lane_surfaces,
+                                                 pinned_rho):
+        """A two-factor fit's initial simplex (8 or 10 coordinates) already
+        meets the OR rule's volume test, so stop_any is an error there."""
+        job = full_job("bates2f", lane_surfaces[0], bates2f_params, pinned_rho=pinned_rho,
+                       stop_any=True, max_iter=5)
+        n = 8 if pinned_rho else 10
+        with pytest.raises(InvariantViolation, match=f"{n}-coordinate fit"):
+            next(job)
 
     def test_feller_truncation_formula(self):
         assert feller_truncate_omega(0.5, 0.0143, 2.07) == pytest.approx(

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import types
 import warnings
@@ -6,6 +7,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fxsvol import charfn
 from fxsvol.calibrate import LANE_ROWS
@@ -300,6 +302,122 @@ class TestValidation:
         tight = Factor(0.06, 0.02, 0.8, 0.3, -0.5)  # 2*0.8*0.02 = 0.032 < 0.09
         assert TwoFactorParams("ouou", tight, OP.f2).feller_satisfied()
         assert not TwoFactorParams("bates2f", tight, BP.f2).feller_satisfied()
+
+    @pytest.mark.parametrize("kind,params", [(k, p) for k, _, p in ALL_MODELS],
+                             ids=[k for k, _, _ in ALL_MODELS])
+    @pytest.mark.parametrize("other", ["heston", "sz", "bates2f", "ouou"])
+    def test_cf_factory_refuses_every_other_kind(self, kind, params, other):
+        """A set, one-factor sets included, or its lanes, builds only its own
+        kind's CF."""
+        if other == kind:
+            cf_factory(other, params)
+            return
+        with pytest.raises(InvariantViolation, match=f"expected {other} params, got {kind}"):
+            cf_factory(other, params)
+        with pytest.raises(InvariantViolation):
+            cf_factory(other, ParamLanes(kind, params.factors))
+
+    @pytest.mark.parametrize("kind,sets", [("heston", [HP, SP]), ("sz", [SP, HP, SP]),
+                                           ("bates2f", [BP, OP]), ("ouou", [OP, BP]),
+                                           ("heston", [SP])],
+                             ids=["heston-sz", "sz-heston", "bates2f-ouou", "ouou-bates2f",
+                                  "one-set"])
+    def test_stack_refuses_other_kinds(self, kind, sets):
+        with pytest.raises(InvariantViolation, match=f"expected {kind} params"):
+            ParamLanes.stack(kind, sets)
+
+    def test_kind_is_not_a_field(self):
+        """A one-factor set's kind is its class's: its fields, repr, equality
+        and hash are its five numbers'."""
+        assert (HP.kind, SP.kind, BP.kind, OP.kind) == ("heston", "sz", "bates2f", "ouou")
+        assert [f.name for f in dataclasses.fields(HP)] == list(charfn._FACTOR_FIELDS)
+        assert repr(HP) == ("HestonParams(nu0=0.0082, theta=0.0143, kappa=2.07, "
+                            "omega=0.3, rho=-0.38)")
+        assert dataclasses.asdict(SP) == dict(nu0=0.09, theta=0.11, kappa=1.4, omega=0.15,
+                                              rho=-0.38)
+        assert hash(HP) == hash((0.0082, 0.0143, 2.07, 0.30, -0.38))
+        same = (0.09, 0.11, 1.4, 0.15, -0.38)
+        assert SchobelZhuParams(*same) == SP != HestonParams(*same)
+        assert dataclasses.replace(HP, nu0=0.01).kind == "heston"
+        with pytest.raises(InvariantViolation, match="TwoFactorParams has no kind 'heston'"):
+            TwoFactorParams("heston", BP.f1, BP.f2)
+
+
+_BASE = (0.04, 0.05, 2.0, 0.3, -0.5)  # 2 kappa theta = 0.2 > omega^2 = 0.09
+_JUST_ABOVE = math.nextafter(0.25, 1.0)
+
+# factor fields -> the parent's per-class outcome for (heston, sz, bates2f,
+# ouou): None where the set is rejected, else its feller_satisfied()
+_RULE_TABLE = [
+    ("base", _BASE, (True, True, True, True)),
+    ("theta=0", (0.04, 0.0, 2.0, 0.3, -0.5), (None, True, None, True)),
+    ("theta=-0", (0.04, -0.0, 2.0, 0.3, -0.5), (None, True, None, True)),
+    ("theta<0", (0.04, -1e-12, 2.0, 0.3, -0.5), (None, None, None, None)),
+    ("nu0=0", (0.0, 0.05, 2.0, 0.3, -0.5), (None, None, None, None)),
+    ("kappa=0", (0.04, 0.05, 0.0, 0.3, -0.5), (None, None, None, None)),
+    ("omega=0", (0.04, 0.05, 2.0, 0.0, -0.5), (None, None, None, None)),
+    ("omega<0", (0.04, 0.05, 2.0, -0.3, -0.5), (None, None, None, None)),
+    ("rho=1", (0.04, 0.05, 2.0, 0.3, 1.0), (None, None, None, None)),
+    ("rho=-1", (0.04, 0.05, 2.0, 0.3, -1.0), (None, None, None, None)),
+    ("rho<1", (0.04, 0.05, 2.0, 0.3, math.nextafter(1.0, 0.0)), (True, True, True, True)),
+    ("feller-equal", (0.04, 0.25, 2.0, 1.0, -0.5), (False, True, False, True)),
+    ("feller-above", (0.04, _JUST_ABOVE, 2.0, 1.0, -0.5), (True, True, True, True)),
+    ("feller-below", (0.04, 0.05, 2.0, 0.5, -0.5), (False, True, False, True)),
+]
+_KINDS = ("heston", "sz", "bates2f", "ouou")
+
+
+def _outcome(kind, factors):
+    try:
+        return charfn.model_params(kind, factors).feller_satisfied()
+    except InvariantViolation:
+        return None
+
+
+def _factor_sets(kind, fields):
+    """The sets of model kind that hold fields in one factor: the set itself
+    for a one-factor model, else fields in either factor beside _BASE."""
+    if kind in ("heston", "sz"):
+        return [[fields]]
+    return [[fields, _BASE], [_BASE, fields]]
+
+
+def _parent_rule(kind, nu0, theta, kappa, omega, rho):
+    """The outcome of one factor under the per-class rules the one rule
+    replaced, written out: None if rejected, else its Feller flag."""
+    if kind == "heston":
+        if min(nu0, theta, kappa, omega) <= 0.0 or abs(rho) >= 1.0:
+            return None
+        return 2.0 * kappa * theta - omega ** 2 > 0.0
+    if kind == "sz":
+        if min(nu0, kappa, omega) <= 0.0 or theta < 0.0 or abs(rho) >= 1.0:
+            return None
+        return True
+    if (min(nu0, kappa, omega) <= 0.0 or theta < 0.0
+            or (kind == "bates2f" and theta <= 0.0) or abs(rho) >= 1.0):
+        return None
+    return kind == "ouou" or 2.0 * kappa * theta - omega ** 2 > 0.0
+
+
+class TestOneRule:
+    """One validation rule and one Feller rule for all four models, against
+    the per-class rules they replaced."""
+
+    @pytest.mark.parametrize("name,fields,want", _RULE_TABLE,
+                             ids=[name for name, _, _ in _RULE_TABLE])
+    @pytest.mark.parametrize("k", range(4), ids=_KINDS)
+    def test_table(self, k, name, fields, want):
+        kind = _KINDS[k]
+        for factors in _factor_sets(kind, fields):
+            assert _outcome(kind, factors) is want[k]
+        assert _parent_rule(kind, *fields) is want[k]
+
+    @given(kind=st.sampled_from(_KINDS),
+           fields=st.tuples(*[st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25]),
+                                        st.floats(-1.5, 1.5))] * 5))
+    def test_random_fields(self, kind, fields):
+        for factors in _factor_sets(kind, fields):
+            assert _outcome(kind, factors) is _parent_rule(kind, *fields)
 
 
 def _old_bates2f_cf(u, x0, tau, r_d, r_f, p):

@@ -578,19 +578,37 @@ class TestRunnableStarts:
         assert message in capsys.readouterr().err
 
     def test_stop_any_runs_with_a_full_fit(self, tmp_path):
-        """--stop-any still passes the parse with a full-fit start: on a
+        """--stop-any passes the parse with a one-factor model: on a
         header-only file nothing else can fail."""
         path = write_quote_csv(tmp_path / "empty.csv", [], vols_decimal=False)
         out = tmp_path / "o"
-        assert main(["calibrate", "--model", "bates2f", "--start", "evp", "--stop-any",
+        assert main(["calibrate", "--model", "heston", "--start", "icm", "--stop-any",
                      "--input", str(path), "--output-dir", str(out)]) == 0
         with open(out / "manifest.json") as fh:
             assert json.load(fh)["stop_any"] is True
 
-    @pytest.mark.parametrize("model", ["bates2f", "ouou"])
-    def test_stop_any_runs_with_twostage(self, tmp_path, monkeypatch, model):
-        """--stop-any --start twostage runs, is recorded, and both stages
-        stop by the OR rule under the one --max-iter cap."""
+    @pytest.mark.parametrize("model,start", [("bates2f", "twostage"), ("ouou", "twostage"),
+                                             ("bates2f", "evp"), ("bates2f", "mevp"),
+                                             ("bates2f-feller", "icm"), ("ouou", "mevp")])
+    def test_stop_any_rejected_with_two_factor_models(self, quotes_csv, tmp_path, capsys,
+                                                      model, start):
+        """--stop-any with a two-factor model is a usage error: a two-factor
+        fit's initial simplex (8 or 10 coordinates) already meets the OR
+        rule's volume test, so the fit would be its start."""
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["calibrate", "--model", model, "--start", start, "--stop-any",
+                  "--max-iter", "20", "--input", str(quotes_csv), "--output-dir", str(out)])
+        assert exc.value.code == EXIT_INVALID
+        assert not out.exists()
+        assert (f"argument --stop-any: does not run with --model {model} "
+                "(choose a one-factor model, 'heston' or 'sz')") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["heston", "sz"])
+    def test_stop_any_runs_one_factor_fits_by_the_or_rule(self, tmp_path, monkeypatch,
+                                                          model):
+        """With a one-factor model --stop-any is recorded and its one surface
+        fit (5 coordinates) stops by the OR rule."""
         configs = []
         steps = calibrate.nelder_mead_steps
 
@@ -603,15 +621,12 @@ class TestRunnableStarts:
                              date="2014-06-02")
         path = write_quote_csv(tmp_path / "one.csv", [surf], vols_decimal=False)
         out = tmp_path / "o"
-        assert main(["calibrate", "--model", model, "--start", "twostage", "--stop-any",
+        assert main(["calibrate", "--model", model, "--start", "icm", "--stop-any",
                      "--max-iter", "20", "--input", str(path),
                      "--output-dir", str(out)]) == 0
         with open(out / "manifest.json") as fh:
             assert json.load(fh)["stop_any"] is True
-        with open(out / f"calibration_2014-06-02_{model}_twostage_mse.json") as fh:
-            assert "two_stage" in json.load(fh)["flags"]
-        stages = [(n, c.max_iter, c.stop_any) for n, c in configs if n >= 5]
-        assert stages == [(5, 20, True), (10, 20, True)]
+        assert [(n, c.max_iter, c.stop_any) for n, c in configs if n >= 5] == [(5, 20, True)]
 
 
 def _fresh_python(code):
