@@ -720,25 +720,23 @@ def feller_truncated(params):
 
 
 def two_stage_job(kind, surface, symmetric_start, cost_spec=CostSpec(), feller=False,
-                  max_iter=None, grid=DEFAULT_GRID, stop_any=False):
+                  max_iter=None, grid=DEFAULT_GRID):
     """Symmetric 5-parameter stage then unconstrained 10-parameter stage.
 
     symmetric_start is (nu0, theta, kappa, omega, rho) for one factor of the
     tied model (both factors equal).  For the Feller-constrained variance
     model the stage-1 factor omegas are truncated to sqrt(1.99 theta kappa)
-    before stage 2.  max_iter and stop_any set the stop rule of both stages
-    (_fit_config): by default stage 1 stops at FULL_MAX_ITER_1F and stage 2
-    at FULL_MAX_ITER_2F, and stage 2 refuses stop_any.  Returns (result,
-    stage-1 NMResult).
+    before stage 2.  Both stages stop by the AND rule, at max_iter or by
+    default at FULL_MAX_ITER_1F and FULL_MAX_ITER_2F (_fit_config).
+    Returns (result, stage-1 NMResult).
     """
     ctx = SurfaceCost(surface, cost_spec, grid)
     tied = Layout(kind, [Factor(*symmetric_start)] * 2, tied=True)
-    stage1 = yield Fit(ctx, tied, feller, _fit_config(tied, max_iter, stop_any))
+    stage1 = yield Fit(ctx, tied, feller, _fit_config(tied, max_iter, False))
     stage1_params = tied.params(stage1.x)
     if feller:
         stage1_params = feller_truncated(stage1_params)
-    result = yield from _full_fit(ctx, kind, stage1_params, feller, max_iter, None,
-                                  stop_any)
+    result = yield from _full_fit(ctx, kind, stage1_params, feller, max_iter, None, False)
     return replace(result, flags=result.flags + ("two_stage",)), stage1
 
 

@@ -13,8 +13,8 @@ all maturities.  Schobel-Zhu and OUOU factors are OU volatilities: sz_terms
 gives their A, B, C, and the exponent is quadratic in nu0.
 
 model_params(kind, factors) builds a model's parameter set from its factors'
-fields, its class taken from the one table _PARAMS.  Every set is checked,
-and its Feller condition read, by one rule for all four models, keyed on
+fields; its class, and factor_count(kind), come from the one table _PARAMS.
+Every set is checked, and its Feller condition read, by one rule keyed on
 variance_factors(kind): a CIR variance needs theta > 0 and may break
 Feller, an OU volatility allows theta = 0 and has no Feller bound.
 
@@ -309,12 +309,16 @@ def model_params(kind, factors):
     """Model kind's parameter set from its factors, each a sequence
     (nu0, theta, kappa, omega, rho): one factor for heston and sz, two for
     bates2f and ouou."""
-    cls = _PARAMS.get(kind)
-    if cls is TwoFactorParams and len(factors) == 2:
-        return cls(kind, Factor(*factors[0]), Factor(*factors[1]))
-    if cls in (HestonParams, SchobelZhuParams) and len(factors) == 1:
-        return cls(*factors[0])
-    raise InvariantViolation(f"no {kind!r} parameter set has {len(factors)} factor(s)")
+    if kind not in _PARAMS or len(factors) != factor_count(kind):
+        raise InvariantViolation(f"no {kind!r} parameter set has {len(factors)} factor(s)")
+    if _PARAMS[kind] is TwoFactorParams:
+        return TwoFactorParams(kind, Factor(*factors[0]), Factor(*factors[1]))
+    return _PARAMS[kind](*factors[0])
+
+
+def factor_count(kind):
+    """How many factors model kind's parameter sets hold."""
+    return 2 if _PARAMS[kind] is TwoFactorParams else 1
 
 
 def variance_factors(kind):

@@ -32,7 +32,7 @@ from .calibrate import (
     run_lanes,
     two_stage_job,
 )
-from .charfn import model_params
+from .charfn import factor_count, model_params, variance_factors
 from .errors import FxsvolError, InvariantViolation, ParseError
 from .market_data import build_surface, group_rows_by_date, ingest_csv
 from .pricer import DEFAULT_GRID, IntegrationGrid
@@ -238,12 +238,11 @@ def pipeline_job(manifest, surface, hist):
     kind = "bates2f" if model == "bates2f-feller" else model
     feller = manifest.feller or model == "bates2f-feller"
     fit = dict(cost_spec=CostSpec(kind=manifest.cost_kind), feller=feller,
-               max_iter=manifest.max_iter or None, grid=manifest.grid(),
-               stop_any=manifest.stop_any)
+               max_iter=manifest.max_iter or None, grid=manifest.grid())
     if manifest.start_method == "twostage":
         # each factor of the tied stage is the equal-variance split of the
         # base model's historical start
-        base, _, _ = build_start("sz" if kind == "ouou" else "heston", "hist",
+        base, _, _ = build_start("heston" if variance_factors(kind) else "sz", "hist",
                                  surface, hist)
         sym = (*estimators.factor_share(kind, base.nu0, base.theta), base.kappa,
                base.omega, base.rho)
@@ -252,7 +251,8 @@ def pipeline_job(manifest, surface, hist):
     else:
         start, pinned, start_flags = build_start(model, manifest.start_method,
                                                  surface, hist)
-        result = yield from full_job(kind, surface, start, pinned_rho=pinned, **fit)
+        result = yield from full_job(kind, surface, start, pinned_rho=pinned,
+                                     stop_any=manifest.stop_any, **fit)
     result = replace(result, flags=result.flags + tuple(start_flags))
     return {
         "date": surface.date,
@@ -565,7 +565,7 @@ def build_parser():
     p.add_argument("--max-iter", type=_int_at_least(0), default=0,
                    help="every surface fit's cap (0: 1600, 800 above 5 coordinates)")
     p.add_argument("--stop-any", action="store_true",
-                   help="stop when either tolerance is met instead of both (heston, sz)")
+                   help="stop when either tolerance is met instead of both (one-factor models)")
 
     p = sub.add_parser("risk")
     _add_common(p, jobs=True)
@@ -629,9 +629,8 @@ def main(argv=None):
         flag = "--start" if manifest.command == "calibrate" else "--method"
         parser.error(f"argument {flag}: {manifest.start_method!r} does not run with --model "
                      f"{manifest.model} (choose from {', '.join(map(repr, starts))})")
-    if manifest.stop_any and manifest.model not in ("heston", "sz"):
-        parser.error(f"argument --stop-any: does not run with --model {manifest.model} "
-                     "(choose a one-factor model, 'heston' or 'sz')")
+    if manifest.stop_any and factor_count(manifest.model.removesuffix("-feller")) > 1:
+        parser.error(f"argument --stop-any: does not run with two-factor --model {manifest.model}")
     handlers = {
         "ingest": cmd_ingest,
         "surface": cmd_surface,

@@ -669,26 +669,20 @@ class TestTwoStage:
     def test_stage_caps(self, lane_surfaces):
         """By default stage 1 (5 tied coordinates) runs at most 1600
         iterations and stage 2 (10 coordinates) 800, the full fits' caps;
-        a max_iter given caps both stages.  stop_any sets stage 1's stop rule,
-        and stage 2 (10 coordinates, whose initial simplex already meets the
-        volume test) refuses it."""
-        for max_iter, stop_any, caps in [(None, False, (1600, 800)),
-                                         (20, False, (20, 20)), (20, True, (20, None))]:
-            job = two_stage_job("bates2f", lane_surfaces[0],
-                                (0.0041, 0.00715, 2.07, 0.30, -0.38), max_iter=max_iter,
-                                stop_any=stop_any)
+        a max_iter given caps both stages.  Both stop by the AND rule: stage 2
+        (10 coordinates, whose initial simplex already meets the volume test)
+        refuses stop_any, so the job takes no stop_any at all."""
+        sym = (0.0041, 0.00715, 2.07, 0.30, -0.38)
+        for max_iter, caps in [(None, (1600, 800)), (20, (20, 20))]:
+            job = two_stage_job("bates2f", lane_surfaces[0], sym, max_iter=max_iter)
             stage1 = next(job)
             assert (len(stage1.layout.x0), stage1.config.max_iter) == (5, caps[0])
-            assert stage1.config.stop_any is stop_any
-            stage1_result = calibrate_mod.NMResult(x=stage1.layout.x0, fx=0.0, iterations=0,
-                                                   converged=True)
-            if stop_any:
-                with pytest.raises(InvariantViolation, match="10-coordinate"):
-                    job.send(stage1_result)
-                continue
-            fit = job.send(stage1_result)
+            fit = job.send(calibrate_mod.NMResult(x=stage1.layout.x0, fx=0.0, iterations=0,
+                                                  converged=True))
             assert (len(fit.layout.x0), fit.config.max_iter) == (10, caps[1])
-            assert fit.config.stop_any is False
+            assert stage1.config.stop_any is fit.config.stop_any is False
+        with pytest.raises(TypeError, match="stop_any"):
+            two_stage_job("bates2f", lane_surfaces[0], sym, max_iter=20, stop_any=True)
 
     def test_feller_truncation_leaves_ou_volatilities(self):
         """feller_truncated cuts each CIR-variance factor's omega to the

@@ -601,8 +601,8 @@ class TestRunnableStarts:
                   "--max-iter", "20", "--input", str(quotes_csv), "--output-dir", str(out)])
         assert exc.value.code == EXIT_INVALID
         assert not out.exists()
-        assert (f"argument --stop-any: does not run with --model {model} "
-                "(choose a one-factor model, 'heston' or 'sz')") in capsys.readouterr().err
+        assert (f"argument --stop-any: does not run with two-factor --model {model}"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("model", ["heston", "sz"])
     def test_stop_any_runs_one_factor_fits_by_the_or_rule(self, tmp_path, monkeypatch,

@@ -29,10 +29,7 @@ def cli_choices(command, dest):
 PAIRS = sorted({(m, s) for c in ("calibrate", "estimate", "risk")
                 for m in cli_choices(c, "model") for s in cli_choices(c, "start_method")
                 if s not in ("twostage", "gs", "gr")})
-# the models whose two-stage start runs: the parser refuses --start twostage
-# with heston and sz, and a one-factor kind has no tied two-factor set
-TWO_STAGE_MODELS = [m for m in cli_choices("calibrate", "model")
-                    if "twostage" in cli.RUNNABLE_STARTS[("calibrate", m)]]
+MODELS = cli_choices("calibrate", "model")
 
 
 @pytest.fixture(scope="module")
@@ -103,9 +100,12 @@ def assert_starts_match(surfaces, monkeypatch):
             assert got == outcome(ref.start_with_icm, model, method, surface, want_hist), \
                 (date, model, method)
             outcomes.append(got)
-        for model in TWO_STAGE_MODELS:
+        for model in MODELS:
             kind = "bates2f" if model == "bates2f-feller" else model
-            want = outcome(ref.two_stage_sym, model, surface, want_hist)
+            # sz's factors are OU volatilities, so its symmetric start is
+            # built as ouou's is: the sz start split at the OU share
+            want = outcome(ref.two_stage_sym, "ouou" if kind == "sz" else model, surface,
+                           want_hist)
             if not isinstance(want[0], type):
                 want = (kind, want)
             assert two_stage_sym(model, surface, hist, monkeypatch) == want, (date, model)
