@@ -457,7 +457,8 @@ def _fit_ts(curve, taus, targets, start):
 # Lockstep runs (run_lanes): at most LANE_ROWS points per kernel call and
 # LANES_PER_BLOCK surfaces per block.  A call's CF temporaries are
 # (rows, T, 56) and its oscillation product (rows, T, P, 56), so 16 rows keep
-# it to a few MB; a lane's own kernel constants take about 33 kB.
+# it to a few MB; a lane's own kernel constants take about 27 kB, nearly all
+# of it the (T, P, 56) complex oscillation tensor (27,216 bytes at 6 x 5 cells).
 LANE_ROWS = 16
 LANES_PER_BLOCK = 64
 

@@ -1,16 +1,16 @@
-"""Closed-form characteristic functions of log-price for four models.
+"""Drift-centred characteristic functions, of log(S_T / F_T), for four models.
 
 Every parameter set carries its model kind (.kind) and a tuple of
 independent factors (.factors: one for heston and sz, two for bates2f and
 ouou), and every model's CF is one exponentially affine body over them,
 
-    phi(u) = exp(i u x0 + sum_k [A_k + B_k nu0_k (+ C_k nu0_k^2)]),
+    phi(u) = exp(sum_k [A_k + B_k nu0_k (+ C_k nu0_k^2)]),
 
-each A_k carrying 1/len(factors) of the drift.  Heston and Bates two-factor
-factors are CIR variances: heston_terms gives their A, B in the G-form of
-Albrecher et al., which keeps the complex log away from its branch cut for
-all maturities.  Schobel-Zhu and OUOU factors are OU volatilities: sz_terms
-gives their A, B, C, and the exponent is quadratic in nu0.
+with phi(0) = phi(-i) = 1: spot and rates never enter it.  Heston and Bates
+two-factor factors are CIR variances: heston_terms gives their A, B in the
+G-form of Albrecher et al., which keeps the complex log away from its branch
+cut for all maturities.  Schobel-Zhu and OUOU factors are OU volatilities:
+sz_terms gives their A, B, C, and the exponent is quadratic in nu0.
 
 model_params(kind, factors) builds a model's parameter set from its factors'
 fields; its class, and factor_count(kind), come from the one table _PARAMS.
@@ -19,17 +19,17 @@ variance_factors(kind): a CIR variance needs theta > 0 and may break
 Feller, an OU volatility allows theta = 0 and has no Feller bound.
 
 cf_factory(kind, params, jump=None) is the one way to build a CF: a closure
-cf(u, x0, tau, r_d, r_f), which the pricers call and nothing else.  u is
-complex (a scalar or a numpy array).  tau, r_d and r_f may be scalars or
-(T, 1) column arrays, one row per maturity; the result then has shape
-(T, len(u)), and each row equals a scalar-tau call bit for bit.
+cf(u, tau), which the pricers call and nothing else.  u is complex (a
+scalar or a numpy array).  tau may be a scalar or a (T, 1) column array,
+one row per maturity; the result then has shape (T, len(u)), and each row
+equals a scalar-tau call bit for bit.
 
 Lanes: ParamLanes.stack(kind, [p_1, ..., p_L]) stacks L parameter sets of
 one model into one Factor per model factor whose fields are (L, 1, 1)
-arrays, and cf_factory accepts it in place of one parameter set.  With x0
-an (L, 1, 1) array and tau, r_d, r_f (L, T, 1) arrays (lane l holding the
-surface p_l is priced on), the CF returns (L, T, len(u)) and lane l equals
-the scalar-parameter call on that surface bit for bit: every lane does the
+arrays, and cf_factory accepts it in place of one parameter set.  With tau
+an (L, T, 1) array (lane l holding the maturities of the surface p_l is
+priced on), the CF returns (L, T, len(u)) and lane l equals the
+scalar-parameter call on those maturities bit for bit: every lane does the
 scalar's IEEE operations in the scalar's order, and squares of parameters
 go through _sq, the C pow that Python's float ** uses.
 
@@ -235,8 +235,9 @@ def _exp_checked(expo):
 # Heston / Bates-factor terms (CIR variance)
 # ---------------------------------------------------------------------------
 
-def heston_terms(u, tau, p, r_d=0.0, r_f=0.0, drift_weight=1.0):
-    """A, B of the CIR-variance exponent, G-form with exp(-d tau)."""
+def heston_terms(u, tau, p):
+    """A, B of the CIR-variance exponent, G-form with exp(-d tau); each
+    factor free of tau is formed before it meets tau, each product once."""
     u = np.asarray(u, dtype=complex)
     iu = 1j * u
     a = -0.5
@@ -247,24 +248,22 @@ def heston_terms(u, tau, p, r_d=0.0, r_f=0.0, drift_weight=1.0):
     bpd = beta + d
     bpd2 = bpd * bpd
     G = om2 * X / bpd2                   # (beta - d) / (beta + d), cancellation-free
+    X_bpd = X / bpd
+    kt = p.kappa * p.theta
     E = np.exp(-d * tau)
     one_m_e = 1.0 - E
-    one_m_g = 1.0 - G
-    denom = 1.0 - G * E
-    B = (X / bpd) * one_m_e / denom
-    w = G * one_m_e / one_m_g
-    # log((1 - G E)/(1 - G)) / omega^2, with G/omega^2 = X/bpd^2 kept exact
-    log_ratio_over_om2 = (X / bpd2) * (one_m_e / one_m_g) * _log1p_over(w)
-    A = (drift_weight * (r_d - r_f) * iu * tau
-         + p.kappa * p.theta * (X * tau / bpd - 2.0 * log_ratio_over_om2))
-    return CFTerms(A=A, B=B)
+    B = X_bpd * one_m_e / (1.0 - G * E)
+    ratio = one_m_e / (1.0 - G)
+    # kappa theta 2 log((1 - G E)/(1 - G)) / omega^2, G/omega^2 = X/bpd^2 kept exact
+    log_term = kt * (2.0 * X / bpd2) * ratio * _log1p_over(G * ratio)
+    return CFTerms(A=kt * X_bpd * tau - log_term, B=B)
 
 
 # ---------------------------------------------------------------------------
 # Schobel-Zhu / OUOU-factor terms (OU volatility)
 # ---------------------------------------------------------------------------
 
-def sz_terms(u, tau, p, r_d=0.0, r_f=0.0, drift_weight=1.0):
+def sz_terms(u, tau, p):
     """A, B, C of the OU-volatility exponent.
 
     The theta-dependent part of A takes the compact closed form, with fewer
@@ -280,23 +279,21 @@ def sz_terms(u, tau, p, r_d=0.0, r_f=0.0, drift_weight=1.0):
     bpd = beta + d
     bmd = 4.0 * om2 * X / bpd            # beta - d, cancellation-free
     G = bmd / bpd
+    X4_bpd = 4.0 * X / bpd
+    kt = p.kappa * p.theta
     E = np.exp(-d * tau)
     Eh = np.exp(-0.5 * d * tau)
     one_m_e = 1.0 - E
     denom = 1.0 - G * E
     d_denom = d * denom
-    X4_bpd = 4.0 * X / bpd
-    two_beta = 2.0 * beta
     C = (X / bpd) * one_m_e / denom
-    B = p.kappa * p.theta * X4_bpd * (1.0 - Eh) ** 2 / d_denom
-    w = G * one_m_e / (1.0 - G)
+    B = kt * X4_bpd * (1.0 - Eh) ** 2 / d_denom
+    w = G * (one_m_e / (1.0 - G))
     log_ratio = w * _log1p_over(w)       # log((1 - G E)/(1 - G))
-    A_tilde = (drift_weight * (r_d - r_f) * iu * tau
-               + 0.25 * bmd * tau - 0.5 * log_ratio)
-    inner = (0.5 * tau * bpd
-             + (4.0 * beta * Eh - (two_beta - d) * E - two_beta - d) / d_denom)
-    A_hat = _sq(p.kappa * p.theta) * X4_bpd / (d * d) * inner
-    return CFTerms(A=A_tilde + A_hat, B=B, C=C)
+    inner = (0.5 * bpd * tau
+             + (4.0 * beta * Eh - (2.0 * beta - d) * E - (2.0 * beta + d)) / d_denom)
+    A = 0.25 * bmd * tau - 0.5 * log_ratio + _sq(kt) * X4_bpd / (d * d) * inner
+    return CFTerms(A=A, B=B, C=C)
 
 
 # each model's factor terms; an OU-volatility factor's exponent is quadratic
@@ -347,28 +344,25 @@ def bates_jump_multiplier(u, tau, jp):
 
 
 def cf_factory(kind, params, jump=None):
-    """Bind a model to a closure cf(u, x0, tau, r_d, r_f).
+    """Bind a model to a closure cf(u, tau): the CF of log(S_T / F_T).
 
-    params is one parameter set of the model, or ParamLanes of it (then x0,
-    tau, r_d and r_f carry the leading lane axis); jump applies to every
-    lane.
+    params is one parameter set of the model, or ParamLanes of it (then tau
+    carries the leading lane axis); jump applies to every lane.
     """
     if params.kind != kind:
         raise InvariantViolation(f"expected {kind} params, got {params.kind}")
     terms = _FACTOR_TERMS[kind]
     quadratic = terms is sz_terms
     factors = params.factors
-    drift_weight = 1.0 / len(factors)
 
-    def cf(u, x0, tau, r_d, r_f):
+    def cf(u, tau):
         u = np.asarray(u, dtype=complex)
-        expo = 1j * u * x0
+        parts = []
         for f in factors:
-            t = terms(u, tau, f, r_d=r_d, r_f=r_f, drift_weight=drift_weight)
-            expo = expo + t.A + t.B * f.nu0
-            if quadratic:
-                expo = expo + t.C * _sq(f.nu0)
-        phi = _exp_checked(expo)
+            t = terms(u, tau, f)
+            e = t.A + t.B * f.nu0
+            parts.append(e + t.C * _sq(f.nu0) if quadratic else e)
+        phi = _exp_checked(sum(parts[1:], parts[0]))
         if jump is not None:
             phi = phi * bates_jump_multiplier(u, tau, jump)
         return phi

@@ -222,13 +222,16 @@ def start_with_icm(model, method, surface, hist):
         raise FxsvolError(f"start method {method!r} not supported for {model}")
     else:
         raise FxsvolError(f"unknown model {model!r}")
-    params, flags = model_params(start.kind, start.factors), start.flags
-    if model == "bates2f-feller":
-        truncated = feller_truncated(params)
-        if truncated != params:
-            flags = ("start omegas truncated to the positivity bound",) + flags
-        params = truncated
-    return params, start.rho if start.pin_rho else None, flags, esth
+    pinned = start.rho if start.pin_rho else None
+    return model_params(start.kind, start.factors), pinned, start.flags, esth
+
+
+def feller_start(params, flags):
+    """A Feller run's start and flags: params through feller_truncated, with
+    the truncation flag first if that moved a CIR-variance factor."""
+    truncated = feller_truncated(params)
+    cut = ("start omegas truncated to the positivity bound",) if truncated != params else ()
+    return truncated, cut + flags
 
 
 def pipeline_job(manifest, surface, hist):
@@ -251,6 +254,8 @@ def pipeline_job(manifest, surface, hist):
     else:
         start, pinned, start_flags = build_start(model, manifest.start_method,
                                                  surface, hist)
+        if feller:
+            start, start_flags = feller_start(start, start_flags)
         result = yield from full_job(kind, surface, start, pinned_rho=pinned,
                                      stop_any=manifest.stop_any, **fit)
     result = replace(result, flags=result.flags + tuple(start_flags))

@@ -4,7 +4,9 @@ characteristic-function integration methods.
 The production route is the single-integral method on a log-transformed
 trapezoid grid (w = ln u on [-17, 5] with 0.4 spacing); the two-integral
 Gil-Pelaez inversion and the damped-call transform exist to cross-validate
-it and run on denser grids of their own.
+it and run on denser grids of their own.  Every method takes the
+drift-centred CF cf(u, tau) of log(S_T / F_T) and applies the log-moneyness
+ln(K/S) - (r_d - r_f) tau and the forward factor itself.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import AlphaInvalid, InvariantViolation, OutOfBounds
+from .errors import AlphaInvalid, InvariantViolation, NumericOverflow, OutOfBounds
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -51,9 +53,10 @@ class IntegrationGrid:
 
     @cached_property
     def attari_factors(self):
-        """(u as complex, 1 - 1j/u, 1 + u*u) of the single-integral kernel."""
-        _, u, _ = self.nodes()
-        arrays = (u.astype(complex), 1.0 - 1j / u, 1.0 + u * u)
+        """(u as complex, g = (1 - 1j/u) / (1 + u*u) * u * weights): the
+        nodes and the one constant of the single-integral kernel."""
+        _, u, weights = self.nodes()
+        arrays = (u.astype(complex), (1.0 - 1j / u) / (1.0 + u * u) * u * weights)
         for a in arrays:
             a.flags.writeable = False
         return arrays
@@ -358,8 +361,8 @@ def attari_price(cf, spec, grid=DEFAULT_GRID):
     put by parity.
 
     C = S e^{-r_f tau} - K e^{-r_d tau} (1/2 + (1/pi) I),
-    I = sum Re[e^{-i u l} phi2(u) (1 - i/u)/(1 + u^2)] u dw,  u = e^w,
-    l = ln(K/S) - (r_d - r_f) tau, phi2 the drift-centered CF.
+    I = sum Re[e^{-i u l} phi(u) (1 - i/u)/(1 + u^2)] u dw,  u = e^w,
+    l = ln(K/S) - (r_d - r_f) tau, phi the drift-centred CF cf(u, tau).
     """
     call = float(attari_strip(cf, spec.S, [spec.K], spec.tau, spec.r_d, spec.r_f, grid)[0])
     return call if spec.side == "call" else _put_from_call(call, spec)
@@ -370,33 +373,29 @@ class AttariLanes:
 
     spots is (L,), strikes (L, T, P) and taus, r_ds, r_fs (L, T): lane l is
     one surface of T maturities and P strikes each.  Everything that does
-    not depend on the model parameters is computed here, once: the log
-    spot, the drift shift exp(-i u (x0 + carry)), the oscillation tensor
-    exp(-i u ell), the grid factors and the math.exp discount factors.
-    calls() then prices every lane with one CF call, each lane bit for bit
-    the one-lane kernel of its surface.  stack() joins the lanes of kernels
-    built apart without computing anything again.
+    not depend on the model parameters is computed here, once: the
+    oscillation tensor exp(-i u ell) of the log-moneyness ell and the
+    math.exp discount factors; the grid's one constant g comes from
+    IntegrationGrid.attari_factors.  calls() then prices every lane with
+    one CF call, each lane bit for bit the one-lane kernel of its surface.
+    stack() joins the lanes of kernels built apart without computing
+    anything again.
     """
 
-    _LANE_FIELDS = ("x0", "tau", "r_d", "r_f", "shift", "osc", "s_df", "k_df")
+    _LANE_FIELDS = ("tau", "osc", "s_df", "k_df")
 
     def __init__(self, spots, strikes, taus, r_ds, r_fs, grid=DEFAULT_GRID):
-        _, u, weights = grid.nodes()
-        self.u, self.weights = u, weights
-        self.uc, self.grid_num, self.grid_den = grid.attari_factors
+        _, u, _ = grid.nodes()
+        self.uc, self.g = grid.attari_factors
         S = np.asarray(spots, dtype=float).reshape(-1, 1, 1)
-        # math.log, not np.log: x0 must be the scalar route's float
-        self.x0 = np.array([math.log(s) for s in S.ravel().tolist()]).reshape(S.shape)
-        self.tau, self.r_d, self.r_f = (np.asarray(v, dtype=float)[:, :, None]
-                                        for v in (taus, r_ds, r_fs))
+        self.tau, r_d, r_f = (np.asarray(v, dtype=float)[:, :, None]
+                              for v in (taus, r_ds, r_fs))
         strikes = np.asarray(strikes, dtype=float)
-        carry = (self.r_d - self.r_f) * self.tau
-        self.shift = np.exp(-1j * u * (self.x0 + carry))
-        ell = np.log(strikes / S) - carry
+        ell = np.log(strikes / S) - (r_d - r_f) * self.tau
         self.osc = np.exp(-1j * (ell[..., None] * u))
         # math.exp, not np.exp: the discount factors must match the scalar route
-        df_f = [math.exp(x) for x in (-self.r_f * self.tau).ravel().tolist()]
-        df_d = [math.exp(x) for x in (-self.r_d * self.tau).ravel().tolist()]
+        df_f = [math.exp(x) for x in (-r_f * self.tau).ravel().tolist()]
+        df_d = [math.exp(x) for x in (-r_d * self.tau).ravel().tolist()]
         self.s_df = S * np.reshape(df_f, self.tau.shape)
         self.k_df = strikes * np.reshape(df_d, self.tau.shape)
 
@@ -411,8 +410,7 @@ class AttariLanes:
             return kernels[0]
         first = kernels[0]
         out = cls.__new__(cls)
-        out.u, out.weights = first.u, first.weights
-        out.uc, out.grid_num, out.grid_den = first.uc, first.grid_num, first.grid_den
+        out.uc, out.g = first.uc, first.g
         for name in cls._LANE_FIELDS:
             setattr(out, name, np.concatenate([getattr(k, name) for k in kernels]))
         return out
@@ -420,11 +418,10 @@ class AttariLanes:
     def calls(self, cf):
         """(L, T, P) call prices of the lanes.
 
-        cf takes the lanes' (L, 1, 1) x0 and (L, T, 1) tau and rates; row l
-        of its parameters must belong to lane l.
+        cf takes the lanes' (L, T, 1) tau; row l of its parameters must
+        belong to lane l.
         """
-        phi = cf(self.uc, self.x0, self.tau, self.r_d, self.r_f) * self.shift
-        kernel = phi * self.grid_num / self.grid_den * self.u * self.weights
+        kernel = cf(self.uc, self.tau) * self.g
         integrals = (self.osc * kernel[:, :, None, :]).real.sum(axis=3)
         return self.s_df - self.k_df * (0.5 + integrals / math.pi)
 
@@ -448,22 +445,21 @@ def attari_strip(cf, S, strikes, tau, r_d, r_f, grid=DEFAULT_GRID):
 def gil_pelaez_probabilities(cf, spec):
     """(P1, P2) of the two-integral method on CROSSCHECK_GRID.
 
-    P2 from phi2 directly; P1 from the single-CF variant
-    phi1(u) = phi2(u - i)/phi2(-i).  Same u = e^w substitution as the
-    production pricer (the 1/u of the kernel cancels the Jacobian).
+    P2 from the drift-centred phi directly; P1 from the single-CF variant
+    phi1(u) = phi(u - i)/phi(-i), both against the log-moneyness ell.  Same
+    u = e^w substitution as the production pricer (the 1/u of the kernel
+    cancels the Jacobian).
     """
     w, u, weights = CROSSCHECK_GRID.nodes()
     uc = u.astype(complex)
-    x0 = math.log(spec.S)
-    k = math.log(spec.K)
 
-    def phi2(uu):
-        return cf(uu, x0, spec.tau, spec.r_d, spec.r_f)
+    def phi(uu):
+        return cf(uu, spec.tau)
 
-    phi1 = phi2(uc - 1j) / phi2(np.asarray(-1j, dtype=complex))
-    osc = np.exp(-1j * u * k)
+    phi1 = phi(uc - 1j) / phi(np.asarray(-1j, dtype=complex))
+    osc = np.exp(-1j * u * (math.log(spec.K / spec.S) - (spec.r_d - spec.r_f) * spec.tau))
     p1 = 0.5 + float(np.dot((osc * phi1 / 1j).real, weights)) / math.pi
-    p2 = 0.5 + float(np.dot((osc * phi2(uc) / 1j).real, weights)) / math.pi
+    p2 = 0.5 + float(np.dot((osc * phi(uc) / 1j).real, weights)) / math.pi
     return p1, p2
 
 
@@ -482,29 +478,32 @@ CARR_MADAN_V_MAX = math.exp(6.5)
 def carr_madan_price(cf, spec, alpha=1.5):
     """Damped-call transform price.
 
-    C = (e^{-alpha k}/pi) int_0^vmax Re[e^{-i v k} psi(v)] dv with
-    psi(v) = e^{-r_d tau} phi(v - (alpha+1)i) / (alpha^2 + alpha - v^2 + i(2 alpha + 1) v),
-    evaluated per strike on a linear trapezoid grid of CARR_MADAN_N nodes
-    up to vmax = CARR_MADAN_V_MAX (no FFT batching).
+    C = S e^{-r_f tau} (e^{-alpha l}/pi) int_0^vmax Re[e^{-i v l} psi(v)] dv,
+    psi(v) = phi(v - (alpha+1)i) / (alpha^2 + alpha - v^2 + i(2 alpha + 1) v),
+    l = ln(K/S) - (r_d - r_f) tau, phi the drift-centred CF, evaluated per
+    strike on a linear trapezoid grid of CARR_MADAN_N nodes up to vmax =
+    CARR_MADAN_V_MAX (no FFT batching).  alpha is refused unless phi(-p i) =
+    E[(S_T/F_T)^p] is a finite positive real at 65 powers p from 1 to alpha +
+    1, an imaginary part within 1e-8 of the real part counting as rounding:
+    past the moment's explosion the CF's formula stays finite but is not.
     """
     if alpha <= 0.0:
         raise AlphaInvalid(f"alpha must be > 0, got {alpha}")
-    x0 = math.log(spec.S)
-    k = math.log(spec.K)
-    probe = np.asarray(-(alpha + 1.0) * 1j, dtype=complex)
-    moment = cf(probe, x0, spec.tau, spec.r_d, spec.r_f)
-    if not np.all(np.isfinite(moment)):
-        raise AlphaInvalid(f"phi(-(alpha+1)i) not finite for alpha={alpha}")
+    ell = math.log(spec.K / spec.S) - (spec.r_d - spec.r_f) * spec.tau
+    try:
+        m = cf(-1j * np.linspace(1.0, alpha + 1.0, 65), spec.tau)
+    except NumericOverflow:
+        m = np.array([np.nan])
+    if not np.all(np.isfinite(m) & (m.real > 0.0) & (np.abs(m.imag) <= 1e-8 * m.real)):
+        raise AlphaInvalid(f"E[(S_T/F_T)^p] is not finite up to p = alpha + 1 = {alpha + 1.0}")
     v = np.linspace(0.0, CARR_MADAN_V_MAX, CARR_MADAN_N)
     weights = np.full(CARR_MADAN_N, v[1] - v[0])
     weights[0] *= 0.5
     weights[-1] *= 0.5
-    uu = v - (alpha + 1.0) * 1j
-    phi = cf(uu, x0, spec.tau, spec.r_d, spec.r_f)
+    phi = cf(v - (alpha + 1.0) * 1j, spec.tau)
     denom = alpha * alpha + alpha - v * v + 1j * (2.0 * alpha + 1.0) * v
-    psi = math.exp(-spec.r_d * spec.tau) * phi / denom
-    integral = float(np.dot((np.exp(-1j * v * k) * psi).real, weights))
-    call = math.exp(-alpha * k) / math.pi * integral
+    integral = float(np.dot((np.exp(-1j * v * ell) * phi / denom).real, weights))
+    call = spec.S * math.exp(-spec.r_f * spec.tau) * math.exp(-alpha * ell) / math.pi * integral
     return call if spec.side == "call" else _put_from_call(call, spec)
 
 

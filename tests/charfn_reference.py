@@ -16,18 +16,27 @@
 - lord_kahl_sz_cf: the Lord-Kahl form of the Schobel-Zhu exponent, which
   sz_terms no longer offers.
 - ode_oracle_terms: the exponent ODEs integrated by fixed-step RK4.
+- reference_attari_calls: the single-integral kernel as it was when every CF
+  was the CF of log S_T, cf(u, x0, tau, r_d, r_f): it cancelled the CF's
+  forward phase with exp(-i u (x0 + carry)) and applied the grid factors
+  one by one.  With reference_cf_factory it is the drift-form pricer that
+  the drift-centred one is held to.
 
-The reference terms call the production _log1p_over, so fxsvol.charfn must
-give the results of the second and third groups bit for bit, signed zeros
-included.  reference_log1p_over agrees with _log1p_over within the error
+The reference terms call the production _log1p_over.  They keep the drift
+term, which the production terms no longer carry: fxsvol.charfn's terms and
+CFs are those of log(S_T / F_T), and give the second and third groups'
+results less their forward phase within the bounds test_charfn states.  reference_log1p_over agrees with _log1p_over within the error
 bounds test_charfn states against a 40-digit oracle, lord_kahl_sz_cf to
 rounding only, and ode_oracle_terms to the RK4 error.
 """
+
+import math
 
 import numpy as np
 
 from fxsvol.charfn import CFTerms, ParamLanes, _exp_checked, _log1p_over, _sq
 from fxsvol.errors import FxsvolError, InvariantViolation
+from fxsvol.pricer import DEFAULT_GRID
 
 
 class StepUnderflow(FxsvolError):
@@ -247,3 +256,25 @@ def ode_oracle_terms(model, u, tau, params, r_d=0.0, r_f=0.0, steps=2000,
         B = B + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
         C = C + (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
     return CFTerms(A=A, B=B, C=C)
+
+
+def reference_attari_calls(cf, spots, strikes, taus, r_ds, r_fs, grid=DEFAULT_GRID):
+    """(L, T, P) call prices of AttariLanes(spots, strikes, taus, r_ds,
+    r_fs, grid).calls as it was, for a drift-form cf(u, x0, tau, r_d, r_f)."""
+    _, u, weights = grid.nodes()
+    uc, grid_num, grid_den = u.astype(complex), 1.0 - 1j / u, 1.0 + u * u
+    S = np.asarray(spots, dtype=float).reshape(-1, 1, 1)
+    x0 = np.array([math.log(s) for s in S.ravel().tolist()]).reshape(S.shape)
+    tau, r_d, r_f = (np.asarray(v, dtype=float)[:, :, None] for v in (taus, r_ds, r_fs))
+    strikes = np.asarray(strikes, dtype=float)
+    carry = (r_d - r_f) * tau
+    shift = np.exp(-1j * u * (x0 + carry))
+    osc = np.exp(-1j * ((np.log(strikes / S) - carry)[..., None] * u))
+    df_f = [math.exp(x) for x in (-r_f * tau).ravel().tolist()]
+    df_d = [math.exp(x) for x in (-r_d * tau).ravel().tolist()]
+    s_df = S * np.reshape(df_f, tau.shape)
+    k_df = strikes * np.reshape(df_d, tau.shape)
+    phi = cf(uc, x0, tau, r_d, r_f) * shift
+    kernel = phi * grid_num / grid_den * u * weights
+    integrals = (osc * kernel[:, :, None, :]).real.sum(axis=3)
+    return s_df - k_df * (0.5 + integrals / math.pi)

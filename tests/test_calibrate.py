@@ -933,6 +933,23 @@ def lane_surfaces():
     return _surfaces()
 
 
+def _overflow_on_surface(surface, monkeypatch, calls):
+    """Make every kernel call that prices surface raise the CF's overflow
+    error; calls gets the row count of every kernel call.  The drift-centred
+    CF does not see the spot, so the lanes are told apart by the kernel's
+    discounted spots."""
+    bad = SurfaceCost(surface).kernel.s_df[0, 0, 0]
+    plain = AttariLanes.calls
+
+    def overflowing_calls(kernel, cf):
+        calls.append(kernel.tau.shape[0])
+        if np.any(kernel.s_df[:, 0, 0] == bad):
+            raise NumericOverflow("characteristic function overflowed; reduce |u|*tau")
+        return plain(kernel, cf)
+
+    monkeypatch.setattr(AttariLanes, "calls", overflowing_calls)
+
+
 def _result_or_error(job):
     """The job's result or error from the scalar reference driver."""
     try:
@@ -1031,21 +1048,8 @@ class TestRunLanes:
         """A CF that overflows on one surface fails that lane only, with the
         error of its one-surface run; the chunks it shared are priced again
         row by row."""
-        bad_x0 = math.log(lane_surfaces[1].spot)
         calls = []
-
-        def overflowing_factory(kind, params, jump=None):
-            cf = cf_factory(kind, params, jump=jump)
-
-            def wrapped(u, x0, tau, r_d, r_f):
-                calls.append(np.size(x0))
-                if np.any(np.asarray(x0) == bad_x0):
-                    raise NumericOverflow("characteristic function overflowed; "
-                                          "reduce |u|*tau")
-                return cf(u, x0, tau, r_d, r_f)
-            return wrapped
-
-        monkeypatch.setattr(calibrate_mod, "cf_factory", overflowing_factory)
+        _overflow_on_surface(lane_surfaces[1], monkeypatch, calls)
         starts = self.heston_starts(lane_surfaces)
 
         def jobs():
@@ -1066,18 +1070,7 @@ class TestRunLanes:
         kernel: run_job, run_lanes (whose four-tenor lane is a one-row chunk
         every round) and an overflowing lane's rows priced again as chunks
         of one never call SurfaceCost.__call__, the oracle's cost."""
-        bad_x0 = math.log(lane_surfaces[1].spot)
-
-        def overflowing_factory(kind, params, jump=None):
-            cf = cf_factory(kind, params, jump=jump)
-
-            def wrapped(u, x0, tau, r_d, r_f):
-                if np.any(np.asarray(x0) == bad_x0):
-                    raise NumericOverflow("characteristic function overflowed")
-                return cf(u, x0, tau, r_d, r_f)
-            return wrapped
-
-        monkeypatch.setattr(calibrate_mod, "cf_factory", overflowing_factory)
+        _overflow_on_surface(lane_surfaces[1], monkeypatch, [])
         starts = self.heston_starts(lane_surfaces)
 
         def jobs():
@@ -1103,12 +1096,12 @@ class TestRunLanes:
             cf = cf_factory(kind, params, jump=jump)
             sets = params.factors[0]
 
-            def wrapped(u, x0, tau, r_d, r_f):
+            def wrapped(u, tau):
                 evaluations.append(np.size(sets.nu0))
                 if np.any(np.asarray(sets.nu0) > 0.0112):
                     raise NumericOverflow(f"characteristic function overflowed at "
                                           f"nu0 {np.max(sets.nu0)!r}")
-                return cf(u, x0, tau, r_d, r_f)
+                return cf(u, tau)
             return wrapped
 
         monkeypatch.setattr(calibrate_mod, "cf_factory", overflowing_factory)

@@ -40,6 +40,7 @@ from charfn_reference import (
     reference_heston_terms,
     reference_jump_multiplier,
     reference_log1p_over,
+    reference_attari_calls,
     reference_principal_sqrt,
     sz_cf,
 )
@@ -48,7 +49,7 @@ from conftest import draw_heston
 X0 = math.log(1.30)
 TAU = 0.75
 RD, RF = 0.012, 0.006
-FORWARD = math.exp(X0 + (RD - RF) * TAU)
+EPS = 2.0 ** -52
 
 HP = HestonParams(nu0=0.0082, theta=0.0143, kappa=2.07, omega=0.30, rho=-0.38)
 SP = SchobelZhuParams(nu0=0.09, theta=0.11, kappa=1.4, omega=0.15, rho=-0.38)
@@ -59,8 +60,9 @@ OP = TwoFactorParams("ouou",
                      Factor(0.06, 0.08, 1.2, 0.11, 0.65),
                      Factor(0.07, 0.05, 0.8, 0.22, -0.85))
 
-# (kind, the model's CF before the one affine body, parameters); the old
-# CF's name is in every test id, and TestOneAffineBody compares against it
+# (kind, the model's drift-form CF before the one affine body, parameters);
+# the old CF's name is in every test id, and TestOneAffineBody compares
+# against it
 ALL_MODELS = [
     ("heston", heston_cf, HP),
     ("sz", sz_cf, SP),
@@ -69,34 +71,52 @@ ALL_MODELS = [
 ]
 
 
+def _centred_taus():
+    """A scalar tau, a (T, 1) column and a (2, T, 1) lane array."""
+    col = np.array(TestTenorColumns.TAUS).reshape(-1, 1)
+    return [TAU, col, np.stack([col, 1.01 * col])]
+
+
+def _two_lanes(kind, params):
+    """params stacked twice as the lanes of one CF call."""
+    return ParamLanes.stack(kind, [params, params])
+
+
 class TestBasicIdentities:
+    """phi(0) = 1 and phi(-i) = E[S_T / F_T] = 1: exactly without jumps, for
+    a scalar tau, a tenor column and lanes."""
+
     @pytest.mark.parametrize("name,old,params", ALL_MODELS)
     def test_phi_at_zero_is_one(self, name, old, params):
-        val = complex(cf_factory(name, params)(np.asarray(0.0j), X0, TAU, RD, RF))
-        assert val == 1.0 + 0.0j
+        for tau in _centred_taus():
+            p = _two_lanes(name, params) if np.ndim(tau) == 3 else params
+            val = cf_factory(name, p)(np.asarray(0.0j), tau)
+            assert np.all(val == 1.0 + 0.0j)
 
     @pytest.mark.parametrize("name,old,params", ALL_MODELS)
     def test_martingale(self, name, old, params):
-        val = complex(cf_factory(name, params)(np.asarray(-1j), X0, TAU, RD, RF))
-        assert abs(val - FORWARD) < 1e-8
+        for tau in _centred_taus():
+            p = _two_lanes(name, params) if np.ndim(tau) == 3 else params
+            val = cf_factory(name, p)(np.asarray(-1j), tau)
+            assert np.all(val == 1.0 + 0.0j)
 
     @pytest.mark.parametrize("name,old,params", ALL_MODELS)
     def test_hermitian_symmetry(self, name, old, params):
         cf = cf_factory(name, params)
         u = np.linspace(0.05, 120.0, 60).astype(complex)
-        left = cf(-u, X0, TAU, RD, RF)
-        right = np.conj(cf(u, X0, TAU, RD, RF))
+        left = cf(-u, TAU)
+        right = np.conj(cf(u, TAU))
         assert np.max(np.abs(left - right)) < 1e-13
 
     @pytest.mark.parametrize("name,old,params", ALL_MODELS)
     def test_modulus_bounded_by_one(self, name, old, params):
         u = np.linspace(0.01, 148.0, 400).astype(complex)
-        assert np.max(np.abs(cf_factory(name, params)(u, X0, TAU, RD, RF))) <= 1.0 + 1e-12
+        assert np.max(np.abs(cf_factory(name, params)(u, TAU))) <= 1.0 + 1e-12
 
     def test_boundary_terms_vanish_at_tau_zero(self):
-        t = heston_terms(np.asarray(1.3 + 0j), 0.0, HP, r_d=RD, r_f=RF)
+        t = heston_terms(np.asarray(1.3 + 0j), 0.0, HP)
         assert complex(t.A) == 0.0 and complex(t.B) == 0.0
-        t = sz_terms(np.asarray(1.3 + 0j), 0.0, SP, r_d=RD, r_f=RF)
+        t = sz_terms(np.asarray(1.3 + 0j), 0.0, SP)
         assert abs(complex(t.A)) < 1e-15
         assert complex(t.B) == 0.0 and complex(t.C) == 0.0
 
@@ -110,8 +130,7 @@ class TestBasicIdentities:
                              omega=rng.uniform(0.1, 0.8),
                              rho=rng.uniform(-0.8, 0.2))
             u = complex(rng.uniform(5.0, 60.0), 0.0)
-            A = heston_terms(np.full_like(taus, u, dtype=complex), taus, p,
-                             r_d=RD, r_f=RF).A
+            A = heston_terms(np.full_like(taus, u, dtype=complex), taus, p).A
             steps = np.abs(np.diff(A))
             assert steps.max() < 0.05  # smooth: no 2*pi-scale log jumps
 
@@ -121,9 +140,8 @@ class TestDegenerateLimits:
         # omega -> 0 with nu0 = theta collapses to a constant-vol lognormal
         p = HestonParams(nu0=0.04, theta=0.04, kappa=2.0, omega=1e-6, rho=0.0)
         u = np.array([0.5, 1.0, 3.0, 10.0, 50.0, 148.0], dtype=complex)
-        bs = np.exp(1j * u * X0 + 1j * u * (RD - RF - 0.02) * TAU
-                    - u * u * 0.04 * TAU / 2.0)
-        val = cf_factory("heston", p)(u, X0, TAU, RD, RF)
+        bs = np.exp(1j * u * -0.02 * TAU - u * u * 0.04 * TAU / 2.0)
+        val = cf_factory("heston", p)(u, TAU)
         assert np.max(np.abs(val - bs) / np.abs(bs)) < 1e-6
 
 
@@ -133,16 +151,16 @@ class TestModelNesting:
         hp = HestonParams(nu0=sp.nu0 ** 2, theta=sp.omega ** 2 / (2 * sp.kappa),
                           kappa=2 * sp.kappa, omega=2 * sp.omega, rho=sp.rho)
         u = np.array([0.3, 1.0, 2.5, 7.0, 20.0, 80.0], dtype=complex)
-        a = cf_factory("sz", sp)(u, X0, TAU, RD, RF)
-        b = cf_factory("heston", hp)(u, X0, TAU, RD, RF)
+        a = cf_factory("sz", sp)(u, TAU)
+        b = cf_factory("heston", hp)(u, TAU)
         assert np.max(np.abs(a - b)) < 1e-10
 
     def test_symmetric_bates2f_equals_heston(self):
         f = Factor(HP.nu0 / 2, HP.theta / 2, HP.kappa, HP.omega, HP.rho)
         bp = TwoFactorParams("bates2f", f, f)
         u = np.array([0.3, 1.0, 2.5, 7.0, 20.0, 80.0], dtype=complex)
-        a = cf_factory("bates2f", bp)(u, X0, TAU, RD, RF)
-        b = cf_factory("heston", HP)(u, X0, TAU, RD, RF)
+        a = cf_factory("bates2f", bp)(u, TAU)
+        b = cf_factory("heston", HP)(u, TAU)
         assert np.max(np.abs(a - b)) < 1e-10
 
     def test_bates2f_degenerate_second_factor_approaches_heston(self):
@@ -150,8 +168,8 @@ class TestModelNesting:
         bp = TwoFactorParams("bates2f", Factor(HP.nu0, HP.theta, HP.kappa,
                                                HP.omega, HP.rho), f2)
         u = np.array([0.5, 2.0, 10.0], dtype=complex)
-        a = cf_factory("bates2f", bp)(u, X0, TAU, RD, RF)
-        b = cf_factory("heston", HP)(u, X0, TAU, RD, RF)
+        a = cf_factory("bates2f", bp)(u, TAU)
+        b = cf_factory("heston", HP)(u, TAU)
         # residual is O(nu0_2 u^2) from the vanishing factor's B term
         assert np.max(np.abs(a - b)) < 1e-6
 
@@ -166,15 +184,16 @@ class TestModelNesting:
 
         bp = TwoFactorParams("bates2f", mapped(f1), mapped(f2))
         u = np.array([0.3, 1.0, 2.5, 7.0, 20.0], dtype=complex)
-        a = cf_factory("ouou", op)(u, X0, TAU, RD, RF)
-        b = cf_factory("bates2f", bp)(u, X0, TAU, RD, RF)
+        a = cf_factory("ouou", op)(u, TAU)
+        b = cf_factory("bates2f", bp)(u, TAU)
         assert np.max(np.abs(a - b)) < 1e-10
 
     def test_sz_ahat_variants_agree(self):
-        # sz_terms' compact A-hat against the Lord-Kahl form (charfn_reference)
+        # sz_terms' compact A-hat against the Lord-Kahl form (charfn_reference),
+        # which is drift-form: at x0 = 0 and zero rates it is centred
         u = np.array([0.3, 1.0, 2.5, 7.0, 20.0, 60.0], dtype=complex)
-        a = cf_factory("sz", SP)(u, X0, TAU, RD, RF)
-        b = lord_kahl_sz_cf(u, X0, TAU, RD, RF, SP)
+        a = cf_factory("sz", SP)(u, TAU)
+        b = lord_kahl_sz_cf(u, 0.0, TAU, 0.0, 0.0, SP)
         assert np.max(np.abs(a - b)) < 1e-12
 
 
@@ -203,10 +222,15 @@ class TestJumpMultiplier:
         assert abs(got - expected) < 1e-15
 
     def test_martingale_preserved(self):
-        jp = JumpParams(lam=0.8, khat=-0.05, delta=0.15)
-        cf = cf_factory("heston", HP, jump=jp)
-        val = complex(cf(np.asarray(-1j), X0, TAU, RD, RF))
-        assert abs(val - FORWARD) < 1e-8
+        # the compensated jump exponent at u = -i is lam tau (e^log1p(khat) - 1
+        # - khat): zero but for rounding, within 4 lam tau ulp, and the CF is
+        # within one more ulp of 1
+        for lam, khat, delta in [(0.8, -0.05, 0.15), (3.0, 0.3, 0.5), (0.1, -0.3, 0.01)]:
+            jp = JumpParams(lam=lam, khat=khat, delta=delta)
+            for kind, _, params in ALL_MODELS:
+                for tau in (1 / 52, TAU, 5.0, np.array(TestTenorColumns.TAUS)[:, None]):
+                    val = cf_factory(kind, params, jump=jp)(np.asarray(-1j), tau)
+                    assert np.all(np.abs(val - 1.0) <= EPS * (1.0 + 4.0 * lam * np.asarray(tau)))
 
 
 class TestOdeOracle:
@@ -220,28 +244,29 @@ class TestOdeOracle:
 
     def test_heston_terms_match(self):
         u, tau = 1.0 + 0.0j, 1.0
-        ct = heston_terms(np.asarray(u), tau, HP, r_d=RD, r_f=RF)
-        ot = ode_oracle_terms("heston", np.asarray(u), tau, HP, r_d=RD,
-                              r_f=RF, steps=2000)
+        ct = heston_terms(np.asarray(u), tau, HP)
+        ot = ode_oracle_terms("heston", np.asarray(u), tau, HP, steps=2000)
         assert abs(complex(ct.A) - complex(ot.A)) < 1e-8
         assert abs(complex(ct.B) - complex(ot.B)) < 1e-8
 
     def test_sz_terms_match(self):
         u, tau = 2.0 + 0.0j, 0.5
-        ct = sz_terms(np.asarray(u), tau, SP, r_d=RD, r_f=RF)
-        ot = ode_oracle_terms("sz", np.asarray(u), tau, SP, r_d=RD, r_f=RF,
-                              steps=2000)
+        ct = sz_terms(np.asarray(u), tau, SP)
+        ot = ode_oracle_terms("sz", np.asarray(u), tau, SP, steps=2000)
         for name in ("A", "B", "C"):
             assert abs(complex(getattr(ct, name)) - complex(getattr(ot, name))) < 1e-8
 
     def test_two_factor_oracle_drift_weight(self):
+        # a two-factor model's factor terms are the drift-form factor's less
+        # its half share of the drift
         f = BP.f1
         hp = HestonParams(f.nu0, f.theta, f.kappa, f.omega, f.rho)
-        ct = heston_terms(np.asarray(1.5 + 0j), 0.8, hp, r_d=RD, r_f=RF,
-                          drift_weight=0.5)
-        ot = ode_oracle_terms("heston", np.asarray(1.5 + 0j), 0.8, hp,
+        u, tau = 1.5 + 0j, 0.8
+        ct = heston_terms(np.asarray(u), tau, hp)
+        ot = ode_oracle_terms("heston", np.asarray(u), tau, hp,
                               r_d=RD, r_f=RF, steps=2000, drift_weight=0.5)
-        assert abs(complex(ct.A) - complex(ot.A)) < 1e-8
+        drift = 0.5 * (RD - RF) * 1j * u * tau
+        assert abs(complex(ct.A) + drift - complex(ot.A)) < 1e-8
 
 
 class TestTenorColumns:
@@ -258,10 +283,8 @@ class TestTenorColumns:
         from fxsvol.pricer import DEFAULT_GRID
         cf = cf_factory(kind, params, jump=jump)
         u = DEFAULT_GRID.nodes()[1].astype(complex)
-        tau, r_d, r_f = (np.asarray(v).reshape(-1, 1)
-                         for v in (self.TAUS, self.R_DS, self.R_FS))
-        column = cf(u, X0, tau, r_d, r_f)
-        rows = [cf(u, X0, t, rd, rf) for t, rd, rf in zip(self.TAUS, self.R_DS, self.R_FS)]
+        column = cf(u, np.asarray(self.TAUS).reshape(-1, 1))
+        rows = [cf(u, t) for t in self.TAUS]
         assert column.shape == (len(self.TAUS), u.size)
         assert np.array_equal(column, np.array(rows))
 
@@ -420,24 +443,26 @@ class TestOneRule:
             assert _outcome(kind, factors) is _parent_rule(kind, *fields)
 
 
-def _old_bates2f_cf(u, x0, tau, r_d, r_f, p):
-    """bates2f_cf as it was: a validated HestonParams per factor and call."""
-    expo = 1j * np.asarray(u, dtype=complex) * x0
+def _old_bates2f_cf(u, tau, p):
+    """bates2f_cf as it was, drift-centred: a validated HestonParams per
+    factor and call."""
+    expo = []
     for f in p.factors:
         hp = HestonParams(f.nu0, f.theta, f.kappa, f.omega, f.rho)
-        t = heston_terms(u, tau, hp, r_d=r_d, r_f=r_f, drift_weight=0.5)
-        expo = expo + t.A + t.B * f.nu0
-    return _exp_checked(expo)
+        t = heston_terms(u, tau, hp)
+        expo.append(t.A + t.B * f.nu0)
+    return _exp_checked(expo[0] + expo[1])
 
 
-def _old_ouou_cf(u, x0, tau, r_d, r_f, p):
-    """ouou_cf as it was: a validated SchobelZhuParams per factor and call."""
-    expo = 1j * np.asarray(u, dtype=complex) * x0
+def _old_ouou_cf(u, tau, p):
+    """ouou_cf as it was, drift-centred: a validated SchobelZhuParams per
+    factor and call."""
+    expo = []
     for f in p.factors:
         sp = SchobelZhuParams(f.nu0, f.theta, f.kappa, f.omega, f.rho)
-        t = sz_terms(u, tau, sp, r_d=r_d, r_f=r_f, drift_weight=0.5)
-        expo = expo + t.A + t.B * f.nu0 + t.C * f.nu0 ** 2
-    return _exp_checked(expo)
+        t = sz_terms(u, tau, sp)
+        expo.append(t.A + t.B * f.nu0 + t.C * f.nu0 ** 2)
+    return _exp_checked(expo[0] + expo[1])
 
 
 JUMP = JumpParams(lam=0.8, khat=-0.05, delta=0.15)
@@ -454,10 +479,10 @@ class TestTwoFactorFactors:
     def test_same_bits(self, kind, old, params, jump):
         u = np.linspace(-30.0, 30.0, 61) + 0.0j
         tau = np.asarray(TestTenorColumns.TAUS).reshape(-1, 1)
-        want = old(u, X0, tau, RD, RF, params)
+        want = old(u, tau, params)
         if jump is not None:
             want = want * bates_jump_multiplier(u, tau, jump)
-        assert np.array_equal(cf_factory(kind, params, jump=jump)(u, X0, tau, RD, RF), want)
+        assert np.array_equal(cf_factory(kind, params, jump=jump)(u, tau), want)
 
 
 def _draw(kind, rng):
@@ -474,9 +499,16 @@ def _draw(kind, rng):
     return (HestonParams if kind == "heston" else SchobelZhuParams)(*fields())
 
 
+# |drift-centred CF - drift-form CF x exp(-i u (x0 + carry))| on the pricing
+# grid: the old form rounds the phase u (x0 + carry) twice, up to |u| |x0 +
+# carry| 2^-52 ~ 1e-14 with |u| <= e^5 (measured: 5.7e-15); |phi| <= 1
+CENTRED_CF_TOL = 1e-14
+
+
 class TestOneAffineBody:
-    """cf_factory's one loop over a model's factors gives, bit for bit, the
-    model's CF and the jump multiplier as they were (charfn_reference), for
+    """cf_factory's one loop over a model's factors gives the model's CF and
+    the jump multiplier as they were (charfn_reference) times exp(-i u (x0 +
+    carry)), which cancels their forward phase, within CENTRED_CF_TOL, for
     one parameter set and for lanes, on the pricing grid's nodes against
     tenor columns."""
 
@@ -491,17 +523,18 @@ class TestOneAffineBody:
             x0 = X0 + rng.normal(0.0, 0.05, (n, 1, 1))
             tau = taus * rng.uniform(0.98, 1.02, (n, taus.size, 1))
             r_d, r_f = rng.uniform(0.0, 0.03, (2, n, taus.size, 1))
+            shift = np.exp(-1j * u * (x0 + (r_d - r_f) * tau))
             for k, p in enumerate(sets):
-                want = old(u, x0[k, 0, 0], tau[k], r_d[k], r_f[k], p)
+                want = old(u, x0[k, 0, 0], tau[k], r_d[k], r_f[k], p) * shift[k]
                 if jump is not None:
                     want = want * reference_jump_multiplier(u, tau[k], jump)
-                got = cf_factory(kind, p, jump=jump)(u, x0[k, 0, 0], tau[k], r_d[k], r_f[k])
-                assert np.array_equal(_bits(got), _bits(want)), (draw, k)
+                got = cf_factory(kind, p, jump=jump)(u, tau[k])
+                assert np.max(np.abs(got - want)) <= CENTRED_CF_TOL, (draw, k)
             lanes = ParamLanes.stack(kind, sets)
-            want = reference_cf_factory(kind, lanes, jump=jump)(u, x0, tau, r_d, r_f)
-            got = cf_factory(kind, lanes, jump=jump)(u, x0, tau, r_d, r_f)
+            want = reference_cf_factory(kind, lanes, jump=jump)(u, x0, tau, r_d, r_f) * shift
+            got = cf_factory(kind, lanes, jump=jump)(u, tau)
             assert got.shape == (n, taus.size, u.size)
-            assert np.array_equal(_bits(got), _bits(want)), draw
+            assert np.max(np.abs(got - want)) <= CENTRED_CF_TOL, draw
 
 
 def _scaled(kind, params, s):
@@ -525,19 +558,14 @@ class TestParamLanes:
         from fxsvol.pricer import DEFAULT_GRID
         u = DEFAULT_GRID.nodes()[1].astype(complex)
         sets = [_scaled(kind, params, s) for s in (0.8, 1.0, 1.13, 1.27, 0.91)]
-        x0s = [X0 + 0.01 * k for k in range(len(sets))]
         taus = np.array([[t * (1 + 0.01 * k) for t in TestTenorColumns.TAUS]
                          for k in range(len(sets))])
-        r_ds = np.array([TestTenorColumns.R_DS] * len(sets)) + 0.001
-        r_fs = np.array([TestTenorColumns.R_FS] * len(sets))
         cf = cf_factory(kind, ParamLanes.stack(kind, sets), jump=jump)
-        lanes = cf(u, np.array(x0s).reshape(-1, 1, 1), taus[:, :, None],
-                   r_ds[:, :, None], r_fs[:, :, None])
+        lanes = cf(u, taus[:, :, None])
         assert lanes.shape == (len(sets), taus.shape[1], u.size)
         for k, p in enumerate(sets):
-            one = cf_factory(kind, p, jump=jump)(u, x0s[k], taus[k][:, None],
-                                                 r_ds[k][:, None], r_fs[k][:, None])
-            assert np.array_equal(lanes[k], one)
+            one = cf_factory(kind, p, jump=jump)(u, taus[k][:, None])
+            assert np.array_equal(_bits(lanes[k]), _bits(one))
 
     def test_squares_are_pythons_pow(self):
         # numpy's array ** 2 is x * x, which misses C pow's bits now and then
@@ -553,12 +581,18 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=complex).view(np.uint64)
 
 
+def _surface_inputs(surface, lanes):
+    """AttariLanes' (spots, strikes, taus, r_ds, r_fs) of lanes copies of
+    one surface."""
+    sls = surface.slices
+    return ([surface.spot] * lanes, [[sl.strikes for sl in sls]] * lanes,
+            [[sl.tau for sl in sls]] * lanes, [[sl.r_d for sl in sls]] * lanes,
+            [[sl.r_f for sl in sls]] * lanes)
+
+
 def _surface_kernel(surface, lanes):
     """A kernel of lanes copies of one surface."""
-    sls = surface.slices
-    return AttariLanes([surface.spot] * lanes, [[sl.strikes for sl in sls]] * lanes,
-                       [[sl.tau for sl in sls]] * lanes, [[sl.r_d for sl in sls]] * lanes,
-                       [[sl.r_f for sl in sls]] * lanes)
+    return AttariLanes(*_surface_inputs(surface, lanes))
 
 
 # _log1p_over's error bounds against the exact log(1 + w) / w, in ulps of the
@@ -814,9 +848,43 @@ class TestLogTermPriceShift:
         assert worst <= 1e-14
 
 
+class TestDriftCentredPrices:
+    """The drift-centred kernel, cf(u, tau) times the grid constant, against
+    the drift-form kernel it replaced (charfn_reference.reference_attari_calls
+    of reference_cf_factory): every cell's call price within 1e-15 S on the
+    fixture surfaces, all four models, with and without jumps, for the
+    ALL_MODELS set and 200 sets mapped from draw_heston, LANE_ROWS lanes a
+    call.  The shift measured 3.4e-16 S at most, one ulp of the prices."""
+
+    @pytest.mark.parametrize("kind,params", [(n, p) for n, _, p in ALL_MODELS],
+                             ids=[n for n, _, _ in ALL_MODELS])
+    @pytest.mark.parametrize("jump", [None, JUMP], ids=["diffusion", "jumps"])
+    def test_shift_per_cell(self, kind, params, jump, heston_surface, sz_surface):
+        rng = np.random.default_rng(71)
+        sets = [params] + [_from_heston(kind, draw_heston(rng), draw_heston(rng))
+                           for _ in range(200)]
+        for surface in (heston_surface, sz_surface):
+            for k in range(0, len(sets), LANE_ROWS):
+                chunk = sets[k:k + LANE_ROWS]
+                lanes = ParamLanes.stack(kind, chunk)
+                new = _surface_kernel(surface, len(chunk)).calls(
+                    cf_factory(kind, lanes, jump=jump))
+                old = reference_attari_calls(reference_cf_factory(kind, lanes, jump=jump),
+                                             *_surface_inputs(surface, len(chunk)))
+                assert np.all(np.isfinite(new))
+                assert np.max(np.abs(new - old)) <= 1e-15 * surface.spot, k
+
+
+# |A - A_old| of heston_terms against the old body less its drift, in ulps of
+# |kappa theta X tau / (beta + d)| + |the log term|, the two parts of A that
+# partly cancel (measured: 2.0)
+A_TERM_ULPS = 4.0
+
+
 class TestHestonTermsReference:
-    """heston_terms computes each common subexpression once, bit for bit the
-    old body (charfn_reference)."""
+    """heston_terms forms each tau-free factor and each product against tau
+    once: B bit for bit the old body's (charfn_reference), A that body's
+    less its drift within A_TERM_ULPS."""
 
     @pytest.mark.parametrize("lanes", [None, 1, 16])
     @pytest.mark.parametrize("draw", [1, 2])
@@ -833,12 +901,22 @@ class TestHestonTermsReference:
             shape = (lanes, taus.size, 1)
         tau = np.broadcast_to(taus[:, None], shape) * rng.uniform(0.98, 1.02, shape)
         r_d, r_f = rng.uniform(0.0, 0.03, shape), rng.uniform(0.0, 0.03, shape)
-        got = heston_terms(u, tau, p, r_d=r_d, r_f=r_f, drift_weight=drift_weight)
+        got = heston_terms(u, tau, p)
         want = reference_heston_terms(u, tau, p, r_d=r_d, r_f=r_f,
                                       drift_weight=drift_weight)
-        for name in ("A", "B"):
-            assert np.array_equal(_bits(getattr(got, name)), _bits(getattr(want, name))), name
+        assert np.array_equal(_bits(got.B), _bits(want.B))
         assert complex(got.C) == 0.0
+        iu = 1j * u
+        X = -iu - u * u
+        beta = p.kappa - p.rho * p.omega * iu
+        x_tau = p.kappa * p.theta * X / (beta + np.sqrt(beta * beta - _sq(p.omega) * X)) * tau
+        scale = EPS * (np.abs(x_tau) + np.abs(got.A - x_tau))
+        want_a = reference_heston_terms(u, tau, p).A
+        assert np.all(np.abs(got.A - want_a) <= A_TERM_ULPS * scale)
+        # the drift-form A rounds once more, where it adds the drift
+        drift = drift_weight * (r_d - r_f) * iu * tau
+        assert np.all(np.abs(got.A - (want.A - drift))
+                      <= A_TERM_ULPS * scale + 4.0 * EPS * np.abs(want.A))
 
 
 class _OldSqrtNumpy(types.ModuleType):
@@ -872,12 +950,9 @@ class TestPrincipalSqrt:
         u = DEFAULT_GRID.nodes()[1].astype(complex)
         cf = cf_factory(kind, params)
         for surface in (heston_surface, sz_surface):
-            sls = surface.slices
-            cols = [np.array([getattr(sl, f) for sl in sls])[:, None]
-                    for f in ("tau", "r_d", "r_f")]
-            x0 = math.log(surface.spot)
-            got = cf(u, x0, *cols)
+            tau = np.array([sl.tau for sl in surface.slices])[:, None]
+            got = cf(u, tau)
             with monkeypatch.context() as m:
                 m.setattr(charfn, "np", _OldSqrtNumpy("numpy"))
-                want = cf(u, x0, *cols)
+                want = cf(u, tau)
             assert np.array_equal(_bits(got), _bits(want))

@@ -398,6 +398,31 @@ class TestCalibrate:
             cut_on.append(cut)
         assert cut_on == [True, False]
 
+    def test_heston_feller_start_truncated(self, tmp_path):
+        """--feller truncates a one-factor CIR-variance start as it does
+        bates2f-feller's: a start that breaks 2 kappa theta > omega^2 no longer
+        puts every simplex vertex on the flat penalty, and the fit moves."""
+        surfs = [synth_surface("heston", HestonParams(0.0082, 0.0143, 2.07, 0.30, -0.38),
+                               date="2014-06-02")]
+        path = write_quote_csv(tmp_path / "q.csv", surfs, vols_decimal=False)
+        base = ["calibrate", "--input", str(path), "--model", "heston", "--start", "icm",
+                "--max-iter", "40"]
+        payloads = {}
+        for name, extra in (("plain", []), ("feller", ["--feller"])):
+            assert main(base + extra + ["--output-dir", str(tmp_path / name)]) == 0
+            with open(tmp_path / name / "calibration_2014-06-02_heston_icm_mse.json") as fh:
+                payloads[name] = json.load(fh)
+        plain, feller = payloads["plain"]["start"], payloads["feller"]
+        start = feller["start"]
+        assert 2.0 * plain["kappa"] * plain["theta"] < plain["omega"] ** 2
+        assert 2.0 * start["kappa"] * start["theta"] > start["omega"] ** 2
+        assert start["omega"] < plain["omega"]
+        assert {k: v for k, v in start.items() if k != "omega"} == {
+            k: v for k, v in plain.items() if k != "omega"}
+        assert feller["flags"][-1] == "start omegas truncated to the positivity bound"
+        assert feller["cost_value"] < calibrate.FELLER_PENALTY
+        assert feller["feller_satisfied"] and feller["params"] != start
+
     def test_jobs_pool_partial_failure(self, tmp_path):
         path = frown_history(tmp_path)
         base = ["calibrate", "--input", str(path), "--model", "heston",

@@ -365,8 +365,8 @@ class TestSplits:
         start = evp_split(hp.omega, hp.rho, hp.nu0, hp.theta, hp.kappa)
         bp = model_params(start.kind, start.factors)
         u = np.array([0.4, 1.5, 6.0], dtype=complex)
-        a = cf_factory("bates2f", bp)(u, 0.26, 0.75, 0.012, 0.006)
-        b = cf_factory("heston", hp)(u, 0.26, 0.75, 0.012, 0.006)
+        a = cf_factory("bates2f", bp)(u, 0.75)
+        b = cf_factory("heston", hp)(u, 0.75)
         assert np.max(np.abs(a - b)) < 1e-14
 
     def test_mevp_rho_zero(self):

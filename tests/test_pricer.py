@@ -47,11 +47,8 @@ def spec(K, tau=0.5, side="call"):
 def one_tenor_strip(cf, S, strikes, tau, r_d, r_f, grid=DEFAULT_GRID):
     """The one-maturity kernel, operation for operation, as a bit-level oracle."""
     w, u, weights = grid.nodes()
-    x0 = math.log(S)
-    phi = cf(u.astype(complex), x0, tau, r_d, r_f)
-    phi = phi * np.exp(-1j * u * (x0 + (r_d - r_f) * tau))
     ell = np.log(np.asarray(strikes) / S) - (r_d - r_f) * tau
-    kernel = phi * (1.0 - 1j / u) / (1.0 + u * u) * u * weights
+    kernel = cf(u.astype(complex), tau) * ((1.0 - 1j / u) / (1.0 + u * u) * u * weights)
     integrals = (np.exp(-1j * np.outer(ell, u)) * kernel).real.sum(axis=1)
     return (S * math.exp(-r_f * tau)
             - strikes * math.exp(-r_d * tau) * (0.5 + integrals / math.pi))
@@ -85,6 +82,10 @@ class TestGrid:
         weights[0] *= 0.5
         weights[-1] *= 0.5
         for got, want in zip(nodes, (w, np.exp(w), weights)):
+            assert np.array_equal(got, want)
+        u = np.exp(w)
+        for got, want in zip(factors, (u.astype(complex),
+                                       (1.0 - 1j / u) / (1.0 + u * u) * u * weights)):
             assert np.array_equal(got, want)
         assert grid == IntegrationGrid(-10.0, 3.0, 0.25)
 
@@ -433,6 +434,20 @@ class TestCfPricers:
     def test_carr_madan_rejects_bad_alpha(self):
         with pytest.raises(AlphaInvalid):
             carr_madan_price(CF, spec(1.3), alpha=-1.0)
+
+    @pytest.mark.parametrize("alpha", [15.0, 40.0, 400.0])
+    def test_carr_madan_rejects_alpha_past_the_moment_explosion(self, alpha):
+        # E[(S_T/F_T)^(alpha+1)] explodes before tau = 1 from alpha = 10.5 on;
+        # past that the CF's formula stays finite, -1.53 - 1.85i at alpha = 40
+        # and -1.02e7 + 7.41e6i at alpha = 400, where the price read -0.0108
+        # and 50.16
+        cf = cf_factory("heston", HestonParams(0.01, 0.02, 1.5, 0.5, -0.3))
+        sp = OptionSpec(1.3, 1.3, 1.0, 0.01, 0.005)
+        with pytest.raises(AlphaInvalid, match="not finite up to"):
+            carr_madan_price(cf, sp, alpha=alpha)
+        assert 0.0 < carr_madan_price(cf, sp, alpha=10.0) < sp.S
+        assert carr_madan_price(cf, sp, alpha=1.5) == pytest.approx(
+            gil_pelaez_price(cf, sp), abs=1e-6 * sp.S)
 
     def test_cross_method_agreement_median_params(self):
         # production pricer vs the two dense cross-validators on pillar strikes

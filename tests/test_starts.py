@@ -97,6 +97,11 @@ def assert_starts_match(surfaces, monkeypatch):
     for date, surface in sorted(surfaces.items()):
         for model, method in PAIRS:
             got = outcome(cli.start_with_icm, model, method, surface, hist)
+            if model == "bates2f-feller" and not isinstance(got[0], type):
+                # pipeline_job truncates every Feller run's start (cli.feller_start),
+                # where the old start_with_icm truncated this model's
+                params, flags = cli.feller_start(got[0], got[2])
+                got = (params, got[1], flags, got[3])
             assert got == outcome(ref.start_with_icm, model, method, surface, want_hist), \
                 (date, model, method)
             outcomes.append(got)
