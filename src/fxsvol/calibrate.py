@@ -456,9 +456,9 @@ def _fit_ts(curve, taus, targets, start):
 
 # Lockstep runs (run_lanes): at most LANE_ROWS points per kernel call and
 # LANES_PER_BLOCK surfaces per block.  A call's CF temporaries are
-# (rows, T, 56) and its oscillation product (rows, T, P, 56), so 16 rows keep
-# it to a few MB; a lane's own kernel constants take about 27 kB, nearly all
-# of it the (T, P, 56) complex oscillation tensor (27,216 bytes at 6 x 5 cells).
+# (rows, T, 32) and its weight product (rows, T, P, 32), so 16 rows keep it
+# to a few MB; a lane's own kernel constants take about 16 kB, nearly all of
+# it the (T, P, 32) complex weight tensor (15,696 bytes at 6 x 5 cells).
 LANE_ROWS = 16
 LANES_PER_BLOCK = 64
 
@@ -665,7 +665,7 @@ class _SurfacePricer:
                  np.stack([ctx.market_scaled for ctx in ctxs]),
                  np.stack([ctx.market_vols for ctx in ctxs]))
         self.stacks[key] = entry
-        if len(self.stacks) > -(-LANES_PER_BLOCK // LANE_ROWS):  # 4 stacks, about 2 MB
+        if len(self.stacks) > -(-LANES_PER_BLOCK // LANE_ROWS):  # 4 stacks, about 1 MB
             self.stacks.popitem(last=False)
         return entry
 

@@ -281,8 +281,8 @@ def sz_terms(u, tau, p):
     G = bmd / bpd
     X4_bpd = 4.0 * X / bpd
     kt = p.kappa * p.theta
-    E = np.exp(-d * tau)
     Eh = np.exp(-0.5 * d * tau)
+    E = Eh * Eh
     one_m_e = 1.0 - E
     denom = 1.0 - G * E
     d_denom = d * denom

@@ -21,6 +21,10 @@
   forward phase with exp(-i u (x0 + carry)) and applied the grid factors
   one by one.  With reference_cf_factory it is the drift-form pricer that
   the drift-centred one is held to.
+- UnfoldedAttariLanes: AttariLanes as it was before the grid's
+  low-frequency fold, pricing cf(u, tau) * g on every grid node against the
+  oscillation tensor exp(-i u ell).  It is the oracle the folded kernel is
+  held to.
 
 The reference terms call the production _log1p_over.  They keep the drift
 term, which the production terms no longer carry: fxsvol.charfn's terms and
@@ -278,3 +282,27 @@ def reference_attari_calls(cf, spots, strikes, taus, r_ds, r_fs, grid=DEFAULT_GR
     kernel = phi * grid_num / grid_den * u * weights
     integrals = (osc * kernel[:, :, None, :]).real.sum(axis=3)
     return s_df - k_df * (0.5 + integrals / math.pi)
+
+
+class UnfoldedAttariLanes:
+    """AttariLanes(spots, strikes, taus, r_ds, r_fs, grid) as it was before
+    the low-frequency fold: calls prices cf(u, tau) * g on all grid nodes."""
+
+    def __init__(self, spots, strikes, taus, r_ds, r_fs, grid=DEFAULT_GRID):
+        _, u, weights = grid.nodes()
+        self.uc, self.g = u.astype(complex), (1.0 - 1j / u) / (1.0 + u * u) * u * weights
+        S = np.asarray(spots, dtype=float).reshape(-1, 1, 1)
+        self.tau, r_d, r_f = (np.asarray(v, dtype=float)[:, :, None]
+                              for v in (taus, r_ds, r_fs))
+        strikes = np.asarray(strikes, dtype=float)
+        ell = np.log(strikes / S) - (r_d - r_f) * self.tau
+        self.osc = np.exp(-1j * (ell[..., None] * u))
+        df_f = [math.exp(x) for x in (-r_f * self.tau).ravel().tolist()]
+        df_d = [math.exp(x) for x in (-r_d * self.tau).ravel().tolist()]
+        self.s_df = S * np.reshape(df_f, self.tau.shape)
+        self.k_df = strikes * np.reshape(df_d, self.tau.shape)
+
+    def calls(self, cf):
+        kernel = cf(self.uc, self.tau) * self.g
+        integrals = (self.osc * kernel[:, :, None, :]).real.sum(axis=3)
+        return self.s_df - self.k_df * (0.5 + integrals / math.pi)

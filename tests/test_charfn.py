@@ -27,10 +27,12 @@ from fxsvol.charfn import (
     sz_terms,
 )
 from fxsvol.errors import InvariantViolation
-from fxsvol.pricer import DEFAULT_GRID, AttariLanes
+from fxsvol.market_data import PILLAR_DELTAS, strike_from_delta
+from fxsvol.pricer import DEFAULT_GRID, AttariLanes, IntegrationGrid
 
 from charfn_reference import (
     StepUnderflow,
+    UnfoldedAttariLanes,
     bates2f_cf,
     heston_cf,
     lord_kahl_sz_cf,
@@ -44,7 +46,7 @@ from charfn_reference import (
     reference_principal_sqrt,
     sz_cf,
 )
-from conftest import draw_heston
+from conftest import draw_heston, term_vol
 
 X0 = math.log(1.30)
 TAU = 0.75
@@ -873,6 +875,66 @@ class TestDriftCentredPrices:
                                              *_surface_inputs(surface, len(chunk)))
                 assert np.all(np.isfinite(new))
                 assert np.max(np.abs(new - old)) <= 1e-15 * surface.spot, k
+
+
+def _criterion3_draws():
+    """Criterion 3's 50 draw_heston sets (default_rng(3)) and, per set, the
+    AttariLanes inputs of its own 6 x 5 cells: spot 1.30, its rates, and
+    each pillar's strike at the set's term vol."""
+    rng = np.random.default_rng(3)
+    draws = [draw_heston(rng) for _ in range(50)]
+    taus = (1 / 12, 2 / 12, 0.25, 0.5, 1.0, 2.0)
+    cells = [(1.30, [[strike_from_delta(1.30, 0.012, 0.006, t, term_vol(p, t), delta)
+                      for delta in PILLAR_DELTAS.values()] for t in taus],
+              taus, [0.012] * 6, [0.006] * 6) for p in draws]
+    return draws, cells
+
+
+def _variance_scaled(p, s):
+    """A heston set with nu0 and theta scaled by s."""
+    return dataclasses.replace(p, nu0=p.nu0 * s, theta=p.theta * s)
+
+
+class TestFoldedKernel:
+    """The folded kernel against the unfolded one it replaced
+    (charfn_reference.UnfoldedAttariLanes) on the same CF: every cell within
+    1e-15 S, all four models, LANE_ROWS lanes a call, for criterion 3's 50
+    draw_heston sets mapped to the model with their variances scaled by 1,
+    10, 50 and 200 (vols near 140%), on the fixture surfaces and on each
+    set's own criterion-3 cells."""
+
+    @staticmethod
+    def _worst(kind, sets, inputs, grid=DEFAULT_GRID):
+        """max |folded - unfolded| / S over the cells of inputs, one
+        AttariLanes input tuple per set, priced LANE_ROWS sets a call."""
+        worst = 0.0
+        for k in range(0, len(sets), LANE_ROWS):
+            cf = cf_factory(kind, ParamLanes.stack(kind, sets[k:k + LANE_ROWS]))
+            lanes = [np.array(v) for v in zip(*inputs[k:k + LANE_ROWS])]
+            new = AttariLanes(*lanes, grid).calls(cf)
+            old = UnfoldedAttariLanes(*lanes, grid).calls(cf)
+            assert np.all(np.isfinite(new))
+            worst = max(worst, np.max(np.abs(new - old) / lanes[0][:, None, None]))
+        return worst
+
+    @pytest.mark.parametrize("kind", ["heston", "sz", "bates2f", "ouou"])
+    @pytest.mark.parametrize("scale", [1.0, 10.0, 50.0, 200.0])
+    def test_within_1e15_of_unfolded(self, kind, scale, heston_surface, sz_surface):
+        draws, cells = _criterion3_draws()
+        sets = [_from_heston(kind, _variance_scaled(h, scale), _variance_scaled(h2, scale))
+                for h, h2 in zip(draws, draws[1:] + draws[:1])]
+        for inputs in (cells, list(zip(*_surface_inputs(heston_surface, len(sets)))),
+                       list(zip(*_surface_inputs(sz_surface, len(sets))))):
+            assert self._worst(kind, sets, inputs) <= 1e-15
+
+    @pytest.mark.parametrize("kind", ["heston", "sz", "bates2f", "ouou"])
+    def test_grid_without_fold(self, kind, heston_surface):
+        """A grid with no node at w <= -4.6 evaluates the CF on its own nodes
+        and stays within 1e-15 S of the unfolded kernel too."""
+        draws, _ = _criterion3_draws()
+        sets = [_from_heston(kind, h, h2) for h, h2 in zip(draws[:16], draws[16:32])]
+        inputs = list(zip(*_surface_inputs(heston_surface, len(sets))))
+        assert self._worst(kind, sets, inputs, IntegrationGrid(-4.0, 5.0, 0.4)) <= 1e-15
 
 
 # |A - A_old| of heston_terms against the old body less its drift, in ulps of

@@ -673,6 +673,20 @@ class TestProcessStart:
                  "'hypothesis'))))")
         assert _fresh_python(probe).split() == []
 
+    def test_cold_start_builds_no_fold_constant(self, quotes_csv):
+        """Importing fxsvol.cli, then loading the surfaces and the historical
+        context, the start of every calibrate run, builds none of the Attari
+        kernel's grid constants (the low-frequency fold among them): the
+        grid builds them on first use."""
+        probe = f"""
+from fxsvol import cli, pricer
+manifest = cli.RunManifest(command="calibrate", input_path={str(quotes_csv)!r},
+                           output_dir="")
+cli.historical_context(cli.load_surfaces(manifest))
+print(sorted(vars(pricer.DEFAULT_GRID)))
+"""
+        assert "attari_factors" not in _fresh_python(probe)
+
     def test_main_keeps_freed_heap(self, tmp_path):
         """After cli.main, a freed 2 MB array stays in glibc's heap instead of
         going back to the OS (checked where the C library has mallinfo2)."""

@@ -45,11 +45,17 @@ def spec(K, tau=0.5, side="call"):
 
 
 def one_tenor_strip(cf, S, strikes, tau, r_d, r_f, grid=DEFAULT_GRID):
-    """The one-maturity kernel, operation for operation, as a bit-level oracle."""
-    w, u, weights = grid.nodes()
+    """The one-maturity kernel, operation for operation, as a bit-level
+    oracle: each cell's weight on each folded probe summed alone."""
+    _, u, _ = grid.nodes()
+    u_eval, g, fold = grid.attari_factors
+    k = fold.shape[0]
     ell = np.log(np.asarray(strikes) / S) - (r_d - r_f) * tau
-    kernel = cf(u.astype(complex), tau) * ((1.0 - 1j / u) / (1.0 + u * u) * u * weights)
-    integrals = (np.exp(-1j * np.outer(ell, u)) * kernel).real.sum(axis=1)
+    osc_g = np.exp(-1j * np.outer(ell, u)) * g
+    folded = [[(row[:k] * fold[:, j]).sum() for j in range(fold.shape[1])]
+              for row in osc_g]
+    cell_weights = np.hstack((np.array(folded).reshape(len(osc_g), -1), osc_g[:, k:]))
+    integrals = (cell_weights * cf(u_eval, tau)).real.sum(axis=1)
     return (S * math.exp(-r_f * tau)
             - strikes * math.exp(-r_d * tau) * (0.5 + integrals / math.pi))
 
@@ -84,10 +90,41 @@ class TestGrid:
         for got, want in zip(nodes, (w, np.exp(w), weights)):
             assert np.array_equal(got, want)
         u = np.exp(w)
-        for got, want in zip(factors, (u.astype(complex),
-                                       (1.0 - 1j / u) / (1.0 + u * u) * u * weights)):
-            assert np.array_equal(got, want)
+        u_eval, g, fold = factors
+        k = np.count_nonzero(w <= -4.6)  # 22 folded nodes into 8 probes
+        assert fold.shape == (k, 8) and u_eval.dtype == complex
+        assert np.array_equal(u_eval[8:], u[k:])
+        assert 0.0 < u_eval.real.min() and u_eval[:8].real.max() < u[k - 1]
+        assert np.array_equal(g, (1.0 - 1j / u) / (1.0 + u * u) * u * weights)
         assert grid == IntegrationGrid(-10.0, 3.0, 0.25)
+
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, IntegrationGrid(-10.0, 3.0, 0.25),
+                                      IntegrationGrid(-17.0, 9.0, 0.05)],
+                             ids=["default", "coarse", "wide"])
+    def test_fold_interpolates_degree_7(self, grid):
+        """The fold's rows sum to 1 and reproduce every polynomial of degree
+        at most 7 through the 8 probes, to rounding (u scaled by u_f)."""
+        w, u, _ = grid.nodes()
+        u_eval, _, fold = grid.attari_factors
+        k = np.count_nonzero(w <= -4.6)
+        assert fold.shape == (k, 8) and u_eval.size == grid.n_nodes - k + 8
+        assert np.max(np.abs(fold.sum(axis=1) - 1.0)) <= 4 * 2.0 ** -52
+        x, y = u_eval[:8].real / u[k - 1], u[:k] / u[k - 1]
+        for degree in range(8):
+            assert np.max(np.abs((fold * x ** degree).sum(axis=1) - y ** degree)) <= 1e-15
+        # degree 8 is not: its error reaches 2^-15 on [0, 1]
+        assert np.max(np.abs((fold * x ** 8).sum(axis=1) - y ** 8)) > 1e-5
+
+    def test_few_low_nodes_fold_nothing(self):
+        """A grid with 8 or fewer nodes at w <= -4.6 calls the CF on its own
+        nodes through an identity fold."""
+        for grid, k in ((IntegrationGrid(-4.0, 5.0, 0.4), 0),
+                        (IntegrationGrid(-5.4, 5.0, 0.4), 3),
+                        (IntegrationGrid(-7.4, 5.0, 0.4), 8)):
+            _, u, _ = grid.nodes()
+            u_eval, _, fold = grid.attari_factors
+            assert np.array_equal(u_eval, u.astype(complex))
+            assert np.array_equal(fold, np.eye(k))
 
 
 class TestGarmanKohlhagen:
@@ -562,6 +599,31 @@ class TestAttariLanes:
         whole = AttariLanes(spots[:1], strikes[:1], lane_taus[:1], r_ds[:1], r_fs[:1])
         assert np.array_equal(whole.calls(cf_factory(kind, sets[1], jump=jump))[0],
                               calls[1])
+
+    def test_weights_independent_of_stack_shape(self):
+        """One surface's per-cell weights have the same bits built alone as
+        inside stacks of other (L, T) shapes, per lane and per tenor."""
+        rng = np.random.default_rng(13)
+        spots = S * np.exp(rng.normal(0.0, 0.05, 3))
+        taus = np.array([1 / 12, 2 / 12, 0.25, 0.5, 1.0, 2.0]) * rng.uniform(0.98, 1.02, (3, 1))
+        r_ds, r_fs = rng.uniform(0.0, 0.03, (2, 3, 6))
+        strikes = spots[:, None, None] * np.exp(np.linspace(-0.2, 0.2, 5)
+                                                * np.sqrt(taus)[:, :, None])
+
+        def weights(lanes, tenors):
+            kernel = AttariLanes(spots[lanes], strikes[lanes][:, tenors], taus[lanes][:, tenors],
+                                 r_ds[lanes][:, tenors], r_fs[lanes][:, tenors])
+            return kernel.weights.view(np.uint64)
+
+        alone = weights([1], slice(None))[0]
+        assert alone.shape == (6, 5, 64)  # 32 complex weights a cell
+        for lanes in ([0, 1, 2], [1, 1], [2, 0, 1, 0]):
+            stacked = weights(lanes, slice(None))
+            for row in np.flatnonzero(np.array(lanes) == 1):
+                assert np.array_equal(stacked[row], alone)
+        for t in range(6):
+            assert np.array_equal(weights([1], slice(t, t + 1))[0, 0], alone[t])
+            assert np.array_equal(weights([0, 1], slice(t, None))[1, 0], alone[t])
 
     @pytest.mark.parametrize("kind", ["heston", "bates2f"])
     def test_stack_equals_indexed_lanes(self, kind, monkeypatch):
