@@ -22,14 +22,23 @@ import bisect
 import copy
 import functools
 import math
+import operator
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
-from .charfn import Factor, ParamLanes, cf_factory, model_params, variance_factors
+from .charfn import (
+    Factor,
+    ParamLanes,
+    cf_factory,
+    factor_fields,
+    feller_holds,
+    model_params,
+    valid_factors,
+    variance_factors,
+)
 from .errors import FxsvolError, InvariantViolation, NonFiniteObjective, NumericOverflow
-from .moments import heston_total_variance
 from .pricer import (
     DEFAULT_GRID,
     AttariLanes,
@@ -92,10 +101,10 @@ def nelder_mead_steps(x_start, config=NelderMeadConfig()):
     The initial simplex is x_start plus per-coordinate offsets of 0.05
     (0.00025 where the start coordinate is zero), with x_start itself kept
     as the (n+1)-th vertex.  Each step yields the list of points it needs,
-    as float64 arrays, and is sent an iterable of their objective values in
-    point order; a value is read only when the step needs it, so an
-    iterable that evaluates, or raises, as it goes gives the errors of a
-    plain loop.
+    each a list of Python floats, and is sent an iterable of their objective
+    values in point order; a value is read only when the step needs it, so
+    an iterable that evaluates, or raises, as it goes gives the errors of a
+    plain loop.  An error names its point as the float64 array numpy prints.
 
     The vertices are lists of Python floats, and every step is the
     IEEE operation, in the same order, of the numpy vector form it stands
@@ -107,18 +116,24 @@ def nelder_mead_steps(x_start, config=NelderMeadConfig()):
     simplex and after a shrink; any other step replaces only the worst
     vertex, and the new one goes after the vertices of equal value
     (bisect_right).
+
+    Fixed-point stop: an iteration's step depends on the vertices and their
+    values alone, so once one leaves every vertex and value bit for bit as
+    it found them (signed zeros included), every later iteration would do
+    the same until max_iter.  The run then returns what max_iter would
+    return, with no further evaluations: the same best vertex and value,
+    iterations max_iter + 1 and converged False.  This takes the objective
+    to give a point the same value every time.
     """
-    x0 = np.asarray(x_start, dtype=float)
-    start = x0.tolist()
+    start = np.asarray(x_start, dtype=float).tolist()
     n = len(start)
     points = [_offset(start, i) for i in range(n)]
-    asked = [np.array(p) for p in points]
-    points.append(start)
-    got = iter((yield [x0, *asked]))
+    got = iter((yield [start, *points]))
     f0 = float(next(got))
     if not math.isfinite(f0):
         raise NonFiniteObjective(f"objective not finite at start: {f0}")
-    values = [_checked(v, p) for v, p in zip(got, asked)]
+    values = [_checked(v, p) for v, p in zip(got, points)]
+    points.append(start)
     values.append(f0)
     points, values = _sorted(points, values)
 
@@ -137,37 +152,33 @@ def nelder_mead_steps(x_start, config=NelderMeadConfig()):
             break
         if iterations > config.max_iter:
             break
-        total = points[0]
-        for p in points[1:-1]:
-            total = [a + b for a, b in zip(total, p)]
-        centroid = [a / n for a in total]
+        centroid = [functools.reduce(operator.add, col) / n for col in zip(*points[:-1])]
         worst = points[-1]
         xr = [c + alpha * (c - w) for c, w in zip(centroid, worst)]
-        ask = np.array(xr)
-        fr = _checked(*(yield [ask]), ask)
+        fr = _checked(*(yield [xr]), xr)
         if values[0] <= fr <= values[-2]:
-            _replace_worst(points, values, xr, fr)
-            continue
-        if fr <= values[0]:
+            moved = _replace_worst(points, values, xr, fr)
+        elif fr <= values[0]:
             xe = [c + gamma * (r - c) for c, r in zip(centroid, xr)]
-            ask = np.array(xe)
-            fe = _checked(*(yield [ask]), ask)
-            if fe <= fr:
-                _replace_worst(points, values, xe, fe)
+            fe = _checked(*(yield [xe]), xe)
+            moved = (_replace_worst(points, values, xe, fe) if fe <= fr
+                     else _replace_worst(points, values, xr, fr))
+        else:
+            xc = [c + rho_c * (w - c) for c, w in zip(centroid, worst)]
+            fc = _checked(*(yield [xc]), xc)
+            if fc <= values[-1]:
+                moved = _replace_worst(points, values, xc, fc)
             else:
-                _replace_worst(points, values, xr, fr)
-            continue
-        xc = [c + rho_c * (w - c) for c, w in zip(centroid, worst)]
-        ask = np.array(xc)
-        fc = _checked(*(yield [ask]), ask)
-        if fc <= values[-1]:
-            _replace_worst(points, values, xc, fc)
-            continue
-        best = points[0]
-        points[1:] = [[b + sigma_s * (p - b) for b, p in zip(best, q)] for q in points[1:]]
-        asked = [np.array(p) for p in points[1:]]
-        values[1:] = [_checked(v, p) for v, p in zip((yield asked), asked)]
-        points, values = _sorted(points, values)
+                best = points[0]
+                shrunk = [[b + sigma_s * (p - b) for b, p in zip(best, q)]
+                          for q in points[1:]]
+                fs = [_checked(v, p) for v, p in zip((yield shrunk), shrunk)]
+                moved = not (all(map(_same_bits, shrunk, points[1:]))
+                             and _same_bits(fs, values[1:]))
+                points, values = _sorted([best, *shrunk], [values[0], *fs])
+        if not moved:
+            iterations = config.max_iter + 1
+            break
 
     return NMResult(x=np.array(points[0]), fx=values[0], iterations=iterations,
                     converged=converged)
@@ -188,22 +199,36 @@ def _sorted(points, values):
 
 def _replace_worst(points, values, x, fx):
     """Drop the worst (last) vertex and put (x, fx) where a stable sort of
-    the others plus it, appended last, would: after every equal value."""
+    the others plus it, appended last, would: after every equal value.
+    Returns whether that moved anything: not when (x, fx) is the worst
+    vertex and value bit for bit and goes last again."""
     k = bisect.bisect_right(values, fx, 0, len(values) - 1)
+    if k == len(values) - 1 and _same_bits([fx, *x], [values[-1], *points[-1]]):
+        return False
     points.pop()
     points.insert(k, x)
     values.pop()
     values.insert(k, fx)
+    return True
+
+
+def _same_bits(a, b):
+    """Whether the float lists a and b hold the same bits: equal, with
+    zeros of the same sign (a NaN counts as different unless it is the same
+    object)."""
+    return a == b and all(math.copysign(1.0, u) == math.copysign(1.0, v)
+                          for u, v in zip(a, b))
 
 
 def nelder_mead(f, x_start, config=NelderMeadConfig()):
     """Minimize f from x_start with the fixed-constant simplex scheme
-    (nelder_mead_steps, evaluating one point at a time)."""
+    (nelder_mead_steps, evaluating one point at a time, each handed to f
+    as a float64 array)."""
     steps = nelder_mead_steps(x_start, config)
     try:
         points = next(steps)
         while True:
-            points = steps.send(f(x) for x in points)
+            points = steps.send(f(np.array(x)) for x in points)
     except StopIteration as stop:
         return stop.value
 
@@ -211,7 +236,7 @@ def nelder_mead(f, x_start, config=NelderMeadConfig()):
 def _checked(v, x):
     v = float(v)
     if math.isnan(v):
-        raise NonFiniteObjective(f"objective NaN at {x}")
+        raise NonFiniteObjective(f"objective NaN at {np.array(x)}")
     return v
 
 
@@ -233,27 +258,41 @@ class Layout:
     model factor.  Per factor, each field named in free is a coordinate, in
     COORDS order: log of a positive field, atanh of rho; every other field
     stays at its base value.  With tied, all factors share the coordinates
-    of the first.  x0 is the base's coordinates, and params(x) the
-    parameter set (charfn.model_params) at coordinates x; math.exp and
-    math.tanh map them back, so a coordinate that overflows a float raises
-    OverflowError.  The index plan is built here, once per fit.
+    of the first.  x0 is the base's coordinates; fields(x) gives the
+    factors' (nu0, theta, kappa, omega, rho) tuples at coordinates x, a
+    float64 array, checked by charfn's one validation rule, and params(x)
+    the parameter set (charfn.model_params) they make.  math.exp and
+    math.tanh map the coordinates back, so a coordinate that overflows a
+    float raises OverflowError, and a point outside the rule raises
+    model_params' own InvariantViolation.  The index plan is built here,
+    once per fit.
     """
 
     def __init__(self, kind, factors, free=COORDS, tied=False):
         self.kind = kind
-        base = [(f.nu0, f.theta, f.kappa, f.omega, f.rho) for f in factors]
-        self._blocks, self._copies = (base[:1], len(base)) if tied else (base, 1)
+        base = [factor_fields(f) for f in factors]
+        blocks, self._copies = (base[:1], len(base)) if tied else (base, 1)
         names = [name for name in COORDS if name in free]
-        self._plan = [(k, _SLOT[name], math.tanh if name == "rho" else math.exp)
-                      for k in range(len(self._blocks)) for name in names]
+        plan = [(k, _SLOT[name], math.tanh if name == "rho" else math.exp)
+                for k in range(len(blocks)) for name in names]
         self.x0 = np.array([(math.atanh if inverse is math.tanh else math.log)(
-            self._blocks[k][slot]) for k, slot, inverse in self._plan])
+            blocks[k][slot]) for k, slot, inverse in plan])
+        # the blocks' fields in one flat list, and each coordinate's place
+        # in it and its map back
+        self._base = [v for f in blocks for v in f]
+        self._plan = [(5 * k + slot, inverse) for k, slot, inverse in plan]
+
+    def fields(self, x):
+        flat = self._base[:]
+        for (i, inverse), v in zip(self._plan, x.tolist()):
+            flat[i] = inverse(v)
+        fields = [tuple(flat[i:i + 5]) for i in range(0, len(flat), 5)] * self._copies
+        if not valid_factors(self.kind, fields):
+            model_params(self.kind, fields)  # raises the set's own error
+        return fields
 
     def params(self, x):
-        fields = [list(f) for f in self._blocks]
-        for (k, slot, inverse), v in zip(self._plan, x.tolist()):
-            fields[k][slot] = inverse(v)
-        return model_params(self.kind, fields * self._copies)
+        return model_params(self.kind, self.fields(x))
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +434,7 @@ def calibrate_variance_ts(taus, targets_v2):
     first/last curve points and TS_KAPPA_START_CIR = 2.
     """
     v2 = np.asarray(targets_v2, dtype=float)
-    return _fit_ts(_cir_vol, taus, np.sqrt(v2), (v2[0], v2[-1], TS_KAPPA_START_CIR))
+    return _fit_ts(_cir_cost, taus, np.sqrt(v2), (v2[0], v2[-1], TS_KAPPA_START_CIR))
 
 
 def calibrate_vol_ts_sz(taus, vol_targets):
@@ -405,44 +444,55 @@ def calibrate_vol_ts_sz(taus, vol_targets):
     and the starts are the first/last targets with TS_KAPPA_START_OU = 0.95.
     """
     vols = np.asarray(vol_targets, dtype=float)
-    return _fit_ts(_ou_vol, taus, vols, (vols[0], vols[-1], TS_KAPPA_START_OU))
+    return _fit_ts(_ou_cost, taus, vols, (vols[0], vols[-1], TS_KAPPA_START_OU))
 
 
-def _cir_vol(nu0, theta, kappa, tau):
-    return math.sqrt(max(heston_total_variance(nu0, theta, kappa, tau), 1e-16))
+def _cir_cost(nu0, theta, kappa, pairs):
+    """sum (vol(tau) - target)^2 over pairs (tau, target), vol the square
+    root of moments.heston_total_variance floored at 1e-16, its formula
+    written out here in the same operations."""
+    total = 0.0
+    for tau, target in pairs:
+        x = kappa * tau
+        if x < 1e-8:
+            v = nu0 + (theta - nu0) * x / 2.0
+        else:
+            v = theta + (nu0 - theta) * (1.0 - math.exp(-x)) / x
+        d = math.sqrt(1e-16 if 1e-16 > v else v) - target   # max(v, 1e-16)
+        total += d * d
+    return total
 
 
-def _ou_vol(nu0, theta, kappa, tau):
-    return theta + (nu0 - theta) * _decay(kappa, tau)
+def _ou_cost(nu0, theta, kappa, pairs):
+    """sum (vol(tau) - target)^2 over pairs (tau, target), vol the OU vol
+    curve theta + (nu0 - theta) (1 - exp(-kappa tau)) / (kappa tau), the
+    ratio taken as 1 - kappa tau / 2 below kappa tau = 1e-8."""
+    total = 0.0
+    for tau, target in pairs:
+        x = kappa * tau
+        decay = 1.0 - x / 2.0 if x < 1e-8 else (1.0 - math.exp(-x)) / x
+        d = theta + (nu0 - theta) * decay - target
+        total += d * d
+    return total
 
 
-def _decay(kappa, tau):
-    x = kappa * tau
-    if x < 1e-8:
-        return 1.0 - x / 2.0
-    return (1.0 - math.exp(-x)) / x
+def _fit_ts(cost, taus, targets, start):
+    """(nu0, theta, kappa, NMResult) of the least-squares fit of a curve to
+    targets past the first tenor, over log-parameters, from start = (nu0,
+    theta, kappa), by nelder_mead and its fixed-point stop.
 
-
-def _fit_ts(curve, taus, targets, start):
-    """(nu0, theta, kappa, NMResult) of the least-squares fit of
-    curve(nu0, theta, kappa, tau) to targets past the first tenor, over
-    log-parameters, from start = (nu0, theta, kappa).
-
-    The cost runs on Python floats, summing left to right from 0.0.  That is
-    numpy's np.sum((fit - target) ** 2) bit for bit below 8 terms, where
-    numpy also adds in order; from 8 terms on numpy's pairwise sum can
-    differ in the last bits.
+    The objective is cost(nu0, theta, kappa, pairs), one call per point
+    over the whole curve, on Python floats: it sums the squared residuals
+    left to right from 0.0.  That is numpy's np.sum((fit - target) ** 2) bit
+    for bit below 8 terms, where numpy also adds in order; from 8 terms on
+    numpy's pairwise sum can differ in the last bits.
     """
     pairs = list(zip(np.asarray(taus, dtype=float)[1:].tolist(),
                      np.asarray(targets, dtype=float)[1:].tolist()))
 
     def objective(x):
         nu0, theta, kappa = map(math.exp, x.tolist())
-        total = 0.0
-        for tau, target in pairs:
-            d = curve(nu0, theta, kappa, tau) - target
-            total += d * d
-        return total
+        return cost(nu0, theta, kappa, pairs)
 
     x0 = np.array([math.log(v) for v in start])
     res = nelder_mead(objective, x0, _TS_NM_CONFIG)
@@ -454,12 +504,12 @@ def _fit_ts(curve, taus, targets, start):
 # full-surface calibration
 # ---------------------------------------------------------------------------
 
-# Lockstep runs (run_lanes): at most LANE_ROWS points per kernel call and
-# LANES_PER_BLOCK surfaces per block.  A call's CF temporaries are
-# (rows, T, 32) and its weight product (rows, T, P, 32), so 16 rows keep it
-# to a few MB; a lane's own kernel constants take about 16 kB, nearly all of
-# it the (T, P, 32) complex weight tensor (15,696 bytes at 6 x 5 cells).
-LANE_ROWS = 16
+# Lockstep runs (run_lanes): at most LANES_PER_BLOCK surfaces per block and
+# as many points per kernel call, so a steady round, one point per live
+# lane, is one call per group.  A call's CF temporaries are (rows, T, 32)
+# and its weight product (rows, T, P, 32), about 1 MB at 64 rows of 6 x 5
+# cells; a lane's own kernel constants take about 16 kB, nearly all of it
+# the (T, P, 32) complex weight tensor (15,696 bytes at 6 x 5 cells).
 LANES_PER_BLOCK = 64
 
 
@@ -473,11 +523,31 @@ LANES_PER_BLOCK = 64
 @dataclass(frozen=True, eq=False)
 class Fit:
     """One Nelder-Mead run: minimize ctx(layout.kind, layout.params(x),
-    feller) from layout.x0."""
+    feller) from layout.x0.
+
+    group and fields are what _SurfacePricer reads of every point, each
+    worked out on first use, once per fit: the key of the rows it can price
+    with, of plain values, and the map from a point to its factors' field
+    tuples, the layout's own or, for a layout that maps points only to
+    parameter sets (params), those sets' fields.
+    """
     ctx: SurfaceCost
     layout: Layout
     feller: bool
     config: NelderMeadConfig
+
+    @functools.cached_property
+    def group(self):
+        ctx = self.ctx
+        return self.layout.kind, astuple(ctx.grid), ctx.strikes.shape, astuple(ctx.spec)
+
+    @functools.cached_property
+    def fields(self):
+        fields = getattr(self.layout, "fields", None)
+        if fields is not None:
+            return fields
+        params = self.layout.params
+        return lambda x: [factor_fields(f) for f in params(x).factors]
 
 
 def _fit_config(layout, max_iter, stop_any):
@@ -517,8 +587,9 @@ def run_lanes(jobs):
     """Run calibration jobs as the lanes of lockstep Nelder-Mead runs.
 
     The jobs go in blocks of up to LANES_PER_BLOCK lanes.  Each round, the
-    pending points of every live lane of a block are priced in kernel calls
-    of up to LANE_ROWS rows, so the lanes share the CF and Attari dispatch.
+    pending points of every live lane of a block are priced together, one
+    kernel call per group of up to LANES_PER_BLOCK rows, so the lanes share
+    the CF and Attari dispatch.
     Returns, per job, its result or the FxsvolError that ended it, bit for
     bit what run_job gives that job alone: a row's cost does not depend on
     the rows priced with it.
@@ -532,9 +603,10 @@ def lockstep(jobs, evaluate):
 
     Each round sends every live _lane its points' values and calls
     evaluate(rows) once: rows are (lane, fit, x) for each point the lanes
-    ask for next, and evaluate returns per row the objective value or the
-    FxsvolError computing it raised.  A lane fails with the first failing
-    outcome in its own point order, as its job alone would; the others go on.
+    ask for next, x a float64 array, and evaluate returns per row the
+    objective value or the FxsvolError computing it raised.  A lane fails
+    with the first failing outcome in its own point order, as its job alone
+    would; the others go on.
     Returns, per job, its result or the FxsvolError that ended it.
     """
     out = [None] * len(jobs)
@@ -550,7 +622,7 @@ def lockstep(jobs, evaluate):
                 out[i] = exc
         if not live:
             return out
-        outcomes = iter(evaluate([(i, fit, x) for i, _, fit, points in live
+        outcomes = iter(evaluate([(i, fit, np.array(x)) for i, _, fit, points in live
                                   for x in points]))
         lanes = [(i, lane, _replay([next(outcomes) for _ in points]))
                  for i, lane, _, points in live]
@@ -594,21 +666,25 @@ class _SurfacePricer:
     """lockstep's evaluate for surface fits: the lanes' surfaces priced
     together.  One pricer serves one lockstep run and dies with it.
 
-    Rows whose fits share the model, the grid, the surface shape and the
-    cost spec go to the kernel in chunks of 1 to LANE_ROWS rows, each
-    through an AttariLanes stacked from their contexts' own kernels, so no
-    constants are computed here; a chunk of one is its context's kernel and
-    its scalar parameter set.  Every chunk gets its costs from one _costs,
-    each row its one-row cost bit for bit.  A chunk that raises (a CF
-    overflow, an implied-vol miss) is priced again as chunks of one, so
-    each row gets its own outcome.  A point whose parameters overflow a
-    float (math.exp in Layout.params) is a NumericOverflow outcome.
+    Each point becomes its factors' field tuples (Fit.fields), checked by
+    charfn's validation and Feller rules; no parameter set is built.  Rows
+    whose fits share a group (the model, the grid, the surface shape and the
+    cost spec: Fit.group) go to the kernel together, in chunks of up to
+    LANES_PER_BLOCK rows, each through an AttariLanes stacked from their
+    contexts' own kernels, so no constants are computed here; a chunk of
+    one is its context's kernel and scalar parameters.  Every chunk gets its
+    costs from one _costs, each row its one-row cost bit for bit.  A chunk
+    that raises (a CF overflow, an implied-vol miss) is priced again as
+    chunks of one, so each row gets its own outcome.  A point whose
+    parameters overflow a float (math.exp in Layout.fields) is a
+    NumericOverflow outcome.
 
     In steady state every live lane pends one point a round, so a round's
-    chunks repeat the last round's.  stacks keeps the stacked constants of
-    the last chunks, as many as a one-point-per-lane round of a full block
-    makes, keyed on the tuple of the chunk's kernels.  An entry holds its
-    key, so no kernel it names is freed and no new one can take its id.
+    chunks, at most LANES_PER_BLOCK rows in all, repeat the last round's.
+    stacks keeps the stacked constants of the last chunks, up to
+    LANES_PER_BLOCK rows of them in all, keyed on the tuple of the chunk's
+    kernels.  An entry holds its key, so no kernel it names is freed and no
+    new one can take its id.
     """
 
     def __init__(self):
@@ -619,34 +695,33 @@ class _SurfacePricer:
         priced = {}
         for r, (_, fit, x) in enumerate(rows):
             try:
-                params = fit.layout.params(x)
+                fields = fit.fields(x)
             except FxsvolError as exc:
                 out[r] = exc
                 continue
             except OverflowError as exc:
                 out[r] = NumericOverflow(f"parameter transform overflowed: {exc}")
                 continue
-            if fit.feller and not params.feller_satisfied():
+            if fit.feller and not feller_holds(fit.layout.kind, fields):
                 out[r] = FELLER_PENALTY
                 continue
-            group = fit.layout.kind, fit.ctx.grid, fit.ctx.strikes.shape, fit.ctx.spec
-            priced.setdefault(group, []).append((r, fit, params))
+            priced.setdefault(fit.group, []).append((r, fit, fields))
         for todo in priced.values():
-            for c in range(0, len(todo), LANE_ROWS):
-                chunk = todo[c:c + LANE_ROWS]
+            for c in range(0, len(todo), LANES_PER_BLOCK):
+                chunk = todo[c:c + LANES_PER_BLOCK]
                 for (r, _, _), outcome in zip(chunk, self._chunk_costs(chunk)):
                     out[r] = outcome
         return out
 
     def _chunk_costs(self, chunk):
-        """The outcomes of rows (r, fit, params) of one cost spec from one
+        """The outcomes of rows (r, fit, fields) of one group from one
         kernel call and one _costs, or, if either raises, of each row as a
         chunk of one (whose outcome is the error)."""
         ctxs = [fit.ctx for _, fit, _ in chunk]
         kind = chunk[0][1].layout.kind
         try:
             kernel, *market = self._stacked(ctxs)
-            lanes = ParamLanes.stack(kind, [p for _, _, p in chunk])
+            lanes = ParamLanes.of_fields(kind, [fields for _, _, fields in chunk])
             calls = kernel.calls(cf_factory(kind, lanes)).reshape(len(chunk), -1)
             return _costs(ctxs[0].spec, ctxs, calls, *market)
         except FxsvolError as exc:
@@ -665,7 +740,7 @@ class _SurfacePricer:
                  np.stack([ctx.market_scaled for ctx in ctxs]),
                  np.stack([ctx.market_vols for ctx in ctxs]))
         self.stacks[key] = entry
-        if len(self.stacks) > -(-LANES_PER_BLOCK // LANE_ROWS):  # 4 stacks, about 1 MB
+        while sum(map(len, self.stacks)) > LANES_PER_BLOCK:  # about 1 MB of stacks
             self.stacks.popitem(last=False)
         return entry
 

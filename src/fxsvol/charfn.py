@@ -14,9 +14,12 @@ sz_terms gives their A, B, C, and the exponent is quadratic in nu0.
 
 model_params(kind, factors) builds a model's parameter set from its factors'
 fields; its class, and factor_count(kind), come from the one table _PARAMS.
-Every set is checked, and its Feller condition read, by one rule keyed on
-variance_factors(kind): a CIR variance needs theta > 0 and may break
-Feller, an OU volatility allows theta = 0 and has no Feller bound.
+Every set is checked, and its Feller condition read, by one rule each,
+valid_factors and feller_holds, keyed on variance_factors(kind): a CIR
+variance needs theta > 0 and may break Feller, an OU volatility allows
+theta = 0 and has no Feller bound.  Both read plain (nu0, theta, kappa,
+omega, rho) tuples, so the calibration's lane path checks its points by
+them without building a set.
 
 cf_factory(kind, params, jump=None) is the one way to build a CF: a closure
 cf(u, tau), which the pricers call and nothing else.  u is complex (a
@@ -25,13 +28,14 @@ one row per maturity; the result then has shape (T, len(u)), and each row
 equals a scalar-tau call bit for bit.
 
 Lanes: ParamLanes.stack(kind, [p_1, ..., p_L]) stacks L parameter sets of
-one model into one Factor per model factor whose fields are (L, 1, 1)
-arrays, and cf_factory accepts it in place of one parameter set.  With tau
-an (L, T, 1) array (lane l holding the maturities of the surface p_l is
-priced on), the CF returns (L, T, len(u)) and lane l equals the
-scalar-parameter call on those maturities bit for bit: every lane does the
-scalar's IEEE operations in the scalar's order, and squares of parameters
-go through _sq, the C pow that Python's float ** uses.
+one model (ParamLanes.of_fields their field tuples) into one Factor per
+model factor whose fields are (L, 1, 1) arrays, and cf_factory accepts it
+in place of one parameter set.  With tau an (L, T, 1) array (lane l
+holding the maturities of the surface p_l is priced on), the CF returns
+(L, T, len(u)) and lane l equals the scalar-parameter call on those
+maturities bit for bit: every lane does the scalar's IEEE operations in
+the scalar's order, and squares of parameters go through _sq, the C pow
+that Python's float ** uses.
 
 The G-form's log term, _log1p_over, works node by node, so lanes stay the
 scalar call bit for bit through it as well.  Its value is held to the ulp
@@ -70,16 +74,15 @@ class Factor:
 
 class _ParamSet:
     """What every model's parameter set shares: a kind, a tuple of factors,
-    one validation rule and one Feller rule, each keyed on whether the
-    kind's factors are CIR variances (variance_factors)."""
+    and the one validation rule and one Feller rule (valid_factors,
+    feller_holds) read on its factors' fields."""
 
     def __post_init__(self):
         if _PARAMS.get(self.kind) is not type(self):
             raise InvariantViolation(f"{type(self).__name__} has no kind {self.kind!r}")
         cir = variance_factors(self.kind)
         for f in self.factors:
-            if (min(f.nu0, f.kappa, f.omega) <= 0.0 or f.theta < 0.0
-                    or cir and f.theta == 0.0 or abs(f.rho) >= 1.0):
+            if not valid_factors(self.kind, [factor_fields(f)]):
                 raise InvariantViolation(
                     f"{self.kind} factor needs nu0, kappa, omega > 0, theta "
                     f"{'>' if cir else '>='} 0 and |rho| < 1: {f}")
@@ -87,8 +90,7 @@ class _ParamSet:
     def feller_satisfied(self):
         """2 kappa theta > omega^2 on every factor; always true for OU
         volatilities, which have no positivity constraint."""
-        return not variance_factors(self.kind) or all(
-            2.0 * f.kappa * f.theta - f.omega ** 2 > 0.0 for f in self.factors)
+        return feller_holds(self.kind, [factor_fields(f) for f in self.factors])
 
 
 @dataclass(frozen=True)  # again: Factor's own __init__ calls no __post_init__
@@ -124,7 +126,35 @@ class TwoFactorParams(_ParamSet):
 # each model's parameter class, and the fields of every factor
 _PARAMS = {"heston": HestonParams, "sz": SchobelZhuParams,
            "bates2f": TwoFactorParams, "ouou": TwoFactorParams}
-_FACTOR_FIELDS = ("nu0", "theta", "kappa", "omega", "rho")
+_FACTOR_FIELDS = ("nu0", "theta", "kappa", "omega", "rho")  # factor_fields' order
+
+
+def factor_fields(f):
+    """A factor's (nu0, theta, kappa, omega, rho) as a tuple."""
+    return f.nu0, f.theta, f.kappa, f.omega, f.rho
+
+
+def valid_factors(kind, fields):
+    """The one validation rule, on the (nu0, theta, kappa, omega, rho) of
+    each factor of a model kind's set: nu0, kappa, omega > 0 and |rho| < 1,
+    and theta > 0 for a CIR variance, theta >= 0 for an OU volatility."""
+    cir = variance_factors(kind)
+    for nu0, theta, kappa, omega, rho in fields:
+        if (min(nu0, kappa, omega) <= 0.0 or theta < 0.0
+                or cir and theta == 0.0 or abs(rho) >= 1.0):
+            return False
+    return True
+
+
+def feller_holds(kind, fields):
+    """The one Feller rule, on the (nu0, theta, kappa, omega, rho) of each
+    factor of a model kind's set: 2 kappa theta > omega^2 on every CIR
+    variance; OU volatilities have no such bound."""
+    if variance_factors(kind):
+        for _, theta, kappa, omega, _ in fields:
+            if not 2.0 * kappa * theta - omega ** 2 > 0.0:
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -133,7 +163,10 @@ class ParamLanes:
 
     factors holds one Factor per model factor (one for heston and sz, two
     for bates2f and ouou) whose fields are (L, 1, 1) arrays, lane l holding
-    the l-th set, validated when it was built.  stack of one set returns it.
+    the l-th set.  stack takes parameter sets, validated when they were
+    built, and of_fields the factors' field tuples of sets, checked by
+    valid_factors before; a single set stays scalar (stack returns it,
+    of_fields holds its Python floats).
     """
     kind: str
     factors: tuple
@@ -144,11 +177,17 @@ class ParamLanes:
             raise InvariantViolation(f"expected {kind} params, got {[p.kind for p in params]}")
         if len(params) == 1:
             return params[0]
-        sets = [p.factors for p in params]
+        return cls.of_fields(kind, [[factor_fields(f) for f in p.factors] for p in params])
+
+    @classmethod
+    def of_fields(cls, kind, sets):
+        """The lanes of sets, each a sequence of one (nu0, theta, kappa,
+        omega, rho) tuple per model factor."""
+        if len(sets) == 1:
+            return cls(kind, tuple(Factor(*f) for f in sets[0]))
         return cls(kind, tuple(
-            Factor(*(np.array([getattr(fs[k], name) for fs in sets]).reshape(-1, 1, 1)
-                     for name in _FACTOR_FIELDS))
-            for k in range(len(sets[0]))))
+            Factor(*(v.reshape(-1, 1, 1) for v in np.array(rows).T.copy()))
+            for rows in zip(*sets)))
 
 
 @dataclass(frozen=True)

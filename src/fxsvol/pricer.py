@@ -530,18 +530,26 @@ def carr_madan_price(cf, spec, alpha=1.5):
     strike on a linear trapezoid grid of CARR_MADAN_N nodes up to vmax =
     CARR_MADAN_V_MAX (no FFT batching).  alpha is refused unless phi(-p i) =
     E[(S_T/F_T)^p] is a finite positive real at 65 powers p from 1 to alpha +
-    1, an imaginary part within 1e-8 of the real part counting as rounding:
+    2, an imaginary part within 1e-8 of the real part counting as rounding:
     past the moment's explosion the CF's formula stays finite but is not.
+    The transform itself reads the moment at alpha + 1; the margin of one
+    power past it refuses the alphas whose damped integrand sits so near the
+    explosion that the sum loses its digits.  With HestonParams(0.01, 0.02,
+    1.5, 0.5, -0.3), S = K = 1.3, tau = 1 (explosion at p = 11.51), a check
+    to alpha + 1 let through alpha 10, 1.3e-6 S off Gil-Pelaez, 10.3, which
+    gave 0.306, and 10.4, which gave 1.4e25; the margin refuses them from
+    alpha 9.5 on, and alpha 9 prices within 2e-10 S.
     """
     if alpha <= 0.0:
         raise AlphaInvalid(f"alpha must be > 0, got {alpha}")
     ell = math.log(spec.K / spec.S) - (spec.r_d - spec.r_f) * spec.tau
     try:
-        m = cf(-1j * np.linspace(1.0, alpha + 1.0, 65), spec.tau)
+        m = cf(-1j * np.linspace(1.0, alpha + 2.0, 65), spec.tau)
     except NumericOverflow:
         m = np.array([np.nan])
     if not np.all(np.isfinite(m) & (m.real > 0.0) & (np.abs(m.imag) <= 1e-8 * m.real)):
-        raise AlphaInvalid(f"E[(S_T/F_T)^p] is not finite up to p = alpha + 1 = {alpha + 1.0}")
+        raise AlphaInvalid(f"E[(S_T/F_T)^p] is not finite up to p = alpha + 2 = "
+                           f"{alpha + 2.0}, one power past the alpha + 1 the transform reads")
     v = np.linspace(0.0, CARR_MADAN_V_MAX, CARR_MADAN_N)
     weights = np.full(CARR_MADAN_N, v[1] - v[0])
     weights[0] *= 0.5

@@ -5,11 +5,13 @@ Usage:
 
 ROOT_A and ROOT_B are checkouts of this repository (each with src/fxsvol).
 The kernels are those of the benchmark's seed-706 history
-(perfbench/history.py): the first 16 of the 40 dates it calibrates, each
-surface's one-lane kernel built by calibrate.SurfaceCost and stacked by
-AttariLanes.stack into 1, 4, 8 and 16 rows, priced for heston and bates2f
-with fixed parameter sets, one per row, under the heap policy cli.main
-sets.  Each of ROUNDS rounds runs one subprocess per checkout, the order
+(perfbench/history.py): the 40 dates it calibrates, each surface's one-lane
+kernel built by calibrate.SurfaceCost and stacked by AttariLanes.stack into
+1, 4, 8, 16, 20 and 40 rows, priced for heston and bates2f with fixed
+parameter sets, one per row, under the heap policy cli.main sets.  20 and
+40 rows are the steady-state kernel calls of a calibrate --jobs 2 worker
+over the 40 dates and of a 40-date --jobs 1 run, one row per live lane.
+Each of ROUNDS rounds runs one subprocess per checkout, the order
 alternating between rounds; a subprocess warms every configuration up, then
 times CALLS calls of each, interleaved.  It prints, per model and row count,
 each checkout's median and quartiles in microseconds over all rounds, and
@@ -26,7 +28,7 @@ import sys
 import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-SEED, DATES, ROWS = 706, 16, (1, 4, 8, 16)
+SEED, DATES, ROWS = 706, 40, (1, 4, 8, 16, 20, 40)
 ROUNDS, CALLS = 20, 20
 
 CHILD = r"""

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fxsvol.calibrate as calibrate_mod
+from fxsvol import cli
 from fxsvol.calibrate import (
     COST_KINDS,
     FELLER_PENALTY,
@@ -66,7 +67,7 @@ from cost_reference import reference_cost
 from nm_reference import reference_nelder_mead, reference_run_job
 from risk_reference import reference_calibration_risk
 
-from synthutil import synth_surface
+from synthutil import synth_surface, write_quote_csv
 
 
 class TestNelderMead:
@@ -508,6 +509,95 @@ class TestTermStructureObjective:
         assert (nu0, theta, kappa) == tuple(math.exp(v) for v in want.x)
 
 
+class TestFixedPointStop:
+    """The CIR term-structure fit of a clean synthetic Heston surface runs
+    onto the flat-curve ridge, where its simplex stops moving: an iteration
+    leaves every vertex and value bit for bit as they were.  The fit then
+    returns what its 8,000-iteration cap gives, without the evaluations."""
+
+    @staticmethod
+    def ts_inputs(tmp_path, monkeypatch):
+        """(taus, corrected variances) of the CIR TS fit that calibrate runs
+        on the surface, read back from a one-date quote file."""
+        surf = synth_surface("heston", HestonParams(0.0025, 0.003, 2.0, 0.3, -0.4))
+        path = write_quote_csv(tmp_path / "one.csv", [surf], vols_decimal=False)
+        surfaces = cli.load_surfaces(cli.RunManifest(
+            command="calibrate", input_path=str(path), output_dir=str(tmp_path / "out")))
+        hist = cli.historical_context(surfaces)
+        (surface,) = surfaces.values()
+        seen = []
+
+        def spy(taus, v2):
+            seen.append((taus, v2))
+            return calibrate_variance_ts(taus, v2)
+
+        monkeypatch.setattr(cli, "calibrate_variance_ts", spy)
+        cli.variance_pipeline(surface, hist["heston"][surface.date])
+        (inputs,) = seen
+        return inputs
+
+    def test_matches_the_reference_run_to_the_cap(self, tmp_path, monkeypatch):
+        taus, v2 = self.ts_inputs(tmp_path, monkeypatch)
+        runs = []
+        real = calibrate_mod.nelder_mead
+
+        def counting(f, x0, config):
+            calls = []
+
+            def counted(x):
+                calls.append(1)
+                return f(x)
+
+            runs.append((f, x0, config, calls))
+            return real(counted, x0, config)
+
+        monkeypatch.setattr(calibrate_mod, "nelder_mead", counting)
+        nu0, theta, kappa, got = calibrate_variance_ts(taus, v2)
+        ((f, x0, config, calls),) = runs
+        reference_calls = []
+
+        def counted_reference(x):
+            reference_calls.append(1)
+            return f(x)
+
+        want = reference_nelder_mead(counted_reference, x0, config)
+        assert (want.iterations, want.converged) == (calibrate_mod.TS_MAX_ITER + 1, False)
+        assert np.array_equal(got.x, want.x)
+        assert (got.fx, got.iterations, got.converged) == (
+            want.fx, want.iterations, want.converged)
+        assert (nu0, theta, kappa) == tuple(math.exp(v) for v in want.x)
+        # the ridge: kappa far below 1e-4 and theta far above the curve
+        assert kappa < 1e-4 and theta > 1.0
+        assert len(calls) < 1000 < 15000 < len(reference_calls)
+
+    def test_steps_stop_after_an_unchanged_iteration(self, tmp_path, monkeypatch):
+        """The generator's last step asked for one point, the worst vertex
+        itself, and got its value back: the iteration that changed nothing."""
+        taus, v2 = self.ts_inputs(tmp_path, monkeypatch)
+        objective = _ts_objective_of(monkeypatch, calibrate_variance_ts, taus, v2)
+        x0 = np.array([math.log(v) for v in (v2[0], v2[-1], 2.0)])
+        steps = calibrate_mod.nelder_mead_steps(x0, calibrate_mod._TS_NM_CONFIG)
+        asked = next(steps)
+        rounds = []
+        while True:
+            values = [objective(np.array(x)) for x in asked]
+            rounds.append((asked, values))
+            try:
+                asked = steps.send(values)
+            except StopIteration as stop:
+                res = stop.value
+                break
+        assert all(type(v) is float for asked, _ in rounds for x in asked for v in x)
+        assert res.iterations == calibrate_mod.TS_MAX_ITER + 1 and not res.converged
+        assert len(rounds) < 1000
+        (last,), (value,) = rounds[-1]
+        same = [(x, v) for asked, values in rounds[:-1] for x, v in zip(asked, values)
+                if x == last and v == value]
+        assert same  # a vertex asked for before, bit for bit
+        assert all(math.copysign(1.0, a) == math.copysign(1.0, b)
+                   for a, b in zip(same[-1][0], last))
+
+
 class TestOutliers:
     def test_monotone_stable_series_clean(self):
         assert detect_outliers([0.01, 0.0102, 0.0104, 0.0101]) == []
@@ -804,6 +894,14 @@ def _inf_right(x):
     return float("inf") if x[0] + x[1] > 2.02 else _rosen(x)
 
 
+def _kink(x):
+    # a valley with a kink steeper than eps1 per ulp: the simplex collapses
+    # onto neighbouring floats about (0.3, 0.7), where its values still
+    # spread by 1e14 and a contraction gives back the worst vertex itself
+    d = x[0] - 0.3
+    return 1e30 * (d if d > 0.0 else -2.0 * d) + 1e30 * abs(x[1] - 0.7)
+
+
 def _start_at(x0, kind="test", params=None):
     """A stand-in Layout: the start point x0 and, if given, the map params."""
     return SimpleNamespace(kind=kind, x0=np.asarray(x0, dtype=float), params=params)
@@ -914,6 +1012,46 @@ class TestLockstepNelderMead:
         with pytest.raises(InvariantViolation):
             NelderMeadConfig(max_iter=-1)
         assert NelderMeadConfig(max_iter=0).max_iter == 0
+
+    def test_same_bits(self):
+        """The fixed-point test tells zeros apart by sign and never takes
+        two NaN objects for the same bits."""
+        same = calibrate_mod._same_bits
+        nan = float("nan")
+        assert same([1.0, -0.0, 0.0], [1.0, -0.0, 0.0])
+        assert not same([0.0], [-0.0]) and not same([-0.0], [0.0])
+        assert not same([1.0], [math.nextafter(1.0, 2.0)])
+        assert same([nan], [nan]) and not same([nan], [float("nan")])
+
+    def test_fixed_point_lane(self):
+        """A lane whose objective value stalls, the simplex stuck on a kink
+        where an iteration changes nothing, ends as the reference does at
+        max_iter, after a tenth of its evaluations; the lanes run beside it
+        are as before."""
+        lanes = [(_kink, [1.0, 1.0], NelderMeadConfig(max_iter=3000))] + self.LANES[:2]
+        counts = [[0] for _ in lanes]
+        want = []
+        for (f, x0, cfg), count in zip(lanes, counts):
+            def counted(x, f=f, count=count):
+                count[0] += 1
+                return f(x)
+            want.append(reference_nelder_mead(counted, np.asarray(x0, dtype=float), cfg))
+        assert (want[0].iterations, want[0].converged) == (3001, False)
+        funcs = [f for f, _, _ in lanes]
+        rows = [0] * len(lanes)
+
+        def evaluate(batch):
+            for i, _, _ in batch:
+                rows[i] += 1
+            return [_outcome(funcs[i], x) for i, _, x in batch]
+
+        got = lockstep([_nm_job(x0, cfg) for _, x0, cfg in lanes], evaluate)
+        for g, w in zip(got, want):
+            self.assert_same(g, w)
+        assert 10 * rows[0] < counts[0][0]
+        assert rows[1:] == [c[0] for c in counts[1:]]
+        one = nelder_mead(_kink, np.array([1.0, 1.0]), lanes[0][2])
+        self.assert_same(one, want[0])
 
 
 def _surfaces():
@@ -1039,9 +1177,8 @@ class TestRunLanes:
         want = [_result_or_error(j) for j in jobs()]
         assert want[0][0] == two_stage_calibration(
             "bates2f", lane_surfaces[0], sym, feller=True, max_iter=15)[0]
-        # blocks of two lanes and kernel calls of three rows change nothing
+        # blocks of two lanes, so kernel calls of at most two rows, change nothing
         monkeypatch.setattr(calibrate_mod, "LANES_PER_BLOCK", 2)
-        monkeypatch.setattr(calibrate_mod, "LANE_ROWS", 3)
         _assert_same_results(run_lanes(jobs()), want)
 
     def test_overflow_in_one_lane(self, lane_surfaces, monkeypatch):
@@ -1162,6 +1299,70 @@ class TestRunLanes:
         want = run_job(job(lane_surfaces[0], start))
         assert np.array_equal(got[0].x, want.x) and got[0].fx == want.fx
 
+    def test_one_kernel_call_a_round(self, lane_surfaces, monkeypatch):
+        """Twenty one-factor lanes: every round after the initial simplices
+        prices all its rows in one AttariLanes.calls, and the results are
+        the reference driver's bit for bit."""
+        rng = np.random.default_rng(29)
+        starts = [draw_heston(rng) for _ in range(20)]
+
+        def jobs():
+            return [full_job("heston", lane_surfaces[i % 4], st, max_iter=30)
+                    for i, st in enumerate(starts)]
+
+        want = [_result_or_error(j) for j in jobs()]
+        calls = []
+        plain_calls = AttariLanes.calls
+
+        def spy(kernel, cf):
+            calls.append(kernel.tau.shape[0])
+            return plain_calls(kernel, cf)
+
+        rounds = []
+
+        class Recording(calibrate_mod._SurfacePricer):
+            def __call__(self, rows):
+                first = len(calls)
+                out = super().__call__(rows)
+                rounds.append((len(rows), calls[first:]))
+                return out
+
+        monkeypatch.setattr(AttariLanes, "calls", spy)
+        monkeypatch.setattr(calibrate_mod, "_SurfacePricer", Recording)
+        got = run_lanes(jobs())
+        _assert_same_results(got, want)
+        block = calibrate_mod.LANES_PER_BLOCK
+        assert rounds[0] == (20 * 6, [block, 20 * 6 - block])
+        assert len(rounds) > 30
+        assert all(made == [n] for n, made in rounds[1:])
+        assert max(n for n, _ in rounds[1:]) > 16  # wider than one old chunk
+
+    def test_invalid_point_fails_its_lane_with_the_set_error(self, lane_surfaces):
+        """A point outside the parameter rule (nu0 = exp(-800) = 0) is its
+        lane's InvariantViolation, model_params' own text, as the reference
+        driver raises it; the other lane goes on."""
+        layout = Layout("heston", [HestonParams(0.01, 0.015, 2.0, 0.3, -0.4)])
+        bad = layout.x0.copy()
+        bad[0] = -800.0
+
+        def job(surface, x0):
+            at_x0 = SimpleNamespace(kind="heston", x0=x0, params=layout.params,
+                                    fields=layout.fields)
+            return (yield Fit(SurfaceCost(surface), at_x0, False,
+                              NelderMeadConfig(max_iter=20)))
+
+        want = _result_or_error(job(lane_surfaces[1], bad))
+        assert isinstance(want, InvariantViolation)
+        assert str(want).startswith("heston factor needs nu0, kappa, omega > 0, theta > 0 "
+                                    "and |rho| < 1: HestonParams(nu0=0.0, theta=")
+        got = run_lanes([job(lane_surfaces[0], layout.x0), job(lane_surfaces[1], bad)])
+        assert type(got[1]) is InvariantViolation and str(got[1]) == str(want)
+        alone = run_job(job(lane_surfaces[0], layout.x0))
+        assert np.array_equal(got[0].x, alone.x) and got[0].fx == alone.fx
+        with pytest.raises(InvariantViolation) as one:
+            layout.fields(bad)
+        assert str(one.value) == str(want)
+
     def test_job_fits_of_two_surfaces(self, lane_surfaces):
         """A job whose fits price two surfaces, the second of another shape
         and model, gets the reference result: each row is priced through
@@ -1200,8 +1401,9 @@ class TestStackedKernels:
 
     @staticmethod
     def recording_pricer(monkeypatch):
-        """Patch in a pricer that records, per call, how many stacks it holds,
-        and weak references to itself and to every stacked kernel."""
+        """Patch in a pricer that records, per call, how many rows its stacks
+        hold in all, and weak references to itself and to every stacked
+        kernel."""
         seen = SimpleNamespace(sizes=[], refs=[], stacked=0, built=0)
 
         class Recording(calibrate_mod._SurfacePricer):
@@ -1211,7 +1413,7 @@ class TestStackedKernels:
 
             def __call__(self, rows):
                 out = super().__call__(rows)
-                seen.sizes.append(len(self.stacks))
+                seen.sizes.append(sum(len(key) for key in self.stacks))
                 seen.refs.extend(weakref.ref(entry[0]) for entry in self.stacks.values())
                 return out
 
@@ -1245,7 +1447,7 @@ class TestStackedKernels:
         want = [_result_or_error(j) for j in self.jobs(lane_surfaces, np.random.default_rng(3))]
         _assert_same_results(run_lanes(self.jobs(lane_surfaces, np.random.default_rng(3))),
                              want)
-        assert max(seen.sizes) <= calibrate_mod.LANES_PER_BLOCK // calibrate_mod.LANE_ROWS
+        assert max(seen.sizes) <= calibrate_mod.LANES_PER_BLOCK
         assert 0 < seen.built < seen.stacked  # stacks are reused across rounds
         self.assert_run_freed(seen)
         # every context of the first run is gone, so new ones may take their
@@ -1264,12 +1466,11 @@ class TestStackedKernels:
         self.assert_run_freed(seen)
 
     def test_evicted_stacks(self, lane_surfaces, monkeypatch):
-        """Kernel calls of two rows make more chunks a round than the cache
-        holds (LANES_PER_BLOCK / LANE_ROWS = 4), so stacks are evicted and
-        built again, and a context dropped mid-run keeps its kernel alive only
-        while a stack names it."""
-        monkeypatch.setattr(calibrate_mod, "LANE_ROWS", 2)
-        monkeypatch.setattr(calibrate_mod, "LANES_PER_BLOCK", 8)
+        """Blocks of four lanes make rounds of more rows than the cache holds
+        (LANES_PER_BLOCK = 4 rows of stacks), the initial simplices and the
+        shrinks, so stacks are evicted and built again, and a context dropped
+        mid-run keeps its kernel alive only while a stack names it."""
+        monkeypatch.setattr(calibrate_mod, "LANES_PER_BLOCK", 4)
         seen = self.recording_pricer(monkeypatch)
         want = [_result_or_error(j) for j in self.jobs(lane_surfaces, np.random.default_rng(5))]
         _assert_same_results(run_lanes(self.jobs(lane_surfaces, np.random.default_rng(5))),
@@ -1298,7 +1499,7 @@ class TestStackedKernels:
 
 
 class TestChunkCosts:
-    """A chunk's costs, of one row to LANE_ROWS rows, come from one _costs
+    """A chunk's costs, of one row to 16 rows, come from one _costs
     per cost spec, and each is the row-by-row oracle's cost bit for bit, as
     is SurfaceCost's own."""
 

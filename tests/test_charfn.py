@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fxsvol import charfn
-from fxsvol.calibrate import LANE_ROWS
+from fxsvol.calibrate import LANES_PER_BLOCK
 from fxsvol.charfn import (
     Factor,
     HestonParams,
@@ -837,8 +837,8 @@ class TestLogTermPriceShift:
                            for _ in range(200)]
         worst = 0.0
         for surface in (heston_surface, sz_surface):
-            for k in range(0, len(sets), LANE_ROWS):
-                chunk = sets[k:k + LANE_ROWS]
+            for k in range(0, len(sets), LANES_PER_BLOCK):
+                chunk = sets[k:k + LANES_PER_BLOCK]
                 kernel = _surface_kernel(surface, len(chunk))
                 cf = cf_factory(kind, ParamLanes.stack(kind, chunk), jump=jump)
                 new = kernel.calls(cf)
@@ -855,8 +855,9 @@ class TestDriftCentredPrices:
     the drift-form kernel it replaced (charfn_reference.reference_attari_calls
     of reference_cf_factory): every cell's call price within 1e-15 S on the
     fixture surfaces, all four models, with and without jumps, for the
-    ALL_MODELS set and 200 sets mapped from draw_heston, LANE_ROWS lanes a
-    call.  The shift measured 3.4e-16 S at most, one ulp of the prices."""
+    ALL_MODELS set and 200 sets mapped from draw_heston, LANES_PER_BLOCK
+    lanes a call.  The shift measured 3.4e-16 S at most, one ulp of the
+    prices."""
 
     @pytest.mark.parametrize("kind,params", [(n, p) for n, _, p in ALL_MODELS],
                              ids=[n for n, _, _ in ALL_MODELS])
@@ -866,8 +867,8 @@ class TestDriftCentredPrices:
         sets = [params] + [_from_heston(kind, draw_heston(rng), draw_heston(rng))
                            for _ in range(200)]
         for surface in (heston_surface, sz_surface):
-            for k in range(0, len(sets), LANE_ROWS):
-                chunk = sets[k:k + LANE_ROWS]
+            for k in range(0, len(sets), LANES_PER_BLOCK):
+                chunk = sets[k:k + LANES_PER_BLOCK]
                 lanes = ParamLanes.stack(kind, chunk)
                 new = _surface_kernel(surface, len(chunk)).calls(
                     cf_factory(kind, lanes, jump=jump))
@@ -898,19 +899,19 @@ def _variance_scaled(p, s):
 class TestFoldedKernel:
     """The folded kernel against the unfolded one it replaced
     (charfn_reference.UnfoldedAttariLanes) on the same CF: every cell within
-    1e-15 S, all four models, LANE_ROWS lanes a call, for criterion 3's 50
-    draw_heston sets mapped to the model with their variances scaled by 1,
-    10, 50 and 200 (vols near 140%), on the fixture surfaces and on each
+    1e-15 S, all four models, LANES_PER_BLOCK lanes a call, for criterion
+    3's 50 draw_heston sets mapped to the model with their variances scaled
+    by 1, 10, 50 and 200 (vols near 140%), on the fixture surfaces and on each
     set's own criterion-3 cells."""
 
     @staticmethod
     def _worst(kind, sets, inputs, grid=DEFAULT_GRID):
         """max |folded - unfolded| / S over the cells of inputs, one
-        AttariLanes input tuple per set, priced LANE_ROWS sets a call."""
+        AttariLanes input tuple per set, priced LANES_PER_BLOCK sets a call."""
         worst = 0.0
-        for k in range(0, len(sets), LANE_ROWS):
-            cf = cf_factory(kind, ParamLanes.stack(kind, sets[k:k + LANE_ROWS]))
-            lanes = [np.array(v) for v in zip(*inputs[k:k + LANE_ROWS])]
+        for k in range(0, len(sets), LANES_PER_BLOCK):
+            cf = cf_factory(kind, ParamLanes.stack(kind, sets[k:k + LANES_PER_BLOCK]))
+            lanes = [np.array(v) for v in zip(*inputs[k:k + LANES_PER_BLOCK])]
             new = AttariLanes(*lanes, grid).calls(cf)
             old = UnfoldedAttariLanes(*lanes, grid).calls(cf)
             assert np.all(np.isfinite(new))

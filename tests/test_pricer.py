@@ -482,9 +482,28 @@ class TestCfPricers:
         sp = OptionSpec(1.3, 1.3, 1.0, 0.01, 0.005)
         with pytest.raises(AlphaInvalid, match="not finite up to"):
             carr_madan_price(cf, sp, alpha=alpha)
-        assert 0.0 < carr_madan_price(cf, sp, alpha=10.0) < sp.S
+        assert 0.0 < carr_madan_price(cf, sp, alpha=9.0) < sp.S
         assert carr_madan_price(cf, sp, alpha=1.5) == pytest.approx(
             gil_pelaez_price(cf, sp), abs=1e-6 * sp.S)
+
+    @pytest.mark.parametrize("alpha", [10.0, 10.3, 10.4])
+    def test_carr_madan_refuses_alpha_just_below_the_explosion(self, alpha):
+        # the moment check to alpha + 1 passed these, and the prices were
+        # 1.7e-6 off Gil-Pelaez's 0.0563090 at 10, 0.306 at 10.3 and 1.38e25
+        # at 10.4; the margin to alpha + 2 refuses them
+        cf = cf_factory("heston", HestonParams(0.01, 0.02, 1.5, 0.5, -0.3))
+        sp = OptionSpec(1.3, 1.3, 1.0, 0.01, 0.005)
+        with pytest.raises(AlphaInvalid, match="not finite up to p = alpha [+] 2"):
+            carr_madan_price(cf, sp, alpha=alpha)
+
+    def test_carr_madan_alphas_it_takes_agree_with_gil_pelaez(self):
+        cf = cf_factory("heston", HestonParams(0.01, 0.02, 1.5, 0.5, -0.3))
+        sp = OptionSpec(1.3, 1.3, 1.0, 0.01, 0.005)
+        want = gil_pelaez_price(cf, sp)
+        assert want == pytest.approx(0.0563090, abs=1e-7)
+        for alpha in (0.5, 1.5, 3.0, 5.0, 7.0, 8.0, 9.0):
+            assert carr_madan_price(cf, sp, alpha=alpha) == pytest.approx(
+                want, abs=1e-6 * sp.S)
 
     def test_cross_method_agreement_median_params(self):
         # production pricer vs the two dense cross-validators on pillar strikes
