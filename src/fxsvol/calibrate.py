@@ -39,6 +39,7 @@ from .charfn import (
     variance_factors,
 )
 from .errors import FxsvolError, InvariantViolation, NonFiniteObjective, NumericOverflow
+from .moments import heston_total_variance
 from .pricer import (
     DEFAULT_GRID,
     AttariLanes,
@@ -98,24 +99,24 @@ def _simplex_volume(points):
 def nelder_mead_steps(x_start, config=NelderMeadConfig()):
     """The Nelder-Mead body as a generator; returns the NMResult.
 
-    The initial simplex is x_start plus per-coordinate offsets of 0.05
-    (0.00025 where the start coordinate is zero), with x_start itself kept
-    as the (n+1)-th vertex.  Each step yields the list of points it needs,
-    each a list of Python floats, and is sent an iterable of their objective
-    values in point order; a value is read only when the step needs it, so
-    an iterable that evaluates, or raises, as it goes gives the errors of a
+    The initial simplex is x_start, any sequence of floats, plus offsets of
+    0.05 (0.00025 where the start coordinate is zero), with x_start itself
+    kept as the (n+1)-th vertex.  A point is a tuple of Python floats: each
+    step yields the list of points it needs, the vertices themselves (a
+    tuple cannot change), and is sent an iterable of their objective values
+    in point order; a value is read only when the step needs it, so an
+    iterable that evaluates, or raises, as it goes gives the errors of a
     plain loop.  An error names its point as the float64 array numpy prints.
 
-    The vertices are lists of Python floats, and every step is the
-    IEEE operation, in the same order, of the numpy vector form it stands
-    for: x0 + step * e_i, the centroid as the rows added in order from the
-    first then divided by n, and c + alpha * (c - worst) and the like.  The
-    simplex volume is np.linalg.det of the edge array, computed only when
-    the stop rule needs it.  The vertices are kept in the order a stable
-    sort of their values gives.  They are sorted in full after the initial
-    simplex and after a shrink; any other step replaces only the worst
-    vertex, and the new one goes after the vertices of equal value
-    (bisect_right).
+    Every step is the IEEE operation, in the same order, of the numpy
+    vector form it stands for: x0 + step * e_i, the centroid as the rows
+    added in order from the first then divided by n, and c + alpha * (c -
+    worst) and the like.  The simplex volume is np.linalg.det of the edge
+    array, computed only when the stop rule needs it.  The vertices are
+    kept in the order a stable sort of their values gives.  They are sorted
+    in full after the initial simplex and after a shrink; any other step
+    replaces only the worst vertex, and the new one goes after the vertices
+    of equal value (bisect_right).
 
     Fixed-point stop: an iteration's step depends on the vertices and their
     values alone, so once one leaves every vertex and value bit for bit as
@@ -125,7 +126,7 @@ def nelder_mead_steps(x_start, config=NelderMeadConfig()):
     iterations max_iter + 1 and converged False.  This takes the objective
     to give a point the same value every time.
     """
-    start = np.asarray(x_start, dtype=float).tolist()
+    start = tuple(map(float, x_start))
     n = len(start)
     points = [_offset(start, i) for i in range(n)]
     got = iter((yield [start, *points]))
@@ -154,23 +155,23 @@ def nelder_mead_steps(x_start, config=NelderMeadConfig()):
             break
         centroid = [functools.reduce(operator.add, col) / n for col in zip(*points[:-1])]
         worst = points[-1]
-        xr = [c + alpha * (c - w) for c, w in zip(centroid, worst)]
+        xr = tuple(c + alpha * (c - w) for c, w in zip(centroid, worst))
         fr = _checked(*(yield [xr]), xr)
         if values[0] <= fr <= values[-2]:
             moved = _replace_worst(points, values, xr, fr)
         elif fr <= values[0]:
-            xe = [c + gamma * (r - c) for c, r in zip(centroid, xr)]
+            xe = tuple(c + gamma * (r - c) for c, r in zip(centroid, xr))
             fe = _checked(*(yield [xe]), xe)
             moved = (_replace_worst(points, values, xe, fe) if fe <= fr
                      else _replace_worst(points, values, xr, fr))
         else:
-            xc = [c + rho_c * (w - c) for c, w in zip(centroid, worst)]
+            xc = tuple(c + rho_c * (w - c) for c, w in zip(centroid, worst))
             fc = _checked(*(yield [xc]), xc)
             if fc <= values[-1]:
                 moved = _replace_worst(points, values, xc, fc)
             else:
                 best = points[0]
-                shrunk = [[b + sigma_s * (p - b) for b, p in zip(best, q)]
+                shrunk = [tuple(b + sigma_s * (p - b) for b, p in zip(best, q))
                           for q in points[1:]]
                 fs = [_checked(v, p) for v, p in zip((yield shrunk), shrunk)]
                 moved = not (all(map(_same_bits, shrunk, points[1:]))
@@ -188,7 +189,7 @@ def _offset(start, i):
     """Vertex i of the initial simplex: start + step * e_i, coordinate by
     coordinate, so the others get + 0.0 and a -0.0 among them becomes 0.0."""
     step = 0.05 if start[i] != 0.0 else 0.00025
-    return [x + (step if j == i else 0.0) for j, x in enumerate(start)]
+    return tuple(x + (step if j == i else 0.0) for j, x in enumerate(start))
 
 
 def _sorted(points, values):
@@ -213,9 +214,8 @@ def _replace_worst(points, values, x, fx):
 
 
 def _same_bits(a, b):
-    """Whether the float lists a and b hold the same bits: equal, with
-    zeros of the same sign (a NaN counts as different unless it is the same
-    object)."""
+    """Whether the float lists (or tuples) a and b hold the same bits: equal,
+    zeros of the same sign (a NaN differs unless it is the same object)."""
     return a == b and all(math.copysign(1.0, u) == math.copysign(1.0, v)
                           for u, v in zip(a, b))
 
@@ -223,12 +223,12 @@ def _same_bits(a, b):
 def nelder_mead(f, x_start, config=NelderMeadConfig()):
     """Minimize f from x_start with the fixed-constant simplex scheme
     (nelder_mead_steps, evaluating one point at a time, each handed to f
-    as a float64 array)."""
+    as the simplex's own tuple of Python floats)."""
     steps = nelder_mead_steps(x_start, config)
     try:
         points = next(steps)
         while True:
-            points = steps.send(f(np.array(x)) for x in points)
+            points = steps.send(f(x) for x in points)
     except StopIteration as stop:
         return stop.value
 
@@ -258,10 +258,11 @@ class Layout:
     model factor.  Per factor, each field named in free is a coordinate, in
     COORDS order: log of a positive field, atanh of rho; every other field
     stays at its base value.  With tied, all factors share the coordinates
-    of the first.  x0 is the base's coordinates; fields(x) gives the
-    factors' (nu0, theta, kappa, omega, rho) tuples at coordinates x, a
-    float64 array, checked by charfn's one validation rule, and params(x)
-    the parameter set (charfn.model_params) they make.  math.exp and
+    of the first.  x0 is the base's coordinates, a float64 array;
+    fields(x) gives the factors' (nu0, theta, kappa, omega, rho) tuples at
+    coordinates x, any sequence of floats (a simplex point's tuple is read
+    as it is), checked by charfn's one validation rule, and params(x) the
+    parameter set (charfn.model_params) they make.  math.exp and
     math.tanh map the coordinates back, so a coordinate that overflows a
     float raises OverflowError, and a point outside the rule raises
     model_params' own InvariantViolation.  The index plan is built here,
@@ -284,7 +285,7 @@ class Layout:
 
     def fields(self, x):
         flat = self._base[:]
-        for (i, inverse), v in zip(self._plan, x.tolist()):
+        for (i, inverse), v in zip(self._plan, x):
             flat[i] = inverse(v)
         fields = [tuple(flat[i:i + 5]) for i in range(0, len(flat), 5)] * self._copies
         if not valid_factors(self.kind, fields):
@@ -449,16 +450,10 @@ def calibrate_vol_ts_sz(taus, vol_targets):
 
 def _cir_cost(nu0, theta, kappa, pairs):
     """sum (vol(tau) - target)^2 over pairs (tau, target), vol the square
-    root of moments.heston_total_variance floored at 1e-16, its formula
-    written out here in the same operations."""
+    root of moments.heston_total_variance floored at 1e-16."""
     total = 0.0
     for tau, target in pairs:
-        x = kappa * tau
-        if x < 1e-8:
-            v = nu0 + (theta - nu0) * x / 2.0
-        else:
-            v = theta + (nu0 - theta) * (1.0 - math.exp(-x)) / x
-        d = math.sqrt(1e-16 if 1e-16 > v else v) - target   # max(v, 1e-16)
+        d = math.sqrt(max(heston_total_variance(nu0, theta, kappa, tau), 1e-16)) - target
         total += d * d
     return total
 
@@ -482,20 +477,15 @@ def _fit_ts(cost, taus, targets, start):
     theta, kappa), by nelder_mead and its fixed-point stop.
 
     The objective is cost(nu0, theta, kappa, pairs), one call per point
-    over the whole curve, on Python floats: it sums the squared residuals
-    left to right from 0.0.  That is numpy's np.sum((fit - target) ** 2) bit
-    for bit below 8 terms, where numpy also adds in order; from 8 terms on
-    numpy's pairwise sum can differ in the last bits.
+    over the whole curve, on the Python floats math.exp maps the simplex's
+    tuple to: it sums the squared residuals left to right from 0.0.  That is
+    numpy's np.sum((fit - target) ** 2) bit for bit below 8 terms, where
+    numpy also adds in order; from 8 terms on numpy's pairwise sum can
+    differ in the last bits.
     """
-    pairs = list(zip(np.asarray(taus, dtype=float)[1:].tolist(),
-                     np.asarray(targets, dtype=float)[1:].tolist()))
-
-    def objective(x):
-        nu0, theta, kappa = map(math.exp, x.tolist())
-        return cost(nu0, theta, kappa, pairs)
-
-    x0 = np.array([math.log(v) for v in start])
-    res = nelder_mead(objective, x0, _TS_NM_CONFIG)
+    pairs = list(zip(map(float, taus[1:]), map(float, targets[1:])))
+    res = nelder_mead(lambda x: cost(*map(math.exp, x), pairs),
+                      [math.log(v) for v in start], _TS_NM_CONFIG)
     nu0, theta, kappa = (math.exp(v) for v in res.x)
     return nu0, theta, kappa, res
 
@@ -525,11 +515,9 @@ class Fit:
     """One Nelder-Mead run: minimize ctx(layout.kind, layout.params(x),
     feller) from layout.x0.
 
-    group and fields are what _SurfacePricer reads of every point, each
-    worked out on first use, once per fit: the key of the rows it can price
-    with, of plain values, and the map from a point to its factors' field
-    tuples, the layout's own or, for a layout that maps points only to
-    parameter sets (params), those sets' fields.
+    group, the key of the rows _SurfacePricer can price a point with, of
+    plain values, is worked out on first use, once per fit; the pricer maps
+    each point through layout.fields.
     """
     ctx: SurfaceCost
     layout: Layout
@@ -540,14 +528,6 @@ class Fit:
     def group(self):
         ctx = self.ctx
         return self.layout.kind, astuple(ctx.grid), ctx.strikes.shape, astuple(ctx.spec)
-
-    @functools.cached_property
-    def fields(self):
-        fields = getattr(self.layout, "fields", None)
-        if fields is not None:
-            return fields
-        params = self.layout.params
-        return lambda x: [factor_fields(f) for f in params(x).factors]
 
 
 def _fit_config(layout, max_iter, stop_any):
@@ -603,7 +583,8 @@ def lockstep(jobs, evaluate):
 
     Each round sends every live _lane its points' values and calls
     evaluate(rows) once: rows are (lane, fit, x) for each point the lanes
-    ask for next, x a float64 array, and evaluate returns per row the
+    ask for next, x the simplex's own tuple of Python floats (a tuple, so
+    no evaluator can change the simplex), and evaluate returns per row the
     objective value or the FxsvolError computing it raised.  A lane fails
     with the first failing outcome in its own point order, as its job alone
     would; the others go on.
@@ -622,7 +603,7 @@ def lockstep(jobs, evaluate):
                 out[i] = exc
         if not live:
             return out
-        outcomes = iter(evaluate([(i, fit, np.array(x)) for i, _, fit, points in live
+        outcomes = iter(evaluate([(i, fit, x) for i, _, fit, points in live
                                   for x in points]))
         lanes = [(i, lane, _replay([next(outcomes) for _ in points]))
                  for i, lane, _, points in live]
@@ -666,8 +647,9 @@ class _SurfacePricer:
     """lockstep's evaluate for surface fits: the lanes' surfaces priced
     together.  One pricer serves one lockstep run and dies with it.
 
-    Each point becomes its factors' field tuples (Fit.fields), checked by
-    charfn's validation and Feller rules; no parameter set is built.  Rows
+    Each point, the simplex's own tuple, becomes its factors' field tuples
+    (the fit's layout.fields), checked by charfn's validation and Feller
+    rules; no parameter set is built.  Rows
     whose fits share a group (the model, the grid, the surface shape and the
     cost spec: Fit.group) go to the kernel together, in chunks of up to
     LANES_PER_BLOCK rows, each through an AttariLanes stacked from their
@@ -695,7 +677,7 @@ class _SurfacePricer:
         priced = {}
         for r, (_, fit, x) in enumerate(rows):
             try:
-                fields = fit.fields(x)
+                fields = fit.layout.fields(x)
             except FxsvolError as exc:
                 out[r] = exc
                 continue

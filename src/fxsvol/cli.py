@@ -105,8 +105,12 @@ def params_to_dict(kind, params):
 
 def load_surfaces(manifest):
     """All surfaces in the file; the date range only selects what to process,
-    so historical estimators keep the full sample behind the range."""
-    rows = ingest_csv(manifest.input_path, vols_decimal=manifest.vols_decimal)
+    so historical estimators keep the full sample behind the range.  A file
+    that cannot be read raises ParseError, as one that cannot be parsed."""
+    try:
+        rows = ingest_csv(manifest.input_path, vols_decimal=manifest.vols_decimal)
+    except OSError as exc:
+        raise ParseError(str(exc)) from exc
     groups = group_rows_by_date(rows)
     return {d: build_surface(g) for d, g in groups.items()}
 
@@ -472,12 +476,15 @@ def cmd_report(manifest):
     """Aggregate calibration JSONs into mean/sd/min/quartile/max rows."""
     import numpy as np
     rows = []
-    for name in sorted(os.listdir(manifest.input_path)):
-        if name.startswith("calibration_") and name.endswith(".json"):
-            with open(os.path.join(manifest.input_path, name)) as fh:
-                payload = json.load(fh)
-            if "error" not in payload:
-                rows.append(payload)
+    try:
+        for name in sorted(os.listdir(manifest.input_path)):
+            if name.startswith("calibration_") and name.endswith(".json"):
+                with open(os.path.join(manifest.input_path, name)) as fh:
+                    payload = json.load(fh)
+                if "error" not in payload:
+                    rows.append(payload)
+    except OSError as exc:  # an input that cannot be read, as in load_surfaces
+        raise ParseError(str(exc)) from exc
     groups = {}
     for r in rows:
         key = (r["model"], r["start_method"], r["cost"])
@@ -647,8 +654,18 @@ def main(argv=None):
     }
     try:
         return handlers[manifest.command](manifest)
-    except (ParseError, OSError) as exc:
+    except BrokenPipeError:
+        # stdout's reader went away: stop quietly, the output partial, with
+        # stdout on devnull so that its flush at exit raises nothing more
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PARTIAL
+    except ParseError as exc:
         print(f"input invalid: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except FxsvolError as exc:
         print(f"error: {exc}", file=sys.stderr)

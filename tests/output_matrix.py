@@ -14,7 +14,13 @@ CostSpec(target="implied_vol") with max_iter IV_MAX_ITER, two ways: one
 calibrate_full per date, written to OUT_ROOT/library-iv/<date>.txt, and
 every date's full_job as a lane of one run_lanes call, whose chunks hold
 many rows, written to OUT_ROOT/library-iv-lanes/<date>.txt.  Each file
-holds the result's repr, or the FxsvolError's.
+holds the result's repr, or the FxsvolError's.  Last it runs the
+term-structure fits of the selected dates on the targets the calibration
+pipeline builds (cli.variance_pipeline, cli.sz_ts_pipeline), written to
+OUT_ROOT/library-ts/<date>.txt: the repr of calibrate_variance_ts, then that
+of calibrate_vol_ts_sz, one a line, or the repr of the FxsvolError that
+ended the date.  The reprs carry every bit of the fitted floats, where the
+calibration JSON rounds to 12 digits.
 Run it at two commits into two roots on the same CSV; `diff -r` of the roots
 is then the check that the two commits write the same bytes.  To run this
 file against another commit's package, put that commit's src first on
@@ -29,8 +35,15 @@ import io
 import os
 import sys
 
-from fxsvol import cli
-from fxsvol.calibrate import CostSpec, calibrate_full, full_job, run_lanes
+from fxsvol import cli, moments
+from fxsvol.calibrate import (
+    CostSpec,
+    calibrate_full,
+    calibrate_variance_ts,
+    calibrate_vol_ts_sz,
+    full_job,
+    run_lanes,
+)
 from fxsvol.errors import FxsvolError
 
 IV_MAX_ITER = 60
@@ -79,18 +92,14 @@ def run(name, argv):
     return code, err.getvalue()
 
 
-def library_iv(csv, date_from, date_to):
-    """The implied-vol-target fits of each selected date, as a library caller
-    runs them: ({date: repr} of calibrate_full run per date, {date: repr} of
-    the dates' full_jobs run as the lanes of one run_lanes call), each repr
-    that of the result or of the FxsvolError."""
-    manifest = cli.RunManifest(command="calibrate", input_path=csv, output_dir="",
-                               date_from=date_from, date_to=date_to)
-    surfaces = cli.load_surfaces(manifest)
-    hist = cli.historical_context(surfaces)
+def library_iv(surfaces, hist, dates):
+    """The implied-vol-target fits of each date, as a library caller runs
+    them: ({date: repr} of calibrate_full run per date, {date: repr} of the
+    dates' full_jobs run as the lanes of one run_lanes call), each repr that
+    of the result or of the FxsvolError."""
     alone, lanes, jobs = {}, {}, {}
     spec = CostSpec(target="implied_vol")
-    for date in cli.selected_dates(manifest, surfaces):
+    for date in dates:
         try:
             start, _, _ = cli.build_start("heston", "icm", surfaces[date], hist)
         except FxsvolError as exc:
@@ -106,6 +115,30 @@ def library_iv(csv, date_from, date_to):
     for date, out in zip(jobs, run_lanes(list(jobs.values()))):
         lanes[date] = repr(out)
     return alone, lanes
+
+
+def library_ts(surfaces, hist, dates):
+    """{date: text} of each date's term-structure fits on the calibration
+    pipeline's targets: the repr of calibrate_variance_ts on the corrected
+    strip variances, then that of calibrate_vol_ts_sz on the expected-vol
+    targets built from its curve, a line each; a FxsvolError's repr ends the
+    text."""
+    out = {}
+    for date in dates:
+        surface, (om_h, rho_h) = surfaces[date], hist["heston"][date]
+        taus = [sl.tau for sl in surface.slices]
+        lines = []
+        try:
+            ts = moments.surface_variance_ts(surface, rho_h=rho_h, omega_h=om_h)
+            cir = calibrate_variance_ts(taus, ts.v2_corrected)
+            lines.append(repr(cir))
+            targets = [moments.sz_expected_vol(v2c, *cir[:3], om_h, t)
+                       for v2c, t in zip(ts.v2_corrected, taus)]
+            lines.append(repr(calibrate_vol_ts_sz(taus, targets)))
+        except FxsvolError as exc:
+            lines.append(repr(exc))
+        out[date] = "\n".join(lines)
+    return out
 
 
 def main(argv=None):
@@ -126,8 +159,14 @@ def main(argv=None):
         with open(f"{name}.stderr", "w") as fh:
             fh.write(err)
         print(name, code, file=sys.stderr)
-    for name, texts in zip(("library-iv", "library-iv-lanes"),
-                           library_iv(csv, args.date_from, args.date_to)):
+    manifest = cli.RunManifest(command="calibrate", input_path=csv, output_dir="",
+                               date_from=args.date_from, date_to=args.date_to)
+    surfaces = cli.load_surfaces(manifest)
+    hist = cli.historical_context(surfaces)
+    dates = cli.selected_dates(manifest, surfaces)
+    for name, texts in zip(("library-iv", "library-iv-lanes", "library-ts"),
+                           (*library_iv(surfaces, hist, dates),
+                            library_ts(surfaces, hist, dates))):
         os.makedirs(name, exist_ok=True)
         for date, text in texts.items():
             with open(os.path.join(name, f"{date}.txt"), "w") as fh:

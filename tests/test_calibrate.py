@@ -44,6 +44,7 @@ from fxsvol.charfn import (
     SchobelZhuParams,
     TwoFactorParams,
     cf_factory,
+    model_params,
 )
 from fxsvol.errors import (
     FxsvolError,
@@ -72,7 +73,7 @@ from synthutil import synth_surface, write_quote_csv
 
 class TestNelderMead:
     def test_convex_quadratic(self):
-        res = nelder_mead(lambda x: float(np.sum(x * x)), np.array([1.0, 1.0]))
+        res = nelder_mead(lambda x: float(np.sum(np.square(x))), np.array([1.0, 1.0]))
         assert res.fx < 1e-10
         assert res.converged
 
@@ -86,7 +87,7 @@ class TestNelderMead:
         assert res.iterations <= 500
 
     def test_already_optimal_start(self):
-        res = nelder_mead(lambda x: float(np.sum(x * x)), np.zeros(2))
+        res = nelder_mead(lambda x: float(np.sum(np.square(x))), np.zeros(2))
         assert res.converged
         assert np.max(np.abs(res.x)) < 1e-3
 
@@ -95,8 +96,8 @@ class TestNelderMead:
         seen = []
 
         def f(x):
-            seen.append(x.copy())
-            return float(np.sum(x * x))
+            seen.append(x)
+            return float(np.sum(np.square(x)))
 
         nelder_mead(f, np.array([1.0, 0.0]), NelderMeadConfig(max_iter=1))
         inits = np.asarray(seen[:3])
@@ -124,7 +125,7 @@ class TestNelderMead:
 
     def test_stop_any_mode(self):
         cfg = NelderMeadConfig(eps1=1e3, eps2=1e-30, stop_any=True, max_iter=500)
-        res = nelder_mead(lambda x: float(np.sum(x * x)), np.array([1.0, 1.0]), cfg)
+        res = nelder_mead(lambda x: float(np.sum(np.square(x))), np.array([1.0, 1.0]), cfg)
         assert res.iterations == 1  # f-spread is tiny relative to eps1 at once
 
 
@@ -902,9 +903,9 @@ def _kink(x):
     return 1e30 * (d if d > 0.0 else -2.0 * d) + 1e30 * abs(x[1] - 0.7)
 
 
-def _start_at(x0, kind="test", params=None):
-    """A stand-in Layout: the start point x0 and, if given, the map params."""
-    return SimpleNamespace(kind=kind, x0=np.asarray(x0, dtype=float), params=params)
+def _start_at(x0, kind="test", fields=None):
+    """A stand-in Layout: the start point x0 and, if given, the map fields."""
+    return SimpleNamespace(kind=kind, x0=np.asarray(x0, dtype=float), fields=fields)
 
 
 def _nm_job(x0, config):
@@ -976,7 +977,7 @@ class TestLockstepNelderMead:
 
         def evaluate(rows):
             rounds.append(len(rows))
-            return [_outcome(funcs[i], x) for i, _, x in rows]
+            return [_outcome(funcs[i], np.asarray(x)) for i, _, x in rows]
 
         got = lockstep([_nm_job(x0, cfg) for _, x0, cfg in self.LANES], evaluate)
         for g, w in zip(got, want):
@@ -987,7 +988,7 @@ class TestLockstepNelderMead:
     def test_one_point_at_a_time_matches_reference(self):
         for f, x0, cfg in self.LANES:
             try:
-                got = nelder_mead(f, np.asarray(x0, dtype=float), cfg)
+                got = nelder_mead(lambda x: f(np.asarray(x)), np.asarray(x0, dtype=float), cfg)
             except FxsvolError as exc:
                 got = exc
             self.assert_same(got, _reference_or_error(f, x0, cfg))
@@ -997,7 +998,7 @@ class TestLockstepNelderMead:
         seen = []
 
         def f(x):
-            seen.append(x.copy())
+            seen.append(x)
             if len(seen) == 2:
                 return float("nan")
             if len(seen) == 3:
@@ -1043,7 +1044,7 @@ class TestLockstepNelderMead:
         def evaluate(batch):
             for i, _, _ in batch:
                 rows[i] += 1
-            return [_outcome(funcs[i], x) for i, _, x in batch]
+            return [_outcome(funcs[i], np.asarray(x)) for i, _, x in batch]
 
         got = lockstep([_nm_job(x0, cfg) for _, x0, cfg in lanes], evaluate)
         for g, w in zip(got, want):
@@ -1052,6 +1053,54 @@ class TestLockstepNelderMead:
         assert rows[1:] == [c[0] for c in counts[1:]]
         one = nelder_mead(_kink, np.array([1.0, 1.0]), lanes[0][2])
         self.assert_same(one, want[0])
+
+    def test_objectives_get_the_simplex_tuples(self):
+        """nelder_mead and lockstep hand every objective a tuple of Python
+        floats, and their points are the ones the reference loop evaluates,
+        bit for bit and in order.  A lane that fails may have been handed
+        more points of the round its failing point was in."""
+        def bits(x):
+            return np.asarray(x, dtype=float).view(np.uint64).tolist()
+
+        def check(points, want, failed):
+            assert all(type(x) is tuple and all(type(v) is float for v in x)
+                       for x in points)
+            got = [bits(x) for x in points]
+            assert (got[:len(want)] if failed else got) == want
+
+        want = []
+        for f, x0, cfg in self.LANES:
+            seen = []
+
+            def recorded(x, f=f, seen=seen):
+                seen.append(bits(x))
+                return f(x)
+
+            out = _reference_or_error(recorded, x0, cfg)
+            want.append((seen, isinstance(out, FxsvolError)))
+        for (f, x0, cfg), (seen, failed) in zip(self.LANES, want):
+            points = []
+
+            def recorded(x, f=f, points=points):
+                points.append(x)
+                return f(np.asarray(x))
+
+            try:
+                nelder_mead(recorded, x0, cfg)
+            except FxsvolError:
+                pass
+            check(points, seen, False)
+        funcs = [f for f, _, _ in self.LANES]
+        lanes = [[] for _ in self.LANES]
+
+        def evaluate(rows):
+            for i, _, x in rows:
+                lanes[i].append(x)
+            return [_outcome(funcs[i], np.asarray(x)) for i, _, x in rows]
+
+        lockstep([_nm_job(x0, cfg) for _, x0, cfg in self.LANES], evaluate)
+        for points, (seen, failed) in zip(lanes, want):
+            check(points, seen, failed)
 
 
 def _surfaces():
@@ -1286,7 +1335,7 @@ class TestRunLanes:
                         free=("nu0", "theta", "kappa"))
 
         def job(surface, x0):
-            return (yield Fit(SurfaceCost(surface), _start_at(x0, "heston", layout.params),
+            return (yield Fit(SurfaceCost(surface), _start_at(x0, "heston", layout.fields),
                               False, NelderMeadConfig(max_iter=20)))
 
         start = [math.log(0.01), math.log(0.015), math.log(2.0)]
@@ -1298,6 +1347,39 @@ class TestRunLanes:
         assert str(got[1]) == "parameter transform overflowed: math range error"
         want = run_job(job(lane_surfaces[0], start))
         assert np.array_equal(got[0].x, want.x) and got[0].fx == want.fx
+
+    def test_pricer_maps_the_simplex_tuples(self, lane_surfaces, monkeypatch):
+        """Every point the lane pricer maps through Layout.fields is the
+        simplex's tuple of Python floats, for full, two-stage and risk fits;
+        the results are the reference driver's.  Layout.params,
+        which maps each fit's NMResult.x array, is not spied on."""
+        starts = self.heston_starts(lane_surfaces)
+        sym = (0.005, 0.007, 2.0, 0.3, -0.4)
+
+        def jobs():
+            return ([full_job("heston", s, st, max_iter=20)
+                     for s, st in zip(lane_surfaces, starts)]
+                    + [full_job("sz", lane_surfaces[0], SchobelZhuParams(
+                           0.09, 0.11, 1.4, 0.15, -0.38), max_iter=20),
+                       two_stage_job("bates2f", lane_surfaces[1], sym, max_iter=10),
+                       risk_job("heston", lane_surfaces[2], starts[2], max_iter=20)])
+
+        want = [_result_or_error(j) for j in jobs()]
+        assert not any(isinstance(w, FxsvolError) for w in want)
+        seen = []
+        fields = Layout.fields
+
+        def spy(layout, x):
+            seen.append(x)
+            return fields(layout, x)
+
+        monkeypatch.setattr(Layout, "fields", spy)
+        monkeypatch.setattr(Layout, "params",
+                            lambda layout, x: model_params(layout.kind, fields(layout, x)))
+        got = run_lanes(jobs())
+        assert len(seen) > 100
+        assert all(type(x) is tuple and all(type(v) is float for v in x) for x in seen)
+        _assert_same_results(got, want)
 
     def test_one_kernel_call_a_round(self, lane_surfaces, monkeypatch):
         """Twenty one-factor lanes: every round after the initial simplices

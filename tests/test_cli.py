@@ -548,6 +548,43 @@ class TestInvocation:
         assert not (tmp_path / "o").exists()
 
 
+class TestInputOutputErrors:
+    """What main reports for an input it cannot read, an output it cannot
+    write and a stdout whose reader has gone."""
+
+    def test_closed_stdout_stops_quietly(self, quotes_csv, monkeypatch, capsys):
+        """`fxsvol surface | head -1`: stdout is a pipe whose read end is
+        closed, so a write raises BrokenPipeError; the run stops with no
+        message and exit 1, its output partial."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w", buffering=1) as closed:
+            monkeypatch.setattr(sys, "stdout", closed)
+            assert main(["surface", "--input", str(quotes_csv)]) == EXIT_PARTIAL
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["ingest", "vix", "report"])
+    def test_output_dir_under_a_file(self, quotes_csv, tmp_path, capsys, command):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "o"
+        source = tmp_path if command == "report" else quotes_csv
+        rc = main([command, "--input", str(source), "--output-dir", str(out)])
+        assert rc == EXIT_INVALID
+        assert capsys.readouterr().err == (
+            f"error: cannot write output: [Errno 20] Not a directory: '{out}'\n")
+
+    @pytest.mark.parametrize("command", ["ingest", "calibrate", "report"])
+    def test_unreadable_input(self, tmp_path, capsys, command):
+        missing = tmp_path / "missing"
+        rc = main([command, "--input", str(missing), "--output-dir", str(tmp_path / "o")]
+                  + SUBCOMMAND_ARGS[command])
+        assert rc == EXIT_INVALID
+        assert capsys.readouterr().err == (
+            f"input invalid: [Errno 2] No such file or directory: '{missing}'\n")
+        assert not (tmp_path / "o").exists()
+
+
 # the (model, start) pairs calibrate runs; the parser rejects the other 14
 CALIBRATE_PAIRS = {
     ("heston", "icm"), ("heston", "durrleman"), ("heston", "hist"),
