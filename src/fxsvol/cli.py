@@ -472,6 +472,30 @@ def risk_payload_job(manifest, surface, hist):
     }
 
 
+# The fields of a calibration JSON that cmd_report groups by and aggregates.
+_REPORT_GROUP = ("model", "start_method", "cost")
+_REPORT_METRICS = ("rmse_vol", "rmse_vega")
+
+
+def _report_payload(path):
+    """The calibration JSON at path, None if it records an error.  A file
+    that is not a JSON object, or lacks a key cmd_report reads, raises
+    ParseError naming it."""
+    with open(path) as fh:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+            raise ParseError(f"{path}: not JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ParseError(f"{path}: not a JSON object")
+    if "error" in payload:
+        return None
+    missing = [key for key in _REPORT_GROUP + _REPORT_METRICS if key not in payload]
+    if missing:
+        raise ParseError(f"{path}: missing {', '.join(missing)}")
+    return payload
+
+
 def cmd_report(manifest):
     """Aggregate calibration JSONs into mean/sd/min/quartile/max rows."""
     import numpy as np
@@ -479,15 +503,14 @@ def cmd_report(manifest):
     try:
         for name in sorted(os.listdir(manifest.input_path)):
             if name.startswith("calibration_") and name.endswith(".json"):
-                with open(os.path.join(manifest.input_path, name)) as fh:
-                    payload = json.load(fh)
-                if "error" not in payload:
+                payload = _report_payload(os.path.join(manifest.input_path, name))
+                if payload is not None:
                     rows.append(payload)
     except OSError as exc:  # an input that cannot be read, as in load_surfaces
         raise ParseError(str(exc)) from exc
     groups = {}
     for r in rows:
-        key = (r["model"], r["start_method"], r["cost"])
+        key = tuple(r[field] for field in _REPORT_GROUP)
         groups.setdefault(key, []).append(r)
     os.makedirs(manifest.output_dir, exist_ok=True)
     path = os.path.join(manifest.output_dir, "report.csv")
@@ -497,7 +520,7 @@ def cmd_report(manifest):
                          "min", "q1", "median", "q3", "max", "n"])
         for key in sorted(groups):
             rs = groups[key]
-            for metric in ("rmse_vol", "rmse_vega"):
+            for metric in _REPORT_METRICS:
                 vals = np.asarray([r[metric] for r in rs], dtype=float)
                 q1, med, q3 = np.percentile(vals, [25, 50, 75])
                 writer.writerow(list(key) + [metric] + [

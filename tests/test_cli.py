@@ -833,6 +833,23 @@ class TestRiskReport:
         if HAVE_JSONSCHEMA:
             jsonschema.validate(payload, load_schema("risk.schema.json"))
 
+    @pytest.mark.parametrize("text, problem", [
+        ("{not json", "not JSON: Expecting property name enclosed in double quotes"),
+        ("[1, 2]", "not a JSON object"),
+        ('{"date": "2014-01-01"}', "missing model, start_method, cost, rmse_vol, rmse_vega"),
+    ])
+    def test_report_bad_calibration_json(self, tmp_path, capsys, text, problem):
+        """A calibration JSON the report cannot read is an input error (exit
+        2) naming the file, not a traceback; an error payload is skipped."""
+        (tmp_path / "calibration_2014-01-01.json").write_text(text)
+        (tmp_path / "calibration_2014-01-02.json").write_text('{"error": "x"}')
+        rc = main(["report", "--input", str(tmp_path), "--output-dir", str(tmp_path / "rep")])
+        assert rc == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith(f"input invalid: {tmp_path / 'calibration_2014-01-01.json'}: "
+                              f"{problem}")
+        assert err.count("\n") == 1
+
     def test_report_aggregates(self, quotes_csv, tmp_path):
         out = tmp_path / "c2"
         main(["calibrate", "--input", str(quotes_csv), "--model", "heston",
