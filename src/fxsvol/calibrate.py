@@ -356,7 +356,7 @@ class SurfaceCost:
                                   grid)
         specs = [OptionSpec(surface.spot, strike, sl.tau, sl.r_d, sl.r_f, "call")
                  for sl in slices for strike in sl.strikes]
-        self.cells = GKCells(specs)
+        self.cells = GKCells(specs, self.market_vols)
         self.market_calls = self.cells.price(self.market_vols)
         self.vegas = np.array([max(bs_vega(op, vol), VEGA_FLOOR)
                                for op, vol in zip(specs, self.market_vols)])

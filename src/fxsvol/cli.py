@@ -479,8 +479,9 @@ _REPORT_METRICS = ("rmse_vol", "rmse_vega")
 
 def _report_payload(path):
     """The calibration JSON at path, None if it records an error.  A file
-    that is not a JSON object, or lacks a key cmd_report reads, raises
-    ParseError naming it."""
+    that is not a JSON object, lacks a key cmd_report reads, has a group
+    key that is not a string or a metric that is not a JSON number (true,
+    false, NaN and Infinity are not), raises ParseError naming it."""
     with open(path) as fh:
         try:
             payload = json.load(fh)
@@ -493,6 +494,14 @@ def _report_payload(path):
     missing = [key for key in _REPORT_GROUP + _REPORT_METRICS if key not in payload]
     if missing:
         raise ParseError(f"{path}: missing {', '.join(missing)}")
+    for key in _REPORT_GROUP:
+        if not isinstance(payload[key], str):
+            raise ParseError(f"{path}: {key} is not a string: {json.dumps(payload[key])}")
+    for key in _REPORT_METRICS:
+        value = payload[key]
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
+            raise ParseError(f"{path}: {key} is not a number: {json.dumps(value)}")
     return payload
 
 

@@ -13,9 +13,10 @@ ln(K/S) - (r_d - r_f) tau and the forward factor itself.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr
@@ -188,8 +189,8 @@ class GKCells:
 
     Built once per surface from the same math.* expressions gk_price and
     implied_vol evaluate per call (numpy's SIMD log/exp need not match libm),
-    so every lane of price() and of the lockstep bisection in implied_vol
-    does the IEEE operations of the scalar code, bit for bit.
+    so every lane of price() does the IEEE operations of the scalar gk_price,
+    bit for bit.
 
     bracket_prices are price() at the two ends of VOL_BRACKET, which do not
     depend on the quotes.  price_error is eps, a bound on |price(sigma) -
@@ -203,14 +204,16 @@ class GKCells:
     units, over twice that; a 50-digit evaluation of P on 1D to 5Y cells with
     |lm| <= 1.5 stays under one unit.
 
-    last_vols holds the vols the last whole-surface implied_vol on these
-    cells returned (None before the first): the next solve starts its
-    estimate from them.  Successive solves of one surface in a fit are
-    close, so fewer steps certify; the certificates make any start give the
-    same bits, so last_vols changes how fast a solve runs, never its result.
+    start is where every whole-surface implied_vol on these cells begins:
+    (x, price, vega, volga / vega), price_greeks at x, x being vols (one per
+    cell, or one for all) clipped to VOL_BRACKET.  SurfaceCost and
+    surface_prices pass the surface's quoted vols, near which a fit's model
+    vols lie, and the start price is then the market price.  It is computed
+    here, once: no array of a GKCells is writeable, and nothing on it changes
+    after it is built.
     """
 
-    def __init__(self, specs):
+    def __init__(self, specs, vols=0.2):
         specs = tuple(specs)
         if any(sp.side != "call" for sp in specs):
             raise InvariantViolation("GKCells holds call cells only")
@@ -222,29 +225,17 @@ class GKCells:
         self.lo_bound, self.hi_bound = np.array([_no_arbitrage_bounds(sp)
                                                  for sp in specs]).reshape(-1, 2).T
         self.price_error = 2.0 ** -47 * (self.s_df + self.k_df) * (1.0 + self.sqrt_tau)
+        self._vega_scale = self.s_df * self.sqrt_tau / SQRT_2PI  # vega = this * e^(-d1^2/2)
         self.bracket_prices = tuple(self.price(v) for v in VOL_BRACKET)
-        self.last_vols = None
-        self._certificate = (None,)
-
-    def certificate_terms(self, tol):
-        """(margin, inner, spans) of _implied_vols' certificates at tol.
-
-        With eps = price_error: margin = tol + 2 eps rounded up, inner = t -
-        2 eps rounded down, t the float below tol, and spans (4, cells) the
-        numerators of the offsets of a, c, e and b from the estimate:
-        -(margin + 2 eps), -(tol - 3 eps), tol - 3 eps and margin + 2 eps.
-        Kept for the last tol asked; a fit asks one tol throughout.
-        """
-        terms = self._certificate  # one read, so a concurrent solve cannot mix tols
-        if terms[0] != tol:
-            eps2 = 2.0 * self.price_error
-            with np.errstate(invalid="ignore"):
-                margin = np.nextafter(max(tol, 0.0) + eps2, np.inf)
-                inner = np.nextafter(np.nextafter(tol, -np.inf) - eps2, -np.inf)
-                outer, half = margin + eps2, tol - 1.5 * eps2
-            terms = self._certificate = (tol, margin, inner,
-                                         np.array((-outer, -half, half, outer)))
-        return terms[1:]
+        self._solvable = (np.maximum(self.lo_bound, self.bracket_prices[0]),
+                         np.minimum(self.hi_bound, self.bracket_prices[1]))
+        x = np.clip(np.broadcast_to(np.asarray(vols, dtype=float), self.s_df.shape), *VOL_BRACKET)
+        if np.isnan(x).any():
+            raise InvariantViolation("GKCells start vols must not be NaN")
+        self.start = (x, *self.price_greeks(x))
+        for a in (*vars(self).values(), *self.bracket_prices, *self._solvable, *self.start):
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
 
     def price(self, sigma):
         """gk_price of every cell at sigma (a scalar or one vol per cell)."""
@@ -254,24 +245,31 @@ class GKCells:
         return self.s_df * ndtr(d1) - self.k_df * ndtr(d2)
 
     def price_greeks(self, sigma):
-        """(price, vega, volga / vega) of every cell at sigma, for the vol estimate.
+        """(price, vega, volga / vega) of every cell at sigma, one vol per cell.
 
-        volga / vega = d1 d2 / sigma is the second-order term of Halley's step.
+        price is price()'s, bit for bit; volga / vega = d1 d2 / sigma is the
+        second-order term of Halley's step.
         """
         st = sigma * self.sqrt_tau
         d1 = self.log_moneyness / st + 0.5 * st
         d2 = d1 - st
         price = self.s_df * ndtr(d1) - self.k_df * ndtr(d2)
-        return price, self.s_df * self.sqrt_tau * norm_pdf(d1), d1 * d2 / sigma
+        return price, self._vega_scale * np.exp(-0.5 * d1 * d1), d1 * d2 / sigma
 
 
 def implied_vol(spec, price, tol=1e-12, max_iter=200):
-    """Invert gk_price by bisection on [1e-6, 5].
+    """Invert gk_price on VOL_BRACKET = [1e-6, 5].
 
-    spec is one OptionSpec with a float price, or GKCells with one price per
-    cell: then all cells are bisected in lockstep and the result is an array,
-    bit for bit the scalar loop's per cell.  A failing cell raises the scalar
-    OutOfBounds, the first in cell order.
+    spec is one OptionSpec with a float price: a bisection, which stops at
+    the first midpoint whose price is within tol of the target or whose
+    bracket is under 1e-16 wide, or after max_iter midpoints.  Or spec is
+    GKCells with one price per cell: then every cell is solved at once by
+    _implied_vols, to the same stop rule from the cells' start vols, and
+    the result is an array.  It is not the bisection's bits: a cell's vol v
+    and this loop's v' have |v - v'| min(vega(v), vega(v')) <= 2 tol + 4
+    cells.price_error.  Either way a price outside the no-arbitrage bounds
+    or the bracket's prices raises OutOfBounds, for GKCells the scalar
+    message of the first such cell in cell order.
     """
     if isinstance(spec, GKCells):
         return _implied_vols(spec, np.asarray(price, dtype=float), tol, max_iter)
@@ -296,259 +294,69 @@ def implied_vol(spec, price, tol=1e-12, max_iter=200):
 
 
 def _implied_vols(cells, prices, tol, max_iter):
-    """The lockstep bisection of implied_vol, nearly every cell settled by
-    one price() call.
+    """Every cell's implied vol: a bracketed Halley iteration from cells.start.
 
-    Every lane ends bit for bit where the scalar loop ends: the scalar
-    implied_vol is the oracle.  After the bracket check, with eps =
-    cells.price_error and f = price() - target as the loop computes it:
+    After the scalar loop's bound and bracket checks, each cell has an
+    iterate x, its start first, and a bracket (lo, hi), VOL_BRACKET first.
+    At each x, with f = price() - target, f > 0 moves hi to x and any other
+    f moves lo to x, as in the scalar loop.  The cell stops at x by the
+    scalar loop's rule, |f| < tol or hi - lo < 1e-16.  Otherwise its next x
+    is Halley's, x - s / clip(1 - s c / 2, 1/2, 2) with s = f / vega and c =
+    volga / vega; or the midpoint (lo + hi) / 2, if that is not finite or
+    not strictly inside (lo, hi), and at every other step from the 17th on,
+    so that the bracket at least halves every two steps however the Halley
+    steps fall.  A cell still open after max_iter steps returns its last x.
+    A stopped cell is frozen, and every operation is per cell, so a cell's
+    result depends only on its own constants, start and price: not on the
+    other cells, nor on any earlier solve.
 
-    1. Estimate: _estimate gives a vol x and the vega there per cell.
-    2. Outer certificate: margin = tol + 2 eps, rounded up, and delta =
-       (margin + 2 eps) / vega.  a = x - delta and b = x + delta, kept inside
-       the bracket, are certified if f(a) < -margin and f(b) > margin.  Both
-       are strict, and rounding is monotone, so they hold for the exact
-       differences too.  P (see GKCells) is increasing and price() is within
-       eps of it, so a midpoint mid <= a has price(mid) - target <= f(a) +
-       2 eps < -tol: the loop's f_mid <= -tol, so |f_mid| < tol fails and it
-       sets lo = mid.  A midpoint mid >= b has price(mid) - target > tol >= 0:
-       f_mid > 0 and |f_mid| >= tol, so it sets hi = mid.  With tol = 0 the
-       margin is 2 eps, f_mid <= 0 gives lo = mid and f_mid > 0 gives hi =
-       mid; a negative tol stops nothing and counts as 0.
-    3. Inner certificate: with t the float below tol and inner = t - 2 eps,
-       rounded down, c = x - (tol - 3 eps) / vega and e = x + (tol - 3 eps) /
-       vega, kept inside the bracket, are certified if f(c) > -inner and f(e)
-       < inner.  By the same monotone-price argument a midpoint c <= mid <= e
-       has price(mid) - target >= f(c) - 2 eps > -inner - 2 eps >= -t, and
-       likewise < t, all exactly; -t and t are floats, so the loop's f_mid
-       lies in [-t, t], |f_mid| < tol, and the loop stops at mid.  When tol
-       <= 2 eps, inner <= 0 and the interval counts as empty.
-    4. Walk: per cell, in Python floats, the loop's own midpoints 0.5 * (lo +
-       hi), each decided against (a, b), up to the first midpoint m inside
-       (a, b) or the end of the cell's iterations.  With max_iter >=
-       _TREE_DEPTH and no node of _bisection_tree inside (a, b), the first
-       _TREE_DEPTH midpoints all lie outside it and leave the bracket on the
-       two nodes around (a, b): one searchsorted finds them.  lo only moves
-       to midpoints <= a and hi to midpoints >= b, so the bracket stays at
-       least min(hi, b) - max(lo, a) wide, as of the walk's start; a walk
-       runs only if that is >= 1e-16, so the loop's width stop cannot fire
-       in it, m included.  Unless m lies in [c, e], the walk goes on from
-       each child bracket of m, (lo, m) and (m, hi), to its next midpoint
-       inside (a, b).
-    5. One priced pass: a, c, e, b, m and those two midpoints, in one
-       price() call.  On a cell whose outer certificate holds, m ends the
-       loop if it lies in a certified [c, e]; otherwise f(m) decides it as
-       the loop does, and f of the next midpoint on the side it takes
-       decides that one.
-    6. Exact tail: _lockstep runs every cell still open, uncertified or with
-       a longer chain or a walk that did not run, from its own (lo, hi) and
-       the iterations it has left; a settled cell is collapsed onto its
-       result.
+    Contract, with eps = cells.price_error and P the exact Black price (see
+    GKCells), increasing in sigma and within eps of price(): a cell stopped
+    by |f| < tol has |P(x) - target| < tol + eps.  One stopped by the width
+    has an f of the other sign within 1e-16 of x, across which P moves by
+    less than eps, so |P(x) - target| <= 2 eps and |f| <= 3 eps.  The scalar
+    loop's vol v obeys the same, so |x - v| min(vega(x), vega(v)) <= 2 tol +
+    4 eps, vega being unimodal in sigma.  With tol under about 3 eps, a cell
+    above 0.5, where adjacent floats lie more than 1e-16 apart, may run all
+    max_iter steps.  Started at a fit's quoted vols, most cells stop after
+    two steps: 2.2 price_greeks calls a solve over the 40 seed-706
+    implied-vol-target fits of the benchmark.
     """
-    lo, hi = VOL_BRACKET
+    with np.errstate(all="ignore"):
+        lo_ok, hi_ok = cells._solvable
+        if np.count_nonzero((lo_ok <= prices) & (prices <= hi_ok)) < prices.size:
+            raise _first_miss(cells, prices)
+        (x, price, vega, curve), (lo, hi) = cells.start, VOL_BRACKET
+        for steps in itertools.count():
+            f = price - prices
+            up = f > 0.0
+            # a stopped cell's x is already the end its f moves, so these
+            # leave its bracket as it was
+            hi = np.where(up, x, hi)
+            lo = np.where(up, lo, x)
+            done = (np.abs(f) < tol) | (hi - lo < 1e-16)
+            if steps >= max_iter or np.count_nonzero(done) == done.size:
+                return x if steps else x.copy()  # never cells.start's own array
+            x_next = 0.5 * (lo + hi)
+            if steps < 16 or steps % 2:  # from the 17th step on, every other one bisects
+                step = f / vega
+                step /= np.minimum(np.maximum(1.0 - 0.5 * step * curve, 0.5), 2.0)
+                step = x - step
+                np.copyto(x_next, step, where=(lo < step) & (step < hi))
+            np.copyto(x_next, x, where=done)
+            x = x_next
+            price, vega, curve = cells.price_greeks(x)
+
+
+def _first_miss(cells, prices):
+    """The scalar loop's OutOfBounds for the first cell it cannot solve."""
     p_lo, p_hi = cells.bracket_prices
     outside = ~((cells.lo_bound <= prices) & (prices <= cells.hi_bound))
-    miss = outside | (p_lo - prices > 0.0) | (p_hi - prices < 0.0)
-    if miss.any():
-        i = int(np.argmax(miss))
-        if outside[i]:
-            raise _outside_bounds(float(prices[i]), float(cells.lo_bound[i]),
-                                  float(cells.hi_bound[i]))
-        raise _outside_bracket(float(prices[i]))
-    margin, inner, spans = cells.certificate_terms(tol)
-    ends = _estimate(cells, prices, spans)
-    a_l, c_l, e_l, b_l = ends.tolist()
-    n = len(a_l)
-    walks, kids = [None] * n, [None] * n
-    rows = [a_l[:], a_l[:], a_l[:]]  # m, then the next midpoints on its sides; a if none
-    deep = max_iter >= _TREE_DEPTH
-    if deep:
-        leaf_lo, leaf_hi = _tree_leaves(ends[0])
-    for i in range(n):
-        a_i, b_i = a_l[i], b_l[i]
-        if not b_i - a_i >= 1e-16:
-            continue
-        if deep and leaf_hi[i] >= b_i:
-            x_lo, x_hi, left = leaf_lo[i], leaf_hi[i], max_iter - _TREE_DEPTH
-        else:
-            x_lo, x_hi, left = lo, hi, max_iter
-        for steps in range(left):  # _walk, written out for speed
-            m = 0.5 * (x_lo + x_hi)
-            if m <= a_i:
-                x_lo = m
-            elif m >= b_i:
-                x_hi = m
-            else:
-                left -= steps
-                break
-        else:
-            walks[i] = (x_lo, x_hi, 0)
-            continue
-        walks[i] = (x_lo, x_hi, left)
-        rows[0][i] = m
-        if c_l[i] <= m <= e_l[i]:
-            continue
-        kids[i] = sides = (_walk(x_lo, m, left - 1, a_i, b_i),
-                           _walk(m, x_hi, left - 1, a_i, b_i))
-        for row, (s_lo, s_hi, _, s_found) in zip(rows[1:], sides):
-            if s_found:
-                row[i] = 0.5 * (s_lo + s_hi)
-    with np.errstate(all="ignore"):
-        f = cells.price(np.concatenate((ends, rows))) - prices
-    sure = ((f[0] < -margin) & (f[3] > margin)).tolist()
-    tight = ((f[1] > -inner) & (f[2] < inner)).tolist()
-    f_m, *f_sides = f[4:].tolist()
-    for i, walk in enumerate(walks):
-        if walk is None or not sure[i]:
-            x_lo, x_hi, left = lo, hi, max_iter
-        else:
-            x_lo, x_hi, left = walk
-            m = rows[0][i]
-            if left <= 0:
-                pass
-            elif tight[i] and c_l[i] <= m <= e_l[i]:
-                x_lo, x_hi, left = m, m, 0
-            else:
-                x_lo, x_hi, left = _decide(x_lo, x_hi, left, f_m[i], tol)
-                side = 0 if f_m[i] > 0.0 else 1
-                if left and kids[i] is not None:
-                    x_lo, x_hi, left, found = kids[i][side]
-                    if found:
-                        x_lo, x_hi, left = _decide(x_lo, x_hi, left, f_sides[side][i], tol)
-        if left <= 0:  # the loop returns its midpoint
-            x_lo = x_hi = 0.5 * (x_lo + x_hi)
-            left = 0
-        walks[i] = (x_lo, x_hi, left)
-    lows, highs, lefts = zip(*walks) if walks else ((), (), ())
-    if any(lefts):
-        vols = _lockstep(cells, prices, tol, np.array(lows), np.array(highs), np.array(lefts))
-    else:
-        vols = np.array(lows)
-    cells.last_vols = vols.copy()
-    return vols
-
-
-def _estimate(cells, prices, spans):
-    """Stages 1 and 2 of _implied_vols: the rows a, c, e and b, x + spans /
-    vega kept inside the bracket, for a vol x per cell and the vega at the
-    start of its last step.
-
-    Newton steps with Halley's second-order term, its denominator kept at
-    0.5 or more, start warm from cells.last_vols or, when there are none of
-    prices' shape, cold from Corrado-Miller on the discounted spot and
-    strike.  They take 2 steps warm and 3 cold, then more while a step
-    exceeds 1e-7, 6 in all at most.  The start sets only how many cells
-    certify, never a result.
-    """
-    lo, hi = VOL_BRACKET
-    x = cells.last_vols
-    warm = x is not None and x.shape == prices.shape
-    with np.errstate(all="ignore"):
-        if not warm:
-            s_df, k_df = cells.s_df, cells.k_df
-            excess = prices - 0.5 * (s_df - k_df)
-            root = np.sqrt(np.maximum(excess * excess - (s_df - k_df) ** 2 / math.pi, 0.0))
-            x = np.maximum(SQRT_2PI / (s_df + k_df) * (excess + root) / cells.sqrt_tau, lo)
-        for steps in range(1, 7):
-            p, vega, curve = cells.price_greeks(x)
-            step = (p - prices) / vega
-            step /= np.maximum(1.0 - 0.5 * step * curve, 0.5)
-            x = np.maximum(x - step, lo)
-            if steps >= (2 if warm else 3) and not (np.abs(step) > 1e-7).any():
-                break
-        return np.minimum(np.maximum(x + spans / vega, lo), hi)
-
-
-# The loop's midpoints of VOL_BRACKET are tabled to this depth: _TREE_DEPTH
-# levels, 2^_TREE_DEPTH + 1 nodes with the two ends.
-_TREE_DEPTH = 17
-
-
-@cache
-def _bisection_tree():
-    """The implied_vol loop's first _TREE_DEPTH levels of midpoints, in order.
-
-    131,073 floats (1 MB), read-only, built on first use: the two ends of
-    VOL_BRACKET at 0 and 2^17, and at an odd multiple of 2^(17 - d) the
-    level-d midpoint 0.5 * (lo + hi) of the nodes 2^(17 - d) to either side,
-    the loop's own expression on its own bracket.  So the loop's bracket
-    after d levels is two nodes 2^(17 - d) apart, whatever the cell.
-    """
-    size = 1 << _TREE_DEPTH
-    tree = np.empty(size + 1)
-    tree[0], tree[size] = VOL_BRACKET
-    step = size
-    while step > 1:
-        half = step // 2
-        mids = tree[half::step]
-        np.add(tree[:-half:step], tree[step::step], out=mids)
-        mids *= 0.5
-        step = half
-    tree.flags.writeable = False
-    return tree
-
-
-def _tree_leaves(a):
-    """The nodes of _bisection_tree around each of a's cells, as two lists:
-    the last node <= a and the first above it."""
-    tree = _bisection_tree()
-    j = np.minimum(np.searchsorted(tree, a, "right"), tree.size - 1)
-    return tree[j - 1].tolist(), tree[j].tolist()
-
-
-def _walk(lo, hi, left, a, b):
-    """Stage 4 of _implied_vols from the loop's bracket (lo, hi) with left
-    iterations: the loop on a cell certified on (a, b).
-
-    Returns (lo, hi, left, found).  found: the next midpoint 0.5 * (lo + hi)
-    lies inside (a, b) and left counts it.  Otherwise left is 0 and the loop
-    returns 0.5 * (lo + hi), or the walk did not run, the bracket's width
-    bound being under 1e-16.
-    """
-    if min(hi, b) - max(lo, a) < 1e-16:
-        return lo, hi, left, False
-    for steps in range(left):
-        mid = 0.5 * (lo + hi)
-        if mid <= a:
-            lo = mid
-        elif mid >= b:
-            hi = mid
-        else:
-            return lo, hi, left - steps, True
-    return lo, hi, 0, False
-
-
-def _decide(lo, hi, left, f_mid, tol):
-    """The loop's iteration at its midpoint 0.5 * (lo + hi), whose price
-    minus target is f_mid: (lo, hi, left) after it, collapsed onto the
-    midpoint if the loop stops there.  The bracket is 1e-16 wide or more."""
-    mid = 0.5 * (lo + hi)
-    if abs(f_mid) < tol:
-        return mid, mid, 0
-    return (lo, mid, left - 1) if f_mid > 0.0 else (mid, hi, left - 1)
-
-
-def _lockstep(cells, prices, tol, lo, hi, left):
-    """The scalar implied_vol's loop on every lane at once, from its own (lo, hi).
-
-    Lane i ends at its midpoint once its left[i] iterations are spent.
-    """
-    last = int(left.max(initial=0))
-    first = int(left.min(initial=last))
-    for j in range(last):
-        mid = 0.5 * (lo + hi)
-        f_mid = cells.price(mid) - prices
-        done = (np.abs(f_mid) < tol) | ((hi - lo) < 1e-16)
-        if j >= first:  # a lane out of iterations ends at this midpoint
-            done |= left <= j
-        if np.count_nonzero(done) == done.size:  # done.all(), in a third of the time
-            return mid
-        # a stopped lane collapses its bracket onto its midpoint, which every
-        # later iteration reproduces exactly and keeps stopped
-        up = f_mid > 0.0
-        np.copyto(hi, mid, where=done | up)
-        np.copyto(lo, mid, where=done | ~up)
-    return 0.5 * (lo + hi)
+    i = int(np.argmax(outside | (p_lo - prices > 0.0) | (p_hi - prices < 0.0)))
+    if outside[i]:
+        return _outside_bounds(float(prices[i]), float(cells.lo_bound[i]),
+                               float(cells.hi_bound[i]))
+    return _outside_bracket(float(prices[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +541,8 @@ def surface_prices(cf, surface):
     calls = attari_strip(cf, surface.spot, [sl.strikes for sl in slices],
                          [sl.tau for sl in slices], [sl.r_d for sl in slices],
                          [sl.r_f for sl in slices])
-    cells = GKCells(OptionSpec(surface.spot, K, sl.tau, sl.r_d, sl.r_f, "call")
-                    for sl in slices for K in sl.strikes)
+    cells = GKCells((OptionSpec(surface.spot, K, sl.tau, sl.r_d, sl.r_f, "call")
+                     for sl in slices for K in sl.strikes),
+                    [v for sl in slices for v in sl.vols.vols])
     vols = implied_vol(cells, calls.ravel()).reshape(calls.shape)
     return {sl.tenor: (row, v) for sl, row, v in zip(slices, calls, vols)}

@@ -1,8 +1,11 @@
-"""The whole-surface implied vol as it was before its bisection was replayed.
+"""The whole-surface implied vol as the scalar loop's bisection.
 
 A literal copy of the plain lockstep loop over GKCells: every lane bisects
-from the full bracket, one GKCells.price call per iteration.  Tests patch it
-in for pricer._implied_vols to compare whole calibrations, bit for bit.
+from the full bracket, one GKCells.price call per iteration, and ends bit
+for bit where the scalar implied_vol ends.  Tests patch it in for
+pricer._implied_vols to hold whole calibrations on the converged solve
+within a stated tolerance of the bisection's, and use it as the oracle on
+cells whose prices are not gk_price's.
 """
 
 import numpy as np

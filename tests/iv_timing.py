@@ -9,15 +9,19 @@ seed-706 history (perfbench/history.py, perfbench/worker.py): for each of
 its 40 dates, the ICM start and the implied-vol-target fit capped at 60
 iterations.  This checkout's own src records every (surface, prices) pair
 those fits pass to implied_vol, in fit order.  Each checkout then replays
-the sequence on one GKCells per surface, built as calibrate.SurfaceCost
-builds it, so its warm starts apply as in the fits.
+the sequence on one GKCells per surface, built as its calibrate.SurfaceCost
+builds it.  A checkout whose GKCells keeps the last solve's vols as the next
+one's start (last_vols) has them cleared before each pass, so its warm
+starts apply as in the fits; one whose GKCells holds no such state needs
+nothing.
 
 Each of ROUNDS rounds runs one subprocess per checkout, the order
 alternating between rounds.  A subprocess replays the sequence PASSES + 1
-times on fresh cells, times the last PASSES and counts GKCells.price calls
-in an untimed pass after them.  It prints each checkout's median and
-quartiles over all timed passes of the mean microseconds per call, the
-change of the median from A to B, and GKCells.price calls per call.
+times on fresh cells, times the last PASSES and counts the GKCells.price
+and GKCells.price_greeks calls (whole-surface evaluations) in an untimed
+pass after them.  It prints each checkout's median and quartiles over all
+timed passes of the mean microseconds per call, the change of the median
+from A to B, and each checkout's price and price_greeks calls per call.
 
 pytest does not collect this file: its name has no test_ prefix.
 """
@@ -54,7 +58,8 @@ contexts = [SurfaceCost(surfaces[d]) for d in dates]
 def replay():
     cells = [ctx.cells for ctx in contexts]
     for c in cells:
-        c.last_vols = None
+        if hasattr(c, "last_vols"):
+            c.last_vols = None
     for k, row in zip(which, rows):
         pricer.implied_vol(cells[k], row)
 
@@ -66,17 +71,24 @@ for p in range(passes + 1):
     t1 = time.perf_counter_ns()
     if p:
         us.append((t1 - t0) / 1e3 / len(rows))
-calls, price = [0], pricer.GKCells.price
+calls = {}
 
 
-def counted(self, sigma):
-    calls[0] += 1
-    return price(self, sigma)
+def counted(name):
+    plain = getattr(pricer.GKCells, name)
+    calls[name] = 0
+
+    def wrapper(self, sigma):
+        calls[name] += 1
+        return plain(self, sigma)
+
+    setattr(pricer.GKCells, name, wrapper)
 
 
-pricer.GKCells.price = counted
+counted("price")
+counted("price_greeks")
 replay()
-print(json.dumps({"us": us, "price_calls": calls[0] / len(rows)}))
+print(json.dumps({"us": us, "calls": {k: v / len(rows) for k, v in calls.items()}}))
 """
 
 
@@ -131,19 +143,20 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "calls.npz")
         csv, n_calls = record(path, tmp)
-        us, price_calls = ([], []), [None, None]
+        us, calls = ([], []), [None, None]
         for r in range(ROUNDS):
             for side in ((0, 1) if r % 2 == 0 else (1, 0)):
                 out = run(roots[side], csv, path)
                 us[side].extend(out["us"])
-                price_calls[side] = out["price_calls"]
+                calls[side] = out["calls"]
     print(f"whole-surface implied_vol, us per call: median [quartiles] over {ROUNDS} rounds x "
           f"{PASSES} passes of {n_calls} calls, seed {SEED}")
     print(f"A = {roots[0]}\nB = {roots[1]}")
     (a1, a2, a3), (b1, b2, b3) = (statistics.quantiles(xs, n=4) for xs in us)
     print(f"A {a2:8.1f} [{a1:.1f}-{a3:.1f}]  B {b2:8.1f} [{b1:.1f}-{b3:.1f}]  "
           f"{100.0 * (b2 / a2 - 1.0):+6.1f}%")
-    print(f"GKCells.price calls per call: A {price_calls[0]:.2f}  B {price_calls[1]:.2f}")
+    for name in ("price", "price_greeks"):
+        print(f"GKCells.{name} calls per call: A {calls[0][name]:.2f}  B {calls[1][name]:.2f}")
     return 0
 
 

@@ -56,6 +56,7 @@ from fxsvol.errors import (
 from fxsvol.moments import heston_total_variance
 from fxsvol.pricer import (
     AttariLanes,
+    GKCells,
     OptionSpec,
     attari_strip,
     gk_price,
@@ -69,6 +70,7 @@ from nm_reference import reference_nelder_mead, reference_run_job
 from risk_reference import reference_calibration_risk
 
 from synthutil import synth_surface, write_quote_csv
+from test_pricer import assert_contract
 
 
 class TestNelderMead:
@@ -236,7 +238,8 @@ BATES2F = TwoFactorParams("bates2f",
 
 
 class TestWholeSurfaceKernel:
-    """One kernel call per surface gives the per-tenor results bit for bit."""
+    """One kernel call per surface gives the per-tenor prices bit for bit,
+    and vols within the whole-surface contract of the scalar loop's."""
 
     @pytest.fixture(params=["heston", "bates2f"])
     def model(self, request, heston_median_params):
@@ -255,11 +258,8 @@ class TestWholeSurfaceKernel:
         calls = np.concatenate(self.per_tenor_calls(cf_factory(kind, params),
                                                     heston_surface))
         assert np.array_equal(ctx.model_calls(kind, params), calls)
-        cells = [(sl, k) for sl in heston_surface.slices for k in sl.strikes]
-        vols = [implied_vol(OptionSpec(heston_surface.spot, k, sl.tau, sl.r_d,
-                                       sl.r_f, "call"), float(c))
-                for (sl, k), c in zip(cells, calls)]
-        assert np.array_equal(ctx.model_vols(kind, params), np.array(vols))
+        assert_contract(self.scalar_cells(heston_surface), calls,
+                        ctx.model_vols(kind, params), cells=ctx.cells)
 
     @staticmethod
     def scalar_cells(surface):
@@ -278,8 +278,8 @@ class TestWholeSurfaceKernel:
         for _ in range(6):
             params = draw_heston(rng)
             calls = ctx.model_calls("heston", params)
-            vols = np.array([implied_vol(op, float(c)) for op, c in zip(cells, calls)])
-            assert np.array_equal(ctx.model_vols("heston", params), vols)
+            vols = ctx.model_vols("heston", params)
+            assert_contract(cells, calls, vols, cells=ctx.cells)
             assert ctx("heston", params) == float(np.sum((vols - ctx.market_vols) ** 2))
             assert rmse_report(ctx, "heston", params)[2] == tuple(vols - ctx.market_vols)
 
@@ -290,10 +290,10 @@ class TestWholeSurfaceKernel:
                              self.per_tenor_calls(cf, heston_surface)):
             prices, vols = out[sl.tenor]
             assert np.array_equal(prices, calls)
-            assert np.array_equal(vols, [
-                implied_vol(OptionSpec(heston_surface.spot, k, sl.tau, sl.r_d,
-                                       sl.r_f, "call"), float(c))
-                for k, c in zip(sl.strikes, calls)])
+            specs = [OptionSpec(heston_surface.spot, k, sl.tau, sl.r_d, sl.r_f, "call")
+                     for k in sl.strikes]
+            assert_contract(specs, calls, vols)
+            assert np.array_equal(vols, implied_vol(GKCells(specs, sl.vols.vols), calls))
 
 
 OUOU = TwoFactorParams("ouou",

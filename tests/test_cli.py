@@ -21,6 +21,10 @@ except ImportError:  # pragma: no cover
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "fxsvol",
                           "schemas")
 
+# the keys fxsvol report reads from a calibration JSON, all well typed
+GOOD_REPORT = ('{"model": "heston", "start_method": "icm", "cost": "mse", '
+               '"rmse_vol": 0.01, "rmse_vega": 0.2}')
+
 
 def load_schema(name):
     with open(os.path.join(SCHEMA_DIR, name)) as fh:
@@ -837,6 +841,22 @@ class TestRiskReport:
         ("{not json", "not JSON: Expecting property name enclosed in double quotes"),
         ("[1, 2]", "not a JSON object"),
         ('{"date": "2014-01-01"}', "missing model, start_method, cost, rmse_vol, rmse_vega"),
+        (GOOD_REPORT.replace('"rmse_vol": 0.01', '"rmse_vol": "x"'),
+         'rmse_vol is not a number: "x"'),
+        (GOOD_REPORT.replace('"rmse_vega": 0.2', '"rmse_vega": true'),
+         "rmse_vega is not a number: true"),
+        (GOOD_REPORT.replace('"rmse_vol": 0.01', '"rmse_vol": null'),
+         "rmse_vol is not a number: null"),
+        (GOOD_REPORT.replace('"rmse_vol": 0.01', '"rmse_vol": NaN'),
+         "rmse_vol is not a number: NaN"),
+        (GOOD_REPORT.replace('"rmse_vega": 0.2', '"rmse_vega": -Infinity'),
+         "rmse_vega is not a number: -Infinity"),
+        (GOOD_REPORT.replace('"model": "heston"', '"model": ["heston"]'),
+         'model is not a string: ["heston"]'),
+        (GOOD_REPORT.replace('"start_method": "icm"', '"start_method": 1'),
+         "start_method is not a string: 1"),
+        (GOOD_REPORT.replace('"cost": "mse"', '"cost": {"kind": "mse"}'),
+         'cost is not a string: {"kind": "mse"}'),
     ])
     def test_report_bad_calibration_json(self, tmp_path, capsys, text, problem):
         """A calibration JSON the report cannot read is an input error (exit
@@ -849,6 +869,15 @@ class TestRiskReport:
         assert err.startswith(f"input invalid: {tmp_path / 'calibration_2014-01-01.json'}: "
                               f"{problem}")
         assert err.count("\n") == 1
+
+    def test_report_reads_numbers_and_strings(self, tmp_path):
+        (tmp_path / "calibration_2014-01-01.json").write_text(GOOD_REPORT)
+        (tmp_path / "calibration_2014-01-02.json").write_text(
+            GOOD_REPORT.replace('"rmse_vol": 0.01', '"rmse_vol": 1'))
+        rc = main(["report", "--input", str(tmp_path), "--output-dir", str(tmp_path / "rep")])
+        assert rc == 0
+        rows = (tmp_path / "rep" / "report.csv").read_text().splitlines()
+        assert rows[1].startswith("heston,icm,mse,rmse_vol,0.505,")
 
     def test_report_aggregates(self, quotes_csv, tmp_path):
         out = tmp_path / "c2"

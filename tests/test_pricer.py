@@ -185,28 +185,49 @@ def scalar_error(specs, prices):
     return str(err.value)
 
 
-def assert_matches_oracle(specs, prices, **kw):
-    """The whole-surface path against the scalar loop on (specs, prices).
+def assert_contract(specs, prices, vols, tol=1e-12, cells=None, eps=None, oracle=None):
+    """vols, a whole-surface solve of (specs, prices) at tol, against the
+    contract of pricer._implied_vols.
+
+    With eps the bound on the error of cells.price (price_error unless
+    given): every cell meets the stop rule, |f| < tol or, stopped by its
+    bracket's width, |f| <= 3 eps; and against the oracle's vol v (the
+    scalar loop's at the same tol unless given), |vols - v| min(vega(vols),
+    vega(v)) <= 2 tol + 4 eps.
+    """
+    cells = GKCells(specs) if cells is None else cells
+    eps = cells.price_error if eps is None else eps
+    prices = np.asarray(prices, dtype=float)
+    f = np.abs(cells.price(vols) - prices)
+    assert np.all((f < tol) | (f <= 3.0 * eps)), np.flatnonzero(~((f < tol) | (f <= 3.0 * eps)))
+    oracle = scalar_vols(specs, prices, tol=tol) if oracle is None else oracle
+    vega = np.minimum(cells.price_greeks(vols)[1], cells.price_greeks(oracle)[1])
+    assert np.all(np.abs(vols - oracle) * vega <= 2.0 * max(tol, 0.0) + 4.0 * eps)
+
+
+def assert_matches_oracle(specs, prices, start=0.2, **kw):
+    """The whole-surface path against the scalar loop on (specs, prices),
+    each solve started at start.
 
     Cells the scalar loop rejects must make the whole surface raise its first
-    message; the cells it solves must come out bit for bit.  Returns how many
-    it solved.
+    message; the cells it solves must meet the contract (assert_contract).
+    Returns how many it solved.
     """
     good = []
     for sp, p in zip(specs, prices):
         try:
-            implied_vol(sp, float(p), **kw)
+            implied_vol(sp, float(p), tol=kw.get("tol", 1e-12))
             good.append((sp, float(p)))
         except OutOfBounds:
             pass
     if len(good) < len(specs):
         with pytest.raises(OutOfBounds) as err:
-            implied_vol(GKCells(specs), prices, **kw)
+            implied_vol(GKCells(specs, start), prices, **kw)
         assert str(err.value) == scalar_error(specs, prices)
     if good:
         good_specs, good_prices = zip(*good)
-        assert np.array_equal(implied_vol(GKCells(good_specs), good_prices, **kw),
-                              scalar_vols(good_specs, good_prices, **kw))
+        vols = implied_vol(GKCells(good_specs, start), good_prices, **kw)
+        assert_contract(good_specs, good_prices, vols, kw.get("tol", 1e-12))
     return len(good)
 
 
@@ -223,29 +244,48 @@ def stress_specs():
 def model_surface_cells(rng):
     """Pillar cells of a draw_heston surface, 1M to 2Y, priced by another draw.
 
-    (1W wings can price below zero on the production grid; see criterion 3.)
+    Returns (specs, calls, quotes): quotes are the first draw's vols, the
+    surface's quoted vol for every cell.  (1W wings can price below zero on
+    the production grid; see criterion 3.)
     """
     gen, model = draw_heston(rng), draw_heston(rng)
-    specs, taus = [], (1 / 12, 2 / 12, 0.25, 0.5, 1.0, 2.0)
+    specs, quotes, taus = [], [], (1 / 12, 2 / 12, 0.25, 0.5, 1.0, 2.0)
     for tau in taus:
         vol = term_vol(gen, tau)
         specs += [OptionSpec(S, strike_from_delta(S, RD, RF, tau, vol, d), tau, RD, RF)
                   for d in PILLAR_DELTAS.values()]
+        quotes += [vol] * len(PILLAR_DELTAS)
     strikes = np.array([sp.K for sp in specs]).reshape(len(taus), -1)
     calls = attari_strip(cf_factory("heston", model), S, strikes, list(taus),
                          [RD] * len(taus), [RF] * len(taus))
-    return specs, calls.ravel()
+    return specs, calls.ravel(), np.array(quotes)
+
+
+def count_evaluations(monkeypatch):
+    """A list whose last entry counts the GKCells.price and price_greeks
+    calls from here on; append 0 to start a new count."""
+    counts = [0]
+    for name in ("price", "price_greeks"):
+        plain = getattr(GKCells, name)
+
+        def counted(cells, sigma, plain=plain):
+            counts[-1] += 1
+            return plain(cells, sigma)
+
+        monkeypatch.setattr(GKCells, name, counted)
+    return counts
 
 
 class TestWholeSurfaceImpliedVol:
-    """GKCells lanes against the scalar gk_price and implied_vol, bit for bit."""
+    """GKCells lanes against the scalar gk_price and implied_vol: price()
+    bit for bit, the solve within its contract (assert_contract)."""
 
     def test_model_surfaces(self, rng):
         for _ in range(8):
-            specs, calls = model_surface_cells(rng)
-            cells = GKCells(specs)
+            specs, calls, quotes = model_surface_cells(rng)
+            cells = GKCells(specs, quotes)
             vols = implied_vol(cells, calls)
-            assert np.array_equal(vols, scalar_vols(specs, calls))
+            assert_contract(specs, calls, vols)
             assert np.array_equal(cells.price(vols),
                                   [gk_price(sp, v) for sp, v in zip(specs, vols)])
 
@@ -258,38 +298,34 @@ class TestWholeSurfaceImpliedVol:
         solved = 0
         for vol in (1e-4, 0.03, 0.3, 1.5, 4.9):
             prices = [gk_price(sp, vol) for sp in specs]
-            good = []
-            for sp, p in zip(specs, prices):
-                try:
-                    implied_vol(sp, p)
-                    good.append((sp, p))
-                except OutOfBounds:
-                    pass
-            if len(good) < len(specs):
-                with pytest.raises(OutOfBounds) as err:
-                    implied_vol(GKCells(specs), prices)
-                assert str(err.value) == scalar_error(specs, prices)
-            good_specs, good_prices = zip(*good)
-            assert np.array_equal(implied_vol(GKCells(good_specs), good_prices),
-                                  scalar_vols(good_specs, good_prices))
-            solved += len(good)
+            solved += assert_matches_oracle(specs, prices)
         assert solved > 0.9 * 5 * len(specs)
 
     @pytest.mark.parametrize("max_iter", [0, 1, 5, 30, 33, 36, 40, 45, 60])
     def test_iteration_cutoff(self, rng, max_iter):
-        specs, calls = model_surface_cells(rng)
-        got = implied_vol(GKCells(specs), calls, max_iter=max_iter)
-        assert np.array_equal(got, scalar_vols(specs, calls, max_iter=max_iter))
+        # a cap ends only the cells still open: a cell of a capped solve
+        # without the uncapped solve's bits is unfinished, |f| >= tol, and a
+        # cap of 0 returns the start
+        specs, calls, quotes = model_surface_cells(rng)
+        for start in (quotes, 0.2, VOL_BRACKET[1]):
+            cells = GKCells(specs, start)
+            full = implied_vol(cells, calls)
+            got = implied_vol(cells, calls, max_iter=max_iter)
+            assert not np.any((got != full) & (np.abs(cells.price(got) - calls) < 1e-12))
+            if max_iter == 0:
+                assert np.array_equal(got, cells.start[0])
+            if max_iter >= 30:
+                assert np.array_equal(got, full)
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-15, 0.0])  # 0: only the width stops
     def test_tolerance(self, rng, tol):
-        specs, calls = model_surface_cells(rng)
-        got = implied_vol(GKCells(specs), calls, tol=tol)
-        assert np.array_equal(got, scalar_vols(specs, calls, tol=tol))
+        specs, calls, quotes = model_surface_cells(rng)
+        for start in (quotes, 0.2):
+            assert_contract(specs, calls, implied_vol(GKCells(specs, start), calls, tol=tol), tol)
 
     @pytest.mark.parametrize("bad", ["below_intrinsic", "above_bracket", "nan"])
     def test_first_failing_cell_raises_scalar_message(self, rng, bad):
-        specs, calls = model_surface_cells(rng)
+        specs, calls, _ = model_surface_cells(rng)
         itm = specs[5]  # 2M 10P strike: an in-the-money call
         intrinsic = math.exp(-RD * itm.tau) * (itm.forward - itm.K)
         prices = calls.copy()
@@ -311,6 +347,8 @@ class TestWholeSurfaceImpliedVol:
         assert assert_matches_oracle(specs, prices) > 0.6 * len(specs)
         for kw in ({"tol": 0.0}, {"tol": 1e-15}, {"max_iter": 36}):
             assert_matches_oracle(specs, prices, **kw)
+        for start in VOL_BRACKET:
+            assert_matches_oracle(specs, prices, start)
 
     def test_vega_near_floor(self):
         # vols that put d2 five to six standard deviations out: vega 1e-9..1e-7
@@ -337,23 +375,48 @@ class TestWholeSurfaceImpliedVol:
         assert assert_matches_oracle(specs, high) == 0
 
     def test_replay_prices_few_times(self, rng, monkeypatch):
-        # one certificate call and about three exact steps; the plain lockstep
-        # loop makes about 44 calls
-        counts, price = [], GKCells.price
-
-        def counted(cells, sigma):
-            counts[-1] += 1
-            return price(cells, sigma)
-
+        # started at the surface's quoted vols, a solve evaluates the cells
+        # three or four times: the bisection loop made about 44 price calls
+        counts, solves = count_evaluations(monkeypatch), []
         for _ in range(8):
-            specs, calls = model_surface_cells(rng)
-            cells = GKCells(specs)
-            monkeypatch.setattr(GKCells, "price", counted)
+            specs, calls, quotes = model_surface_cells(rng)
+            cells = GKCells(specs, quotes)
             counts.append(0)
             vols = implied_vol(cells, calls)
-            monkeypatch.setattr(GKCells, "price", price)
-            assert np.array_equal(vols, scalar_vols(specs, calls))
-        assert max(counts) <= 6, counts
+            solves.append(counts[-1])
+            assert_contract(specs, calls, vols)
+        assert max(solves) <= 4, solves
+
+    def test_any_start_inside_the_bracket(self, rng):
+        specs, calls, _ = model_surface_cells(rng)
+        lo, hi = VOL_BRACKET
+        for start in (lo, hi, math.nextafter(lo, hi), rng.uniform(lo, hi, len(specs)),
+                      np.exp(rng.uniform(math.log(lo), math.log(hi), len(specs)))):
+            assert_contract(specs, calls, implied_vol(GKCells(specs, start), calls))
+
+    def test_start_is_kept_inside_the_bracket(self):
+        specs = stress_specs()[:4]
+        cells = GKCells(specs, [0.0, -1.0, 7.0, math.inf])
+        assert cells.start[0].tolist() == [*VOL_BRACKET[:1] * 2, *VOL_BRACKET[1:] * 2]
+        assert np.array_equal(cells.start[1], cells.price(cells.start[0]))
+        with pytest.raises(InvariantViolation):
+            GKCells(specs, math.nan)
+
+    def test_no_hidden_state(self, rng):
+        # the same bits after any earlier solves, and a cell solved alone
+        # equals that cell in the whole surface
+        specs, calls, quotes = model_surface_cells(rng)
+        cells = GKCells(specs, quotes)
+        first = implied_vol(cells, calls)
+        for prices in (cells.price(1.5 * quotes), cells.price(0.05), calls):
+            implied_vol(cells, prices)
+        with pytest.raises(OutOfBounds):
+            implied_vol(cells, np.full(len(specs), np.nan))
+        assert np.array_equal(implied_vol(cells, calls), first)
+        assert not any(a.flags.writeable for a in (*cells.start, cells.price_error))
+        for i in range(len(specs)):
+            alone = implied_vol(GKCells(specs[i:i + 1], quotes[i:i + 1]), calls[i:i + 1])
+            assert alone.tolist() == [first[i]]
 
     def test_bracket_prices(self):
         specs = stress_specs()
