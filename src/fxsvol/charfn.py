@@ -225,40 +225,31 @@ def _sq(v):
 def _log1p_over(w):
     """log(1 + w) / w for complex w, stable as w -> 0 (value 1).
 
-    Nodes with |w| < 1e-2 take the 7-term series 1 - w/2 + ... + w^6/7 in
-    Horner form; its truncation bounds the error by 8 ulp of the result.
-    The other nodes take log(1 + w) from real float64 ufuncs: the real part
-    is 0.5 log1p(|1 + w|^2 - 1) with |1 + w|^2 - 1 formed from w, so 1 + w is
-    never rounded, or log|1 + w| where that form cancels (|1 + w|^2 <= 1/2)
-    or overflows; the imaginary part is arctan2.  That branch is within 4
-    ulp of the result.  An ulp here is 2^-52 times the exact modulus.
-    Each branch runs on its own nodes only, element by element: a node's
-    bits do not depend on the array it sits in.
+    One form for every node: log(1 + w) from real float64 ufuncs, divided
+    by w.  The real part is 0.5 log1p(|1 + w|^2 - 1) with |1 + w|^2 - 1
+    formed from w, so 1 + w is never rounded, or log|1 + w| where that form
+    cancels (|1 + w|^2 <= 1/2) or overflows; the imaginary part is arctan2.
+    Nodes with |w| < 2^-60, 0 and subnormals among them, are exactly 1,
+    within 2^-61 of the exact value, where the division could overflow.
+    The result is within 4 ulp, 2^-52 times the exact modulus.  The ufuncs
+    run on a contiguous copy of w, element by element: a node's bits do
+    not depend on the array it sits in, nor on its strides.
     """
-    w = np.asarray(w, dtype=complex)
-    small = np.abs(w) < 1e-2
-    big = ~small
-    out = np.empty_like(w)
-    s = w[small]
-    r = 1.0 / 7.0
-    for c in (-1.0 / 6.0, 1.0 / 5.0, -1.0 / 4.0, 1.0 / 3.0, -1.0 / 2.0, 1.0):
-        # not in place: numpy's in-place complex product of a 1-element
-        # array skips the SIMD (FMA) kernel and rounds differently
-        r = c + s * r
-    out[small] = r
-    b = w[big]
-    br, bi = b.real, b.imag
-    xr = 1.0 + br
+    w = np.array(w, dtype=complex, order="C")
+    wr, wi = w.real, w.imag
+    xr = 1.0 + wr
     with np.errstate(over="ignore"):
-        t = br * (2.0 + br) + bi * bi    # |1 + b|^2 - 1; inf once |b| > 1e154
-    log_b = np.empty_like(b)
-    log_b.real = 0.5 * np.log1p(np.maximum(t, -0.5))
+        t = wr * (2.0 + wr) + wi * wi    # |1 + w|^2 - 1; inf once |w| > 1e154
+    log_w = np.empty_like(w)
+    log_w.real = 0.5 * np.log1p(np.maximum(t, -0.5))
     near = ~((t > -0.5) & (t < np.inf))
     if near.any():
-        log_b.real[near] = np.log(np.hypot(xr[near], bi[near]))
-    log_b.imag = np.arctan2(bi, xr)
-    out[big] = log_b / b
-    return out
+        log_w.real[near] = np.log(np.hypot(xr[near], wi[near]))
+    log_w.imag = np.arctan2(wi, xr)
+    tiny = np.abs(w) < 2.0 ** -60
+    if tiny.any():
+        w[tiny] = log_w[tiny] = 1.0
+    return np.asarray(log_w / w)   # a 0-d w's quotient is a scalar
 
 
 def _exp_checked(expo):

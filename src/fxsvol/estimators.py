@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .charfn import variance_factors
 from .errors import (
@@ -25,7 +24,7 @@ from .errors import (
     SingularRegression,
     ZeroTotalVariance,
 )
-from .pricer import OptionSpec, gk_price
+from .pricer import OptionSpec, gk_price, norm_cdf
 
 OMEGA_FLOOR = 0.001
 RHO_PIN = 0.99
@@ -252,7 +251,7 @@ def _bs_put_forward(x, k, w, df):
     sw = math.sqrt(w)
     d1 = (x - k) / sw + 0.5 * sw
     d2 = d1 - sw
-    return df * (math.exp(k) * ndtr(-d2) - math.exp(x) * ndtr(-d1))
+    return df * (math.exp(k) * norm_cdf(-d2) - math.exp(x) * norm_cdf(-d1))
 
 
 def _bs_partials(x, k, w, df):

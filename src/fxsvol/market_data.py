@@ -14,8 +14,6 @@ import datetime as _dt
 import math
 from dataclasses import dataclass, field
 
-from scipy.special import ndtr, ndtri
-
 from .errors import (
     DeltaOutOfRange,
     InvalidForward,
@@ -23,6 +21,7 @@ from .errors import (
     NonPositivePillarVol,
     ParseError,
 )
+from .pricer import norm_cdf, norm_ppf
 
 PILLARS = ("10P", "25P", "ATM", "25C", "10C")
 PILLAR_DELTAS = {"10P": -0.10, "25P": -0.25, "ATM": 0.50, "25C": 0.25, "10C": 0.10}
@@ -100,14 +99,14 @@ def strike_from_delta(spot, r_d, r_f, tau, vol, delta):
         raise DeltaOutOfRange(f"|delta|*exp(r_f*tau) = {q} outside (0, 1)")
     sgn = -1.0 if delta < 0.0 else 1.0
     fwd = spot * math.exp((r_d - r_f) * tau)
-    return fwd * math.exp(0.5 * vol * vol * tau - sgn * vol * math.sqrt(tau) * ndtri(q))
+    return fwd * math.exp(0.5 * vol * vol * tau - sgn * vol * math.sqrt(tau) * norm_ppf(q))
 
 
 def black_delta(spot, strike, r_d, r_f, tau, vol, delta_sign):
     """Foreign-discounted Black spot delta; round-trips the pillar strikes."""
     d1 = (math.log(spot / strike)
           + (r_d - r_f + 0.5 * vol * vol) * tau) / (vol * math.sqrt(tau))
-    return delta_sign * math.exp(-r_f * tau) * ndtr(delta_sign * d1)
+    return delta_sign * math.exp(-r_f * tau) * norm_cdf(delta_sign * d1)
 
 
 # ---------------------------------------------------------------------------

@@ -15,19 +15,47 @@ from __future__ import annotations
 
 import itertools
 import math
+import statistics
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import AlphaInvalid, InvariantViolation, NumericOverflow, OutOfBounds
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_HALF = math.sqrt(0.5)
+_INV_CDF = statistics.NormalDist().inv_cdf
 
 
 def norm_pdf(x):
     return np.exp(-0.5 * x * x) / SQRT_2PI
+
+
+def norm_cdf(x):
+    """The standard normal CDF, Phi(x) = erfc(-x / sqrt 2) / 2 by math.erfc.
+
+    A float gives a float; an array gives an array of the same shape whose
+    every element is the float call's bits.  Within (2 + x^2) 2^-52 of the
+    exact value, relatively, plus 2^-1074 where it is subnormal (x below
+    -37.5): the x^2 is the rounding of the argument, which erfc's slope
+    magnifies in the lower tail.
+    """
+    if isinstance(x, np.ndarray):
+        return np.array([norm_cdf(v) for v in x.ravel().tolist()]).reshape(x.shape)
+    return 0.5 * math.erfc(x * -_SQRT_HALF)
+
+
+def norm_ppf(q):
+    """The inverse standard normal CDF Phi^-1(q), for q strictly inside (0, 1).
+
+    statistics.NormalDist().inv_cdf, Wichura's AS241 (Applied Statistics
+    37(3), 1988), within 4 units of 2^-52 of the exact value, relatively,
+    down to q = 5e-324.  Arrays work element by element, as in norm_cdf.
+    """
+    if isinstance(q, np.ndarray):
+        return np.array([_INV_CDF(v) for v in q.ravel().tolist()]).reshape(q.shape)
+    return _INV_CDF(q)
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +176,17 @@ def _put_from_call(call, spec):
 # ---------------------------------------------------------------------------
 
 def gk_price(spec, sigma):
-    """Closed-form price; put by parity C - P = e^{-r_d tau}(F - K)."""
-    st = sigma * math.sqrt(spec.tau)
-    d1 = (math.log(spec.S / spec.K) + (spec.r_d - spec.r_f) * spec.tau) / st + 0.5 * st
-    d2 = d1 - st
-    call = (spec.S * math.exp(-spec.r_f * spec.tau) * ndtr(d1)
-            - spec.K * math.exp(-spec.r_d * spec.tau) * ndtr(d2))
+    """Closed-form price; put by parity C - P = e^{-r_d tau}(F - K).
+
+    N(d) is erfc(z) / 2 at z = -d / sqrt 2, formed directly: with h = sigma
+    sqrt(tau / 2), z1 = -lm / (2 h) - h / 2 and z2 = z1 + h, lm being the
+    log-moneyness ln(S/K) + (r_d - r_f) tau.  The 1/2 rides on the discount
+    factors, exactly.
+    """
+    h = sigma * math.sqrt(0.5 * spec.tau)
+    z1 = -0.5 * (math.log(spec.S / spec.K) + (spec.r_d - spec.r_f) * spec.tau) / h - 0.5 * h
+    call = (0.5 * (spec.S * math.exp(-spec.r_f * spec.tau)) * math.erfc(z1)
+            - 0.5 * (spec.K * math.exp(-spec.r_d * spec.tau)) * math.erfc(z1 + h))
     return call if spec.side == "call" else _put_from_call(call, spec)
 
 
@@ -190,19 +223,27 @@ class GKCells:
     Built once per surface from the same math.* expressions gk_price and
     implied_vol evaluate per call (numpy's SIMD log/exp need not match libm),
     so every lane of price() does the IEEE operations of the scalar gk_price,
-    bit for bit.
+    bit for bit, and takes both erfc terms of every cell in one math.erfc
+    pass.
 
     bracket_prices are price() at the two ends of VOL_BRACKET, which do not
     depend on the quotes.  price_error is eps, a bound on |price(sigma) -
     P(sigma)| for sigma in VOL_BRACKET.  P(sigma) = s_df N(d1) - s_df e^-lm
     N(d1 - st), with d1 = lm/st + st/2 and st = sigma sqrt_tau, is the exact
     Black price on the cell's float constants (lm = log_moneyness), and it
-    increases with sigma.  Adding up the rounding of st, d1 and d2 (times the
-    normal density), of scipy's ndtr, of the products and the difference, and
-    the gap between k_df and s_df e^-lm gives about (14 + 11 sqrt_tau) units
-    of 2^-52 (s_df + k_df) for |lm| up to 10.  eps is 32 (1 + sqrt_tau) such
-    units, over twice that; a 50-digit evaluation of P on 1D to 5Y cells with
-    |lm| <= 1.5 stays under one unit.
+    increases with sigma.  price() takes N(d) = erfc(z) / 2 from math.erfc
+    at z = -d / sqrt 2, formed as gk_price forms it (z1 = (-lm/2) / h - h/2,
+    z2 = z1 + h, h = sigma sqrt(tau / 2)), the 1/2 folded exactly into s_df
+    and k_df.  The rounding of z1 reaches both terms alike, and s_df N'(d1)
+    = s_df e^-lm N'(d2) cancels it to first order.  What is left, in units
+    of 2^-52 (s_df + k_df): h's rounding, 3 2^-53 relative, moves the price
+    as sigma would, by at most 3 sqrt_tau units (vega sigma < 0.4 s_df st,
+    st <= 5 sqrt_tau); z2's rounding, under 1/4; math.erfc's, 2 at 2 ulp
+    (under 1 ulp measured); the products and the difference, 1; and the gap
+    between k_df and s_df e^-lm, (5 + 2 |lm|) / 2.  That is about (16 + 3
+    sqrt_tau) units for |lm| up to 10.  eps is 32 (1 + sqrt_tau) such units,
+    twice that or more; a 50-digit evaluation of P on 1D to 5Y cells with
+    |lm| <= 1.5 stays under one unit (0.74 measured).
 
     start is where every whole-surface implied_vol on these cells begins:
     (x, price, vega, volga / vega), price_greeks at x, x being vols (one per
@@ -225,7 +266,11 @@ class GKCells:
         self.lo_bound, self.hi_bound = np.array([_no_arbitrage_bounds(sp)
                                                  for sp in specs]).reshape(-1, 2).T
         self.price_error = 2.0 ** -47 * (self.s_df + self.k_df) * (1.0 + self.sqrt_tau)
-        self._vega_scale = self.s_df * self.sqrt_tau / SQRT_2PI  # vega = this * e^(-d1^2/2)
+        # gk_price's constants in z = -d / sqrt 2, the 1/2 of N folded in
+        self._h_tau = np.array([math.sqrt(0.5 * sp.tau) for sp in specs])
+        self._z_lm = -0.5 * self.log_moneyness
+        self._half_dfs = 0.5 * np.concatenate((self.s_df, self.k_df))
+        self._vega_scale = self.s_df * self.sqrt_tau / SQRT_2PI  # vega = this * e^(-z1^2)
         self.bracket_prices = tuple(self.price(v) for v in VOL_BRACKET)
         self._solvable = (np.maximum(self.lo_bound, self.bracket_prices[0]),
                          np.minimum(self.hi_bound, self.bracket_prices[1]))
@@ -239,22 +284,26 @@ class GKCells:
 
     def price(self, sigma):
         """gk_price of every cell at sigma (a scalar or one vol per cell)."""
-        st = sigma * self.sqrt_tau
-        d1 = self.log_moneyness / st + 0.5 * st
-        d2 = d1 - st
-        return self.s_df * ndtr(d1) - self.k_df * ndtr(d2)
+        return self._price_z(sigma)[0]
 
     def price_greeks(self, sigma):
         """(price, vega, volga / vega) of every cell at sigma, one vol per cell.
 
-        price is price()'s, bit for bit; volga / vega = d1 d2 / sigma is the
-        second-order term of Halley's step.
+        price is price()'s, bit for bit; volga / vega = d1 d2 / sigma = 2 z1
+        z2 / sigma is the second-order term of Halley's step.
         """
-        st = sigma * self.sqrt_tau
-        d1 = self.log_moneyness / st + 0.5 * st
-        d2 = d1 - st
-        price = self.s_df * ndtr(d1) - self.k_df * ndtr(d2)
-        return price, self._vega_scale * np.exp(-0.5 * d1 * d1), d1 * d2 / sigma
+        price, z1, z2 = self._price_z(sigma)
+        return price, self._vega_scale * np.exp(-z1 * z1), 2.0 * z1 * z2 / sigma
+
+    def _price_z(self, sigma):
+        """(price, z1, z2): gk_price's operations, both erfc terms in one pass."""
+        h = sigma * self._h_tau
+        z1 = self._z_lm / h - 0.5 * h
+        z2 = z1 + h
+        n = z1.size
+        terms = self._half_dfs * np.fromiter(map(math.erfc, z1.tolist() + z2.tolist()),
+                                             float, 2 * n)
+        return terms[:n] - terms[n:], z1, z2
 
 
 def implied_vol(spec, price, tol=1e-12, max_iter=200):

@@ -6,14 +6,17 @@ Usage:
 For each matrix entry (an output directory <name>/ with its <name>.exit and
 <name>.stderr, or the library-iv directories) it prints how many of its
 files are byte-identical in the two roots.  The files that differ are read
-as records: a JSON file, a CSV row, or a result repr (library-iv).  A
-record is converged if it says converged on both sides, capped if it says
-not converged on either, and other if it carries no converged field.  Per
-category it prints the largest relative change |a - b| / max(|a|, |b|) of
-each numeric field, a field being the record's key path with list indices
-dropped (so "params.factors[].nu0" gathers both factors).  Fields present
-on one side only, and differing files that hold no numbers, are listed as
-such.
+as records: a JSON file, a CSV row, or a line holding a result repr
+(library-iv, library-ts).  A record is converged if it says converged on
+both sides, capped if it says not converged on either, and other if it
+carries no converged field.  Per category it prints, for each numeric
+field, the largest relative change |a - b| / max(|a|, |b|) and, after
+"abs", the largest absolute change |a - b|, each over all the category's
+records; a field is the record's key path with list indices dropped (so
+"params.factors[].nu0" gathers both factors).  The absolute column tells
+last-digit moves of a field near zero, which the relative one inflates,
+from real shifts.  Fields present on one side only, and differing files
+that hold no numbers, are listed as such.
 
 pytest does not collect this file: its name has no test_ prefix.
 """
@@ -106,13 +109,17 @@ def records(path):
             out.append((flag, numbers))
         return out
     if path.endswith(".txt"):
-        try:
-            tree = ast.parse(text.strip(), mode="eval")
-        except SyntaxError:
-            return [(None, [])]
-        numbers, flags = [], []
-        _repr_numbers(tree.body, "", numbers, flags)
-        return [(flags[0] if flags else None, numbers)]
+        out = []
+        for line in filter(str.strip, text.splitlines()):
+            try:
+                tree = ast.parse(line.strip(), mode="eval")
+            except SyntaxError:
+                out.append((None, []))
+                continue
+            numbers, flags = [], []
+            _repr_numbers(tree.body, "", numbers, flags)
+            out.append((flags[0] if flags else None, numbers))
+        return out or [(None, [])]
     try:
         return [(None, [("value", float(text))])]
     except ValueError:
@@ -140,7 +147,8 @@ def _category(flag_a, flag_b):
 
 
 def compare_entry(root_a, root_b, files_a, files_b):
-    """(identical, total, {category: {field: max rel change}}, counts, notes)."""
+    """(identical, total, {category: {field: (max rel change, max abs change)}},
+    counts, notes)."""
     names = sorted(set(files_a) | set(files_b))
     identical = 0
     worst = {c: {} for c in CATEGORIES}
@@ -179,10 +187,12 @@ def compare_entry(root_a, root_b, files_a, files_b):
                     continue
                 a, b = va[key], vb[key]
                 scale = max(abs(a), abs(b))
-                rel_change = 0.0 if a == b else (abs(a - b) / scale if scale else 0.0)
+                abs_change = 0.0 if a == b else abs(a - b)
+                rel_change = abs_change / scale if scale else 0.0
                 if rel_change != rel_change:  # a NaN on one side
-                    rel_change = float("inf")
-                worst[cat][field] = max(worst[cat].get(field, 0.0), rel_change)
+                    rel_change = abs_change = float("inf")
+                old_rel, old_abs = worst[cat].get(field, (0.0, 0.0))
+                worst[cat][field] = (max(old_rel, rel_change), max(old_abs, abs_change))
     return identical, len(names), worst, counts, notes
 
 
@@ -199,8 +209,8 @@ def main(argv=None):
         print(f"{name}: {identical}/{total} files byte-identical")
         for cat in CATEGORIES:
             if counts[cat]:
-                changes = ", ".join(f"{f} {v:.1e}" for f, v in sorted(worst[cat].items())
-                                    if v > 0.0)
+                changes = ", ".join(f"{f} {r:.1e} abs {a:.1e}"
+                                    for f, (r, a) in sorted(worst[cat].items()) if r > 0.0)
                 print(f"  {cat} ({counts[cat]} records): {changes or 'no numeric change'}")
         for note in notes:
             print(f"  {note}")

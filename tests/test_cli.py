@@ -714,6 +714,27 @@ class TestProcessStart:
                  "'hypothesis'))))")
         assert _fresh_python(probe).split() == []
 
+    def test_runtime_imports_no_scipy(self, quotes_csv, tmp_path):
+        """No fxsvol runtime path imports scipy (only the tests use it): after
+        importing fxsvol.cli, one fxsvol calibrate run and one library
+        implied-vol-target fit, no scipy module is loaded."""
+        probe = f"""
+import sys
+from fxsvol import calibrate, cli
+from fxsvol.charfn import HestonParams
+args = ["calibrate", "--model", "heston", "--start", "icm", "--max-iter", "10",
+        "--date-from", "2014-06-02", "--date-to", "2014-06-02",
+        "--input", {str(quotes_csv)!r}, "--output-dir", {str(tmp_path / "out")!r}]
+assert cli.main(args) == 0
+manifest = cli.RunManifest(command="calibrate", input_path={str(quotes_csv)!r}, output_dir="")
+surface = cli.load_surfaces(manifest)["2014-06-02"]
+fit = calibrate.calibrate_full("heston", surface, HestonParams(0.011, 0.019, 1.6, 0.42, -0.21),
+                               cost_spec=calibrate.CostSpec(target="implied_vol"), max_iter=10)
+assert fit.iterations >= 10
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+        assert _fresh_python(probe).split() == []
+
     def test_cold_start_builds_no_fold_constant(self, quotes_csv):
         """Importing fxsvol.cli, then loading the surfaces and the historical
         context, the start of every calibrate run, builds none of the Attari

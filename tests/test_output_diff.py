@@ -40,11 +40,11 @@ def test_two_roots(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines == [
         "calibrate-x: 2/6 files byte-identical",
-        "  converged (1 records): params.factors[].nu0 5.0e-09",
-        "  capped (2 records): cost_value 9.1e-02",
+        "  converged (1 records): params.factors[].nu0 5.0e-09 abs 1.0e-10",
+        "  capped (2 records): cost_value 9.1e-02 abs 2.0e-01",
         "  calibrate-x.stderr differs in no number",
         "library-iv: 0/1 files byte-identical",
-        "  capped (1 records): cost_value 9.1e-02",
+        "  capped (1 records): cost_value 9.1e-02 abs 1.0e-06",
         "vix: 1/1 files byte-identical",
     ]
 
@@ -61,6 +61,20 @@ def test_one_sided_files_and_fields(tmp_path, capsys):
     assert "calibrate-x: 5/7 files byte-identical" in out
     assert "calibrate-x/calibration_d2.json: rmse_vol only in B" in out
     assert "calibrate-x/calibration_d4.json only in B" in out
+
+
+def test_one_record_a_repr_line(tmp_path, capsys):
+    # a library-ts file holds one result repr a line, each its own record
+    for side, theta in (("a", 0.02), ("b", 0.021)):
+        (tmp_path / side / "library-ts").mkdir(parents=True)
+        (tmp_path / side / "library-ts" / "d1.txt").write_text(
+            "(0.01, 0.02, NMResult(x=array([1.0, -2.0]), fx=1e-10, converged=True))\n"
+            f"(0.1, {theta}, NMResult(x=array([1.0, -2.0]), fx=1e-10, converged=False))\n")
+    assert output_diff.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "library-ts: 0/1 files byte-identical",
+        "  capped (1 records): [] 4.8e-02 abs 1.0e-03",
+    ]
 
 
 def test_usage(capsys):
